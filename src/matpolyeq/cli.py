@@ -2,8 +2,10 @@
 
 Exit codes are the only success/failure channel:
   0 success, 1 malformed input document, 2 domain error,
-  3 construction validation failure, 4 root finding non-convergence,
-  5 verification failure.
+  3 construction validation failure (including a singular coefficient
+  system), 4 root finding non-convergence, 5 verification failure,
+  6 internal inconsistency (a solver self-check failed on this input).
+Each failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import documents
-from .construct import DomainError, ValidationFailure, construct
-from .poly import NonConvergence
-from .solver import solution_bound, solve_equation
+from .construct import (DomainError, UnreachableCase, ValidationFailure,
+                        construct)
+from .poly import NonConvergence, SingularSystem
+from .solver import InternalInconsistency, solution_bound, solve_equation
 from .verify import count_cross_check, verify_solution_set
 
 _BACKENDS = {"a": "aberth", "b": "companion",
@@ -30,6 +33,7 @@ EXIT_DOMAIN = 2
 EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_VERIFICATION = 5
+EXIT_INTERNAL = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,9 +93,16 @@ def cmd_construct(args) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
+    except (ValidationFailure, SingularSystem, UnreachableCase) as exc:
+        print(f"validation failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return EXIT_VALIDATION
+    except NonConvergence as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     documents.save_doc(documents.equation_to_doc(result.equation), args.out)
     print(args.out)
     if args.plan:
@@ -122,6 +133,9 @@ def cmd_solve(args) -> int:
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     documents.save_doc(documents.solution_set_to_doc(sset), args.out)
     print(args.out)
     return EXIT_OK
@@ -140,6 +154,9 @@ def cmd_verify(args) -> int:
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.report:
         documents.save_doc(documents.report_to_doc(report), args.report)
         print(args.report)
@@ -161,14 +178,18 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r["n"], r["m"]))
 
     lines = [f"{'n':>3} {'m':>4} {'p':>3} {'pbar':>4} {'count':>6} "
-             f"{'max_residual':>13} {'ms':>7} {'status':>7}"]
+             f"{'max_residual':>13} {'ms':>7} {'status':>7} error"]
     for r in rows:
+        if r["error"] is not None:
+            count = "-"   # the cell crashed before counting
+        else:
+            count = r["count"] if r["count"] is not None else "inf"
         lines.append(
             f"{r['n']:>3} {r['m']:>4} {r['p'] if r['p'] is not None else '-':>3} "
             f"{r['pbar'] if r['pbar'] is not None else '-':>4} "
-            f"{r['count'] if r['count'] is not None else 'inf':>6} "
+            f"{count:>6} "
             f"{r['max_residual']:>13.3e} {r['ms']:>7.1f} "
-            f"{'pass' if r['ok'] else 'FAIL':>7}")
+            f"{'pass' if r['ok'] else 'FAIL':>7} {r['error'] or '-'}")
     failures = [(r["n"], r["m"]) for r in rows if not r["ok"]]
     lines.append(f"cells: {len(rows)}, failures: {len(failures)}")
     if failures:
@@ -186,7 +207,7 @@ def _sweep_cell(cell) -> dict:
     n, m = cell
     start = time.perf_counter()
     row = {"n": n, "m": m, "p": None, "pbar": None, "count": None,
-           "max_residual": 0.0, "ms": 0.0, "ok": False}
+           "max_residual": 0.0, "ms": 0.0, "ok": False, "error": None}
     try:
         result = construct(n, m, validate=False)
         if result.plan is not None:
@@ -199,7 +220,7 @@ def _sweep_cell(cell) -> dict:
         row["ok"] = (report.verdict == "pass" and cross.agree
                      and cross.count_a == m)
     except Exception as exc:  # a failing cell must not kill the sweep
-        row["error"] = repr(exc)
+        row["error"] = type(exc).__name__
     row["ms"] = (time.perf_counter() - start) * 1e3
     return row
 

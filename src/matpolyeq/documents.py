@@ -20,8 +20,7 @@ from .verify import VerificationReport
 FORMAT_VERSION = "1"
 
 _KINDS = {"diagonalizable_distinct", "scalar", "non_diagonalizable"}
-_REASONS = {"two_dim_space_with_second_value", "nilpotent_affine_family",
-            "scalar_plus_two_dim"}
+_REASONS = {"two_dim_space_with_second_value", "nilpotent_affine_family"}
 
 
 class DocumentError(ValueError):

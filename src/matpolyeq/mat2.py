@@ -1,9 +1,14 @@
-"""2x2 complex matrices, polynomial matrices, and matrix equations."""
+"""2x2 complex matrices, polynomial matrices, matrix equations, and the
+pairwise distance kernel over sets of matrices."""
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .poly import Poly
 
@@ -135,6 +140,102 @@ def outer(u: Vec2, v: Vec2) -> Mat2:
 
 E1 = Vec2(1, 0)
 E2 = Vec2(0, 1)
+
+
+# Rows per block of the pairwise kernel.  A block holds two float arrays of
+# _BLOCK_ROWS x k (about 130 kB at k = 496), so memory stays O(k) instead of
+# the full k x k x 4 difference; more rows save no measurable time.
+_BLOCK_ROWS = 16
+# Mat2.dist <= _UPPER * _lower_bounds: hypot(x, y) <= sqrt(2) max(|x|, |y|),
+# 2 leaves room for hypot's rounding, and doubling a float is exact
+_UPPER = 2.0
+
+
+def pack(mats: Sequence[Mat2]) -> np.ndarray:
+    """The matrices as a (k, 4) complex array, entries in m11, m12, m21,
+    m22 order."""
+    return np.array([(m.m11, m.m12, m.m21, m.m22) for m in mats],
+                    dtype=complex).reshape(-1, 4)
+
+
+def _lower_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # low[r, c]: the largest |real or imaginary part| over the entries of
+    # a[r] - b[c], a lower bound on Mat2.dist that needs no hypot
+    low = np.zeros((len(a), len(b)))
+    part = np.empty_like(low)
+    for e in range(4):
+        for get in (np.real, np.imag):
+            np.subtract(get(a[:, None, e]), get(b[None, :, e]), out=part)
+            np.maximum(low, np.abs(part, out=part), out=low)
+    return low
+
+
+def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Mat2.dist between matching rows, bit for bit: complex subtraction is
+    # part-wise, and Python's complex abs is hypot (numpy's complex abs uses
+    # another algorithm that can differ in the last bit)
+    diff = a - b
+    return np.hypot(diff.real, diff.imag).max(axis=-1)
+
+
+def close_pairs(mats: Sequence[Mat2], tol: float
+                ) -> tuple[list[tuple[int, int]], Optional[float]]:
+    """Index pairs i < j with Mat2.dist <= tol, in (i, j) order, and the
+    exact least pairwise distance (None for fewer than two matrices).
+
+    Exact distances are computed only for the pairs whose lower bound leaves
+    them a chance to be within tol or to be the least."""
+    x = pack(mats)
+    pairs: list[tuple[int, int]] = []
+    least = math.inf
+    for start in range(0, len(x) - 1, _BLOCK_ROWS):
+        # rows start.. against columns start+1..; column c holds index
+        # start + 1 + c, so c < r lies below the diagonal (j <= i)
+        low = _lower_bounds(x[start:start + _BLOCK_ROWS], x[start + 1:])
+        low[np.tril_indices(low.shape[0], -1, low.shape[1])] = np.inf
+        cut = max(tol, min(least, _UPPER * low.min()))
+        rows, cols = np.nonzero(low <= cut)
+        i, j = rows + start, cols + start + 1
+        d = _exact_dists(x[i], x[j])
+        if d.size:
+            least = min(least, d.min())
+        close = d <= tol
+        pairs.extend(zip(i[close].tolist(), j[close].tolist()))
+    return pairs, float(least) if len(x) > 1 else None
+
+
+def match_in_order(a: Sequence[Mat2], b: Sequence[Mat2], tol: float) -> bool:
+    """Greedy one-to-one matching in a's order: each matrix takes its
+    nearest remaining partner in b, the earliest on ties, and that partner
+    must lie within tol."""
+    if len(a) != len(b):
+        return False
+    xa, xb = pack(a), pack(b)
+    free = np.ones(len(b), dtype=bool)
+    for start in range(0, len(xa), _BLOCK_ROWS):
+        low = _lower_bounds(xa[start:start + _BLOCK_ROWS], xb)
+        for r, row in enumerate(low, start):
+            # the nearest free partner's lower bound is at most the cut
+            cut = _UPPER * row[free].min()
+            cand = np.flatnonzero(free & (row <= cut))
+            d = _exact_dists(xa[r], xb[cand])
+            best = int(np.argmin(d))
+            if d[best] > tol:
+                return False
+            free[cand[best]] = False
+    return True
+
+
+def greedy_unique(mats: Sequence[Mat2], tol: float) -> list[int]:
+    """Indices of the matrices kept by a greedy pass in list order: one is
+    kept unless it lies within tol of an earlier kept one."""
+    pairs, _ = close_pairs(mats, tol)
+    dropped: set[int] = set()
+    # by later index, so that every i < j is settled before j is
+    for i, j in sorted(pairs, key=lambda p: p[1]):
+        if i not in dropped:
+            dropped.add(j)
+    return [i for i in range(len(mats)) if i not in dropped]
 
 
 @dataclass(frozen=True)

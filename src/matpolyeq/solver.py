@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eval_equation,
-                   outer, poly_matrix, rank_and_nullspace)
+                   greedy_unique, outer, poly_matrix, rank_and_nullspace)
 from .poly import find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -350,7 +350,9 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth",
     Infinite detection runs before finite enumeration so two-dimensional
     critical spaces never reach the pair assembly.  Finite output is
     deduplicated, residual-verified, sorted by eigenvalues, and checked
-    against the C(2n, 2) bound.
+    against the C(2n, 2) bound.  The dedupe keeps a candidate unless it lies
+    within the tolerance of an earlier kept one; its pairwise distances come
+    from the shared array kernel in ``mat2`` (``greedy_unique``).
     """
     data = critical_data(eq, backend=backend)
     cert = detect_infinite(eq, data)
@@ -371,10 +373,8 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth",
 
     max_lam = max((abs(d.value) for d in data), default=0.0)
     dedupe = DEDUPE_TOL * (1.0 + max_lam)
-    unique: list[Solution] = []
-    for sol in found:
-        if all(sol.matrix.dist(u.matrix) > dedupe for u in unique):
-            unique.append(sol)
+    unique = [found[i] for i in
+              greedy_unique([sol.matrix for sol in found], dedupe)]
 
     for sol in unique:
         tol = residual_tol(eq, sol.matrix, residual_coef)

@@ -10,7 +10,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .mat2 import Mat2, MatrixEquation, Vec2, det2, eigen2, eval_equation, outer, poly_matrix
+from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2, eigen2,
+                   eval_equation, greedy_unique, match_in_order, outer,
+                   poly_matrix)
 from .poly import CLUSTER_TOL, Poly
 from .solver import (DEDUPE_TOL, INDEPENDENCE_TOL, SolutionSet, critical_data,
                      residual_tol, solution_bound, solve_equation)
@@ -81,8 +83,9 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     Residuals, pairwise distinctness, the C(2n,2) bound, eigenvalue
     containment in the critical values, and divisibility of det M(t) by each
     solution's characteristic polynomial are all recomputed here; nothing is
-    taken from the input set but the matrices.  Failures are reported, not
-    raised.
+    taken from the input set but the matrices.  The pairwise distinctness
+    check and ``min_pair_distance`` come from the shared array kernel in
+    ``mat2`` (``close_pairs``).  Failures are reported, not raised.
     """
     reasons = []
     data = critical_data(eq)
@@ -103,14 +106,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
             break
 
     dedupe = DEDUPE_TOL * (1.0 + max_lam)
-    min_dist = None
-    duplicates_ok = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            d = mats[i].dist(mats[j])
-            min_dist = d if min_dist is None else min(min_dist, d)
-            if d <= dedupe:
-                duplicates_ok = False
+    duplicates, min_dist = close_pairs(mats, dedupe)
+    duplicates_ok = not duplicates
     if not duplicates_ok:
         reasons.append(f"duplicate solutions within {dedupe:.3e}")
 
@@ -188,22 +185,9 @@ def count_cross_check(eq: MatrixEquation) -> CrossCheck:
     if agree and set_a.is_finite:
         max_lam = max((abs(d.value) for d in set_a.critical_data), default=0.0)
         tol = 10 * DEDUPE_TOL * (1.0 + max_lam)
-        agree = _match_sets([s.matrix for s in set_a.solutions],
-                            [s.matrix for s in set_b.solutions], tol)
+        agree = match_in_order([s.matrix for s in set_a.solutions],
+                               [s.matrix for s in set_b.solutions], tol)
     return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
-
-
-def _match_sets(a: list[Mat2], b: list[Mat2], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for x in a:
-        best = min(range(len(remaining)),
-                   key=lambda i: x.dist(remaining[i]), default=None)
-        if best is None or x.dist(remaining[best]) > tol:
-            return False
-        remaining.pop(best)
-    return True
 
 
 @dataclass(frozen=True)
@@ -270,11 +254,8 @@ def brute_force_scan(eq: MatrixEquation,
             found.append(x)
         found.extend(_scan_nilpotent_offsets(eq, d.value, grid))
 
-    unique: list[Mat2] = []
-    for x in sorted(found, key=_mat_key):
-        if all(x.dist(u) > keep_tol for u in unique):
-            unique.append(x)
-    return unique
+    found.sort(key=_mat_key)
+    return [found[i] for i in greedy_unique(found, keep_tol)]
 
 
 def _mat_key(m: Mat2):

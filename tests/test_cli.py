@@ -2,9 +2,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from matpolyeq import cli
 from matpolyeq.cli import main
+from matpolyeq.construct import UnreachableCase
 from matpolyeq.documents import (equation_to_doc, load_doc, save_doc,
                                  solution_set_from_doc)
+from matpolyeq.poly import NonConvergence, SingularSystem
+from matpolyeq.solver import InternalInconsistency
 
 
 def run(*args):
@@ -42,6 +48,30 @@ class TestConstructCommand:
         run("construct", "--n", 3, "--m", 11, "--out", a)
         run("construct", "--n", 3, "--m", 11, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_singular_system_exits_3(self, tmp_path, capsys):
+        # the n = 7, m = 66 Vandermonde solve hits a pivot below its floor
+        out = tmp_path / "eq.json"
+        assert run("construct", "--n", 7, "--m", 66, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure (SingularSystem)")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc,code", [
+        (UnreachableCase("reduces to m = 4"), 3),
+        (NonConvergence("no convergence"), 4),
+        (InternalInconsistency("residual too large"), 6),
+    ])
+    def test_construct_failures_map_to_exit_codes(self, tmp_path, capsys,
+                                                  monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "construct", fail)
+        assert run("construct", "--n", 2, "--m", 5,
+                   "--out", tmp_path / "eq.json") == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_seeded_targets(self, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
@@ -92,6 +122,19 @@ class TestSolveCommand:
         b = solution_set_from_doc(load_doc(out_b))
         assert len(a.solutions) == len(b.solutions) == 4
 
+    def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
+                                            monkeypatch, eq_four_solutions):
+        def fail(*args, **kwargs):
+            raise InternalInconsistency("candidate residual exceeds its bound")
+
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(equation_to_doc(eq_four_solutions), eq_path)
+        monkeypatch.setattr(cli, "solve_equation", fail)
+        assert run("solve", "--in", eq_path, "--out", out) == 6
+        assert capsys.readouterr().err == \
+            "internal inconsistency: candidate residual exceeds its bound\n"
+        assert not out.exists()
+
     def test_malformed_input_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": "1"', encoding="utf-8")
@@ -119,6 +162,19 @@ class TestVerifyCommand:
         save_doc(doc, sol)
         assert run("verify", "--equation", eq_path, "--solutions", sol) == 5
 
+    def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
+                                            monkeypatch, eq_four_solutions):
+        eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise InternalInconsistency("no critical space at critical value 1")
+
+        monkeypatch.setattr(cli, "count_cross_check", fail)
+        assert run("verify", "--equation", eq_path, "--solutions", sol) == 6
+        assert capsys.readouterr().err == \
+            "internal inconsistency: no critical space at critical value 1\n"
+
     def test_truncated_document_exits_1(self, tmp_path, eq_four_solutions):
         eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)
         sol.write_text(sol.read_text()[:40], encoding="utf-8")
@@ -141,6 +197,28 @@ class TestSweepCommand:
         report = tmp_path / "table.txt"
         assert run("sweep", "--n-max", 5, "--report", report) == 0
         assert "cells: 95, failures: 0" in report.read_text()
+
+    def test_crashed_cell_shows_error_type(self, tmp_path, monkeypatch):
+        real_construct = cli.construct
+
+        def construct(n, m, **kwargs):
+            if (n, m) == (2, 5):
+                raise SingularSystem("pivot 1e-15 in column 3")
+            return real_construct(n, m, **kwargs)
+
+        monkeypatch.setattr(cli, "construct", construct)
+        report = tmp_path / "table.txt"
+        assert run("sweep", "--n-max", 2, "--report", report) == 5
+        lines = report.read_text().splitlines()
+        assert lines[0].split()[-1] == "error"
+        rows = {tuple(line.split()[:2]): line.split() for line in lines[1:8]}
+        # n, m, p, pbar, count, max_residual, ms, status, error
+        crashed = rows[("2", "5")]
+        assert crashed[4] == "-"
+        assert crashed[7:] == ["FAIL", "SingularSystem"]
+        assert rows[("2", "6")][4] == "6"
+        assert rows[("2", "6")][7:] == ["pass", "-"]
+        assert "failing cells: (2, 5)" in lines[-1]
 
     def test_parallel_jobs(self, tmp_path):
         report = tmp_path / "table.txt"

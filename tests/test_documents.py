@@ -107,6 +107,14 @@ class TestSolutionDocuments:
         with pytest.raises(DocumentError):
             solution_set_from_doc(doc)
 
+    @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery"])
+    def test_unknown_certificate_reason_rejected(self, eq_x_squared_identity,
+                                                 reason):
+        doc = solution_set_to_doc(solve_equation(eq_x_squared_identity))
+        doc["certificate"]["reason"] = reason
+        with pytest.raises(DocumentError):
+            solution_set_from_doc(doc)
+
     def test_verifier_accepts_parsed_set(self, eq_four_solutions):
         ss = solve_equation(eq_four_solutions)
         back = solution_set_from_doc(json.loads(
