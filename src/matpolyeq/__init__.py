@@ -14,12 +14,12 @@ from .solver import (CriticalDatum, InfiniteCertificate, InternalInconsistency,
                      enumerate_diagonalizable, find_nondiagonalizable,
                      residual_tol, scalar_solutions, solution_bound,
                      solve_equation)
-from .verify import (CrossCheck, GridSpec, VerificationReport,
-                     brute_force_scan, count_cross_check, verify_solution_set)
+from .verify import (CrossCheck, VerificationReport, brute_force_scan,
+                     count_cross_check, verify_solution_set)
 
 __all__ = [
     "ConstructionPlan", "ConstructionResult", "CriticalDatum", "CrossCheck",
-    "DomainError", "Eigen2", "GridSpec", "InfiniteCertificate",
+    "DomainError", "Eigen2", "InfiniteCertificate",
     "InternalInconsistency", "Mat2", "MatrixEquation", "NonConvergence",
     "Poly", "PolyMat2", "Root", "SingularSystem", "Solution", "SolutionSet",
     "UnreachableCase", "ValidationFailure", "Vec2", "VerificationReport",

@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=sorted(_BACKENDS), default="a",
                    help="root backend: a/aberth (simultaneous iteration) or "
                         "b/companion (companion-matrix eigenvalues)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the residual acceptance coefficient")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution document")
@@ -125,11 +123,8 @@ def cmd_solve(args) -> int:
     except documents.DocumentError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["residual_coef"] = args.tol
     try:
-        sset = solve_equation(eq, backend=_BACKENDS[args.backend], **kwargs)
+        sset = solve_equation(eq, backend=_BACKENDS[args.backend])
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,19 +31,17 @@ class Vec2:
     def __post_init__(self):
         object.__setattr__(self, "x", complex(self.x))
         object.__setattr__(self, "y", complex(self.y))
-        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
-            raise ValueError("vector entries must be finite")
 
     def norm(self) -> float:
         return (abs(self.x) ** 2 + abs(self.y) ** 2) ** 0.5
 
-    def normalized(self, zero_tol: float = 1e-12) -> "Vec2":
+    def normalized(self) -> "Vec2":
         """Unit norm with the first nonzero component rotated positive real."""
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
         x, y = self.x / n, self.y / n
-        lead = x if abs(x) > zero_tol else y
+        lead = x if abs(x) > 1e-12 else y
         phase = abs(lead) / lead
         return Vec2(x * phase, y * phase)
 
@@ -59,11 +58,9 @@ class Mat2:
     m22: complex
 
     def __post_init__(self):
+        # finiteness is checked by MatrixEquation and solver.residual
         for name in ("m11", "m12", "m21", "m22"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ValueError("matrix entries must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     @staticmethod
     def zero() -> "Mat2":
@@ -76,11 +73,6 @@ class Mat2:
     @staticmethod
     def diag(a: complex, b: complex) -> "Mat2":
         return Mat2(a, 0, 0, b)
-
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
 
     def rows(self):
         return ((self.m11, self.m12), (self.m21, self.m22))
@@ -250,6 +242,17 @@ class MatrixEquation:
     def __post_init__(self):
         if not 1 <= len(self.coeffs) <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
+        if not all(cmath.isfinite(z) for a in self.coeffs
+                   for z in (a.m11, a.m12, a.m21, a.m22)):
+            raise ValueError("coefficient entries must be finite")
+        try:
+            scale = self.coeff_scale()
+        except OverflowError:  # an entry's modulus exceeds the largest double
+            scale = math.inf
+        # a coefficient of det M(t) sums 2(n+1) products of two entries, so
+        # its modulus stays below sqrt(2) * 2(n+1) * coeff_scale()^2
+        if scale > math.sqrt(sys.float_info.max / (4 * (self.n + 1))):
+            raise ValueError(f"coefficient scale {scale:.3g} overflows det M(t)")
 
     @property
     def n(self) -> int:
@@ -276,9 +279,6 @@ class PolyMat2:
     def derivative(self) -> "PolyMat2":
         return PolyMat2(self.e11.derivative(), self.e12.derivative(),
                         self.e21.derivative(), self.e22.derivative())
-
-    def entries(self):
-        return ((self.e11, self.e12), (self.e21, self.e22))
 
 
 def poly_matrix(eq: MatrixEquation) -> PolyMat2:
@@ -309,16 +309,16 @@ def eval_equation(eq: MatrixEquation, x: Mat2) -> Mat2:
     return acc
 
 
-def rank_and_nullspace(a: Mat2, scale: float,
-                       tol: float = RANK_TOL) -> tuple[int, list[Vec2]]:
+def rank_and_nullspace(a: Mat2, scale: float) -> tuple[int, list[Vec2]]:
     """Numerical rank of a 2x2 matrix and an orthonormal kernel basis.
 
     ``scale`` is the magnitude reference supplied by the caller; entries are
-    negligible below tol*scale and determinants below (tol*scale)^2.  Kernel
-    vectors come from the orthogonal complement of the larger-norm row and
-    are normalized (unit norm, first nonzero component positive real).
+    negligible below RANK_TOL*scale and determinants below
+    (RANK_TOL*scale)^2.  Kernel vectors come from the orthogonal complement
+    of the larger-norm row and are normalized (unit norm, first nonzero
+    component positive real).
     """
-    ref = tol * max(scale, 1e-300)
+    ref = RANK_TOL * max(scale, 1e-300)
     if a.max_norm() <= ref:
         return 0, [E1, E2]
     if abs(a.det()) <= max(ref * ref, _DET_FLOOR * scale * scale):
@@ -339,7 +339,7 @@ class Eigen2:
     defective: bool
 
 
-def eigen2(a: Mat2, tol: float = RANK_TOL) -> Eigen2:
+def eigen2(a: Mat2) -> Eigen2:
     """Eigen-decomposition through the quadratic formula on the
     characteristic polynomial; classifies defective matrices by eigenvalue
     gap and kernel dimension."""
@@ -347,11 +347,11 @@ def eigen2(a: Mat2, tol: float = RANK_TOL) -> Eigen2:
     disc = cmath.sqrt(tr * tr - 4 * dt)
     lam1, lam2 = (tr + disc) / 2, (tr - disc) / 2
     scale = max(1.0, a.max_norm())
-    if abs(lam1 - lam2) > tol * scale:
+    if abs(lam1 - lam2) > RANK_TOL * scale:
         vecs = []
         for lam in (lam1, lam2):
             shifted = a - Mat2.identity().scale(lam)
-            rank, basis = rank_and_nullspace(shifted, scale, tol)
+            rank, basis = rank_and_nullspace(shifted, scale)
             vecs.append(basis[0] if basis else E1)
         order = sorted(((lam1, vecs[0]), (lam2, vecs[1])),
                        key=lambda p: (p[0].real, p[0].imag))
@@ -359,7 +359,7 @@ def eigen2(a: Mat2, tol: float = RANK_TOL) -> Eigen2:
                       (order[0][1], order[1][1]), False)
     lam = tr / 2
     shifted = a - Mat2.identity().scale(lam)
-    if shifted.max_norm() <= tol * scale:
+    if shifted.max_norm() <= RANK_TOL * scale:
         return Eigen2((lam, lam), (E1, E2), False)
-    rank, basis = rank_and_nullspace(shifted, scale, tol)
+    rank, basis = rank_and_nullspace(shifted, scale)
     return Eigen2((lam, lam), (basis[0] if basis else E1,), True)

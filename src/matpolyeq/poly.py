@@ -25,8 +25,8 @@ _NEWTON_STEPS = 80
 
 
 class NonConvergence(RuntimeError):
-    """Root iteration exhausted its budget on an ill-conditioned input;
-    the caller may retry with scaled coefficients."""
+    """Root iteration exhausted its budget or overflowed on an
+    ill-conditioned input; the caller may retry with scaled coefficients."""
 
 
 class SingularSystem(RuntimeError):
@@ -100,9 +100,6 @@ class Poly:
                 out[i + j] += ca * cb
         return Poly(out)
 
-    def scale(self, s: complex) -> "Poly":
-        return Poly([s * c for c in self.coeffs])
-
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
@@ -130,18 +127,16 @@ class Poly:
 
 @dataclass(frozen=True)
 class Root:
-    """A root with its multiplicity; ``suspect`` flags a cluster whose
-    derivative-based multiplicity check disagreed with the cluster size."""
+    """A root with its multiplicity."""
 
     value: complex
     multiplicity: int
-    suspect: bool = False
 
 
-def dense_solve(a, b, pivot_rtol: float = 1e-12) -> list[complex]:
+def dense_solve(a, b) -> list[complex]:
     """Solve the square complex system a x = b by row-pivoted elimination.
 
-    Raises SingularSystem when a pivot falls below ``pivot_rtol`` times the
+    Raises SingularSystem when a pivot falls below 1e-12 times the
     magnitude of the largest input entry.
     """
     m = np.array(a, dtype=complex)
@@ -149,7 +144,7 @@ def dense_solve(a, b, pivot_rtol: float = 1e-12) -> list[complex]:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or rhs.shape != (m.shape[0],):
         raise ValueError("need a square matrix and a matching vector")
     n = m.shape[0]
-    tol = pivot_rtol * max(1.0, float(np.abs(m).max()))
+    tol = 1e-12 * max(1.0, float(np.abs(m).max()))
     for col in range(n):
         piv = col + int(np.argmax(np.abs(m[col:, col])))
         if abs(m[piv, col]) <= tol:
@@ -167,20 +162,20 @@ def dense_solve(a, b, pivot_rtol: float = 1e-12) -> list[complex]:
     return list(x)
 
 
-def find_roots(p: Poly, backend: str = "aberth",
-               cluster_tol: float = CLUSTER_TOL) -> list[Root]:
+@np.errstate(over="ignore", invalid="ignore")
+def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     """All complex roots of ``p`` with multiplicities.
 
     Zero roots carried by exactly-vanishing low-order coefficients are
     deflated first.  The remaining roots come from the chosen backend, are
-    clustered at ``cluster_tol`` (relative to the largest root magnitude),
+    clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
     derivative.  Nearby clusters fuse when they look like one multiple root
     that scattered: the members fail the derivative test for their claimed
     multiplicities while the fused centroid passes it.
 
-    Multiplicities are sanity-checked through the derivative magnitudes at
-    each centroid; disagreement keeps the cluster count and sets ``suspect``.
+    Overflow is detected here instead of warned about: iterates or roots
+    that stop being finite raise NonConvergence.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -201,16 +196,18 @@ def find_roots(p: Poly, backend: str = "aberth",
         raw = _companion_roots(q)
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    if not np.all(np.isfinite(raw)):
+        raise NonConvergence(f"{backend} roots overflow at degree {len(q) - 1}")
 
-    clusters = _cluster_and_polish(q, raw, cluster_tol)
+    clusters = _cluster_and_polish(q, raw)
 
     roots = []
     scale = max(1.0, float(np.abs(raw).max()))
-    for value, mult, suspect in clusters:
-        if zero_mult and abs(value) <= cluster_tol * scale:
+    for value, mult in clusters:
+        if zero_mult and abs(value) <= CLUSTER_TOL * scale:
             zero_mult += mult
             continue
-        roots.append(Root(complex(value), mult, suspect))
+        roots.append(Root(complex(value), mult))
     if zero_mult:
         roots.append(Root(0j, zero_mult))
     roots.sort(key=lambda r: (r.value.real, r.value.imag))
@@ -233,6 +230,9 @@ def _aberth_roots(c: np.ndarray, sweeps: int = _ABERTH_SWEEPS) -> np.ndarray:
     dc = c[1:] * np.arange(1, d + 1)
     for _ in range(sweeps):
         pv, noise = _horner_vec(c, z)
+        # an overflowed value or bound would pass the test below vacuously
+        if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(noise))):
+            raise NonConvergence(f"polynomial values overflow at degree {d}")
         if np.all(np.abs(pv) <= 8.0 * noise):
             return z
         dv, _ = _horner_vec(dc, z)
@@ -276,14 +276,14 @@ def _horner_vec(c: np.ndarray, z: np.ndarray):
 
 # --- clustering -------------------------------------------------------------
 
-def _cluster_and_polish(q: np.ndarray, raw: np.ndarray, cluster_tol: float):
+def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     scale = max(1.0, float(np.abs(raw).max()))
     ders = [q]
     while len(ders) <= len(q):
         prev = ders[-1]
         ders.append(prev[1:] * np.arange(1, len(prev)))
 
-    groups = _components(list(raw), cluster_tol * scale)
+    groups = _components(list(raw), CLUSTER_TOL * scale)
     entries = [_polish_group(ders, g, scale) for g in groups]
 
     # A k-fold root computed in double precision scatters into a ring of
@@ -304,9 +304,7 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray, cluster_tol: float):
             fused.append((polished, total))
         else:
             fused.extend(bunch)
-
-    return [(value, mult, not _multiplicity_consistent(ders, value, mult))
-            for value, mult in fused]
+    return fused
 
 
 def _components_of(entries, radius):
@@ -355,10 +353,10 @@ def _polish_group(ders, members, scale):
     return polished, k
 
 
-def _newton(c, dc, z, steps: int = _NEWTON_STEPS):
+def _newton(c, dc, z):
     best_z, best_v = z, abs(_horner_scalar(c, z))
     stall = 0
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         dv = _horner_scalar(dc, z)
         if dv == 0:
             break

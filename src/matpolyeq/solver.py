@@ -13,13 +13,14 @@ solution family; finite solution sets never exceed C(2n, 2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eval_equation,
                    greedy_unique, outer, poly_matrix, rank_and_nullspace)
-from .poly import find_roots
+from .poly import NonConvergence, find_roots
 
 RESIDUAL_COEF = 1e-7
 # unit critical vectors are parallel below this pairing determinant
@@ -86,10 +87,30 @@ def solution_bound(n: int) -> int:
     return math.comb(2 * n, 2)
 
 
-def residual_tol(eq: MatrixEquation, x: Mat2,
-                 coef: float = RESIDUAL_COEF) -> float:
+def residual_tol(eq: MatrixEquation, x: Mat2) -> float:
     """Acceptance threshold for ||f(X)||, tracking Horner error growth."""
-    return coef * (1.0 + eq.coeff_scale()) * (1.0 + x.max_norm()) ** eq.n
+    try:
+        growth = (1.0 + x.max_norm()) ** eq.n
+    except OverflowError:  # no finite threshold, so residual_ok refuses X
+        return math.inf
+    return RESIDUAL_COEF * (1.0 + eq.coeff_scale()) * growth
+
+
+def residual(eq: MatrixEquation, x: Mat2) -> float:
+    """Largest entry modulus of f(X), or inf when an entry is not finite
+    (max() would skip a NaN that is not the first entry)."""
+    r = eval_equation(eq, x)
+    return r.max_norm() if _finite(r) else math.inf
+
+
+def _finite(m: Mat2) -> bool:
+    return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
+
+
+def residual_ok(eq: MatrixEquation, x: Mat2, res: float) -> bool:
+    """The acceptance test for a candidate X with residual ``res``; an
+    overflowed threshold accepts nothing."""
+    return res <= residual_tol(eq, x) < math.inf
 
 
 def critical_data(eq: MatrixEquation,
@@ -99,6 +120,9 @@ def critical_data(eq: MatrixEquation,
     data = []
     for root in find_roots(m.det(), backend=backend):
         evaluated = m.eval(root.value)
+        if not _finite(evaluated):
+            raise NonConvergence(
+                f"M(t) overflows at critical value {root.value:.6g}")
         rank, basis = rank_and_nullspace(evaluated, _eval_scale(eq, root.value))
         if rank == 2:
             raise InternalInconsistency(
@@ -125,7 +149,7 @@ def scalar_solutions(eq: MatrixEquation,
             x = Mat2.identity().scale(d.value)
             out.append(Solution(x, "scalar",
                                 ((d.value, E1), (d.value, E2)),
-                                eval_equation(eq, x).max_norm()))
+                                residual(eq, x)))
     return out
 
 
@@ -146,7 +170,7 @@ def enumerate_diagonalizable(eq: MatrixEquation,
             x = _assemble(di.value, vi, dj.value, vj, pairing)
             out.append(Solution(x, "diagonalizable_distinct",
                                 ((di.value, vi), (dj.value, vj)),
-                                eval_equation(eq, x).max_norm()))
+                                residual(eq, x)))
     return out
 
 
@@ -204,8 +228,8 @@ def _classify_unique_offset(eq, lam, n_mat):
     if abs(n_mat.trace()) > nil_ref or abs(n_mat.det()) > nil_ref * (1.0 + norm):
         return None
     x = Mat2.identity().scale(lam) + n_mat
-    res = eval_equation(eq, x).max_norm()
-    if res > residual_tol(eq, x):
+    res = residual(eq, x)
+    if not residual_ok(eq, x, res):
         return None
     return Solution(x, "non_diagonalizable",
                     ((lam, _column_direction(n_mat)),), res)
@@ -287,17 +311,17 @@ def _cut_affine_family(eq, lam, n0, k, tr_row, tr_rhs, det_row, det_rhs):
     return _certify_family(eq, "nilpotent_affine_family", base, outer(k, z))
 
 
-def _certify_family(eq, reason, base, direction,
-                    samples=_SAMPLE_PARAMS) -> Optional[InfiniteCertificate]:
+def _certify_family(eq, reason, base, direction
+                    ) -> Optional[InfiniteCertificate]:
     residuals = []
-    for mu in samples:
+    for mu in _SAMPLE_PARAMS:
         x = base + direction.scale(mu)
-        res = eval_equation(eq, x).max_norm()
-        if res > residual_tol(eq, x):
+        res = residual(eq, x)
+        if not residual_ok(eq, x, res):
             return None
         residuals.append(res)
     return InfiniteCertificate(reason, base, direction,
-                               tuple(samples), tuple(residuals))
+                               _SAMPLE_PARAMS, tuple(residuals))
 
 
 def detect_infinite(eq: MatrixEquation,
@@ -343,8 +367,7 @@ def _two_dim_family(eq, lam, lam2, vprime) -> Optional[InfiniteCertificate]:
                            base, direction)
 
 
-def solve_equation(eq: MatrixEquation, backend: str = "aberth",
-                   residual_coef: float = RESIDUAL_COEF) -> SolutionSet:
+def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     """Classify the full solution set of a matrix polynomial equation.
 
     Infinite detection runs before finite enumeration so two-dimensional
@@ -362,12 +385,10 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth",
     found = scalar_solutions(eq, data)
     found += enumerate_diagonalizable(eq, data)
     for d in data:
-        # 2D spaces cannot carry a single nilpotent offset: with no second
-        # value they yield None or a family, both handled above
+        # detect_infinite has run this search on every repeated value, so no
+        # family comes back here, and 2D spaces carry no single offset
         if d.multiplicity >= 2 and d.space_dim == 1:
             extra = find_nondiagonalizable(eq, d)
-            if isinstance(extra, InfiniteCertificate):
-                return SolutionSet((), extra, tuple(data))
             if extra is not None:
                 found.append(extra)
 
@@ -377,10 +398,10 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth",
               greedy_unique([sol.matrix for sol in found], dedupe)]
 
     for sol in unique:
-        tol = residual_tol(eq, sol.matrix, residual_coef)
-        if sol.residual > tol:
+        if not residual_ok(eq, sol.matrix, sol.residual):
             raise InternalInconsistency(
-                f"candidate residual {sol.residual:.3e} exceeds {tol:.3e}")
+                f"candidate residual {sol.residual:.3e} exceeds "
+                f"{residual_tol(eq, sol.matrix):.3e}")
     if len(unique) > solution_bound(eq.n):
         raise InternalInconsistency(
             f"{len(unique)} solutions exceed the C(2n,2) bound")

@@ -11,11 +11,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2, eigen2,
-                   eval_equation, greedy_unique, match_in_order, outer,
-                   poly_matrix)
+                   greedy_unique, match_in_order, outer, poly_matrix)
 from .poly import CLUSTER_TOL, Poly
 from .solver import (DEDUPE_TOL, INDEPENDENCE_TOL, SolutionSet, critical_data,
-                     residual_tol, solution_bound, solve_equation)
+                     residual, residual_ok, residual_tol, solution_bound,
+                     solve_equation)
 
 _CHAR_DIVISOR_TOL = 1e-6
 
@@ -97,16 +97,18 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     bound = solution_bound(eq.n)
 
     mats = [s.matrix for s in sset.solutions]
-    residuals = tuple(eval_equation(eq, x).max_norm() for x in mats)
+    residuals = tuple(residual(eq, x) for x in mats)
     residuals_ok = True
     for x, res in zip(mats, residuals):
-        if res > residual_tol(eq, x):
+        if not residual_ok(eq, x, res):
             residuals_ok = False
             reasons.append(f"residual {res:.3e} exceeds {residual_tol(eq, x):.3e}")
             break
+    # the checks below need finite numbers; the other matrices failed above
+    finite = [x for x, res in zip(mats, residuals) if math.isfinite(res)]
 
     dedupe = DEDUPE_TOL * (1.0 + max_lam)
-    duplicates, min_dist = close_pairs(mats, dedupe)
+    duplicates, min_dist = close_pairs(finite, dedupe)
     duplicates_ok = not duplicates
     if not duplicates_ok:
         reasons.append(f"duplicate solutions within {dedupe:.3e}")
@@ -118,7 +120,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     eig_tol = CLUSTER_TOL * max(1.0, max_lam)
     eigenvalues_ok = True
     char_divisor_ok = True
-    for x in mats:
+    for x in finite:
         eig = eigen2(x)
         for lam in eig.values:
             if not any(abs(lam - v) <= eig_tol for v in values):
@@ -137,7 +139,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         certificate_ok = True
         for mu in sset.certificate.samples:
             x = sset.certificate.member(mu)
-            if eval_equation(eq, x).max_norm() > residual_tol(eq, x):
+            if not residual_ok(eq, x, residual(eq, x)):
                 certificate_ok = False
                 reasons.append(f"certificate sample mu={mu} fails its residual")
 
@@ -190,23 +192,7 @@ def count_cross_check(eq: MatrixEquation) -> CrossCheck:
     return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling density for the candidate scan."""
-
-    theta_steps: int = 9
-    phi_steps: int = 12
-    # two-dimensional critical spaces only need enough sampled directions to
-    # push the distinct-solution count past C(2n,2)
-    pair_directions: int = 8
-    refine: bool = True
-    # local refinement only chases the lowest-residual grid directions; a
-    # finite equation has at most one admissible offset per critical value
-    refine_top: int = 6
-
-
-def brute_force_scan(eq: MatrixEquation,
-                     grid: Optional[GridSpec] = None) -> list[Mat2]:
+def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     """Independent enumeration of solution candidates for degree <= 3.
 
     Candidates are reassembled from critical data through a separate code
@@ -219,7 +205,6 @@ def brute_force_scan(eq: MatrixEquation,
     """
     if eq.n > 3:
         raise ValueError("the scan is limited to degree <= 3")
-    grid = grid or GridSpec()
     data = critical_data(eq, backend="companion")
     max_lam = max((abs(d.value) for d in data), default=0.0)
     keep_tol = 10 * DEDUPE_TOL * (1.0 + max_lam)
@@ -229,7 +214,9 @@ def brute_force_scan(eq: MatrixEquation,
         if d.space_dim == 1:
             samples.append((d.value, [d.basis[0]]))
         else:
-            spread = [Vec2(1, t) for t in range(1, grid.pair_directions - 1)]
+            # enough sampled directions to push the distinct-solution count
+            # past C(2n,2)
+            spread = [Vec2(1, t) for t in range(1, 7)]
             samples.append((d.value, [Vec2(1, 0), Vec2(0, 1)] + spread))
 
     found: list[Mat2] = []
@@ -245,14 +232,13 @@ def brute_force_scan(eq: MatrixEquation,
                             <= INDEPENDENCE_TOL:
                         continue
                     x = _fit_eigenpairs(la, va, lb, vb)
-                    if x is not None and \
-                            eval_equation(eq, x).max_norm() <= residual_tol(eq, x):
+                    if x is not None and residual_ok(eq, x, residual(eq, x)):
                         found.append(x)
     for d in data:
         x = Mat2.identity().scale(d.value)
-        if eval_equation(eq, x).max_norm() <= residual_tol(eq, x):
+        if residual_ok(eq, x, residual(eq, x)):
             found.append(x)
-        found.extend(_scan_nilpotent_offsets(eq, d.value, grid))
+        found.extend(_scan_nilpotent_offsets(eq, d.value))
 
     found.sort(key=_mat_key)
     return [found[i] for i in greedy_unique(found, keep_tol)]
@@ -263,12 +249,12 @@ def _mat_key(m: Mat2):
             m.m21.real, m.m21.imag, m.m22.real, m.m22.imag)
 
 
-def _directions(grid: GridSpec) -> list[Vec2]:
+def _directions() -> list[Vec2]:
     out = [Vec2(1, 0), Vec2(0, 1)]
-    for theta in np.linspace(0.0, np.pi / 2, grid.theta_steps):
+    for theta in np.linspace(0.0, np.pi / 2, 9):
         if theta in (0.0, np.pi / 2):
             continue
-        for phi in np.linspace(0.0, 2 * np.pi, grid.phi_steps, endpoint=False):
+        for phi in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
             out.append(Vec2(np.cos(theta), np.sin(theta) * np.exp(1j * phi)))
     return out
 
@@ -288,8 +274,7 @@ def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
     return Mat2(*sol)
 
 
-def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex,
-                            grid: GridSpec) -> list[Mat2]:
+def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex) -> list[Mat2]:
     """Grid-plus-refinement search for solutions lam*I + c*K with K a
     rank-one nilpotent built from a column direction."""
     m = poly_matrix(eq)
@@ -298,11 +283,12 @@ def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex,
     base = Mat2.identity().scale(lam)
     out = []
     candidates = []
-    for k in _directions(grid):
+    for k in _directions():
         kmat = outer(k, Vec2(k.y, -k.x))
         c, degenerate = _best_offset(mval, mder, kmat)
         if degenerate:
-            if mval.max_norm() <= residual_tol(eq, base):
+            # f(lam I) = M(lam)
+            if residual_ok(eq, base, mval.max_norm()):
                 # flat residual along this offset direction: emit several
                 # family members so distinct-solution counts pass any bound
                 out.extend(base + kmat.scale(s) for s in (1.0, 2.0, 3.0))
@@ -311,19 +297,18 @@ def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex,
             # an offset this size cannot be residual-verified in doubles
             continue
         gap = (mval + (mder @ kmat).scale(c)).max_norm()
-        candidates.append((gap, k.x.real, k.x.imag, k.y.real, k.y.imag, k, kmat, c))
+        candidates.append((gap, k.x.real, k.x.imag, k.y.real, k.y.imag, k))
     candidates.sort(key=lambda t: t[:5])
-    if grid.refine:
-        candidates = candidates[:grid.refine_top]
-    for _, _, _, _, _, k, kmat, c in candidates:
-        if grid.refine:
-            k = _refine_direction(mval, mder, k)
-            kmat = outer(k, Vec2(k.y, -k.x))
-            c, degenerate = _best_offset(mval, mder, kmat)
-            if degenerate or abs(c) > 1e4 * (1.0 + abs(lam)):
-                continue
+    # refinement only chases the lowest-residual grid directions; a finite
+    # equation has at most one admissible offset per critical value
+    for *_, k in candidates[:6]:
+        k = _refine_direction(mval, mder, k)
+        kmat = outer(k, Vec2(k.y, -k.x))
+        c, degenerate = _best_offset(mval, mder, kmat)
+        if degenerate or abs(c) > 1e4 * (1.0 + abs(lam)):
+            continue
         x = base + kmat.scale(c)
-        if eval_equation(eq, x).max_norm() <= residual_tol(eq, x):
+        if residual_ok(eq, x, residual(eq, x)):
             out.append(x)
     return out
 

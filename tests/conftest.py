@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from matpolyeq import Mat2, MatrixEquation
@@ -41,3 +42,15 @@ def eq_shifted_square():
 def eq_degree_one():
     """X + A0 = 0 with the single solution [[0,1],[0,1]]."""
     return MatrixEquation((Mat2(0, -1, 0, -1),))
+
+
+@pytest.fixture
+def scaled_random_equation():
+    """Degree-n equation with entries complex(U(-1,1), U(-1,1)) drawn from
+    default_rng(seed), as acceptance criterion 3 draws them, times scale."""
+    def make(seed, n, scale):
+        rng = np.random.default_rng(seed)
+        return MatrixEquation(tuple(
+            Mat2(*(scale * complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+            for _ in range(n)))
+    return make

@@ -140,6 +140,31 @@ class TestSolveCommand:
         bad.write_text('{"format_version": "1"', encoding="utf-8")
         assert run("solve", "--in", bad, "--out", tmp_path / "o.json") == 1
 
+    @pytest.mark.parametrize("scale,code,err", [
+        (1e40, 4, "non-convergence: "),
+        (1e200, 1, "bad input: "),
+    ])
+    def test_huge_coefficients_exit_with_one_line(self, tmp_path,
+                                                  scaled_random_equation,
+                                                  scale, code, err):
+        # a fresh interpreter, so numpy's warnings reach stderr as they
+        # would for a user; at 1e200 the document is refused before solving
+        doc = equation_to_doc(scaled_random_equation(5, 2, 1.0))
+        for coef in doc["coefficients"]:
+            for row in coef:
+                for pair in row:
+                    pair[:] = [scale * part for part in pair]
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(doc, eq_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matpolyeq", "solve",
+             "--in", str(eq_path), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(err)
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def _pipeline(self, tmp_path, eq):

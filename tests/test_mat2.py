@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,21 @@ class TestMat2Utils:
             MatrixEquation(())
         with pytest.raises(ValueError):
             MatrixEquation(tuple(Mat2.zero() for _ in range(17)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0, -math.inf)])
+    def test_equation_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MatrixEquation((Mat2.zero(), Mat2(1, 0, bad, 1)))
+
+    def test_equation_rejects_overflowing_det(self):
+        # det M(t) multiplies pairs of entries: 1e200^2 is not a double
+        with pytest.raises(ValueError, match="overflows det M"):
+            MatrixEquation((Mat2.diag(1e200, 1e200), Mat2.zero()))
+        with pytest.raises(ValueError, match="overflows det M"):
+            MatrixEquation((Mat2(complex(1.5e308, 1.5e308), 0, 0, 0),))
+        # the limit is sqrt(max double / (4 (n + 1))), about 3.9e153 at n = 2
+        MatrixEquation((Mat2.diag(3e153, 3e153), Mat2.zero()))
 
     def test_entries_coerced_to_complex(self):
         m = Mat2(np.complex128(1 + 2j), 0, 0, 1)

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            poly_matrix)
-from matpolyeq.poly import CLUSTER_TOL, Poly
-from matpolyeq.solver import (CriticalDatum, InfiniteCertificate, Solution,
-                              critical_data, detect_infinite,
-                              enumerate_diagonalizable,
-                              find_nondiagonalizable, residual_tol,
-                              scalar_solutions, solution_bound,
+                            eval_equation, poly_matrix)
+from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
+from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
+                              InternalInconsistency, Solution, critical_data,
+                              detect_infinite, enumerate_diagonalizable,
+                              find_nondiagonalizable, residual, residual_ok,
+                              residual_tol, scalar_solutions, solution_bound,
                               solve_equation)
 
 BACKENDS = ("aberth", "companion")
@@ -244,3 +246,36 @@ class TestSolutionInvariants:
 
     def test_bound_value(self):
         assert [solution_bound(n) for n in range(1, 6)] == [1, 6, 15, 28, 45]
+
+
+class TestResidual:
+    def test_nan_past_the_first_entry_is_infinite(self, eq_degree_one):
+        x = Mat2(0, 1, 0, math.nan)
+        # max() keeps its first candidate against a NaN, so max_norm is 0
+        assert eval_equation(eq_degree_one, x).max_norm() == 0
+        assert residual(eq_degree_one, x) == math.inf
+        assert not residual_ok(eq_degree_one, x, residual(eq_degree_one, x))
+
+    def test_overflowing_threshold_accepts_nothing(self, eq_four_solutions):
+        # (1 + 1e200)^2 overflows, so the threshold says nothing about X
+        x = Mat2.diag(1e200, 1e200)
+        assert residual_tol(eq_four_solutions, x) == math.inf
+        assert not residual_ok(eq_four_solutions, x, 0.0)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e40, 1e50, 1e60])
+    def test_huge_coefficients_do_not_converge(self, scaled_random_equation,
+                                               scale):
+        # the Aberth start circle has radius ~ scale^2: its Horner values
+        # overflow, which once read as converged and certified a family
+        eq = scaled_random_equation(5, 2, scale)
+        with pytest.raises(NonConvergence):
+            solve_equation(eq)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_degree_16_overflow_is_typed(self, scaled_random_equation,
+                                         backend):
+        eq = scaled_random_equation(5, 16, 1e20)
+        with pytest.raises((NonConvergence, InternalInconsistency)):
+            solve_equation(eq, backend=backend)

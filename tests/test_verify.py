@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation
-from matpolyeq.solver import SolutionSet, solution_bound, solve_equation
-from matpolyeq.verify import (GridSpec, brute_force_scan, count_cross_check,
+from matpolyeq.solver import (Solution, SolutionSet, solution_bound,
+                              solve_equation)
+from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
 
 
@@ -48,6 +51,18 @@ class TestVerifySolutionSet:
             eq_four_solutions, _with_solutions(ss, (shifted,) + ss.solutions[1:]))
         assert report.verdict == "fail"
         assert not report.residuals_ok
+
+    @pytest.mark.parametrize("bad", [Mat2(1, 2, 3, math.nan),
+                                     Mat2(math.inf, 0, 0, 1)])
+    def test_non_finite_matrix_fails_residual(self, eq_four_solutions, bad):
+        ss = solve_equation(eq_four_solutions)
+        planted = Solution(bad, "diagonalizable_distinct", None, 0.0)
+        report = verify_solution_set(
+            eq_four_solutions,
+            _with_solutions(ss, ss.solutions[:2] + (planted,) + ss.solutions[2:]))
+        assert report.verdict == "fail"
+        assert not report.residuals_ok
+        assert report.residuals[2] == math.inf
 
     def test_certificate_checked(self, eq_x_squared_identity):
         ss = solve_equation(eq_x_squared_identity)
@@ -122,8 +137,3 @@ class TestBruteForceScan:
         a = brute_force_scan(eq_four_solutions)
         b = brute_force_scan(eq_four_solutions)
         assert a == b
-
-    def test_grid_spec_tunable(self, eq_x_squared_jordan):
-        scan = brute_force_scan(eq_x_squared_jordan,
-                                GridSpec(theta_steps=5, phi_steps=6))
-        assert len(scan) == 2
