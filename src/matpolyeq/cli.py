@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes are the only success/failure channel:
-  0 success, 1 malformed input document, 2 domain error,
+  0 success, 1 unreadable, unwritable or malformed document, 2 domain error,
   3 construction validation failure (including a singular coefficient
   system), 4 root finding non-convergence, 5 verification failure,
   6 internal inconsistency (a solver self-check failed on this input).
@@ -34,6 +34,18 @@ EXIT_VALIDATION = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_VERIFICATION = 5
 EXIT_INTERNAL = 6
+
+# exception type -> exit code and the prefix of its one stderr line
+_FAILURES = (
+    (documents.DocumentError, EXIT_MALFORMED, "bad input"),
+    (OSError, EXIT_MALFORMED, "i/o error"),
+    (DomainError, EXIT_DOMAIN, "domain error"),
+    (ValidationFailure, EXIT_VALIDATION, "validation failure ({name})"),
+    (SingularSystem, EXIT_VALIDATION, "validation failure ({name})"),
+    (UnreachableCase, EXIT_VALIDATION, "validation failure ({name})"),
+    (NonConvergence, EXIT_NONCONVERGENCE, "non-convergence"),
+    (InternalInconsistency, EXIT_INTERNAL, "internal inconsistency"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,26 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in _FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix.format(name=type(exc).__name__)}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 def cmd_construct(args) -> int:
-    try:
-        y_values = _seeded_y_values(args.seed_values, args.n)
-        result = construct(args.n, args.m, y_values=y_values)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValidationFailure, SingularSystem, UnreachableCase) as exc:
-        print(f"validation failure ({type(exc).__name__}): {exc}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    y_values = _seeded_y_values(args.seed_values, args.n)
+    result = construct(args.n, args.m, y_values=y_values)
     documents.save_doc(documents.equation_to_doc(result.equation), args.out)
     print(args.out)
     if args.plan:
@@ -118,40 +123,18 @@ def _seeded_y_values(seed, n):
 
 
 def cmd_solve(args) -> int:
-    try:
-        eq = documents.equation_from_doc(documents.load_doc(args.in_path))
-    except documents.DocumentError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        sset = solve_equation(eq, backend=_BACKENDS[args.backend])
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    eq = documents.equation_from_doc(documents.load_doc(args.in_path))
+    sset = solve_equation(eq, backend=_BACKENDS[args.backend])
     documents.save_doc(documents.solution_set_to_doc(sset), args.out)
     print(args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        eq = documents.equation_from_doc(documents.load_doc(args.equation))
-        sset = documents.solution_set_from_doc(documents.load_doc(args.solutions))
-    except documents.DocumentError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        cross = count_cross_check(eq)
-        report = verify_solution_set(eq, sset, backend_agreement=cross.agree)
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    eq = documents.equation_from_doc(documents.load_doc(args.equation))
+    sset = documents.solution_set_from_doc(documents.load_doc(args.solutions))
+    cross = count_cross_check(eq)
+    report = verify_solution_set(eq, sset, backend_agreement=cross.agree)
     if args.report:
         documents.save_doc(documents.report_to_doc(report), args.report)
         print(args.report)
@@ -161,8 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.n_max < 1:
-        print("domain error: --n-max must be >= 1", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise DomainError("--n-max must be >= 1")
     cells = [(n, m) for n in range(1, args.n_max + 1)
              for m in range(1, solution_bound(n) + 1)]
     if args.jobs > 1:

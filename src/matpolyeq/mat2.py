@@ -7,6 +7,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,9 +74,6 @@ class Mat2:
     @staticmethod
     def diag(a: complex, b: complex) -> "Mat2":
         return Mat2(a, 0, 0, b)
-
-    def rows(self):
-        return ((self.m11, self.m12), (self.m21, self.m22))
 
     def __add__(self, o: "Mat2") -> "Mat2":
         return Mat2(self.m11 + o.m11, self.m12 + o.m12,
@@ -235,6 +233,8 @@ class MatrixEquation:
     """Monic equation X^n + A_{n-1} X^{n-1} + ... + A_1 X + A_0 = 0.
 
     ``coeffs`` lists A_0 first; the leading identity coefficient is implicit.
+    What derives from them alone is computed once per (immutable) object and
+    shared; it is no field, so ==, hash and repr see the coefficients only.
     """
 
     coeffs: tuple[Mat2, ...]
@@ -246,13 +246,19 @@ class MatrixEquation:
                    for z in (a.m11, a.m12, a.m21, a.m22)):
             raise ValueError("coefficient entries must be finite")
         try:
-            scale = self.coeff_scale()
+            norms = tuple(a.max_norm() for a in self.coeffs)
         except OverflowError:  # an entry's modulus exceeds the largest double
-            scale = math.inf
+            norms = (math.inf,)
+        scale = max(1.0, *norms)
         # a coefficient of det M(t) sums 2(n+1) products of two entries, so
         # its modulus stays below sqrt(2) * 2(n+1) * coeff_scale()^2
         if scale > math.sqrt(sys.float_info.max / (4 * (self.n + 1))):
             raise ValueError(f"coefficient scale {scale:.3g} overflows det M(t)")
+        object.__setattr__(self, "_scale", scale)
+        # sum_k ||A_k|| t^k + t^n at t = |lam| bounds the Horner terms that
+        # make up the entries of M(lam), and its derivative those of M'(lam)
+        object.__setattr__(self, "norm_poly", Poly(norms + (1.0,)))
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
@@ -260,7 +266,26 @@ class MatrixEquation:
 
     def coeff_scale(self) -> float:
         """Largest coefficient entry magnitude, floored at the implicit 1."""
-        return max(1.0, max(a.max_norm() for a in self.coeffs))
+        return self._scale
+
+    @cached_property
+    def matrix(self) -> "PolyMat2":
+        """M(t), see ``poly_matrix``."""
+        return poly_matrix(self)
+
+    @cached_property
+    def matrix_derivative(self) -> "PolyMat2":
+        return self.matrix.derivative()
+
+    @cached_property
+    def det_poly(self) -> Poly:
+        return self.matrix.det()
+
+    def derived(self, key, compute):
+        """compute(), once per object and key; a raise stores nothing."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
 
 @dataclass(frozen=True)
@@ -322,7 +347,7 @@ def rank_and_nullspace(a: Mat2, scale: float) -> tuple[int, list[Vec2]]:
     if a.max_norm() <= ref:
         return 0, [E1, E2]
     if abs(a.det()) <= max(ref * ref, _DET_FLOOR * scale * scale):
-        r1, r2 = a.rows()
+        r1, r2 = (a.m11, a.m12), (a.m21, a.m22)
         row = r1 if abs(r1[0]) ** 2 + abs(r1[1]) ** 2 >= abs(r2[0]) ** 2 + abs(r2[1]) ** 2 else r2
         v = Vec2(-row[1], row[0]).normalized()
         return 1, [v]

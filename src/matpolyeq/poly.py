@@ -291,7 +291,7 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     # Ring members fail the derivative test for their claimed multiplicity
     # while the fused centroid validates, so fuse exactly in that case.
     fused = []
-    for bunch in _components_of(entries, _MERGE_RADIUS * scale):
+    for bunch in _components(entries, _MERGE_RADIUS * scale, lambda e: e[0]):
         if len(bunch) == 1 or all(
                 _multiplicity_consistent(ders, v, k) for v, k in bunch):
             fused.extend(bunch)
@@ -307,23 +307,10 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     return fused
 
 
-def _components_of(entries, radius):
-    """Single-linkage components of (value, mult) entries by value."""
-    groups = _components([e[0] for e in entries], radius)
-    by_value = {}
-    for e in entries:
-        by_value.setdefault((e[0].real, e[0].imag), []).append(e)
-    out = []
-    for g in groups:
-        bunch = []
-        for z in g:
-            bunch.append(by_value[(z.real, z.imag)].pop())
-        out.append(bunch)
-    return out
-
-
-def _components(points, radius):
-    parent = list(range(len(points)))
+def _components(items, radius, value=lambda z: z):
+    """Single-linkage components of the items by value, each sorted, and
+    ordered by their least values."""
+    parent = list(range(len(items)))
 
     def find(i):
         while parent[i] != i:
@@ -331,15 +318,18 @@ def _components(points, radius):
             i = parent[i]
         return i
 
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) <= radius:
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if abs(value(items[i]) - value(items[j])) <= radius:
                 parent[find(i)] = find(j)
     groups = {}
-    for i, z in enumerate(points):
-        groups.setdefault(find(i), []).append(z)
-    out = [sorted(g, key=lambda z: (z.real, z.imag)) for g in groups.values()]
-    out.sort(key=lambda g: (g[0].real, g[0].imag))
+    for i, item in enumerate(items):
+        groups.setdefault(find(i), []).append(item)
+
+    def key(item):
+        return value(item).real, value(item).imag
+    out = [sorted(g, key=key) for g in groups.values()]
+    out.sort(key=lambda g: key(g[0]))
     return out
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eval_equation,
-                   greedy_unique, outer, poly_matrix, rank_and_nullspace)
-from .poly import NonConvergence, find_roots
+                   greedy_unique, outer, rank_and_nullspace)
+from .poly import NonConvergence, Poly, find_roots
 
 RESIDUAL_COEF = 1e-7
 # unit critical vectors are parallel below this pairing determinant
@@ -114,33 +114,43 @@ def residual_ok(eq: MatrixEquation, x: Mat2, res: float) -> bool:
 
 
 def critical_data(eq: MatrixEquation,
-                  backend: str = "aberth") -> list[CriticalDatum]:
-    """Critical values of the equation paired with their critical spaces."""
-    m = poly_matrix(eq)
+                  backend: str = "aberth") -> tuple[CriticalDatum, ...]:
+    """Critical values of the equation paired with their critical spaces,
+    found once per equation object and backend."""
+    return eq.derived(("critical_data", backend),
+                      lambda: _critical_data(eq, backend))
+
+
+def _critical_data(eq, backend):
     data = []
-    for root in find_roots(m.det(), backend=backend):
-        evaluated = m.eval(root.value)
+    for root in find_roots(eq.det_poly, backend=backend):
+        evaluated = eq.matrix.eval(root.value)
         if not _finite(evaluated):
             raise NonConvergence(
                 f"M(t) overflows at critical value {root.value:.6g}")
-        rank, basis = rank_and_nullspace(evaluated, _eval_scale(eq, root.value))
+        rank, basis = rank_and_nullspace(evaluated,
+                                         _eval_scale(eq.norm_poly, root.value))
         if rank == 2:
             raise InternalInconsistency(
                 f"no critical space at critical value {root.value:.6g}")
         data.append(CriticalDatum(root.value, root.multiplicity,
                                   2 - rank, tuple(basis)))
     data.sort(key=lambda d: (d.value.real, d.value.imag))
-    return data
+    return tuple(data)
 
 
-def _eval_scale(eq: MatrixEquation, lam: complex) -> float:
-    # magnitude reference for M(lam): coefficient scale times |lam|^n,
-    # the size of the Horner intermediates that produced the entries
-    return eq.coeff_scale() * max(1.0, abs(lam)) ** eq.n
+def _eval_scale(norm_poly: Poly, lam: complex) -> float:
+    # magnitude reference for M(lam), or for M'(lam) given the derivative
+    return max(1.0, norm_poly(abs(lam)).real)
+
+
+def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
+    """Distance within which two solutions count as one."""
+    return DEDUPE_TOL * (1.0 + max((abs(d.value) for d in data), default=0.0))
 
 
 def scalar_solutions(eq: MatrixEquation,
-                     data: list[CriticalDatum]) -> list[Solution]:
+                     data: Sequence[CriticalDatum]) -> list[Solution]:
     """lam * I for every critical value whose critical space is the whole
     plane (rank M(lam) = 0)."""
     out = []
@@ -154,7 +164,7 @@ def scalar_solutions(eq: MatrixEquation,
 
 
 def enumerate_diagonalizable(eq: MatrixEquation,
-                             data: list[CriticalDatum]) -> list[Solution]:
+                             data: Sequence[CriticalDatum]) -> list[Solution]:
     """One solution per pair of distinct critical values with linearly
     independent critical vectors."""
     out = []
@@ -197,13 +207,11 @@ def find_nondiagonalizable(
     if datum.multiplicity < 2:
         return None
     lam = datum.value
-    m = poly_matrix(eq)
-    mval = m.eval(lam)
-    mder = m.derivative().eval(lam)
-    der_scale = max(1.0, eq.n * eq.coeff_scale()
-                    * max(1.0, abs(lam)) ** (eq.n - 1))
+    mval = eq.matrix.eval(lam)
+    mder = eq.matrix_derivative.eval(lam)
 
-    rank, kernel = rank_and_nullspace(mder, der_scale)
+    rank, kernel = rank_and_nullspace(
+        mder, _eval_scale(eq.norm_poly.derivative(), lam))
     if rank == 2:
         n_mat = (mder.inverse() @ mval).scale(-1.0)
         return _classify_unique_offset(eq, lam, n_mat)
@@ -211,7 +219,7 @@ def find_nondiagonalizable(
     if rank == 0:
         # M'(lam) vanished entirely: solvable only when M(lam) does too,
         # and then every nilpotent offset works.
-        if mval.max_norm() <= _NILPOTENT_TOL * _eval_scale(eq, lam):
+        if mval.max_norm() <= _NILPOTENT_TOL * _eval_scale(eq.norm_poly, lam):
             return _certify_family(eq, "nilpotent_affine_family",
                                    Mat2.identity().scale(lam),
                                    Mat2(0, 1, 0, 0))
@@ -325,7 +333,7 @@ def _certify_family(eq, reason, base, direction
 
 
 def detect_infinite(eq: MatrixEquation,
-                    data: list[CriticalDatum]) -> Optional[InfiniteCertificate]:
+                    data: Sequence[CriticalDatum]) -> Optional[InfiniteCertificate]:
     """Certificate of an infinite solution family, or None.
 
     Rule (a): a two-dimensional critical space combined with any second
@@ -380,7 +388,7 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     data = critical_data(eq, backend=backend)
     cert = detect_infinite(eq, data)
     if cert is not None:
-        return SolutionSet((), cert, tuple(data))
+        return SolutionSet((), cert, data)
 
     found = scalar_solutions(eq, data)
     found += enumerate_diagonalizable(eq, data)
@@ -392,10 +400,8 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
             if extra is not None:
                 found.append(extra)
 
-    max_lam = max((abs(d.value) for d in data), default=0.0)
-    dedupe = DEDUPE_TOL * (1.0 + max_lam)
     unique = [found[i] for i in
-              greedy_unique([sol.matrix for sol in found], dedupe)]
+              greedy_unique([sol.matrix for sol in found], dedupe_tol(data))]
 
     for sol in unique:
         if not residual_ok(eq, sol.matrix, sol.residual):
@@ -407,7 +413,7 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
             f"{len(unique)} solutions exceed the C(2n,2) bound")
 
     unique.sort(key=_sort_key)
-    return SolutionSet(tuple(unique), None, tuple(data))
+    return SolutionSet(tuple(unique), None, data)
 
 
 def _sort_key(sol: Solution):

@@ -11,9 +11,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2, eigen2,
-                   greedy_unique, match_in_order, outer, poly_matrix)
+                   greedy_unique, match_in_order, outer)
 from .poly import CLUSTER_TOL, Poly
-from .solver import (DEDUPE_TOL, INDEPENDENCE_TOL, SolutionSet, critical_data,
+from .solver import (INDEPENDENCE_TOL, SolutionSet, critical_data, dedupe_tol,
                      residual, residual_ok, residual_tol, solution_bound,
                      solve_equation)
 
@@ -83,7 +83,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     Residuals, pairwise distinctness, the C(2n,2) bound, eigenvalue
     containment in the critical values, and divisibility of det M(t) by each
     solution's characteristic polynomial are all recomputed here; nothing is
-    taken from the input set but the matrices.  The pairwise distinctness
+    taken from the input set but the matrices (the critical values are the
+    equation's own, shared with an earlier solve).  The pairwise distinctness
     check and ``min_pair_distance`` come from the shared array kernel in
     ``mat2`` (``close_pairs``).  Failures are reported, not raised.
     """
@@ -91,8 +92,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     data = critical_data(eq)
     values = [d.value for d in data]
     max_lam = max((abs(v) for v in values), default=0.0)
-    m = poly_matrix(eq)
-    det = m.det()
+    det = eq.det_poly
     det_scale = det.max_abs_coeff()
     bound = solution_bound(eq.n)
 
@@ -107,7 +107,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     # the checks below need finite numbers; the other matrices failed above
     finite = [x for x, res in zip(mats, residuals) if math.isfinite(res)]
 
-    dedupe = DEDUPE_TOL * (1.0 + max_lam)
+    dedupe = dedupe_tol(data)
     duplicates, min_dist = close_pairs(finite, dedupe)
     duplicates_ok = not duplicates
     if not duplicates_ok:
@@ -185,8 +185,7 @@ def count_cross_check(eq: MatrixEquation) -> CrossCheck:
     set_b = solve_equation(eq, backend="companion")
     agree = set_a.is_finite == set_b.is_finite
     if agree and set_a.is_finite:
-        max_lam = max((abs(d.value) for d in set_a.critical_data), default=0.0)
-        tol = 10 * DEDUPE_TOL * (1.0 + max_lam)
+        tol = 10 * dedupe_tol(set_a.critical_data)
         agree = match_in_order([s.matrix for s in set_a.solutions],
                                [s.matrix for s in set_b.solutions], tol)
     return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
@@ -206,8 +205,7 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     if eq.n > 3:
         raise ValueError("the scan is limited to degree <= 3")
     data = critical_data(eq, backend="companion")
-    max_lam = max((abs(d.value) for d in data), default=0.0)
-    keep_tol = 10 * DEDUPE_TOL * (1.0 + max_lam)
+    keep_tol = 10 * dedupe_tol(data)
 
     samples = []
     for d in data:
@@ -277,9 +275,8 @@ def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
 def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex) -> list[Mat2]:
     """Grid-plus-refinement search for solutions lam*I + c*K with K a
     rank-one nilpotent built from a column direction."""
-    m = poly_matrix(eq)
-    mval = m.eval(lam)
-    mder = m.derivative().eval(lam)
+    mval = eq.matrix.eval(lam)
+    mder = eq.matrix_derivative.eval(lam)
     base = Mat2.identity().scale(lam)
     out = []
     candidates = []

@@ -251,6 +251,31 @@ class TestSweepCommand:
         assert "failures: 0" in report.read_text()
 
 
+@pytest.mark.parametrize("command", ["construct", "plan", "solve", "verify",
+                                     "sweep"])
+def test_unwritable_output_exits_1(tmp_path, capsys, eq_four_solutions,
+                                   command):
+    eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+    save_doc(equation_to_doc(eq_four_solutions), eq_path)
+    assert run("solve", "--in", eq_path, "--out", sol) == 0
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "out.json"
+    args = {
+        "construct": ("construct", "--n", 2, "--m", 4, "--out", missing),
+        "plan": ("construct", "--n", 2, "--m", 4, "--out", tmp_path / "e.json",
+                 "--plan", missing),
+        "solve": ("solve", "--in", eq_path, "--out", missing),
+        "verify": ("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", missing),
+        "sweep": ("sweep", "--n-max", 1, "--report", missing),
+    }[command]
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("i/o error: ")
+    assert str(missing) in err
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "eq.json"
     proc = subprocess.run(

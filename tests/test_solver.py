@@ -12,6 +12,7 @@ from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
                               find_nondiagonalizable, residual, residual_ok,
                               residual_tol, scalar_solutions, solution_bound,
                               solve_equation)
+from matpolyeq.verify import verify_solution_set
 
 BACKENDS = ("aberth", "companion")
 
@@ -279,3 +280,16 @@ class TestOverflow:
         eq = scaled_random_equation(5, 16, 1e20)
         with pytest.raises((NonConvergence, InternalInconsistency)):
             solve_equation(eq, backend=backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scale", [1e10, 1e20, 1e60])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_degree_one_keeps_its_solution(self, scaled_random_equation,
+                                                 seed, scale, backend):
+        # X + A0 = 0 has exactly X = -A0; a rank reference of
+        # coeff_scale() * |lam|^n once read M(lam) as zero and certified
+        # a family
+        eq = scaled_random_equation(seed, 1, scale)
+        ss = solve_equation(eq, backend=backend)
+        assert ss.count == 1
+        assert verify_solution_set(eq, ss).verdict == "pass"
