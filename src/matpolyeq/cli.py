@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -107,9 +108,14 @@ def cmd_construct(args) -> int:
     y_values = _seeded_y_values(args.seed_values, args.n)
     result = construct(args.n, args.m, y_values=y_values)
     documents.save_doc(documents.equation_to_doc(result.equation), args.out)
+    if args.plan:
+        try:
+            documents.save_doc(documents.plan_to_doc(result), args.plan)
+        except OSError:  # a failed command leaves no document behind
+            Path(args.out).unlink(missing_ok=True)
+            raise
     print(args.out)
     if args.plan:
-        documents.save_doc(documents.plan_to_doc(result), args.plan)
         print(args.plan)
     return EXIT_OK
 

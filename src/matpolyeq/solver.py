@@ -6,9 +6,9 @@ M(lam) (the critical space) carries the admissible eigenvectors.  Solutions
 are then: matrices assembled from two critical pairs with independent
 vectors, scalar matrices lam*I where M(lam) vanishes, and non-diagonalizable
 matrices lam*I + N (N nonzero nilpotent) which can exist only at repeated
-critical values.  More than one nilpotent offset at a single value, or a
-two-dimensional critical space next to a second value, certifies an infinite
-solution family; finite solution sets never exceed C(2n, 2).
+critical values.  A two-dimensional critical space next to a second value,
+or alone with a singular M'(lam), certifies an infinite solution family;
+finite solution sets never exceed C(2n, 2).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eval_equation,
-                   greedy_unique, outer, rank_and_nullspace)
+from .mat2 import (E1, E2, RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
+                   eval_equation, greedy_unique, outer, rank_and_nullspace)
 from .poly import NonConvergence, Poly, find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -130,8 +130,8 @@ def _critical_data(eq, backend):
                 f"M(t) overflows at critical value {root.value:.6g}")
         rank, basis = rank_and_nullspace(evaluated,
                                          _eval_scale(eq.norm_poly, root.value))
-        if rank == 2:
-            raise InternalInconsistency(
+        if rank == 2:  # the backend returned a value that is no root
+            raise NonConvergence(
                 f"no critical space at critical value {root.value:.6g}")
         data.append(CriticalDatum(root.value, root.multiplicity,
                                   2 - rank, tuple(basis)))
@@ -198,125 +198,45 @@ def find_nondiagonalizable(
     value lam.
 
     For nilpotent N, X^k = lam^k I + k lam^(k-1) N collapses the residual
-    to M(lam) + M'(lam) N, so admissible N solve a pair of 2x2 linear
-    systems, one per column.  An invertible M'(lam) pins N down uniquely; a
-    singular one leaves an affine family that gets cut by the nilpotency
-    constraints tr N = 0 and det N = 0 in closed form.  Zero, one, or many
-    admissible N map to None, a Solution, or an InfiniteCertificate.
+    to M(lam) + M'(lam) N, and a nonzero nilpotent is N = k v^T with
+    v^T k = 0.  A one-dimensional critical space (M(lam) = a b^T) forces v
+    along b, hence k onto the critical vector: at most one offset exists,
+    and only when M'(lam) k is parallel to a, so a Solution or None comes
+    back.  A two-dimensional one (M(lam) = 0) admits the whole family
+    mu k k_perp^T exactly when M'(lam) has a kernel vector k, so an
+    InfiniteCertificate or None comes back.
     """
     if datum.multiplicity < 2:
         return None
     lam = datum.value
-    mval = eq.matrix.eval(lam)
     mder = eq.matrix_derivative.eval(lam)
+    der_scale = _eval_scale(eq.norm_poly.derivative(), lam)
+    if datum.space_dim == 2:
+        rank, kernel = rank_and_nullspace(mder, der_scale)
+        if rank == 2:
+            return None
+        k = kernel[0]
+        return _certify_family(eq, "nilpotent_affine_family",
+                               Mat2.identity().scale(lam),
+                               outer(k, Vec2(-k.y, k.x).normalized()))
 
-    rank, kernel = rank_and_nullspace(
-        mder, _eval_scale(eq.norm_poly.derivative(), lam))
-    if rank == 2:
-        n_mat = (mder.inverse() @ mval).scale(-1.0)
-        return _classify_unique_offset(eq, lam, n_mat)
-
-    if rank == 0:
-        # M'(lam) vanished entirely: solvable only when M(lam) does too,
-        # and then every nilpotent offset works.
-        if mval.max_norm() <= _NILPOTENT_TOL * _eval_scale(eq.norm_poly, lam):
-            return _certify_family(eq, "nilpotent_affine_family",
-                                   Mat2.identity().scale(lam),
-                                   Mat2(0, 1, 0, 0))
+    mval = eq.matrix.eval(lam)
+    k = datum.basis[0]
+    w = mder.apply(k)
+    col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
+              key=Vec2.norm)
+    wnorm = w.norm()
+    if (wnorm <= RANK_TOL * der_scale
+            or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
         return None
-
-    return _singular_derivative_family(eq, lam, mval, mder, kernel[0])
-
-
-def _classify_unique_offset(eq, lam, n_mat):
-    norm = n_mat.max_norm()
-    if norm <= _NILPOTENT_TOL * (1.0 + abs(lam)):
-        return None
-    nil_ref = _NILPOTENT_TOL * (1.0 + norm)
-    if abs(n_mat.trace()) > nil_ref or abs(n_mat.det()) > nil_ref * (1.0 + norm):
-        return None
-    x = Mat2.identity().scale(lam) + n_mat
+    # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
+    v = Vec2(-(w.x.conjugate() * mval.m11 + w.y.conjugate() * mval.m21),
+             -(w.x.conjugate() * mval.m12 + w.y.conjugate() * mval.m22))
+    x = Mat2.identity().scale(lam) + outer(k, v).scale(1.0 / wnorm ** 2)
     res = residual(eq, x)
     if not residual_ok(eq, x, res):
         return None
-    return Solution(x, "non_diagonalizable",
-                    ((lam, _column_direction(n_mat)),), res)
-
-
-def _column_direction(n_mat: Mat2) -> Vec2:
-    c1 = Vec2(n_mat.m11, n_mat.m21)
-    c2 = Vec2(n_mat.m12, n_mat.m22)
-    return (c1 if c1.norm() >= c2.norm() else c2).normalized()
-
-
-def _singular_derivative_family(eq, lam, mval, mder, kernel):
-    """Rank-one M'(lam): solutions of M'(lam) N = -M(lam) form
-    N = N0 + k s^T over free s in C^2 (k spans the kernel), and both
-    tr N = 0 and det N = 0 are affine in s for that shape."""
-    c1 = Vec2(mder.m11, mder.m21)
-    c2 = Vec2(mder.m12, mder.m22)
-    u = c1 if c1.norm() >= c2.norm() else c2
-    unorm2 = u.norm() ** 2
-    if unorm2 == 0:
-        return None
-    # factor M'(lam) = u r^T, then a preimage of u is conj(r) / ||r||^2
-    r = Vec2((u.x.conjugate() * c1.x + u.y.conjugate() * c1.y) / unorm2,
-             (u.x.conjugate() * c2.x + u.y.conjugate() * c2.y) / unorm2)
-    rnorm2 = r.norm() ** 2
-    if rnorm2 == 0:
-        return None
-    w = Vec2(r.x.conjugate() / rnorm2, r.y.conjugate() / rnorm2)
-
-    cols = []
-    for b in (Vec2(-mval.m11, -mval.m21), Vec2(-mval.m12, -mval.m22)):
-        if abs(det2(u, b)) > _NILPOTENT_TOL * u.norm() * (1.0 + b.norm()):
-            return None  # that column of -M(lam) is outside the range
-        beta = (u.x.conjugate() * b.x + u.y.conjugate() * b.y) / unorm2
-        cols.append(Vec2(beta * w.x, beta * w.y))
-    n0 = Mat2(cols[0].x, cols[1].x, cols[0].y, cols[1].y)
-    k = kernel
-
-    n0k = n0.apply(k)
-    tr_row = (k.x, k.y)
-    tr_rhs = -n0.trace()
-    det_row = (n0.trace() * k.x - n0k.x, n0.trace() * k.y - n0k.y)
-    det_rhs = -n0.det()
-    return _cut_affine_family(eq, lam, n0, k, tr_row, tr_rhs,
-                              det_row, det_rhs)
-
-
-def _cut_affine_family(eq, lam, n0, k, tr_row, tr_rhs, det_row, det_rhs):
-    a, b = tr_row
-    c, d = det_row
-    det_sys = a * d - b * c
-    row_scale = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(det_sys) > 1e-10 * row_scale ** 2:
-        s = Vec2((tr_rhs * d - b * det_rhs) / det_sys,
-                 (a * det_rhs - tr_rhs * c) / det_sys)
-        return _classify_unique_offset(eq, lam, n0 + outer(k, s))
-
-    # degenerate constraints: the trace row never vanishes (k is a unit
-    # vector), so align the det row against it and test consistency
-    if max(abs(c), abs(d)) <= 1e-12 * max(abs(a), abs(b)):
-        factor = 0j
-    elif abs(a) >= abs(b):
-        factor = c / a
-    else:
-        factor = d / b
-    mis = max(abs(c - factor * a), abs(d - factor * b))
-    if mis > 1e-8 * max(abs(a), abs(b)) * (1.0 + abs(factor)):
-        return None
-    if abs(det_rhs - factor * tr_rhs) > 1e-8 * (1.0 + abs(tr_rhs)) * (1.0 + abs(factor)):
-        return None
-    # a full line of nilpotent offsets: base point plus kernel direction
-    if abs(a) >= abs(b):
-        s0 = Vec2(tr_rhs / a, 0)
-        z = Vec2(-b / a, 1).normalized()
-    else:
-        s0 = Vec2(0, tr_rhs / b)
-        z = Vec2(1, -a / b).normalized()
-    base = Mat2.identity().scale(lam) + n0 + outer(k, s0)
-    return _certify_family(eq, "nilpotent_affine_family", base, outer(k, z))
+    return Solution(x, "non_diagonalizable", ((lam, k),), res)
 
 
 def _certify_family(eq, reason, base, direction
@@ -338,26 +258,22 @@ def detect_infinite(eq: MatrixEquation,
 
     Rule (a): a two-dimensional critical space combined with any second
     distinct critical value yields a family by rotating the direction paired
-    with the other value's vector.  Rule (b): some repeated value admits a
-    whole family of nilpotent offsets.  Two distinct non-diagonalizable
-    solutions sharing an eigenvalue is exactly rule (b)'s many-offsets case.
+    with the other value's vector.  Rule (b): a lone critical value with a
+    two-dimensional space admits a whole family of nilpotent offsets when
+    M'(lam) is singular.  A one-dimensional space admits at most one offset,
+    so no other family exists.
     """
     for d in data:
         if d.space_dim != 2:
             continue
-        others = [o for o in data if o is not d]
-        if not others:
-            continue
-        cert = _two_dim_family(eq, d.value, others[0].value, others[0].basis[0])
+        if len(data) == 1:
+            return find_nondiagonalizable(eq, d)
+        other = next(o for o in data if o is not d)
+        cert = _two_dim_family(eq, d.value, other.value, other.basis[0])
         if cert is None:
             raise InternalInconsistency(
                 "two-dimensional critical space family failed verification")
         return cert
-    for d in data:
-        if d.multiplicity >= 2:
-            found = find_nondiagonalizable(eq, d)
-            if isinstance(found, InfiniteCertificate):
-                return found
     return None
 
 
@@ -393,8 +309,7 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     found = scalar_solutions(eq, data)
     found += enumerate_diagonalizable(eq, data)
     for d in data:
-        # detect_infinite has run this search on every repeated value, so no
-        # family comes back here, and 2D spaces carry no single offset
+        # detect_infinite has settled every 2D space
         if d.multiplicity >= 2 and d.space_dim == 1:
             extra = find_nondiagonalizable(eq, d)
             if extra is not None:

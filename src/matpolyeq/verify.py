@@ -82,9 +82,10 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
 
     Residuals, pairwise distinctness, the C(2n,2) bound, eigenvalue
     containment in the critical values, and divisibility of det M(t) by each
-    solution's characteristic polynomial are all recomputed here; nothing is
-    taken from the input set but the matrices (the critical values are the
-    equation's own, shared with an earlier solve).  The pairwise distinctness
+    solution's characteristic polynomial (det M(t) vanishing at its
+    eigenvalues, relative to the term bound) are all recomputed here;
+    nothing is taken from the input set but the matrices (the critical
+    values are the equation's own, shared with an earlier solve).  The pairwise distinctness
     check and ``min_pair_distance`` come from the shared array kernel in
     ``mat2`` (``close_pairs``).  Failures are reported, not raised.
     """
@@ -93,7 +94,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     values = [d.value for d in data]
     max_lam = max((abs(v) for v in values), default=0.0)
     det = eq.det_poly
-    det_scale = det.max_abs_coeff()
+    det_der = det.derivative()
     bound = solution_bound(eq.n)
 
     mats = [s.matrix for s in sset.solutions]
@@ -125,9 +126,14 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         for lam in eig.values:
             if not any(abs(lam - v) <= eig_tol for v in values):
                 eigenvalues_ok = False
-        char = Poly([x.det(), -x.trace(), 1])
-        _, rem = divmod(det, char)
-        if rem.max_abs_coeff() > _CHAR_DIVISOR_TOL * det_scale:
+        # the characteristic polynomial divides det M(t) exactly when det
+        # vanishes at both eigenvalues, or at a repeated one together with
+        # its derivative
+        lam1, lam2 = eig.values
+        zeros = (((det, lam1), (det, lam2)) if lam1 != lam2
+                 else ((det, lam1), (det_der, lam1)))
+        if not all(_relative_value(p, lam) <= _CHAR_DIVISOR_TOL
+                   for p, lam in zeros):
             char_divisor_ok = False
     if not eigenvalues_ok:
         reasons.append("an eigenvalue strays from every critical value")
@@ -164,6 +170,15 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         backend_agreement=backend_agreement,
         reasons=tuple(reasons),
     )
+
+
+def _relative_value(p: Poly, t: complex) -> float:
+    """|p(t)| over the term bound sum_k |c_k| max(1, |t|)^k, which the
+    rounding error of evaluating p at t follows."""
+    r, terms = max(1.0, abs(t)), 0.0
+    for c in reversed(p.coeffs):
+        terms = terms * r + abs(c)
+    return abs(p(t)) / terms
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,8 @@ def test_unwritable_output_exits_1(tmp_path, capsys, eq_four_solutions,
     assert len(err.splitlines()) == 1
     assert err.startswith("i/o error: ")
     assert str(missing) in err
+    if command == "plan":
+        assert not (tmp_path / "e.json").exists()
 
 
 def test_module_entry_point(tmp_path):

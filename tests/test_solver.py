@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            eval_equation, poly_matrix)
+                            eval_equation, outer, poly_matrix)
 from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
 from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
                               InternalInconsistency, Solution, critical_data,
@@ -12,7 +12,8 @@ from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
                               find_nondiagonalizable, residual, residual_ok,
                               residual_tol, scalar_solutions, solution_bound,
                               solve_equation)
-from matpolyeq.verify import verify_solution_set
+from matpolyeq.verify import (brute_force_scan, count_cross_check,
+                              verify_solution_set)
 
 BACKENDS = ("aberth", "companion")
 
@@ -122,6 +123,108 @@ class TestFindNondiagonalizable:
         data = critical_data(eq_four_solutions)
         assert all(find_nondiagonalizable(eq_four_solutions, d) is None
                    for d in data)
+
+
+def _vec(rng):
+    return Vec2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (2, 2))))
+
+
+def _mat(rng):
+    return Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+
+
+def _columns(c1, c2):
+    return Mat2(c1.x, c2.x, c1.y, c2.y)
+
+
+# M(lam) = a b^T or 0, and how M'(lam) acts on the kernel vector k of a b^T
+RANK_PATTERNS = ("jordan_invertible", "jordan_rank_one", "off_a",
+                 "kernel_rank_one", "kernel_zero",
+                 "zero_invertible", "zero_rank_one", "zero_zero")
+JORDAN_PATTERNS = ("jordan_invertible", "jordan_rank_one")
+
+
+def _prescribed_equation(pattern, n, seed):
+    """A degree-n equation whose M(lam) and M'(lam) follow ``pattern`` at a
+    seeded lam: A_1 comes from M'(lam), then A_0 from M(lam); A_2 .. A_{n-1}
+    are seeded.  Returns the equation, lam, and for the Jordan patterns the
+    one non-diagonalizable solution lam I - k b^T / alpha."""
+    rng = np.random.default_rng(seed)
+    lam = complex(*rng.uniform(-1, 1, 2))
+    a, b, k2 = _vec(rng), _vec(rng), _vec(rng)
+    k = Vec2(b.y, -b.x)
+    alpha = complex(*rng.uniform(0.5, 1.5, 2))
+    alpha_a = Vec2(alpha * a.x, alpha * a.y)
+    # M'(lam) by its images of k and k2
+    to_basis = _columns(k, k2).inverse()
+    mval = Mat2.zero() if pattern.startswith("zero") else outer(a, b)
+    mder = {
+        "jordan_invertible": _columns(alpha_a, _vec(rng)) @ to_basis,
+        "jordan_rank_one": outer(a, Vec2(alpha, 2j)) @ to_basis,
+        "off_a": _mat(rng),
+        "kernel_rank_one": outer(_vec(rng), b),
+        "kernel_zero": Mat2.zero(),
+        "zero_invertible": _mat(rng),
+        "zero_rank_one": outer(_vec(rng), _vec(rng)),
+        "zero_zero": Mat2.zero(),
+    }[pattern]
+    high = [_mat(rng) for _ in range(n - 2)]
+    a1 = mder - Mat2.identity().scale(n * lam ** (n - 1))
+    a0 = mval - Mat2.identity().scale(lam ** n)
+    for i, ai in enumerate(high, start=2):
+        a1 = a1 - ai.scale(i * lam ** (i - 1))
+        a0 = a0 - ai.scale(lam ** i)
+    a0 = a0 - a1.scale(lam)
+    jordan = Mat2.identity().scale(lam) - outer(k, b).scale(1 / alpha)
+    return MatrixEquation((a0, a1, *high)), lam, jordan
+
+
+class TestRankPatterns:
+    """Every rank pattern of (M(lam), M'(lam)) at a repeated critical value."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("pattern", RANK_PATTERNS)
+    def test_forced_offsets(self, pattern, n):
+        for seed in range(10):
+            eq, lam, jordan = _prescribed_equation(pattern, n, seed)
+            cross = count_cross_check(eq)
+            assert cross.agree, (pattern, n, seed)
+            for ss in (cross.set_a, cross.set_b):
+                datum = min(ss.critical_data, key=lambda d: abs(d.value - lam))
+                found = find_nondiagonalizable(eq, datum)
+                if pattern.startswith("zero"):
+                    # lam I solves it, and a second value or a singular
+                    # M'(lam) spreads that into a family
+                    assert not ss.is_finite
+                    singular = pattern != "zero_invertible"
+                    assert isinstance(found, InfiniteCertificate) == singular
+                    assert singular or found is None
+                    continue
+                assert ss.is_finite
+                offsets = [s.matrix for s in ss.solutions
+                           if s.kind == "non_diagonalizable"]
+                if pattern in JORDAN_PATTERNS:
+                    assert isinstance(found, Solution)
+                    assert len(offsets) == 1
+                    assert offsets[0].dist(jordan) <= \
+                        1e-10 * (1 + jordan.max_norm())
+                else:
+                    # with M'(lam) k ~ 0 a least-squares offset blows up and
+                    # can pass the residual test, so only the rank rule holds
+                    assert found is None, (pattern, n, seed)
+                    assert offsets == []
+
+    @pytest.mark.parametrize("pattern", RANK_PATTERNS)
+    def test_scan_agrees_at_degree_two(self, pattern):
+        for seed in range(2):
+            eq, _, _ = _prescribed_equation(pattern, 2, seed)
+            ss = solve_equation(eq)
+            scan = brute_force_scan(eq)
+            assert (len(scan) > solution_bound(2)) == (not ss.is_finite)
+            if ss.is_finite:
+                assert len(scan) == ss.count
+                for sol in ss.solutions:
+                    assert min(x.dist(sol.matrix) for x in scan) <= 1e-5
 
 
 class TestDetectInfinite:
@@ -265,14 +368,17 @@ class TestResidual:
 
 
 class TestOverflow:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scale", [1e40, 1e50, 1e60])
     def test_huge_coefficients_do_not_converge(self, scaled_random_equation,
-                                               scale):
+                                               scale, backend):
         # the Aberth start circle has radius ~ scale^2: its Horner values
-        # overflow, which once read as converged and certified a family
+        # overflow, which once read as converged and certified a family;
+        # the companion matrix yields a spurious root where M(t) has full
+        # rank, which once read as an internal inconsistency
         eq = scaled_random_equation(5, 2, scale)
         with pytest.raises(NonConvergence):
-            solve_equation(eq)
+            solve_equation(eq, backend=backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degree_16_overflow_is_typed(self, scaled_random_equation,

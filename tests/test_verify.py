@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from matpolyeq.construct import construct
@@ -83,6 +84,43 @@ class TestVerifySolutionSet:
         b = verify_solution_set(eq_four_solutions, ss).to_text()
         assert a == b
         assert "verdict: pass" in a
+
+
+class TestCharacteristicDivisor:
+    def test_random_degree_16_set_passes(self):
+        # equation 7 of seed 1, drawn as acceptance criterion 3 draws them:
+        # its correct set once left division remainders of 2e-5
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            eq = MatrixEquation(tuple(
+                Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+                for _ in range(16)))
+        ss = solve_equation(eq)
+        assert ss.count == solution_bound(16)
+        report = verify_solution_set(eq, ss)
+        assert report.char_divisor_ok
+        assert report.verdict == "pass"
+
+    @pytest.mark.parametrize("n, scale", [(3, 1e3), (4, 1e2), (4, 1e4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scaled_sets_pass(self, scaled_random_equation, seed, n, scale):
+        eq = scaled_random_equation(seed, n, scale)
+        ss = solve_equation(eq)
+        assert ss.count == solution_bound(n)
+        assert verify_solution_set(eq, ss).verdict == "pass"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_moved_solution_fails(self, scaled_random_equation, seed):
+        eq = scaled_random_equation(seed, 3, 1e3)
+        ss = solve_equation(eq)
+        bad = ss.solutions[0]
+        # a relative move of 1e-4 shifts both eigenvalues off the roots
+        moved = Solution(bad.matrix + Mat2.identity().scale(
+            1e-4 * bad.matrix.max_norm()), bad.kind, bad.eigen_data, 0.0)
+        report = verify_solution_set(
+            eq, _with_solutions(ss, (moved,) + ss.solutions[1:]))
+        assert not report.char_divisor_ok
+        assert report.verdict == "fail"
 
 
 class TestCountCrossCheck:
