@@ -6,7 +6,8 @@ from .construct import (ConstructionPlan, ConstructionResult, DomainError,
                         choose_p, choose_values, construct, special_case,
                         solve_coefficients)
 from .mat2 import (Eigen2, Mat2, MatrixEquation, PolyMat2, Vec2, det2,
-                   eigen2, eval_equation, poly_matrix, rank_and_nullspace)
+                   eigen2, eval_batch, eval_equation, poly_matrix,
+                   rank_and_nullspace)
 from .poly import (NonConvergence, Poly, Root, SingularSystem, dense_solve,
                    find_roots)
 from .solver import (CriticalDatum, InfiniteCertificate, InternalInconsistency,
@@ -26,7 +27,7 @@ __all__ = [
     "brute_force_scan", "build_partition", "choose_p", "choose_values",
     "construct", "count_cross_check", "critical_data", "dense_solve", "det2",
     "detect_infinite", "eigen2", "enumerate_diagonalizable",
-    "eval_equation", "find_nondiagonalizable", "find_roots", "poly_matrix",
+    "eval_batch", "eval_equation", "find_nondiagonalizable", "find_roots", "poly_matrix",
     "rank_and_nullspace", "residual_tol", "scalar_solutions",
     "solution_bound", "solve_coefficients", "solve_equation", "special_case",
     "verify_solution_set",

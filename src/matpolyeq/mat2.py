@@ -1,5 +1,6 @@
-"""2x2 complex matrices, polynomial matrices, matrix equations, and the
-pairwise distance kernel over sets of matrices."""
+"""2x2 complex matrices, polynomial matrices, matrix equations, and two
+array kernels over sets of matrices: pairwise distances and f(X) for many
+candidates X at once."""
 
 from __future__ import annotations
 
@@ -148,6 +149,71 @@ def pack(mats: Sequence[Mat2]) -> np.ndarray:
                     dtype=complex).reshape(-1, 4)
 
 
+def unpack(x: np.ndarray) -> list[Mat2]:
+    """The rows of a packed array as matrices, entries bit for bit."""
+    return [Mat2(*row) for row in x.tolist()]
+
+
+def max_norms(x: np.ndarray) -> np.ndarray:
+    """Mat2.max_norm of each row of a packed array, inf where an entry is
+    not finite or its modulus overflows (abs() would raise)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.hypot(x.real, x.imag).max(axis=1)
+    norms[np.isnan(norms)] = np.inf
+    return norms
+
+
+# Batches of 2x2 matrices as "parts": a (2, 2, 2, k) float array holding
+# the real, then the imaginary parts of k matrices, by row and column, with
+# the k matrices along the last (contiguous) axis.  Each operation below
+# does what the Mat2 operator and CPython's complex arithmetic do, in the
+# same order, so the values are bit for bit those of the scalar code (NaN
+# payloads aside); numpy's own complex multiply and abs may differ in the
+# last bit.
+
+def split(x: np.ndarray) -> np.ndarray:
+    """A packed (k, 4) complex array as parts."""
+    return np.stack((x.real.T, x.imag.T)).reshape(2, 2, 2, len(x))
+
+
+def join(parts: np.ndarray) -> np.ndarray:
+    """Parts as a packed (k, 4) complex array."""
+    x = np.empty((parts.shape[-1], 4), dtype=complex)
+    x.real = parts[0].reshape(4, -1).T
+    x.imag = parts[1].reshape(4, -1).T
+    return x
+
+
+def mul_parts(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """s * a entrywise, as Mat2.scale: (sr ar - si ai, sr ai + si ar).
+    s holds the parts (2, k) of one scalar per matrix (a may also hold k
+    scalars)."""
+    sr, si = s
+    return np.stack((sr * a[0] - si * a[1], sr * a[1] + si * a[0]))
+
+
+def matmul_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as Mat2.__matmul__: (r, c) = a[r,0] b[0,c] + a[r,1] b[1,c],
+    each product (ar br - ai bi, ar bi + ai br) as CPython forms it."""
+    return _times(a, _right_factor(b))
+
+
+def _right_factor(b: np.ndarray) -> np.ndarray:
+    # w[p, o]: what part p of a left factor multiplies into part o of the
+    # product, so that ar br - ai bi becomes the sum ar br + ai (-bi);
+    # negating a product and adding a negation are exact
+    br, bi = b
+    return np.array(((br, bi), (-bi, br)))[:, :, None]
+
+
+def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # q[p, o, r, j, c]: part p of a[r, j] times w[p, o][j, c]; summing p
+    # first gives each complex product, then j the matrix product
+    q = a[:, None, :, :, None] * w
+    t = q[0] + q[1]
+    return t[:, :, 0] + t[:, :, 1]
+
+
 def _lower_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # low[r, c]: the largest |real or imaginary part| over the entries of
     # a[r] - b[c], a lower bound on Mat2.dist that needs no hypot
@@ -168,14 +234,14 @@ def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag).max(axis=-1)
 
 
-def close_pairs(mats: Sequence[Mat2], tol: float
+def close_pairs(x: np.ndarray, tol: float
                 ) -> tuple[list[tuple[int, int]], Optional[float]]:
-    """Index pairs i < j with Mat2.dist <= tol, in (i, j) order, and the
-    exact least pairwise distance (None for fewer than two matrices).
+    """Index pairs i < j of rows of a packed array with Mat2.dist <= tol, in
+    (i, j) order, and the exact least pairwise distance (None for fewer than
+    two matrices).
 
     Exact distances are computed only for the pairs whose lower bound leaves
     them a chance to be within tol or to be the least."""
-    x = pack(mats)
     pairs: list[tuple[int, int]] = []
     least = math.inf
     for start in range(0, len(x) - 1, _BLOCK_ROWS):
@@ -216,16 +282,16 @@ def match_in_order(a: Sequence[Mat2], b: Sequence[Mat2], tol: float) -> bool:
     return True
 
 
-def greedy_unique(mats: Sequence[Mat2], tol: float) -> list[int]:
-    """Indices of the matrices kept by a greedy pass in list order: one is
-    kept unless it lies within tol of an earlier kept one."""
-    pairs, _ = close_pairs(mats, tol)
+def greedy_unique(x: np.ndarray, tol: float) -> list[int]:
+    """Indices of the rows of a packed array kept by a greedy pass in row
+    order: one is kept unless it lies within tol of an earlier kept one."""
+    pairs, _ = close_pairs(x, tol)
     dropped: set[int] = set()
     # by later index, so that every i < j is settled before j is
     for i, j in sorted(pairs, key=lambda p: p[1]):
         if i not in dropped:
             dropped.add(j)
-    return [i for i in range(len(mats)) if i not in dropped]
+    return [i for i in range(len(x)) if i not in dropped]
 
 
 @dataclass(frozen=True)
@@ -267,6 +333,12 @@ class MatrixEquation:
     def coeff_scale(self) -> float:
         """Largest coefficient entry magnitude, floored at the implicit 1."""
         return self._scale
+
+    @cached_property
+    def coeff_parts(self) -> np.ndarray:
+        """The coefficients as parts (see ``split``), shaped (n, 2, 2, 2, 1)
+        to broadcast against a batch."""
+        return np.moveaxis(split(pack(self.coeffs)), -1, 0)[..., None]
 
     @cached_property
     def matrix(self) -> "PolyMat2":
@@ -323,15 +395,28 @@ def poly_matrix(eq: MatrixEquation) -> PolyMat2:
 
 
 def eval_equation(eq: MatrixEquation, x: Mat2) -> Mat2:
-    """Residual X^n + A_{n-1} X^{n-1} + ... + A_0 at X.
+    """Residual X^n + A_{n-1} X^{n-1} + ... + A_0 at X: one row of
+    ``eval_batch``."""
+    return unpack(eval_batch(eq, pack([x])))[0]
+
+
+def eval_batch(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
+    """f(X) for each candidate row of a packed (k, 4) array, packed alike.
 
     Association is fixed left to right, (((X + A_{n-1})X + A_{n-2})X + ...),
-    so residuals are bit-reproducible.
+    and every entry is computed as the Mat2 operators compute it (see
+    ``matmul_parts``), so residuals are bit-reproducible and equal to a
+    scalar Mat2 Horner pass.  Overflow gives inf or nan entries, no warning.
     """
-    acc = x + eq.coeffs[-1]
-    for a in reversed(eq.coeffs[:-1]):
-        acc = acc @ x + a
-    return acc
+    coeffs = eq.coeff_parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp = split(x)
+        w = _right_factor(xp)
+        acc = xp + coeffs[-1]
+        for a in coeffs[-2::-1]:
+            acc = _times(acc, w)
+            acc += a
+    return join(acc)
 
 
 def rank_and_nullspace(a: Mat2, scale: float) -> tuple[int, list[Vec2]]:
@@ -364,27 +449,33 @@ class Eigen2:
     defective: bool
 
 
-def eigen2(a: Mat2) -> Eigen2:
-    """Eigen-decomposition through the quadratic formula on the
-    characteristic polynomial; classifies defective matrices by eigenvalue
-    gap and kernel dimension."""
+def eigenvalues2(a: Mat2) -> tuple[complex, complex]:
+    """Eigenvalues through the quadratic formula on the characteristic
+    polynomial, ordered by (real, imag); two closer than
+    RANK_TOL * max(1, |a|) come back as one repeated value, tr/2."""
     tr, dt = a.trace(), a.det()
     disc = cmath.sqrt(tr * tr - 4 * dt)
     lam1, lam2 = (tr + disc) / 2, (tr - disc) / 2
+    if abs(lam1 - lam2) > RANK_TOL * max(1.0, a.max_norm()):
+        return tuple(sorted((lam1, lam2), key=lambda z: (z.real, z.imag)))
+    return tr / 2, tr / 2
+
+
+def eigen2(a: Mat2) -> Eigen2:
+    """Eigen-decomposition on top of ``eigenvalues2``; classifies defective
+    matrices by eigenvalue gap and kernel dimension."""
+    values = eigenvalues2(a)
     scale = max(1.0, a.max_norm())
-    if abs(lam1 - lam2) > RANK_TOL * scale:
+    if values[0] != values[1]:
         vecs = []
-        for lam in (lam1, lam2):
+        for lam in values:
             shifted = a - Mat2.identity().scale(lam)
             rank, basis = rank_and_nullspace(shifted, scale)
             vecs.append(basis[0] if basis else E1)
-        order = sorted(((lam1, vecs[0]), (lam2, vecs[1])),
-                       key=lambda p: (p[0].real, p[0].imag))
-        return Eigen2((order[0][0], order[1][0]),
-                      (order[0][1], order[1][1]), False)
-    lam = tr / 2
+        return Eigen2(values, tuple(vecs), False)
+    lam = values[0]
     shifted = a - Mat2.identity().scale(lam)
     if shifted.max_norm() <= RANK_TOL * scale:
-        return Eigen2((lam, lam), (E1, E2), False)
+        return Eigen2(values, (E1, E2), False)
     rank, basis = rank_and_nullspace(shifted, scale)
-    return Eigen2((lam, lam), (basis[0] if basis else E1,), True)
+    return Eigen2(values, (basis[0] if basis else E1,), True)

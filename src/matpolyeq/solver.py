@@ -18,8 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .mat2 import (E1, E2, RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
-                   eval_equation, greedy_unique, outer, rank_and_nullspace)
+                   eval_batch, greedy_unique, join, matmul_parts, max_norms,
+                   mul_parts, outer, pack, rank_and_nullspace, split,
+                   unpack)
 from .poly import NonConvergence, Poly, find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -51,6 +55,44 @@ class Solution:
     kind: str  # diagonalizable_distinct | scalar | non_diagonalizable
     eigen_data: Optional[tuple[tuple[complex, Vec2], ...]]
     residual: float
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """Candidate solutions held as arrays: the matrices packed (k, 4) as
+    ``mat2.pack`` lays them out and their residuals, with a kind and eigen
+    data per row.  Solution objects are built only for the rows kept."""
+
+    matrices: np.ndarray
+    residuals: np.ndarray
+    kinds: tuple[str, ...]
+    eigen_data: tuple
+
+    @staticmethod
+    def of(solutions: Sequence[Solution]) -> "Candidates":
+        return Candidates(pack([s.matrix for s in solutions]),
+                          np.array([s.residual for s in solutions], float),
+                          tuple(s.kind for s in solutions),
+                          tuple(s.eigen_data for s in solutions))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __add__(self, other: "Candidates") -> "Candidates":
+        return Candidates(np.concatenate((self.matrices, other.matrices)),
+                          np.concatenate((self.residuals, other.residuals)),
+                          self.kinds + other.kinds,
+                          self.eigen_data + other.eigen_data)
+
+    def take(self, rows: Sequence[int]) -> "Candidates":
+        return Candidates(self.matrices[rows], self.residuals[rows],
+                          tuple(self.kinds[r] for r in rows),
+                          tuple(self.eigen_data[r] for r in rows))
+
+    def solutions(self) -> list[Solution]:
+        return [Solution(*row) for row in
+                zip(unpack(self.matrices), self.kinds, self.eigen_data,
+                    self.residuals.tolist())]
 
 
 @dataclass(frozen=True)
@@ -87,30 +129,49 @@ def solution_bound(n: int) -> int:
     return math.comb(2 * n, 2)
 
 
-def residual_tol(eq: MatrixEquation, x: Mat2) -> float:
-    """Acceptance threshold for ||f(X)||, tracking Horner error growth."""
+def residual_tols(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
+    """Acceptance threshold for ||f(X)|| of each packed candidate, tracking
+    Horner error growth; inf where it overflows."""
+    coef = RESIDUAL_COEF * (1.0 + eq.coeff_scale())
+    return np.array([coef * _growth(norm, eq.n)
+                     for norm in max_norms(x).tolist()], float)
+
+
+def _growth(norm: float, n: int) -> float:
     try:
-        growth = (1.0 + x.max_norm()) ** eq.n
-    except OverflowError:  # no finite threshold, so residual_ok refuses X
+        return (1.0 + norm) ** n
+    except OverflowError:  # no finite threshold, so nothing is accepted
         return math.inf
-    return RESIDUAL_COEF * (1.0 + eq.coeff_scale()) * growth
+
+
+def residual_tol(eq: MatrixEquation, x: Mat2) -> float:
+    """``residual_tols`` of one candidate."""
+    return float(residual_tols(eq, pack([x]))[0])
+
+
+def residuals(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of f(X) for each packed candidate, from one
+    call of ``mat2.eval_batch``; inf where an entry is not finite or its
+    modulus overflows."""
+    return max_norms(eval_batch(eq, x))
 
 
 def residual(eq: MatrixEquation, x: Mat2) -> float:
-    """Largest entry modulus of f(X), or inf when an entry is not finite
-    (max() would skip a NaN that is not the first entry)."""
-    r = eval_equation(eq, x)
-    return r.max_norm() if _finite(r) else math.inf
+    """``residuals`` of one candidate: a one-row call of the kernel."""
+    return float(residuals(eq, pack([x]))[0])
 
 
-def _finite(m: Mat2) -> bool:
-    return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
+def accepted(eq: MatrixEquation, x: np.ndarray,
+             res: np.ndarray) -> np.ndarray:
+    """The acceptance test for each packed candidate with its residual; an
+    overflowed threshold accepts nothing."""
+    tol = residual_tols(eq, x)
+    return (res <= tol) & (tol < math.inf)
 
 
 def residual_ok(eq: MatrixEquation, x: Mat2, res: float) -> bool:
-    """The acceptance test for a candidate X with residual ``res``; an
-    overflowed threshold accepts nothing."""
-    return res <= residual_tol(eq, x) < math.inf
+    """``accepted`` for one candidate X with residual ``res``."""
+    return bool(accepted(eq, pack([x]), np.array([res]))[0])
 
 
 def critical_data(eq: MatrixEquation,
@@ -139,6 +200,10 @@ def _critical_data(eq, backend):
     return tuple(data)
 
 
+def _finite(m: Mat2) -> bool:
+    return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
+
+
 def _eval_scale(norm_poly: Poly, lam: complex) -> float:
     # magnitude reference for M(lam), or for M'(lam) given the derivative
     return max(1.0, norm_poly(abs(lam)).real)
@@ -164,31 +229,48 @@ def scalar_solutions(eq: MatrixEquation,
 
 
 def enumerate_diagonalizable(eq: MatrixEquation,
-                             data: Sequence[CriticalDatum]) -> list[Solution]:
-    """One solution per pair of distinct critical values with linearly
-    independent critical vectors."""
-    out = []
-    for i in range(len(data)):
-        for j in range(i + 1, len(data)):
-            di, dj = data[i], data[j]
-            if di.space_dim != 1 or dj.space_dim != 1:
-                continue
-            vi, vj = di.basis[0], dj.basis[0]
-            pairing = det2(vi, vj)
-            if abs(pairing) <= INDEPENDENCE_TOL:
-                continue
-            x = _assemble(di.value, vi, dj.value, vj, pairing)
-            out.append(Solution(x, "diagonalizable_distinct",
-                                ((di.value, vi), (dj.value, vj)),
-                                residual(eq, x)))
-    return out
+                             data: Sequence[CriticalDatum]) -> Candidates:
+    """One candidate per pair of distinct critical values with linearly
+    independent critical vectors, in (i, j) order; the pairs are assembled
+    and residual-checked as one batch."""
+    lines = [d for d in data if d.space_dim == 1]
+    z = np.array([(d.value, d.basis[0].x, d.basis[0].y) for d in lines],
+                 complex).reshape(-1, 3)
+    i, j = np.triu_indices(len(lines), 1)
+    # det2(va, vb) = va.x vb.y - va.y vb.x
+    pr, pi = (mul_parts(_parts(z[i, 1]), _parts(z[j, 2]))
+              - mul_parts(_parts(z[i, 2]), _parts(z[j, 1])))
+    keep = np.hypot(pr, pi) > INDEPENDENCE_TOL
+    i, j = i[keep], j[keep]
+    inv = [1.0 / complex(r, m)
+           for r, m in zip(pr[keep].tolist(), pi[keep].tolist())]
+    x = _assemble(z[i], z[j], np.array(inv, complex))
+    return Candidates(
+        x, residuals(eq, x), ("diagonalizable_distinct",) * len(i),
+        tuple(((lines[p].value, lines[p].basis[0]),
+               (lines[q].value, lines[q].basis[0]))
+              for p, q in zip(i.tolist(), j.tolist())))
 
 
-def _assemble(la: complex, va: Vec2, lb: complex, vb: Vec2,
-              pairing: complex) -> Mat2:
-    # X = [va vb] diag(la, lb) [va vb]^{-1}
-    p = Mat2(va.x, vb.x, va.y, vb.y)
-    return (p @ Mat2.diag(la, lb) @ p.adjugate()).scale(1.0 / pairing)
+def _parts(z: np.ndarray) -> np.ndarray:
+    return np.stack((z.real, z.imag))
+
+
+def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    # X = [va vb] diag(la, lb) [va vb]^{-1}, packed, as the Mat2 expression
+    # (p @ Mat2.diag(la, lb) @ p.adjugate()).scale(1.0 / pairing) computes
+    # it, zero products included; the rows of a and b hold (value, vector x,
+    # vector y), and inv is 1 / pairing by Python's complex division
+    (la, ax, ay), (lb, bx, by) = a.T, b.T
+    zero = np.zeros_like(la)
+
+    def mats(*entries):
+        return split(np.stack(entries, axis=1))
+
+    x = matmul_parts(matmul_parts(mats(ax, bx, ay, by),
+                                  mats(la, zero, zero, lb)),
+                     mats(by, -bx, -ay, ax))
+    return join(mul_parts(_parts(inv), x))
 
 
 def find_nondiagonalizable(
@@ -241,15 +323,12 @@ def find_nondiagonalizable(
 
 def _certify_family(eq, reason, base, direction
                     ) -> Optional[InfiniteCertificate]:
-    residuals = []
-    for mu in _SAMPLE_PARAMS:
-        x = base + direction.scale(mu)
-        res = residual(eq, x)
-        if not residual_ok(eq, x, res):
-            return None
-        residuals.append(res)
+    x = pack([base + direction.scale(mu) for mu in _SAMPLE_PARAMS])
+    res = residuals(eq, x)
+    if not accepted(eq, x, res).all():
+        return None
     return InfiniteCertificate(reason, base, direction,
-                               _SAMPLE_PARAMS, tuple(residuals))
+                               _SAMPLE_PARAMS, tuple(res.tolist()))
 
 
 def detect_infinite(eq: MatrixEquation,
@@ -295,40 +374,40 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     """Classify the full solution set of a matrix polynomial equation.
 
     Infinite detection runs before finite enumeration so two-dimensional
-    critical spaces never reach the pair assembly.  Finite output is
-    deduplicated, residual-verified, sorted by eigenvalues, and checked
-    against the C(2n, 2) bound.  The dedupe keeps a candidate unless it lies
-    within the tolerance of an earlier kept one; its pairwise distances come
-    from the shared array kernel in ``mat2`` (``greedy_unique``).
+    critical spaces never reach the pair assembly.  The finite candidates
+    (scalar matrices, then the pairs of critical values, then nilpotent
+    offsets) are held as one array batch (``Candidates``): their residuals
+    come from one call of the batch kernel ``mat2.eval_batch`` for the pairs,
+    the dedupe keeps a candidate unless it lies within the tolerance of an
+    earlier kept one (the pairwise kernel ``mat2.greedy_unique``), and the
+    kept ones are residual-verified and checked against the C(2n, 2) bound
+    before Solution objects are built for them, sorted by eigenvalues.
     """
     data = critical_data(eq, backend=backend)
     cert = detect_infinite(eq, data)
     if cert is not None:
         return SolutionSet((), cert, data)
 
-    found = scalar_solutions(eq, data)
-    found += enumerate_diagonalizable(eq, data)
-    for d in data:
-        # detect_infinite has settled every 2D space
-        if d.multiplicity >= 2 and d.space_dim == 1:
-            extra = find_nondiagonalizable(eq, d)
-            if extra is not None:
-                found.append(extra)
+    # detect_infinite has settled every 2D space
+    offsets = [find_nondiagonalizable(eq, d) for d in data
+               if d.multiplicity >= 2 and d.space_dim == 1]
+    found = (Candidates.of(scalar_solutions(eq, data))
+             + enumerate_diagonalizable(eq, data)
+             + Candidates.of([s for s in offsets if s is not None]))
 
-    unique = [found[i] for i in
-              greedy_unique([sol.matrix for sol in found], dedupe_tol(data))]
-
-    for sol in unique:
-        if not residual_ok(eq, sol.matrix, sol.residual):
-            raise InternalInconsistency(
-                f"candidate residual {sol.residual:.3e} exceeds "
-                f"{residual_tol(eq, sol.matrix):.3e}")
-    if len(unique) > solution_bound(eq.n):
+    kept = found.take(greedy_unique(found.matrices, dedupe_tol(data)))
+    ok = accepted(eq, kept.matrices, kept.residuals)
+    if not ok.all():
+        r = int(np.argmin(ok))
         raise InternalInconsistency(
-            f"{len(unique)} solutions exceed the C(2n,2) bound")
+            f"candidate residual {kept.residuals[r]:.3e} exceeds "
+            f"{residual_tols(eq, kept.matrices[r:r + 1])[0]:.3e}")
+    if len(kept) > solution_bound(eq.n):
+        raise InternalInconsistency(
+            f"{len(kept)} solutions exceed the C(2n,2) bound")
 
-    unique.sort(key=_sort_key)
-    return SolutionSet(tuple(unique), None, data)
+    return SolutionSet(tuple(sorted(kept.solutions(), key=_sort_key)),
+                       None, data)
 
 
 def _sort_key(sol: Solution):

@@ -10,12 +10,12 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2, eigen2,
-                   greedy_unique, match_in_order, outer)
+from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2,
+                   eigenvalues2, greedy_unique, match_in_order, outer, pack)
 from .poly import CLUSTER_TOL, Poly
-from .solver import (INDEPENDENCE_TOL, SolutionSet, critical_data, dedupe_tol,
-                     residual, residual_ok, residual_tol, solution_bound,
-                     solve_equation)
+from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
+                     dedupe_tol, residual_ok, residual_tols, residuals,
+                     solution_bound, solve_equation)
 
 _CHAR_DIVISOR_TOL = 1e-6
 
@@ -85,9 +85,13 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     solution's characteristic polynomial (det M(t) vanishing at its
     eigenvalues, relative to the term bound) are all recomputed here;
     nothing is taken from the input set but the matrices (the critical
-    values are the equation's own, shared with an earlier solve).  The pairwise distinctness
-    check and ``min_pair_distance`` come from the shared array kernel in
-    ``mat2`` (``close_pairs``).  Failures are reported, not raised.
+    values are the equation's own, shared with an earlier solve).  The
+    solutions' residuals come from one call of the batch kernel
+    ``mat2.eval_batch``, the certificate samples' from another; the pairwise
+    distinctness check and ``min_pair_distance`` come from the pairwise
+    kernel (``mat2.close_pairs``); eigenvalues come from
+    ``mat2.eigenvalues2``, without eigenvectors.  Failures are reported, not
+    raised.
     """
     reasons = []
     data = critical_data(eq)
@@ -98,18 +102,19 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     bound = solution_bound(eq.n)
 
     mats = [s.matrix for s in sset.solutions]
-    residuals = tuple(residual(eq, x) for x in mats)
-    residuals_ok = True
-    for x, res in zip(mats, residuals):
-        if not residual_ok(eq, x, res):
-            residuals_ok = False
-            reasons.append(f"residual {res:.3e} exceeds {residual_tol(eq, x):.3e}")
-            break
+    x = pack(mats)
+    res = residuals(eq, x)
+    ok = accepted(eq, x, res)
+    residuals_ok = bool(ok.all())
+    if not residuals_ok:
+        first = int(np.argmin(ok))
+        reasons.append(f"residual {res[first]:.3e} exceeds "
+                       f"{residual_tols(eq, x[first:first + 1])[0]:.3e}")
     # the checks below need finite numbers; the other matrices failed above
-    finite = [x for x, res in zip(mats, residuals) if math.isfinite(res)]
+    finite = np.isfinite(res)
 
     dedupe = dedupe_tol(data)
-    duplicates, min_dist = close_pairs(finite, dedupe)
+    duplicates, min_dist = close_pairs(x[finite], dedupe)
     duplicates_ok = not duplicates
     if not duplicates_ok:
         reasons.append(f"duplicate solutions within {dedupe:.3e}")
@@ -121,15 +126,16 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     eig_tol = CLUSTER_TOL * max(1.0, max_lam)
     eigenvalues_ok = True
     char_divisor_ok = True
-    for x in finite:
-        eig = eigen2(x)
-        for lam in eig.values:
+    for m, keep in zip(mats, finite.tolist()):
+        if not keep:
+            continue
+        lam1, lam2 = eigenvalues2(m)
+        for lam in (lam1, lam2):
             if not any(abs(lam - v) <= eig_tol for v in values):
                 eigenvalues_ok = False
         # the characteristic polynomial divides det M(t) exactly when det
         # vanishes at both eigenvalues, or at a repeated one together with
         # its derivative
-        lam1, lam2 = eig.values
         zeros = (((det, lam1), (det, lam2)) if lam1 != lam2
                  else ((det, lam1), (det_der, lam1)))
         if not all(_relative_value(p, lam) <= _CHAR_DIVISOR_TOL
@@ -142,11 +148,11 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
 
     certificate_ok = None
     if sset.certificate is not None:
-        certificate_ok = True
-        for mu in sset.certificate.samples:
-            x = sset.certificate.member(mu)
-            if not residual_ok(eq, x, residual(eq, x)):
-                certificate_ok = False
+        cert = sset.certificate
+        sample_ok = _passes(eq, [cert.member(mu) for mu in cert.samples])
+        certificate_ok = all(sample_ok)
+        for mu, good in zip(cert.samples, sample_ok):
+            if not good:
                 reasons.append(f"certificate sample mu={mu} fails its residual")
 
     if backend_agreement is False:
@@ -158,8 +164,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         classification="finite" if sset.is_finite else "infinite",
         claimed_count=sset.count,
         bound=bound,
-        residuals=residuals,
-        max_residual=max(residuals, default=0.0),
+        residuals=tuple(res.tolist()),
+        max_residual=max(res.tolist(), default=0.0),
         min_pair_distance=min_dist,
         residuals_ok=residuals_ok,
         duplicates_ok=duplicates_ok,
@@ -232,7 +238,7 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
             spread = [Vec2(1, t) for t in range(1, 7)]
             samples.append((d.value, [Vec2(1, 0), Vec2(0, 1)] + spread))
 
-    found: list[Mat2] = []
+    fits: list[Mat2] = []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             la, vas = samples[i]
@@ -245,16 +251,28 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
                             <= INDEPENDENCE_TOL:
                         continue
                     x = _fit_eigenpairs(la, va, lb, vb)
-                    if x is not None and residual_ok(eq, x, residual(eq, x)):
-                        found.append(x)
-    for d in data:
-        x = Mat2.identity().scale(d.value)
-        if residual_ok(eq, x, residual(eq, x)):
+                    if x is not None:
+                        fits.append(x)
+    found = _passing(eq, fits)
+    scalars = [Mat2.identity().scale(d.value) for d in data]
+    for d, x, ok in zip(data, scalars, _passes(eq, scalars)):
+        if ok:
             found.append(x)
         found.extend(_scan_nilpotent_offsets(eq, d.value))
 
     found.sort(key=_mat_key)
-    return [found[i] for i in greedy_unique(found, keep_tol)]
+    return [found[i] for i in greedy_unique(pack(found), keep_tol)]
+
+
+def _passes(eq: MatrixEquation, mats: list[Mat2]) -> list[bool]:
+    """Whether each matrix passes the residual acceptance test, from one
+    call of the batch kernel."""
+    x = pack(mats)
+    return accepted(eq, x, residuals(eq, x)).tolist()
+
+
+def _passing(eq: MatrixEquation, mats: list[Mat2]) -> list[Mat2]:
+    return [m for m, ok in zip(mats, _passes(eq, mats)) if ok]
 
 
 def _mat_key(m: Mat2):
@@ -313,16 +331,15 @@ def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex) -> list[Mat2]:
     candidates.sort(key=lambda t: t[:5])
     # refinement only chases the lowest-residual grid directions; a finite
     # equation has at most one admissible offset per critical value
+    refined = []
     for *_, k in candidates[:6]:
         k = _refine_direction(mval, mder, k)
         kmat = outer(k, Vec2(k.y, -k.x))
         c, degenerate = _best_offset(mval, mder, kmat)
         if degenerate or abs(c) > 1e4 * (1.0 + abs(lam)):
             continue
-        x = base + kmat.scale(c)
-        if residual_ok(eq, x, residual(eq, x)):
-            out.append(x)
-    return out
+        refined.append(base + kmat.scale(c))
+    return out + _passing(eq, refined)
 
 
 def _best_offset(mval: Mat2, mder: Mat2, kmat: Mat2):

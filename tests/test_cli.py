@@ -187,6 +187,22 @@ class TestVerifyCommand:
         save_doc(doc, sol)
         assert run("verify", "--equation", eq_path, "--solutions", sol) == 5
 
+    def test_overflowing_entry_exits_5(self, tmp_path, capsys, eq_degree_one):
+        # a finite entry whose modulus exceeds the largest double: the
+        # residual is inf and the set fails, with no traceback
+        eq_path, sol = self._pipeline(tmp_path, eq_degree_one)
+        doc = load_doc(sol)
+        doc["solutions"][0]["matrix"][0][0] = [1.5e308, 1.5e308]
+        save_doc(doc, sol)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 5
+        assert "Traceback" not in capsys.readouterr().err
+        doc = load_doc(report)
+        assert doc["verdict"] == "fail"
+        assert doc["max_residual"] == float("inf")
+
     def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
                                             monkeypatch, eq_four_solutions):
         eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)

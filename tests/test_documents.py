@@ -1,5 +1,8 @@
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matpolyeq.construct import construct
@@ -7,8 +10,14 @@ from matpolyeq.documents import (DocumentError, equation_from_doc,
                                  equation_to_doc, load_doc, plan_to_doc,
                                  report_to_doc, save_doc,
                                  solution_set_from_doc, solution_set_to_doc)
+from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.solver import solve_equation
 from matpolyeq.verify import verify_solution_set
+
+# sha256 of the solution documents of random n = 16 equations, committed
+# with the benchmark (perfbench/make_digests.py writes it); read only here
+REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "reference_digests.json")
 
 
 class TestEquationDocuments:
@@ -121,6 +130,27 @@ class TestSolutionDocuments:
             json.dumps(solution_set_to_doc(ss))))
         report = verify_solution_set(eq_four_solutions, back)
         assert report.verdict == "pass"
+
+
+class TestDocumentByteStability:
+    @staticmethod
+    def _random_n16(seed, count):
+        # entries complex(U(-1,1), U(-1,1)) from one default_rng(seed)
+        # stream, as the benchmark's random_n16 workload draws them
+        rng = np.random.default_rng(seed)
+        return [MatrixEquation(tuple(
+            Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+            for _ in range(16))) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_n16_documents_match_committed_digests(self, seed,
+                                                          tmp_path):
+        digests = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
+        for i, eq in enumerate(self._random_n16(seed, 2)):
+            path = tmp_path / f"sol{i}.json"
+            save_doc(solution_set_to_doc(solve_equation(eq)), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+                digests[str(seed)][str(i)], (seed, i)
 
 
 class TestPlanAndReportDocuments:

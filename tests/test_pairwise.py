@@ -61,14 +61,14 @@ _TOLS = st.sampled_from([0.0, 1e-7, 2e-7, 1.5e-7, 1.0, 1e-6])
 
 
 def _check_kernel(mats, tol):
-    pairs, least = close_pairs(mats, tol)
+    pairs, least = close_pairs(pack(mats), tol)
     duplicates_ok, min_dist = ref_duplicate_scan(mats, tol)
     assert (not pairs) == duplicates_ok
     assert least == min_dist
     assert pairs == [(i, j) for i in range(len(mats))
                      for j in range(i + 1, len(mats))
                      if mats[i].dist(mats[j]) <= tol]
-    assert greedy_unique(mats, tol) == ref_greedy_unique(mats, tol)
+    assert greedy_unique(pack(mats), tol) == ref_greedy_unique(mats, tol)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 64])
@@ -117,19 +117,19 @@ def test_planted_near_duplicates(seed, k):
     mats, tol = _planted(seed, k)
     for t in (tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0)):
         _check_kernel(mats, t)
-    kept = greedy_unique(mats, tol)
+    kept = greedy_unique(pack(mats), tol)
     assert len(mats) - 6 <= len(kept) < len(mats)
 
 
 def test_small_sets():
     a, b = Mat2(1, 2, 3, 4), Mat2(1, 2, 3, 4 + 1e-9)
-    assert close_pairs([], 1.0) == ([], None)
-    assert close_pairs([a], 1.0) == ([], None)
-    assert close_pairs([a, b], 1e-8) == ([(0, 1)], a.dist(b))
-    assert close_pairs([a, b], 1e-10) == ([], a.dist(b))
-    assert greedy_unique([], 1.0) == []
-    assert greedy_unique([a], 1.0) == [0]
-    assert greedy_unique([a, b], 1e-8) == [0]
+    assert close_pairs(pack([]), 1.0) == ([], None)
+    assert close_pairs(pack([a]), 1.0) == ([], None)
+    assert close_pairs(pack([a, b]), 1e-8) == ([(0, 1)], a.dist(b))
+    assert close_pairs(pack([a, b]), 1e-10) == ([], a.dist(b))
+    assert greedy_unique(pack([]), 1.0) == []
+    assert greedy_unique(pack([a]), 1.0) == [0]
+    assert greedy_unique(pack([a, b]), 1e-8) == [0]
     assert pack([]).shape == (0, 4)
 
 

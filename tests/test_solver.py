@@ -57,7 +57,7 @@ class TestCriticalData:
 class TestEnumerateDiagonalizable:
     def test_four_diagonal_solutions(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        sols = enumerate_diagonalizable(eq_four_solutions, data)
+        sols = enumerate_diagonalizable(eq_four_solutions, data).solutions()
         got = sorted((round(s.matrix.m11.real), round(s.matrix.m22.real))
                      for s in sols)
         assert got == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
@@ -71,11 +71,11 @@ class TestEnumerateDiagonalizable:
             CriticalDatum(1 + 0j, 1, 1, (E1,)),
             CriticalDatum(-1 + 0j, 1, 1, (E1,)),
         ]
-        assert enumerate_diagonalizable(eq_four_solutions, data) == []
+        assert len(enumerate_diagonalizable(eq_four_solutions, data)) == 0
 
     def test_degree_one_assembly(self, eq_degree_one):
         data = critical_data(eq_degree_one)
-        sols = enumerate_diagonalizable(eq_degree_one, data)
+        sols = enumerate_diagonalizable(eq_degree_one, data).solutions()
         assert len(sols) == 1
         assert sols[0].matrix.dist(Mat2(0, 1, 0, 1)) < 1e-10
 
@@ -358,6 +358,13 @@ class TestResidual:
         # max() keeps its first candidate against a NaN, so max_norm is 0
         assert eval_equation(eq_degree_one, x).max_norm() == 0
         assert residual(eq_degree_one, x) == math.inf
+        assert not residual_ok(eq_degree_one, x, residual(eq_degree_one, x))
+
+    def test_overflowing_modulus_is_infinite(self, eq_degree_one):
+        # finite entries, but abs() of f(X)'s first entry would overflow
+        x = Mat2(complex(1.5e308, 1.5e308), 0, 0, 0)
+        assert residual(eq_degree_one, x) == math.inf
+        assert residual_tol(eq_degree_one, x) == math.inf
         assert not residual_ok(eq_degree_one, x, residual(eq_degree_one, x))
 
     def test_overflowing_threshold_accepts_nothing(self, eq_four_solutions):

@@ -54,7 +54,9 @@ class TestVerifySolutionSet:
         assert not report.residuals_ok
 
     @pytest.mark.parametrize("bad", [Mat2(1, 2, 3, math.nan),
-                                     Mat2(math.inf, 0, 0, 1)])
+                                     Mat2(math.inf, 0, 0, 1),
+                                     # finite, but |m11| overflows
+                                     Mat2(complex(1.5e308, 1.5e308), 0, 0, 1)])
     def test_non_finite_matrix_fails_residual(self, eq_four_solutions, bad):
         ss = solve_equation(eq_four_solutions)
         planted = Solution(bad, "diagonalizable_distinct", None, 0.0)
