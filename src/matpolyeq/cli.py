@@ -2,9 +2,9 @@
 
 Exit codes are the only success/failure channel:
   0 success, 1 unreadable, unwritable or malformed document, 2 domain error,
-  3 construction validation failure (including a singular coefficient
-  system), 4 root finding non-convergence, 5 verification failure,
-  6 internal inconsistency (a solver self-check failed on this input).
+  3 construction validation failure, 4 root finding non-convergence,
+  5 verification failure, 6 internal inconsistency (a solver self-check
+  failed on this input).
 Each failure prints one line to stderr, never a traceback.
 """
 
@@ -16,12 +16,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import documents
 from .construct import (DomainError, UnreachableCase, ValidationFailure,
                         construct)
-from .poly import NonConvergence, SingularSystem
+from .poly import NonConvergence
 from .solver import InternalInconsistency, solution_bound, solve_equation
 from .verify import count_cross_check, verify_solution_set
 
@@ -42,7 +40,6 @@ _FAILURES = (
     (OSError, EXIT_MALFORMED, "i/o error"),
     (DomainError, EXIT_DOMAIN, "domain error"),
     (ValidationFailure, EXIT_VALIDATION, "validation failure ({name})"),
-    (SingularSystem, EXIT_VALIDATION, "validation failure ({name})"),
     (UnreachableCase, EXIT_VALIDATION, "validation failure ({name})"),
     (NonConvergence, EXIT_NONCONVERGENCE, "non-convergence"),
     (InternalInconsistency, EXIT_INTERNAL, "internal inconsistency"),
@@ -63,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solution count, 1 <= m <= C(2n,2)")
     p.add_argument("--out", required=True, help="equation document path")
     p.add_argument("--plan", help="also write the construction plan here")
-    p.add_argument("--seed-values", type=int, default=None,
-                   help="jitter the per-block target values from this seed "
-                        "instead of using consecutive integers")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("solve", help="classify the solution set of an equation")
@@ -105,8 +99,7 @@ def main(argv=None) -> int:
 
 
 def cmd_construct(args) -> int:
-    y_values = _seeded_y_values(args.seed_values, args.n)
-    result = construct(args.n, args.m, y_values=y_values)
+    result = construct(args.n, args.m)
     documents.save_doc(documents.equation_to_doc(result.equation), args.out)
     if args.plan:
         try:
@@ -118,14 +111,6 @@ def cmd_construct(args) -> int:
     if args.plan:
         print(args.plan)
     return EXIT_OK
-
-
-def _seeded_y_values(seed, n):
-    if seed is None:
-        return None
-    # distinct, nonzero, and still separated by >= 0.2 between blocks
-    rng = np.random.default_rng(seed)
-    return [k + rng.uniform(0.1, 0.9) for k in range(1, 2 * n)]
 
 
 def cmd_solve(args) -> int:

@@ -2,11 +2,13 @@
 
 Given n and 1 <= m <= C(2n, 2), pick p distinct critical values with
 C(p-1, 2) < m <= C(p, 2), group the indices 0..p-1 into blocks so that
-exactly m cross-block pairs remain, give every block a shared target y with
-the block's critical values its distinct n-th roots, and solve two small
-linear systems for coefficient entries so the critical vectors come out
-[1, 0] for the value 0 and [1, y_i] elsewhere.  Vectors agree inside a
-block and are independent across blocks, so the equation has exactly m
+exactly m cross-block pairs remain, and place the nonzero values on the unit
+circle: every block gets a shared target y and its critical values are
+distinct n-th roots of y.  With the first row of M(t) fixed to [t^n, -1],
+the critical vectors come out [1, 0] for the value 0 and [1, y_i]
+elsewhere, and the second row is read off one polynomial expansion,
+det M(t) = t^pbar prod_i (t - lambda_i).  Vectors agree inside a block and
+are independent across blocks, so the equation has exactly m
 diagonalizable solutions and nothing else.  m = 4 and m = 16 escape the
 partition counting and use explicit diagonal equations instead.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .mat2 import Mat2, MatrixEquation, Vec2
-from .poly import Poly, dense_solve
+from .poly import Poly
 from .solver import SolutionSet, solution_bound, solve_equation
 
 SPECIAL_COUNTS = (4, 16)
@@ -124,72 +126,52 @@ def _check_partition(blocks, m, p):
     assert max(len(b) for b in blocks) <= -(-p // 2), "block too large"
 
 
-def choose_values(partition: Sequence[Sequence[int]], n: int,
-                  y_values: Optional[Sequence[float]] = None):
-    """Assign each nonzero block a target y and its members distinct n-th
-    roots of y; y defaults to the block's 1-based position."""
+def choose_values(partition: Sequence[Sequence[int]], n: int):
+    """Place every nonzero critical value on the unit circle.
+
+    Nonzero block b of B (0-based, in partition order) takes the angle
+    alpha_b = 2 pi b / (n B) and the target y_b = exp(i n alpha_b), so the
+    targets differ across blocks.  Its members are distinct n-th roots of
+    y_b, exp(i (alpha_b + 2 pi (j + s_b) / n)), where the shift s_b
+    maximises the least distance to the values already placed (the first
+    such shift on a tie).
+    """
     p = sum(len(b) for b in partition)
     lambdas = [0j] * p
     ys = [0j] * p
-    omega = cmath.exp(2j * cmath.pi / n)
     nonzero_blocks = [b for b in partition if b != (0,)]
-    if y_values is not None and len(y_values) < len(nonzero_blocks):
-        raise DomainError(f"need at least {len(nonzero_blocks)} y values")
-    for pos, block in enumerate(nonzero_blocks, start=1):
+    placed: list[complex] = []
+    for pos, block in enumerate(nonzero_blocks):
         if len(block) > n:
             raise DomainError(f"block of {len(block)} values exceeds n = {n}")
-        y = complex(y_values[pos - 1]) if y_values is not None else complex(pos)
-        if y == 0:
-            raise DomainError("block y values must be nonzero")
-        root = y ** (1.0 / n)
-        for j, idx in enumerate(sorted(block)):
-            lambdas[idx] = root * omega ** j
+        alpha = 2 * math.pi * pos / (n * len(nonzero_blocks))
+        shifts = [[cmath.exp(1j * (alpha + 2 * math.pi * (j + s) / n))
+                   for j in range(len(block))] for s in range(n)]
+        members = max(shifts, key=lambda lams: min(
+            (abs(lam - q) for lam in lams for q in placed), default=math.inf))
+        y = cmath.exp(1j * n * alpha)
+        for idx, lam in zip(sorted(block), members):
+            lambdas[idx] = lam
             ys[idx] = y
+        placed.extend(members)
     vectors = [Vec2(1, 0)] + [Vec2(1, ys[i]) for i in range(1, p)]
     return tuple(lambdas), tuple(ys), tuple(vectors)
 
 
 def solve_coefficients(plan: ConstructionPlan) -> MatrixEquation:
-    """Coefficient entries realizing the plan's critical pairs.
+    """Coefficient entries realizing the plan's critical pairs, in closed form.
 
-    Both branches zero out enough entries to force the value 0 with
-    multiplicity pbar = 2n - p + 1 and critical vector [1, 0]; the remaining
-    entries solve Vandermonde-like systems stating that M(lambda_i) must
-    annihilate [1, y_i].  Distinct nonzero lambda_i keep those systems
-    regular.
+    Row 1 of M(t) is [t^n, -1], so M(lambda_i) annihilates [1, lambda_i^n] =
+    [1, y_i] and det M(t) = m21(t) + t^n m22(t).  Row 2 makes that
+    determinant t^pbar prod_i (t - lambda_i): its coefficients of t^0 ..
+    t^(n-1) are a21 and those of t^n .. t^(2n-1) are a22.  The value 0 then
+    has multiplicity pbar = 2n - p + 1 and critical vector [1, 0].
     """
-    n, p, pbar = plan.n, plan.p, plan.pbar
-    lams = plan.lambdas[1:]
-    ys = plan.ys[1:]
-    entries = {key: [0j] * n for key in ("a11", "a12", "a21", "a22")}
-
-    if pbar <= n:
-        rows = [[lam ** k for k in range(pbar, n)]
-                + [y * lam ** k for k in range(n)]
-                for lam, y in zip(lams, ys)]
-        first = dense_solve(rows, [-lam ** n for lam in lams])
-        second = dense_solve(rows, [-lam ** n * y for lam, y in zip(lams, ys)])
-        head = n - pbar
-        for k in range(head):
-            entries["a11"][pbar + k] = first[k]
-            entries["a21"][pbar + k] = second[k]
-        for k in range(n):
-            entries["a12"][k] = first[head + k]
-            entries["a22"][k] = second[head + k]
-    else:
-        # explicit first row; the y-weighted rows cancel since y_i != 0
-        entries["a12"][0] = -1
-        rows = [[lam ** k for k in range(pbar - n, n)] for lam in lams]
-        second = dense_solve(rows, [-lam ** n for lam in lams])
-        for k, value in enumerate(second):
-            entries["a22"][pbar - n + k] = value
-
-    coeffs = tuple(
-        Mat2(entries["a11"][i], entries["a12"][i],
-             entries["a21"][i], entries["a22"][i])
-        for i in range(n)
-    )
-    return MatrixEquation(coeffs)
+    n = plan.n
+    row2 = Poly.from_roots([(0, plan.pbar)]
+                           + [(lam, 1) for lam in plan.lambdas[1:]]).coeffs
+    return MatrixEquation(tuple(
+        Mat2(0, -1 if k == 0 else 0, row2[k], row2[n + k]) for k in range(n)))
 
 
 def special_case(m: int, n: int) -> MatrixEquation:
@@ -210,9 +192,7 @@ def special_case(m: int, n: int) -> MatrixEquation:
     return MatrixEquation(coeffs)
 
 
-def construct(n: int, m: int,
-              y_values: Optional[Sequence[float]] = None,
-              validate: bool = True) -> ConstructionResult:
+def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     """An n-th degree equation with exactly m solutions, plus its witness.
 
     Self-validates by solving the built equation; a mismatch raises
@@ -232,7 +212,7 @@ def construct(n: int, m: int,
     else:
         p, a, b = choose_p(m)
         partition = build_partition(m, p, a, b)
-        lambdas, ys, vectors = choose_values(partition, n, y_values)
+        lambdas, ys, vectors = choose_values(partition, n)
         plan = ConstructionPlan(n, m, p, 2 * n - p + 1, partition,
                                 lambdas, ys, vectors)
         result = ConstructionResult(solve_coefficients(plan), plan, None, m)

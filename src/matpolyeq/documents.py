@@ -168,7 +168,8 @@ def solution_set_from_doc(doc) -> SolutionSet:
             raise DocumentError(f"critical value {i} must be an object")
         mult = entry.get("multiplicity")
         dim = entry.get("space_dim")
-        if not isinstance(mult, int) or mult < 1 or dim not in (1, 2):
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1 \
+                or isinstance(dim, bool) or dim not in (1, 2):
             raise DocumentError(f"critical value {i} has bad multiplicity/dim")
         data.append(CriticalDatum(_unpair(entry.get("value"),
                                           f"critical value {i}"),

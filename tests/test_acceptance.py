@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from matpolyeq.construct import construct
+from matpolyeq.construct import SPECIAL_COUNTS, construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, eigen2, poly_matrix
 from matpolyeq.poly import Poly
 from matpolyeq.solver import (residual_tol, solution_bound, solve_equation)
@@ -206,3 +206,21 @@ def test_criterion_8_zero_value_structure(sweep):
         checked += 1
     _ok(8, f"zero keeps multiplicity 2n-p+1 with direction [1,0] "
            f"on {checked} cells")
+
+
+def test_criterion_10_construction_beyond_the_sweep():
+    # every partition cell of n = 6..8, and at n = 9..16 the top two counts
+    # plus every 25th; m = 4 and 16 are the explicit diagonal equations,
+    # whose high-multiplicity roots are not resolved yet above n = 6
+    cells = [(n, m) for n in range(6, 9)
+             for m in range(1, solution_bound(n) + 1)]
+    for n in range(9, 17):
+        top = solution_bound(n)
+        cells += [(n, m) for m in sorted({top, top - 1,
+                                          *range(1, top + 1, 25)})]
+    cells = [(n, m) for n, m in cells if m not in SPECIAL_COUNTS]
+    start = time.perf_counter()
+    for n, m in cells:
+        assert construct(n, m).expected_count == m   # raises on a miscount
+    _ok(10, f"{len(cells)} cells with 6 <= n <= 16 self-validated in "
+            f"{time.perf_counter() - start:.1f}s")

@@ -1,15 +1,16 @@
-import cmath
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.construct import (DomainError, build_partition, choose_p,
-                                 choose_values, construct,
+from matpolyeq.construct import (SPECIAL_COUNTS, DomainError, build_partition,
+                                 choose_p, choose_values, construct,
                                  solve_coefficients, special_case)
 from matpolyeq.mat2 import Mat2, Vec2
-from matpolyeq.solver import solve_equation
+from matpolyeq.poly import Poly
+from matpolyeq.solver import solution_bound, solve_equation
 
 
 class TestChooseP:
@@ -77,15 +78,19 @@ class TestBuildPartition:
 
 class TestChooseValues:
     def test_blocks_share_targets(self):
-        partition = ((0,), (1, 2), (3,))
-        lambdas, ys, vectors = choose_values(partition, 2)
-        assert ys[1] == ys[2] == 1
-        assert ys[3] == 2
+        n = 3
+        partition = ((0,), (1, 2), (3,), (4, 5, 6))
+        lambdas, ys, vectors = choose_values(partition, n)
         assert lambdas[0] == 0
-        assert {round(lambdas[1].real), round(lambdas[2].real)} == {1, -1}
-        assert lambdas[3] == pytest.approx(cmath.sqrt(2))
+        for i in range(1, 7):
+            assert abs(lambdas[i]) == pytest.approx(1, abs=1e-12)
+            assert abs(lambdas[i] ** n - ys[i]) <= 1e-12
+        assert ys[1] == ys[2] and ys[4] == ys[5] == ys[6]
+        assert len({ys[1], ys[3], ys[4]}) == 3
+        pairs = itertools.combinations(lambdas, 2)
+        assert min(abs(a - b) for a, b in pairs) > 1e-6
         assert vectors[0] == Vec2(1, 0)
-        assert vectors[1] == vectors[2] == Vec2(1, 1)
+        assert vectors[1] == vectors[2] == Vec2(1, ys[1])
 
     def test_degree_one(self):
         lambdas, ys, vectors = choose_values(((0,), (1,)), 1)
@@ -100,15 +105,6 @@ class TestChooseValues:
             assert lambdas[i] ** 3 == pytest.approx(ys[i])
         assert len({(round(l.real, 9), round(l.imag, 9))
                     for l in lambdas}) == 5
-
-    def test_custom_targets(self):
-        lambdas, ys, _ = choose_values(((0,), (1,), (2,)), 2, y_values=[5, 9])
-        assert ys[1] == 5 and ys[2] == 9
-        assert lambdas[1] == pytest.approx(cmath.sqrt(5))
-
-    def test_zero_target_rejected(self):
-        with pytest.raises(DomainError):
-            choose_values(((0,), (1,)), 2, y_values=[0])
 
 
 class TestSolveCoefficients:
@@ -191,10 +187,6 @@ class TestConstruct:
         with pytest.raises(DomainError):
             construct(17, 1)
 
-    def test_custom_targets_round_trip(self):
-        result = construct(2, 5, y_values=[1.25, 2.5, 3.75])
-        assert solve_equation(result.equation).count == 5
-
     def test_special_flag(self):
         assert construct(2, 4).special_case == 4
         assert construct(4, 16).special_case == 16
@@ -204,10 +196,14 @@ class TestConstruct:
         assert construct(3, 11).expected_count == 11
 
     def test_zero_value_keeps_claimed_multiplicity(self):
-        result = construct(4, 3)
-        ss = solve_equation(result.equation)
-        zero = [d for d in ss.critical_data if abs(d.value) < 1e-9]
-        assert len(zero) == 1
-        assert zero[0].multiplicity == result.plan.pbar
-        assert zero[0].space_dim == 1
-        assert abs(zero[0].basis[0].x) >= 1 - 1e-8
+        # det M(t) is t^pbar prod (t - lambda_i) to the last bit on every
+        # partition cell, so the zero root is deflated exactly pbar times
+        for n in range(1, 17):
+            for m in range(1, solution_bound(n) + 1):
+                if m in SPECIAL_COUNTS:
+                    continue
+                result = construct(n, m, validate=False)
+                plan = result.plan
+                roots = [(lam, 1) for lam in plan.lambdas[1:]]
+                want = Poly.from_roots([(0, plan.pbar)] + roots)
+                assert result.equation.det_poly.coeffs == want.coeffs, (n, m)

@@ -116,6 +116,14 @@ class TestSolutionDocuments:
         with pytest.raises(DocumentError):
             solution_set_from_doc(doc)
 
+    @pytest.mark.parametrize("field", ["multiplicity", "space_dim"])
+    def test_boolean_critical_datum_rejected(self, eq_four_solutions, field):
+        # JSON true passes isinstance(_, int) and equals 1
+        doc = solution_set_to_doc(solve_equation(eq_four_solutions))
+        doc["metadata"]["critical_values"][0][field] = True
+        with pytest.raises(DocumentError):
+            solution_set_from_doc(doc)
+
     @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery"])
     def test_unknown_certificate_reason_rejected(self, eq_x_squared_identity,
                                                  reason):
