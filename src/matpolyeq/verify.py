@@ -3,18 +3,17 @@ agreement, and a candidate-space scan for small degrees."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2,
-                   eigenvalues2, greedy_unique, match_in_order, outer, pack)
+                   eigenvalues2, greedy_unique, match_in_order, pack,
+                   unpack)
 from .poly import CLUSTER_TOL, Poly
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
-                     dedupe_tol, residual_ok, residual_tols, residuals,
+                     dedupe_tol, residual_tols, residuals,
                      solution_bound, solve_equation)
 
 _CHAR_DIVISOR_TOL = 1e-6
@@ -149,7 +148,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     certificate_ok = None
     if sset.certificate is not None:
         cert = sset.certificate
-        sample_ok = _passes(eq, [cert.member(mu) for mu in cert.samples])
+        sample_ok = _passes(
+            eq, pack([cert.member(mu) for mu in cert.samples])).tolist()
         certificate_ok = all(sample_ok)
         for mu, good in zip(cert.samples, sample_ok):
             if not good:
@@ -216,12 +216,17 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     """Independent enumeration of solution candidates for degree <= 3.
 
     Candidates are reassembled from critical data through a separate code
-    path (least-squares eigenpair fitting, a direction grid with closed-form
-    offset scaling for the nilpotent search) on top of the companion root
-    backend, then filtered by residual.  Every actual solution arises from
-    critical pairs, scalar matrices, or nilpotent offsets, so this candidate
-    space is exhaustive; more distinct survivors than C(2n,2) signals an
-    infinite family.
+    path on top of the companion root backend, then filtered by residual:
+    least-squares eigenpair fits for pairs of critical values, the scalar
+    matrices lam I, and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.
+    The offsets come from a direction search that never uses the solver's
+    rank rule: 86 grid directions scored in one array pass, the best six
+    refined by ``minimize``.  Where lam I solves the equation, members of
+    the lines lam I + s K(k) along which M'(lam) K(k) vanishes (to 1e-12 of
+    max(1, |M'(lam)|)) are candidates too.
+    Every actual solution arises from critical pairs, scalar matrices, or
+    nilpotent offsets, so this candidate space is exhaustive; more distinct
+    survivors than C(2n,2) signals an infinite family.
     """
     if eq.n > 3:
         raise ValueError("the scan is limited to degree <= 3")
@@ -253,41 +258,32 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
                     x = _fit_eigenpairs(la, va, lb, vb)
                     if x is not None:
                         fits.append(x)
-    found = _passing(eq, fits)
+    found = _passing(eq, pack(fits))
     scalars = [Mat2.identity().scale(d.value) for d in data]
-    for d, x, ok in zip(data, scalars, _passes(eq, scalars)):
+    for d, x, ok in zip(data, scalars, _passes(eq, pack(scalars)).tolist()):
         if ok:
             found.append(x)
-        found.extend(_scan_nilpotent_offsets(eq, d.value))
+        found.extend(_scan_nilpotent_offsets(eq, d.value, ok))
 
     found.sort(key=_mat_key)
     return [found[i] for i in greedy_unique(pack(found), keep_tol)]
 
 
-def _passes(eq: MatrixEquation, mats: list[Mat2]) -> list[bool]:
-    """Whether each matrix passes the residual acceptance test, from one
-    call of the batch kernel."""
-    x = pack(mats)
-    return accepted(eq, x, residuals(eq, x)).tolist()
+def _passes(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
+    """Whether each row of a packed array passes the residual acceptance
+    test, from one call of the batch kernel."""
+    return accepted(eq, x, residuals(eq, x))
 
 
-def _passing(eq: MatrixEquation, mats: list[Mat2]) -> list[Mat2]:
-    return [m for m, ok in zip(mats, _passes(eq, mats)) if ok]
+def _passing(eq: MatrixEquation, x: np.ndarray) -> list[Mat2]:
+    """The rows of a packed array that pass the residual test, as
+    matrices."""
+    return unpack(x[_passes(eq, x)])
 
 
 def _mat_key(m: Mat2):
     return (m.m11.real, m.m11.imag, m.m12.real, m.m12.imag,
             m.m21.real, m.m21.imag, m.m22.real, m.m22.imag)
-
-
-def _directions() -> list[Vec2]:
-    out = [Vec2(1, 0), Vec2(0, 1)]
-    for theta in np.linspace(0.0, np.pi / 2, 9):
-        if theta in (0.0, np.pi / 2):
-            continue
-        for phi in np.linspace(0.0, 2 * np.pi, 12, endpoint=False):
-            out.append(Vec2(np.cos(theta), np.sin(theta) * np.exp(1j * phi)))
-    return out
 
 
 def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
@@ -305,71 +301,143 @@ def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
     return Mat2(*sol)
 
 
-def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex) -> list[Mat2]:
-    """Grid-plus-refinement search for solutions lam*I + c*K with K a
-    rank-one nilpotent built from a column direction."""
-    mval = eq.matrix.eval(lam)
-    mder = eq.matrix_derivative.eval(lam)
-    base = Mat2.identity().scale(lam)
-    out = []
-    candidates = []
-    for k in _directions():
-        kmat = outer(k, Vec2(k.y, -k.x))
-        c, degenerate = _best_offset(mval, mder, kmat)
-        if degenerate:
-            # f(lam I) = M(lam)
-            if residual_ok(eq, base, mval.max_norm()):
-                # flat residual along this offset direction: emit several
-                # family members so distinct-solution counts pass any bound
-                out.extend(base + kmat.scale(s) for s in (1.0, 2.0, 3.0))
-            continue
-        if abs(c) > 1e4 * (1.0 + abs(lam)):
-            # an offset this size cannot be residual-verified in doubles
-            continue
-        gap = (mval + (mder @ kmat).scale(c)).max_norm()
-        candidates.append((gap, k.x.real, k.x.imag, k.y.real, k.y.imag, k))
-    candidates.sort(key=lambda t: t[:5])
-    # refinement only chases the lowest-residual grid directions; a finite
-    # equation has at most one admissible offset per critical value
-    refined = []
-    for *_, k in candidates[:6]:
-        k = _refine_direction(mval, mder, k)
-        kmat = outer(k, Vec2(k.y, -k.x))
-        c, degenerate = _best_offset(mval, mder, kmat)
-        if degenerate or abs(c) > 1e4 * (1.0 + abs(lam)):
-            continue
-        refined.append(base + kmat.scale(c))
-    return out + _passing(eq, refined)
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of ``minimize``: the refined points, one row per start, and
+    the number of points evaluated."""
+
+    x: np.ndarray
+    nfev: int
 
 
-def _best_offset(mval: Mat2, mder: Mat2, kmat: Mat2):
+# the compass moves: +-1 along each coordinate
+_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+# every start's first step: about half the theta spacing of the scan's grid
+_FIRST_STEP = 0.1
+# a start stops once its step is below this
+_STEP_TOL = 1e-13
+# a safeguard only: each iteration halves a step or strictly lowers a cost
+_MAX_ITER = 2000
+
+
+def minimize(cost, x0: np.ndarray) -> SearchResult:
+    """Compass search from every row of ``x0`` at once.
+
+    ``cost`` maps an (m, 2) array of points to their m costs.  Each
+    iteration evaluates the four neighbours x +- h e_i of every unfinished
+    start; a start moves to its best neighbour when that lowers its cost,
+    and halves its step h otherwise.  Steps start at 0.1 and the search
+    ends when every one is below 1e-13 (Kolda, Lewis and Torczon,
+    "Optimization by direct search", SIAM Review 2003).  Ties go to the
+    first neighbour in +x1, -x1, +x2, -x2 order, so the search is
+    deterministic.
+    """
+    x = np.array(x0, dtype=float)
+    fx = cost(x)
+    h = np.full(len(x), _FIRST_STEP)
+    nfev = len(x)
+    for _ in range(_MAX_ITER):
+        live = np.flatnonzero(h >= _STEP_TOL)
+        if live.size == 0:
+            break
+        trial = x[live, None, :] + h[live, None, None] * _MOVES
+        ft = cost(trial.reshape(-1, 2)).reshape(live.size, -1)
+        nfev += ft.size
+        best = ft.argmin(axis=1)
+        fbest = ft[np.arange(live.size), best]
+        moved = fbest < fx[live]
+        x[live[moved]] = trial[moved, best[moved]]
+        fx[live[moved]] = fbest[moved]
+        h[live[~moved]] *= 0.5
+    return SearchResult(x, nfev)
+
+
+def _unit_vectors(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors k = (cos theta, sin theta e^{i phi}), one row per
+    (theta, phi) row."""
+    theta, phi = angles[:, 0], angles[:, 1]
+    return np.stack([np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)],
+                    axis=1)
+
+
+# the direction grid: both axes, and 7 interior theta by 12 phi
+_GRID = np.array([(0.0, 0.0), (np.pi / 2, 0.0)] + [
+    (theta, phi) for theta in np.linspace(0.0, np.pi / 2, 9)[1:-1]
+    for phi in np.linspace(0.0, 2 * np.pi, 12, endpoint=False)])
+_GRID_K = _unit_vectors(_GRID)
+# refinement only chases the best grid directions; a finite equation has
+# at most one admissible offset per critical value
+_STARTS = 6
+
+
+def _offsets(mval: np.ndarray, mder: np.ndarray, k: np.ndarray):
+    """For each direction row of ``k``: the rank-one nilpotent K = k k_perp^T,
+    G = M'(lam) K, ||G||^2, whether G is degenerate, and the offset c that
+    minimises ||M(lam) + c G|| (0 where G is degenerate)."""
+    kmat = k[:, :, None] * np.stack([k[:, 1], -k[:, 0]], axis=1)[:, None, :]
     g = mder @ kmat
-    gnorm2 = sum(abs(e) ** 2 for e in
-                 (g.m11, g.m12, g.m21, g.m22))
-    if gnorm2 <= 1e-24 * max(1.0, mder.max_norm()) ** 2:
-        return 0j, True
-    inner = (g.m11.conjugate() * mval.m11 + g.m12.conjugate() * mval.m12 +
-             g.m21.conjugate() * mval.m21 + g.m22.conjugate() * mval.m22)
-    return -inner / gnorm2, False
+    gnorm2 = _norm2(g)
+    degenerate = gnorm2 <= 1e-24 * max(1.0, np.abs(mder).max()) ** 2
+    inner = (g.conj() * mval).sum(axis=(1, 2))
+    c = np.where(degenerate, 0, -inner / np.where(degenerate, 1.0, gnorm2))
+    return kmat, g, gnorm2, degenerate, c
 
 
-def _refine_direction(mval: Mat2, mder: Mat2, k: Vec2) -> Vec2:
-    theta0 = math.atan2(abs(k.y), abs(k.x))
-    phi0 = math.atan2(k.y.imag, k.y.real) if abs(k.y) > 1e-12 else 0.0
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each 2x2 matrix of an (m, 2, 2) array."""
+    return (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
 
-    def cost(params):
-        theta, phi = params
-        cand = Vec2(math.cos(theta), math.sin(theta) * complex(math.cos(phi),
-                                                               math.sin(phi)))
-        kmat = outer(cand, Vec2(cand.y, -cand.x))
-        c, degenerate = _best_offset(mval, mder, kmat)
-        if degenerate:
-            return 0.0
-        r = mval + (mder @ kmat).scale(c)
-        return sum(abs(e) ** 2 for e in (r.m11, r.m12, r.m21, r.m22))
 
-    res = minimize(cost, [theta0, phi0], method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-28, "maxiter": 300})
-    theta, phi = res.x
-    return Vec2(math.cos(theta),
-                math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+def _grid_order(key: np.ndarray) -> np.ndarray:
+    """Grid indices by increasing key, ties broken by the components of
+    k."""
+    k = _GRID_K
+    return np.lexsort((k[:, 1].imag, k[:, 1].real, k[:, 0].imag,
+                       k[:, 0].real, key))
+
+
+def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex,
+                            scalar_ok: bool) -> list[Mat2]:
+    """Solutions lam I + c K(k) with K(k) = k k_perp^T a rank-one nilpotent,
+    found by a grid over the directions k refined by ``minimize``.
+
+    The offset c is the least-squares fit of f(lam I + c K) =
+    M(lam) + c M'(lam) K = 0.  When lam I itself solves the equation
+    (``scalar_ok``), ``minimize`` also searches for a direction with
+    M'(lam) K = 0, which makes the whole line lam I + s K solutions.  A
+    refined direction that meets the degenerate rule yields C(2n, 2) + 1
+    members of its line as candidates, so that a family pushes the
+    distinct-solution count past the bound; the residual test alone would
+    admit a line whose M'(lam) K is merely small, since its tolerance grows
+    with s.  Every candidate passes the residual test before it is returned.
+    """
+    mval = pack([eq.matrix.eval(lam)]).reshape(2, 2)
+    mder = pack([eq.matrix_derivative.eval(lam)]).reshape(2, 2)
+    base = lam * np.eye(2)
+    cap = 1e4 * (1.0 + abs(lam))  # a larger offset cannot be residual-verified
+    _, g, gnorm2, degenerate, c = _offsets(mval, mder, _GRID_K)
+    out = []
+    if scalar_ok:
+        starts = _grid_order(gnorm2)[:_STARTS]
+        res = minimize(lambda x: _offsets(mval, mder, _unit_vectors(x))[2],
+                       _GRID[starts])
+        # only a degenerate direction, M'(lam) K ~ 0, carries a family
+        line, _, _, flat, _ = _offsets(mval, mder, _unit_vectors(res.x))
+        steps = np.arange(1.0, solution_bound(eq.n) + 2)
+        out.append(base + steps[:, None, None, None] * line[flat])
+
+    def residual2(x):
+        _, g, _, degenerate, c = _offsets(mval, mder, _unit_vectors(x))
+        return np.where(degenerate, 0.0, _norm2(mval + c[:, None, None] * g))
+
+    gap = np.abs(mval + c[:, None, None] * g).max(axis=(1, 2))
+    order = _grid_order(gap)
+    starts = order[~degenerate[order] & (np.abs(c[order]) <= cap)][:_STARTS]
+    if starts.size:
+        res = minimize(residual2, _GRID[starts])
+        kmat, _, _, degenerate, c = _offsets(mval, mder, _unit_vectors(res.x))
+        keep = ~degenerate & (np.abs(c) <= cap)
+        out.append(base + c[keep, None, None] * kmat[keep])
+    if not out:
+        return []
+    return _passing(eq, np.concatenate([o.reshape(-1, 4) for o in out]))

@@ -39,6 +39,16 @@ def eq_shifted_square():
 
 
 @pytest.fixture
+def eq_nilpotent_family():
+    """(X - I)^2 + N (X - I) = 0 with N = c c_perp^T, c = (1, 0.5 + 0.5j):
+    det M(t) = (t - 1)^4 with M(1) = 0 and M'(1) = N, and I + s N solves
+    it for every s.  c lies off the scan's direction grid."""
+    n = Mat2(0.5 + 0.5j, -1, 0.5j, -0.5 - 0.5j)
+    return MatrixEquation((Mat2.identity() - n,
+                           n - Mat2.identity().scale(2)))
+
+
+@pytest.fixture
 def eq_degree_one():
     """X + A0 = 0 with the single solution [[0,1],[0,1]]."""
     return MatrixEquation((Mat2(0, -1, 0, -1),))

@@ -164,10 +164,11 @@ def test_criterion_7_oracle_equivalence(sweep, eq_four_solutions,
                                         eq_x_squared_identity,
                                         eq_x_squared_nilpotent,
                                         eq_x_squared_jordan,
-                                        eq_shifted_square, eq_degree_one):
+                                        eq_shifted_square, eq_degree_one,
+                                        eq_nilpotent_family):
     fixtures = [eq_four_solutions, eq_x_squared_zero, eq_x_squared_identity,
                 eq_x_squared_nilpotent, eq_x_squared_jordan,
-                eq_shifted_square, eq_degree_one]
+                eq_shifted_square, eq_degree_one, eq_nilpotent_family]
     fixtures += [construct(n, m, validate=False).equation
                  for n, m in [(1, 1), (2, 1), (2, 3), (2, 5), (2, 6),
                               (3, 1), (3, 8), (3, 15)]]

@@ -142,6 +142,15 @@ RANK_PATTERNS = ("jordan_invertible", "jordan_rank_one", "off_a",
                  "kernel_rank_one", "kernel_zero",
                  "zero_invertible", "zero_rank_one", "zero_zero")
 JORDAN_PATTERNS = ("jordan_invertible", "jordan_rank_one")
+# M(lam) = 0 with M'(lam) = a a_perp^T nilpotent: at n = 2, det M(t) =
+# (t - lam)^4 and lam I + s a a_perp^T solves the equation for every s.  At
+# n = 4 the solver can miss this family (a multiplicity-4 root read as a
+# one-dimensional space), so only the degree-2 scan test uses it.
+NILPOTENT_FAMILY = "zero_nilpotent"
+# the same M'(lam) perturbed by 1e-10 b k2^T: no longer singular, so no
+# family through lam I, although lam I + s a a_perp^T passes the residual
+# test for every s up to C(4, 2) + 1
+NEAR_FAMILY = "zero_near_nilpotent"
 
 
 def _prescribed_equation(pattern, n, seed):
@@ -167,6 +176,8 @@ def _prescribed_equation(pattern, n, seed):
         "zero_invertible": _mat(rng),
         "zero_rank_one": outer(_vec(rng), _vec(rng)),
         "zero_zero": Mat2.zero(),
+        NILPOTENT_FAMILY: outer(a, Vec2(a.y, -a.x)),
+        NEAR_FAMILY: outer(a, Vec2(a.y, -a.x)) + outer(b, k2).scale(1e-10),
     }[pattern]
     high = [_mat(rng) for _ in range(n - 2)]
     a1 = mder - Mat2.identity().scale(n * lam ** (n - 1))
@@ -214,9 +225,13 @@ class TestRankPatterns:
                     assert found is None, (pattern, n, seed)
                     assert offsets == []
 
-    @pytest.mark.parametrize("pattern", RANK_PATTERNS)
+    @pytest.mark.parametrize("pattern",
+                             RANK_PATTERNS + (NILPOTENT_FAMILY, NEAR_FAMILY))
     def test_scan_agrees_at_degree_two(self, pattern):
-        for seed in range(2):
+        # the family direction a lies off the scan's grid, so only the
+        # refined search decides these two; more seeds cover more directions
+        seeds = 2 if pattern in RANK_PATTERNS else 38
+        for seed in range(seeds):
             eq, _, _ = _prescribed_equation(pattern, 2, seed)
             ss = solve_equation(eq)
             scan = brute_force_scan(eq)
@@ -225,6 +240,16 @@ class TestRankPatterns:
                 assert len(scan) == ss.count
                 for sol in ss.solutions:
                     assert min(x.dist(sol.matrix) for x in scan) <= 1e-5
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pattern", JORDAN_PATTERNS)
+    def test_scan_offset_reaches_jordan_solution(self, pattern, n):
+        # the compass search refines the grid direction to the exact offset
+        for seed in range(10):
+            eq, _, jordan = _prescribed_equation(pattern, n, seed)
+            scan = brute_force_scan(eq)
+            assert min(x.dist(jordan) for x in scan) <= \
+                1e-10 * (1 + jordan.max_norm()), seed
 
 
 class TestDetectInfinite:

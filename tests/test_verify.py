@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matpolyeq
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.solver import (Solution, SolutionSet, solution_bound,
                               solve_equation)
-from matpolyeq.verify import (brute_force_scan, count_cross_check,
+from matpolyeq.verify import (brute_force_scan, count_cross_check, minimize,
                               verify_solution_set)
 
 
@@ -177,3 +182,62 @@ class TestBruteForceScan:
         a = brute_force_scan(eq_four_solutions)
         b = brute_force_scan(eq_four_solutions)
         assert a == b
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import sys\n"
+            "import matpolyeq, matpolyeq.cli, matpolyeq.documents\n"
+            "eq = matpolyeq.MatrixEquation((matpolyeq.Mat2.diag(-1, -4),\n"
+            "                               matpolyeq.Mat2.zero()))\n"
+            "assert len(matpolyeq.brute_force_scan(eq)) == 4\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+        src = str(Path(matpolyeq.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+
+def _valley(x):
+    """A rotated quadratic, condition number 10, least at (0.3, -1.2)."""
+    u = (x[:, 0] - 0.3) + (x[:, 1] + 1.2)
+    v = (x[:, 0] - 0.3) - (x[:, 1] + 1.2)
+    return 10 * u ** 2 + v ** 2
+
+
+class TestMinimize:
+    STARTS = np.array([(0.0, 0.0), (1.0, -2.0), (0.5, 0.5)])
+
+    def test_converges_from_every_start(self):
+        res = minimize(_valley, self.STARTS)
+        assert res.x.shape == self.STARTS.shape
+        np.testing.assert_allclose(res.x, [(0.3, -1.2)] * 3, rtol=0,
+                                   atol=1e-11)
+
+    def test_counts_evaluated_points(self):
+        seen = []
+
+        def cost(x):
+            seen.append(len(x))
+            return _valley(x)
+
+        res = minimize(cost, self.STARTS)
+        assert isinstance(res.nfev, int)
+        assert res.nfev == sum(seen)
+
+    def test_stops_below_step_tolerance(self):
+        # at the minimum no move helps: the step halves from 0.1 until it
+        # is below 1e-13, 40 times, with four neighbours each time
+        res = minimize(_valley, np.array([(0.3, -1.2)]))
+        assert res.nfev == 1 + 4 * 40
+        assert res.x.tolist() == [[0.3, -1.2]]
+
+    def test_bit_identical_reruns(self):
+        starts = self.STARTS.copy()
+        a = minimize(_valley, starts)
+        b = minimize(_valley, starts)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.nfev == b.nfev
+        assert np.array_equal(starts, self.STARTS)  # x0 is not modified
