@@ -11,6 +11,7 @@ Each failure prints one line to stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -136,10 +137,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_max < 1:
         raise DomainError("--n-max must be >= 1")
+    if args.jobs < 1:
+        raise DomainError("--jobs must be >= 1")
     cells = [(n, m) for n in range(1, args.n_max + 1)
              for m in range(1, solution_bound(n) + 1)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -31,10 +31,12 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _unpair(v, what: str) -> complex:
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in v)):
+    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
         raise DocumentError(f"{what} must be a [re, im] number pair")
     z = complex(v[0], v[1])
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -130,7 +132,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
         if kind not in _KINDS:
             raise DocumentError(f"solution {i} has unknown kind {kind!r}")
         residual = entry.get("residual")
-        if not isinstance(residual, (int, float)) or isinstance(residual, bool):
+        if not _is_number(residual):
             raise DocumentError(f"solution {i} needs a numeric residual")
         solutions.append(Solution(_unmat(entry.get("matrix"), f"solution {i}"),
                                   kind, None, float(residual)))
@@ -146,7 +148,8 @@ def solution_set_from_doc(doc) -> SolutionSet:
         residuals = raw.get("sample_residuals")
         if not (isinstance(samples, list) and len(samples) >= 3
                 and isinstance(residuals, list)
-                and len(residuals) == len(samples)):
+                and len(residuals) == len(samples)
+                and all(map(_is_number, residuals))):
             raise DocumentError("certificate needs >= 3 samples with residuals")
         certificate = InfiniteCertificate(
             raw["reason"],

@@ -1,6 +1,6 @@
-"""2x2 complex matrices, polynomial matrices, matrix equations, and two
-array kernels over sets of matrices: pairwise distances and f(X) for many
-candidates X at once."""
+"""2x2 complex matrices, polynomial matrices, matrix equations, and array
+kernels over sets of matrices: pairwise distances, and f(X) and the
+eigenvalues for many candidates X at once."""
 
 from __future__ import annotations
 
@@ -449,16 +449,29 @@ class Eigen2:
     defective: bool
 
 
+def eigenvalues(x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each row of a packed (k, 4) array by the quadratic
+    formula, as (k, 2) pairs ordered by (real, imag).  A pair whose gap is
+    not above RANK_TOL * max(1, |a|), or is nan, collapses to tr/2, tr/2.
+    Overflow gives inf or nan, no warning."""
+    a, b, c, d = x.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = a + d
+        disc = np.sqrt(tr * tr - 4 * (a * d - b * c))
+        lam = np.stack(((tr + disc) / 2, (tr - disc) / 2), axis=1)
+        re, im = lam.real, lam.imag
+        swap = (re[:, 1] < re[:, 0]) | (re[:, 1] == re[:, 0]) & (
+            im[:, 1] < im[:, 0])
+        repeated = ~(np.abs(lam[:, 0] - lam[:, 1])
+                     > RANK_TOL * np.maximum(1.0, max_norms(x)))
+        lam[swap] = lam[swap, ::-1]
+        lam[repeated] = (tr[repeated] / 2)[:, None]
+    return lam
+
+
 def eigenvalues2(a: Mat2) -> tuple[complex, complex]:
-    """Eigenvalues through the quadratic formula on the characteristic
-    polynomial, ordered by (real, imag); two closer than
-    RANK_TOL * max(1, |a|) come back as one repeated value, tr/2."""
-    tr, dt = a.trace(), a.det()
-    disc = cmath.sqrt(tr * tr - 4 * dt)
-    lam1, lam2 = (tr + disc) / 2, (tr - disc) / 2
-    if abs(lam1 - lam2) > RANK_TOL * max(1.0, a.max_norm()):
-        return tuple(sorted((lam1, lam2), key=lambda z: (z.real, z.imag)))
-    return tr / 2, tr / 2
+    """Eigenvalues of one matrix: one row of ``eigenvalues``."""
+    return tuple(eigenvalues(pack([a]))[0].tolist())
 
 
 def eigen2(a: Mat2) -> Eigen2:

@@ -170,9 +170,10 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     deflated first.  The remaining roots come from the chosen backend, are
     clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
-    derivative.  Nearby clusters fuse when they look like one multiple root
-    that scattered: the members fail the derivative test for their claimed
-    multiplicities while the fused centroid passes it.
+    derivative with compensated Horner values (Graillat, Langlois and Louvet
+    2009).  Nearby clusters fuse when they look like one multiple root that
+    scattered: the members fail the derivative test (``relative_value``) for
+    their claimed multiplicities while the fused centroid passes it.
 
     Overflow is detected here instead of warned about: iterates or roots
     that stop being finite raise NonConvergence.
@@ -344,37 +345,23 @@ def _polish_group(ders, members, scale):
 
 
 def _newton(c, dc, z):
-    best_z, best_v = z, abs(_horner_scalar(c, z))
-    stall = 0
+    # one loop on compensated values, which pin a clustered root to ulp
+    # level where plain Horner noise leaves a flat basin; a step that
+    # raises |value| ends it
+    value = _comp_horner(c, z)
     for _ in range(_NEWTON_STEPS):
         dv = _horner_scalar(dc, z)
         if dv == 0:
             break
-        step = _horner_scalar(c, z) / dv
-        z = z - step
-        v = abs(_horner_scalar(c, z))
-        if v < best_v:
-            best_z, best_v, stall = z, v, 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
+        step = value / dv
+        candidate = z - step
+        candidate_value = _comp_horner(c, candidate)
+        if abs(candidate_value) > abs(value):
+            break
+        z, value = candidate, candidate_value
         if abs(step) <= 4e-16 * (1.0 + abs(z)):
             break
-    # plain Horner noise leaves a flat basin around clustered roots; a few
-    # compensated steps pin the root to ulp level, so both backends land on
-    # the same value
-    for _ in range(6):
-        dv = _horner_scalar(dc, best_z)
-        if dv == 0:
-            break
-        step = _comp_horner(c, best_z) / dv
-        candidate = best_z - step
-        if abs(_comp_horner(c, candidate)) <= abs(_comp_horner(c, best_z)):
-            best_z = candidate
-        if abs(step) <= 4e-16 * (1.0 + abs(best_z)):
-            break
-    return best_z
+    return z
 
 
 def _horner_scalar(c, z):
@@ -429,11 +416,20 @@ def _comp_horner(c, z: complex) -> complex:
 
 def _multiplicity_consistent(ders, value, mult):
     for j in range(mult):
-        if abs(_horner_scalar(ders[j], value)) > 1e-6 * _der_scale(ders[j], value):
+        if relative_value(ders[j], value) > 1e-6:
             return False
-    return abs(_horner_scalar(ders[mult], value)) > 1e-6 * _der_scale(ders[mult], value)
+    return relative_value(ders[mult], value) > 1e-6
 
 
-def _der_scale(c, value):
-    powers = np.power(max(1.0, abs(value)), np.arange(len(c)))
-    return max(1.0, float(np.abs(c) @ powers))
+def relative_value(c, t) -> np.ndarray:
+    """|p(t)| over the term bound sum_k |c_k| max(1, |t|)^k, which its
+    rounding error follows, at each point of ``t``; ``c`` holds p's
+    coefficients, ascending.  Overflow gives inf or nan, no warning."""
+    t = np.asarray(t, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.maximum(1.0, np.abs(t))
+        value, terms = np.zeros_like(t), np.zeros_like(r)
+        for ck in reversed(c):
+            value = value * t + ck
+            terms = terms * r + abs(ck)
+        return np.abs(value) / terms

@@ -9,9 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2,
-                   eigenvalues2, greedy_unique, match_in_order, pack,
-                   unpack)
-from .poly import CLUSTER_TOL, Poly
+                   eigenvalues, greedy_unique, match_in_order, pack, unpack)
+from .poly import CLUSTER_TOL, relative_value
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
                      dedupe_tol, residual_tols, residuals,
                      solution_bound, solve_equation)
@@ -88,20 +87,18 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     solutions' residuals come from one call of the batch kernel
     ``mat2.eval_batch``, the certificate samples' from another; the pairwise
     distinctness check and ``min_pair_distance`` come from the pairwise
-    kernel (``mat2.close_pairs``); eigenvalues come from
-    ``mat2.eigenvalues2``, without eigenvectors.  Failures are reported, not
+    kernel (``mat2.close_pairs``); the eigenvalues of all the finite
+    matrices come from one call of ``mat2.eigenvalues``, and the divisor
+    test from two of ``poly.relative_value``.  Failures are reported, not
     raised.
     """
     reasons = []
     data = critical_data(eq)
-    values = [d.value for d in data]
-    max_lam = max((abs(v) for v in values), default=0.0)
-    det = eq.det_poly
-    det_der = det.derivative()
+    values = np.array([d.value for d in data], dtype=complex)
+    eig_tol = CLUSTER_TOL * max(1.0, np.abs(values).max(initial=0.0))
     bound = solution_bound(eq.n)
 
-    mats = [s.matrix for s in sset.solutions]
-    x = pack(mats)
+    x = pack([s.matrix for s in sset.solutions])
     res = residuals(eq, x)
     ok = accepted(eq, x, res)
     residuals_ok = bool(ok.all())
@@ -118,28 +115,22 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     if not duplicates_ok:
         reasons.append(f"duplicate solutions within {dedupe:.3e}")
 
-    bound_ok = sset.certificate is not None or len(mats) <= bound
+    bound_ok = sset.certificate is not None or len(x) <= bound
     if not bound_ok:
-        reasons.append(f"{len(mats)} solutions exceed the C(2n,2) bound {bound}")
+        reasons.append(f"{len(x)} solutions exceed the C(2n,2) bound {bound}")
 
-    eig_tol = CLUSTER_TOL * max(1.0, max_lam)
-    eigenvalues_ok = True
-    char_divisor_ok = True
-    for m, keep in zip(mats, finite.tolist()):
-        if not keep:
-            continue
-        lam1, lam2 = eigenvalues2(m)
-        for lam in (lam1, lam2):
-            if not any(abs(lam - v) <= eig_tol for v in values):
-                eigenvalues_ok = False
-        # the characteristic polynomial divides det M(t) exactly when det
-        # vanishes at both eigenvalues, or at a repeated one together with
-        # its derivative
-        zeros = (((det, lam1), (det, lam2)) if lam1 != lam2
-                 else ((det, lam1), (det_der, lam1)))
-        if not all(_relative_value(p, lam) <= _CHAR_DIVISOR_TOL
-                   for p, lam in zeros):
-            char_divisor_ok = False
+    # one row of eigenvalues per finite matrix; the characteristic
+    # polynomial divides det M(t) exactly when det vanishes at both
+    # eigenvalues, and at a repeated one its derivative too
+    lam = eigenvalues(x[finite])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(lam[:, :, None] - values)
+    eigenvalues_ok = bool((gaps <= eig_tol).any(axis=2).all())
+    repeated = lam[:, 0] == lam[:, 1]
+    char_divisor_ok = bool(
+        (relative_value(eq.det_poly.coeffs, lam) <= _CHAR_DIVISOR_TOL).all()
+        and (relative_value(eq.det_poly.derivative().coeffs, lam[repeated, 0])
+             <= _CHAR_DIVISOR_TOL).all())
     if not eigenvalues_ok:
         reasons.append("an eigenvalue strays from every critical value")
     if not char_divisor_ok:
@@ -176,15 +167,6 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         backend_agreement=backend_agreement,
         reasons=tuple(reasons),
     )
-
-
-def _relative_value(p: Poly, t: complex) -> float:
-    """|p(t)| over the term bound sum_k |c_k| max(1, |t|)^k, which the
-    rounding error of evaluating p at t follows."""
-    r, terms = max(1.0, abs(t)), 0.0
-    for c in reversed(p.coeffs):
-        terms = terms * r + abs(c)
-    return abs(p(t)) / terms
 
 
 @dataclass(frozen=True)

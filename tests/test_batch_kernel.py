@@ -1,5 +1,5 @@
-"""The batch residual kernel and the batched pair assembly against the
-scalar Mat2 arithmetic they replaced.
+"""The batch residual kernel, the batched pair assembly and the verifier's
+batched eigenvalue checks against the scalar code they replaced.
 
 The references below are written with the Mat2 operators, as the solver,
 the verifier and the scan computed f(X) and X = P diag(la, lb) adj(P) /
@@ -7,7 +7,7 @@ pairing one candidate at a time; ``eval_equation`` itself now runs on the
 kernel, so it cannot serve as the reference.  Values must agree bit for bit,
 signed zeros included (compared through their uint64 views); NaN payloads
 and signs are not compared, since a NaN entry makes the residual inf either
-way.
+way.  The eigenvalue checks have their own references, further down.
 """
 
 import cmath
@@ -15,13 +15,19 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, eval_batch,
+from matpolyeq.mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
+                            eigenvalues, eigenvalues2, eval_batch,
                             eval_equation, pack, unpack)
-from matpolyeq.solver import (INDEPENDENCE_TOL, CriticalDatum, critical_data,
-                              enumerate_diagonalizable, residual, residuals)
+from matpolyeq.poly import CLUSTER_TOL
+from matpolyeq.solver import (INDEPENDENCE_TOL, CriticalDatum, Solution,
+                              SolutionSet, critical_data,
+                              enumerate_diagonalizable, residual, residuals,
+                              solve_equation)
+from matpolyeq.verify import verify_solution_set
 
 
 def ref_eval(eq, x):
@@ -150,3 +156,131 @@ def test_assembly_on_random_degree_16_data():
     assert len(got) == len(want) == 496
     assert bits(got.matrices) == bits(pack(want))
     assert got.residuals.tolist() == [ref_residual(eq, x) for x in want]
+
+
+# --- eigenvalue containment and the characteristic divisor ----------------
+#
+# verify_solution_set runs both checks over all the finite matrices in one
+# pass (mat2.eigenvalues, poly.relative_value).  The references below are
+# the scalar quadratic formula and a per-solution loop; the flags must
+# agree, while the eigenvalues themselves agree to rounding only (numpy's
+# complex sqrt is not cmath.sqrt).
+
+def ref_eigenvalues2(a):
+    tr, dt = a.trace(), a.det()
+    disc = cmath.sqrt(tr * tr - 4 * dt)
+    lam1, lam2 = (tr + disc) / 2, (tr - disc) / 2
+    if abs(lam1 - lam2) > RANK_TOL * max(1.0, a.max_norm()):
+        return tuple(sorted((lam1, lam2), key=lambda z: (z.real, z.imag)))
+    return tr / 2, tr / 2
+
+
+def ref_relative_value(p, t):
+    r, terms = max(1.0, abs(t)), 0.0
+    for c in reversed(p.coeffs):
+        terms = terms * r + abs(c)
+    return abs(p(t)) / terms
+
+
+def ref_checks(eq, mats):
+    """(eigenvalues_ok, char_divisor_ok) one solution at a time."""
+    values = [d.value for d in critical_data(eq)]
+    eig_tol = CLUSTER_TOL * max(1.0, max(abs(v) for v in values))
+    det = eq.det_poly
+    det_der = det.derivative()
+    eig_ok = div_ok = True
+    for m, keep in zip(mats, np.isfinite(residuals(eq, pack(mats)))):
+        if not keep:
+            continue
+        lam1, lam2 = ref_eigenvalues2(m)
+        for lam in (lam1, lam2):
+            if not any(abs(lam - v) <= eig_tol for v in values):
+                eig_ok = False
+        zeros = (((det, lam1), (det, lam2)) if lam1 != lam2
+                 else ((det, lam1), (det_der, lam1)))
+        if not all(ref_relative_value(p, lam) <= 1e-6 for p, lam in zeros):
+            div_ok = False
+    return eig_ok, div_ok
+
+
+def _random_equation(seed, n):
+    rng = np.random.default_rng(seed)
+    return MatrixEquation(tuple(
+        Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+        for _ in range(n)))
+
+
+def _flags(eq, mats):
+    sset = SolutionSet(tuple(Solution(m, "diagonalizable_distinct", None, 0.0)
+                             for m in mats), None, ())
+    report = verify_solution_set(eq, sset)
+    return report.eigenvalues_ok, report.char_divisor_ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_checks_match_scalar_loop(seed, n):
+    eq = _random_equation(seed, n)
+    mats = [s.matrix for s in solve_equation(eq).solutions]
+    assert _flags(eq, mats) == ref_checks(eq, mats) == (True, True)
+    # one solution moved by each offset: from clearly wrong to within
+    # the tolerances
+    for i, delta in enumerate((1e-2, 1e-3, 1e-6, 1e-9, 1e-12)):
+        moved = list(mats)
+        k = (7 * i + seed) % len(moved)
+        moved[k] = moved[k] + Mat2(delta, -0.5j * delta, 0, delta)
+        assert _flags(eq, moved) == ref_checks(eq, moved), (k, delta)
+
+
+def test_eigenvalues_match_numpy():
+    rng = np.random.default_rng(5)
+    x = (rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))) \
+        * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    got = eigenvalues(x)
+    want = np.linalg.eigvals(x.reshape(-1, 2, 2))
+    for row, ref, a in zip(got, want, x):
+        scale = max(1.0, np.abs(ref).max())
+        err = min(np.abs(row - ref).max(), np.abs(row - ref[::-1]).max())
+        assert err <= 1e-9 * scale
+        assert (row[0].real, row[0].imag) <= (row[1].real, row[1].imag)
+        assert np.allclose(eigenvalues2(Mat2(*a)), ref_eigenvalues2(Mat2(*a)),
+                           rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_eigenvalues_collapse_exactly():
+    got = eigenvalues(pack([Mat2(2, 1, 0, 2), Mat2.diag(3j, 3j),
+                            Mat2(1, 0, 0, 1 + 1e-12), Mat2.diag(1, -1)]))
+    assert got.tolist() == [[2, 2], [3j, 3j], [1 + 5e-13, 1 + 5e-13],
+                            [-1, 1]]
+    assert eigenvalues2(Mat2(2, 1, 0, 2)) == (2, 2)
+    assert eigenvalues(pack([])).shape == (0, 2)
+
+
+def test_derivative_branch(eq_four_solutions, eq_x_squared_identity):
+    # lambda I at a simple critical value of X^2 = diag(1, 4): its repeated
+    # eigenvalue is a critical value, but det M'(1) != 0
+    assert _flags(eq_four_solutions, [Mat2.identity()]) == (True, False)
+    assert ref_checks(eq_four_solutions, [Mat2.identity()]) == (True, False)
+    # at the double root 1 of det M(t) = (t^2 - 1)^2 of X^2 = I it passes
+    assert _flags(eq_x_squared_identity, [Mat2.identity()]) == (True, True)
+
+
+@pytest.mark.parametrize("x, flags", [
+    (Mat2(1e200, 0, 0, 1e200), (False, False)),
+    (Mat2(1e200, 1e200, 1e200, 1e200), (False, False)),
+    (Mat2(1e200j, -1e200, 1e200, 3), (False, False)),
+    # tr = 0 while the discriminant is inf + nan i: the nan gap collapses
+    # the pair to tr / 2 = 0, a critical value, with det M'(0) != 0
+    (Mat2(1e200, 0, 0, -1e200), (True, False)),
+])
+def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
+    # f(X) = X + A0 stays finite, so X reaches the eigenvalue checks,
+    # where tr^2 or det overflows; RuntimeWarning is an error under pytest
+    sset = SolutionSet((Solution(x, "diagonalizable_distinct", None, 0.0),),
+                       None, ())
+    report = verify_solution_set(eq_degree_one, sset)
+    assert math.isfinite(report.max_residual)
+    assert not report.residuals_ok
+    assert report.verdict == "fail"
+    assert (report.eigenvalues_ok, report.char_divisor_ok) == \
+        ref_checks(eq_degree_one, [x]) == flags

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -210,6 +211,19 @@ class TestVerifyCommand:
         sol.write_text(sol.read_text()[:40], encoding="utf-8")
         assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
 
+    @pytest.mark.parametrize("bad", ["x", [1], True, "nan", None, {}])
+    def test_bad_sample_residual_exits_1(self, tmp_path, capsys,
+                                         eq_x_squared_identity, bad):
+        eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
+        doc = load_doc(sol)
+        doc["certificate"]["sample_residuals"][1] = bad
+        save_doc(doc, sol)
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bad input: ")
+
 
 class TestSweepCommand:
     def test_small_sweep_passes(self, tmp_path):
@@ -252,8 +266,48 @@ class TestSweepCommand:
 
     def test_parallel_jobs(self, tmp_path):
         report = tmp_path / "table.txt"
-        assert run("sweep", "--n-max", 1, "--report", report, "--jobs", 2) == 0
-        assert "failures: 0" in report.read_text()
+        assert run("sweep", "--n-max", 2, "--report", report, "--jobs", 2) == 0
+        assert "cells: 7, failures: 0" in report.read_text()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        capsys.readouterr()
+        assert run("sweep", "--n-max", 1, "--report", tmp_path / "t.txt",
+                   "--jobs", jobs) == 2
+        assert capsys.readouterr().err == "domain error: --jobs must be >= 1\n"
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (5000, 64, 7),     # no more workers than the 7 cells
+        (5000, 3, 3),      # nor than the CPUs
+        (2, 64, 2),
+        (5000, 1, None),   # one worker: serial, no pool
+        (5000, None, None),
+    ])
+    def test_pool_size(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        pools = []
+
+        class FakePool:
+            # records its size and runs the cells here, starting nothing
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = tmp_path / "table.txt"
+        assert run("sweep", "--n-max", 2, "--report", report,
+                   "--jobs", jobs) == 0
+        assert "cells: 7, failures: 0" in report.read_text()
+        assert pools == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize("command", ["construct", "plan", "solve", "verify",

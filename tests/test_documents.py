@@ -16,8 +16,9 @@ from matpolyeq.verify import verify_solution_set
 
 # sha256 of the solution documents of random n = 16 equations, committed
 # with the benchmark (perfbench/make_digests.py writes it); read only here
-REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
-                     / "reference_digests.json")
+REFERENCE_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench"
+     / "reference_digests.json").read_text(encoding="utf-8"))
 
 
 class TestEquationDocuments:
@@ -150,15 +151,16 @@ class TestDocumentByteStability:
             Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
             for _ in range(16))) for _ in range(count)]
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    # every seed in the file, each with all its equations
+    @pytest.mark.parametrize("seed", sorted(map(int, REFERENCE_DIGESTS)))
     def test_random_n16_documents_match_committed_digests(self, seed,
                                                           tmp_path):
-        digests = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))
-        for i, eq in enumerate(self._random_n16(seed, 2)):
+        digests = REFERENCE_DIGESTS[str(seed)]
+        for i, eq in enumerate(self._random_n16(seed, len(digests))):
             path = tmp_path / f"sol{i}.json"
             save_doc(solution_set_to_doc(solve_equation(eq)), path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-                digests[str(seed)][str(i)], (seed, i)
+                digests[str(i)], (seed, i)
 
 
 class TestPlanAndReportDocuments:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, dense_solve, find_roots)
+                            _aberth_roots, _newton, dense_solve, find_roots,
+                            relative_value)
 
 BACKENDS = ("aberth", "companion")
 
@@ -166,6 +167,39 @@ def test_roundtrip_roots(roots, backend):
         gv, gm = remaining.pop(hit)
         assert abs(ev - gv) <= CLUSTER_TOL * scale
         assert em == gm
+
+
+class TestRelativeValue:
+    def test_value_over_term_bound(self):
+        # p = t^2 - 3t + 2: at t = 3 the terms add up to 9 + 9 + 2
+        c = Poly.from_roots([(1, 1), (2, 1)]).coeffs
+        assert relative_value(c, 3.0) == pytest.approx(2 / 20)
+        # inside the unit disc the bound is the coefficient sum, 6
+        assert relative_value(c, 0.5j) == pytest.approx(abs(2 - 1.5j - 0.25) / 6)
+
+    def test_points_keep_their_shape(self):
+        c = Poly.from_roots([(1, 2), (-2j, 1)]).coeffs
+        t = np.array([[1, -2j], [0.5, 1e3]])
+        got = relative_value(c, t)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == got[0, 1] == 0
+        assert got[1, 0] > 0.01 and got[1, 1] == pytest.approx(1, rel=1e-2)
+
+    def test_overflow_gives_no_warning(self):
+        got = relative_value(Poly([1, 0, 1]).coeffs, [1e300, np.inf, np.nan])
+        assert not np.isfinite(got).any()
+
+
+class TestNewton:
+    def test_polishes_to_the_nearest_double(self):
+        # p = t^2 - 2 from a start 1e-6 away
+        c = np.array([-2, 0, 1], dtype=complex)
+        z = _newton(c, c[1:] * np.arange(1, 3), 1.4142146 + 1e-7j)
+        assert abs(z - 2 ** 0.5) <= 2.3e-16
+
+    def test_stops_where_the_derivative_vanishes(self):
+        c = np.array([1, 0, 1], dtype=complex)
+        assert _newton(c, c[1:] * np.arange(1, 3), 0j) == 0j
 
 
 class TestDenseSolve:
