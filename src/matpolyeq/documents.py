@@ -32,7 +32,17 @@ def _pair(z: complex) -> list[float]:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that a double holds: no bool, no integer beyond the
+    double range."""
+    if isinstance(v, float):
+        return True
+    if isinstance(v, bool) or not isinstance(v, int):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _unpair(v, what: str) -> complex:

@@ -171,9 +171,11 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
     derivative with compensated Horner values (Graillat, Langlois and Louvet
-    2009).  Nearby clusters fuse when they look like one multiple root that
-    scattered: the members fail the derivative test (``relative_value``) for
-    their claimed multiplicities while the fused centroid passes it.
+    2009), computed on Python floats operation for operation as numpy's
+    complex128 scalars compute them (see ``_newton``).  Nearby clusters
+    fuse when they look like one multiple root that scattered: the members
+    fail the derivative test (``relative_value``) for their claimed
+    multiplicities while the fused centroid passes it.
 
     Overflow is detected here instead of warned about: iterates or roots
     that stop being finite raise NonConvergence.
@@ -344,74 +346,108 @@ def _polish_group(ders, members, scale):
     return polished, k
 
 
-def _newton(c, dc, z):
-    # one loop on compensated values, which pin a clustered root to ulp
-    # level where plain Horner noise leaves a flat basin; a step that
-    # raises |value| ends it
-    value = _comp_horner(c, z)
+def _newton(c, dc, z) -> np.complex128:
+    """Newton's method for a root of ``c`` (derivative ``dc``) from ``z``.
+
+    One loop on compensated values, which pin a clustered root to ulp
+    level where plain Horner noise leaves a flat basin; a step that raises
+    |value| ends it.  The arithmetic is on Python floats, operation for
+    operation what numpy complex128 scalars compute: moduli are CPython's
+    complex ``abs`` (libm ``hypot``), the step is numpy's scalar division
+    and the result a complex128, so the fusion in ``_cluster_and_polish``
+    keeps numpy's arithmetic.
+    """
+    c = [(ck.real, ck.imag) for ck in c[::-1].tolist()]
+    dc = [(ck.real, ck.imag) for ck in dc[::-1].tolist()]
+    z = complex(z)
+    zr, zi = z.real, z.imag
+    vr, vi = _comp_horner(c, zr, zi)
+    size = abs(complex(vr, vi))
     for _ in range(_NEWTON_STEPS):
-        dv = _horner_scalar(dc, z)
-        if dv == 0:
+        dr, di = _horner_scalar(dc, zr, zi)
+        if dr == 0 and di == 0:
             break
-        step = value / dv
-        candidate = z - step
-        candidate_value = _comp_horner(c, candidate)
-        if abs(candidate_value) > abs(value):
+        # numpy's complex division (Smith's); CPython's rounds differently
+        if abs(dr) >= abs(di):
+            rat = di / dr
+            scl = 1.0 / (dr + di * rat)
+            sr, si = (vr + vi * rat) * scl, (vi - vr * rat) * scl
+        else:
+            rat = dr / di
+            scl = 1.0 / (di + dr * rat)
+            sr, si = (vr * rat + vi) * scl, (vi * rat - vr) * scl
+        cr, ci = zr - sr, zi - si
+        cvr, cvi = _comp_horner(c, cr, ci)
+        candidate_size = abs(complex(cvr, cvi))
+        if candidate_size > size:
             break
-        z, value = candidate, candidate_value
-        if abs(step) <= 4e-16 * (1.0 + abs(z)):
+        zr, zi, vr, vi, size = cr, ci, cvr, cvi, candidate_size
+        if abs(complex(sr, si)) <= 4e-16 * (1.0 + abs(complex(zr, zi))):
             break
-    return z
+    return np.complex128(complex(zr, zi))
 
 
-def _horner_scalar(c, z):
-    acc = 0j
-    for ck in c[::-1]:
-        acc = acc * z + ck
-    return acc
+def _horner_scalar(c, zr: float, zi: float):
+    """Horner value at zr + i zi of the (re, im) pairs ``c``, highest
+    degree first, with each product formed as a complex128 scalar forms it
+    (numpy's array multiply can differ in the last bit)."""
+    ar = ai = 0.0
+    for cr, ci in c:
+        ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+    return ar, ai
 
-
-# error-free transformations (doubles well inside the overflow margin)
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _comp_horner(c, zr: float, zi: float):
+    """Horner value at zr + i zi of the (re, im) pairs ``c``, highest
+    degree first, with a compensation term, roughly doubling the working
+    precision for ill-conditioned arguments.
 
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _comp_horner(c, z: complex) -> complex:
-    """Horner evaluation with a compensation term, roughly doubling the
-    working precision for ill-conditioned arguments."""
-    zr, zi = z.real, z.imag
-    sr, si = c[-1].real, c[-1].imag
+    The error-free transformations are written out: each product ``p`` of
+    two parts gets its rounding error ``f`` from Dekker's split into hi/lo
+    halves (z is split once), each sum its error ``g`` or ``h`` from
+    Knuth's TwoSum.  Doubles must stay well inside the overflow margin.
+    """
+    t = _SPLITTER * zr
+    zrh = t - (t - zr)
+    zrl = zr - zrh
+    t = _SPLITTER * zi
+    zih = t - (t - zi)
+    zil = zi - zih
+    sr, si = c[0]
     er = ei = 0.0
-    for ck in c[-2::-1]:
-        p1, f1 = _two_prod(sr, zr)
-        p2, f2 = _two_prod(si, zi)
-        p3, f3 = _two_prod(sr, zi)
-        p4, f4 = _two_prod(si, zr)
-        vr, g1 = _two_sum(p1, -p2)
-        vi, g2 = _two_sum(p3, p4)
-        nr, h1 = _two_sum(vr, ck.real)
-        ni, h2 = _two_sum(vi, ck.imag)
+    for cr, ci in c[1:]:
+        t = _SPLITTER * sr
+        srh = t - (t - sr)
+        srl = sr - srh
+        t = _SPLITTER * si
+        sih = t - (t - si)
+        sil = si - sih
+        p1 = sr * zr
+        f1 = ((srh * zrh - p1) + srh * zrl + srl * zrh) + srl * zrl
+        p2 = si * zi
+        f2 = ((sih * zih - p2) + sih * zil + sil * zih) + sil * zil
+        p3 = sr * zi
+        f3 = ((srh * zih - p3) + srh * zil + srl * zih) + srl * zil
+        p4 = si * zr
+        f4 = ((sih * zrh - p4) + sih * zrl + sil * zrh) + sil * zrl
+        vr = p1 - p2
+        t = vr - p1
+        g1 = (p1 - (vr - t)) + (-p2 - t)
+        vi = p3 + p4
+        t = vi - p3
+        g2 = (p3 - (vi - t)) + (p4 - t)
+        sr = vr + cr
+        t = sr - vr
+        h1 = (vr - (sr - t)) + (cr - t)
+        si = vi + ci
+        t = si - vi
+        h2 = (vi - (si - t)) + (ci - t)
         er, ei = (er * zr - ei * zi + (f1 - f2 + g1 + h1),
                   er * zi + ei * zr + (f3 + f4 + g2 + h2))
-        sr, si = nr, ni
-    return complex(sr + er, si + ei)
+    return sr + er, si + ei
 
 
 def _multiplicity_consistent(ders, value, mult):

@@ -130,6 +130,20 @@ class TestSolveCommand:
         bad.write_text('{"format_version": "1"', encoding="utf-8")
         assert run("solve", "--in", bad, "--out", tmp_path / "o.json") == 1
 
+    def test_integer_beyond_double_range_exits_1(self, tmp_path, capsys,
+                                                  eq_four_solutions):
+        # JSON reads 10**400 as an int, which no double can hold
+        doc = equation_to_doc(eq_four_solutions)
+        doc["coefficients"][0][0][0][0] = 10 ** 400
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(doc, eq_path)
+        capsys.readouterr()
+        assert run("solve", "--in", eq_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bad input: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale,code,err", [
         (1e40, 4, "non-convergence: "),
         (1e200, 1, "bad input: "),
@@ -211,7 +225,20 @@ class TestVerifyCommand:
         sol.write_text(sol.read_text()[:40], encoding="utf-8")
         assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
 
-    @pytest.mark.parametrize("bad", ["x", [1], True, "nan", None, {}])
+    def test_residual_beyond_double_range_exits_1(self, tmp_path, capsys,
+                                                   eq_four_solutions):
+        eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)
+        doc = load_doc(sol)
+        doc["solutions"][0]["residual"] = 10 ** 400
+        save_doc(doc, sol)
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bad input: ")
+
+    @pytest.mark.parametrize("bad", ["x", [1], True, "nan", None, {},
+                                     pytest.param(10 ** 400, id="10**400")])
     def test_bad_sample_residual_exits_1(self, tmp_path, capsys,
                                          eq_x_squared_identity, bad):
         eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)

@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matpolyeq import poly
+from matpolyeq.construct import construct
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _newton, dense_solve, find_roots,
-                            relative_value)
+                            _aberth_roots, _comp_horner, _horner_scalar,
+                            _newton, dense_solve, find_roots, relative_value)
+from matpolyeq.solver import solution_bound
 
 BACKENDS = ("aberth", "companion")
 
@@ -200,6 +205,199 @@ class TestNewton:
     def test_stops_where_the_derivative_vanishes(self):
         c = np.array([1, 0, 1], dtype=complex)
         assert _newton(c, c[1:] * np.arange(1, 3), 0j) == 0j
+
+
+# --- the polish against the numpy-scalar code it replaced --------------------
+# The references compute on np.float64 / np.complex128 scalars, one helper
+# call per error-free transformation.  The polish on Python floats must give
+# their bits, compared through uint64 views (every NaN made one value), and
+# raise where they raise.
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def ref_two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def ref_two_prod(a, b):
+    p = a * b
+    ca = _SPLITTER * a
+    ahi = ca - (ca - a)
+    alo = a - ahi
+    cb = _SPLITTER * b
+    bhi = cb - (cb - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def ref_comp_horner(c, z):
+    zr, zi = z.real, z.imag
+    sr, si = c[-1].real, c[-1].imag
+    er = ei = 0.0
+    for ck in c[-2::-1]:
+        p1, f1 = ref_two_prod(sr, zr)
+        p2, f2 = ref_two_prod(si, zi)
+        p3, f3 = ref_two_prod(sr, zi)
+        p4, f4 = ref_two_prod(si, zr)
+        vr, g1 = ref_two_sum(p1, -p2)
+        vi, g2 = ref_two_sum(p3, p4)
+        nr, h1 = ref_two_sum(vr, ck.real)
+        ni, h2 = ref_two_sum(vi, ck.imag)
+        er, ei = (er * zr - ei * zi + (f1 - f2 + g1 + h1),
+                  er * zi + ei * zr + (f3 + f4 + g2 + h2))
+        sr, si = nr, ni
+    return complex(sr + er, si + ei)
+
+
+def ref_horner_scalar(c, z):
+    acc = 0j
+    for ck in c[::-1]:
+        acc = acc * z + ck
+    return acc
+
+
+def ref_newton(c, dc, z):
+    value = ref_comp_horner(c, z)
+    for _ in range(80):
+        dv = ref_horner_scalar(dc, z)
+        if dv == 0:
+            break
+        step = value / dv
+        candidate = z - step
+        candidate_value = ref_comp_horner(c, candidate)
+        if abs(candidate_value) > abs(value):
+            break
+        z, value = candidate, candidate_value
+        if abs(step) <= 4e-16 * (1.0 + abs(z)):
+            break
+    return z
+
+
+def outcome(f, *args):
+    """The bits of f's result, a complex or an (re, im) pair, or the name
+    of what it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = f(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    got = complex(*got) if isinstance(got, tuple) else complex(got)
+    parts = np.array([got.real, got.imag])
+    parts[np.isnan(parts)] = np.nan
+    return parts.view(np.uint64).tolist()
+
+
+def pairs(c):
+    """Coefficients as the polish holds them: (re, im), highest first."""
+    return [(ck.real, ck.imag) for ck in c[::-1].tolist()]
+
+
+def derivative(c):
+    return c[1:] * np.arange(1, len(c))
+
+
+def _scaled(mantissa, exponent):
+    return mantissa * 10.0 ** exponent
+
+
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.builds(_scaled, st.floats(-1.0, 1.0),
+                             st.integers(-30, 30)))
+_COMPLEX = st.builds(complex, _PARTS, _PARTS)
+_NEAR = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.lists(_COMPLEX, min_size=2, max_size=33), z=_COMPLEX)
+def test_polish_matches_numpy_scalars(c, z):
+    c, z = np.array(c, dtype=complex), np.complex128(z)
+    dc = derivative(c)
+    assert outcome(_comp_horner, pairs(c), z.real, z.imag) == \
+        outcome(ref_comp_horner, c, z)
+    assert outcome(_horner_scalar, pairs(dc), z.real, z.imag) == \
+        outcome(ref_horner_scalar, dc, z)
+    assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+
+
+@st.composite
+def near_multiple_roots(draw):
+    """A k-fold root scattered by up to 1e-6 among other roots (degree at
+    most 32), the (k-1)-th derivative to polish on, and a start near it."""
+    root = draw(_NEAR)
+    k = draw(st.integers(2, 6))
+    spread = draw(st.builds(_scaled, st.floats(0.0, 1.0),
+                            st.integers(-16, -6)))
+    others = draw(st.lists(_NEAR, max_size=32 - k))
+    roots = [root + spread * np.exp(2j * np.pi * j / k + 0.3)
+             for j in range(k)] + others
+    c = np.poly(roots)[::-1].astype(complex)
+    for _ in range(k - 1):
+        c = derivative(c)
+    start = root + draw(st.builds(complex, st.floats(-1e-3, 1e-3),
+                                  st.floats(-1e-3, 1e-3)))
+    return c, np.complex128(start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_multiple_roots())
+def test_polish_matches_numpy_scalars_near_multiple_roots(case):
+    c, z = case
+    dc = derivative(c)
+    got = _newton(c, dc, z)
+    assert type(got) is np.complex128
+    assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, m", [(8, 75), (10, 128)])
+def test_polish_matches_numpy_scalars_on_constructed_roots(n, m, backend,
+                                                           monkeypatch):
+    # companion roots such as 1 + 4.5e-16j, where a step's acceptance hangs
+    # on the last bit of a modulus (math.hypot rounds differently)
+    calls = []
+
+    def recording(c, dc, z):
+        calls.append((c, dc, z))
+        return _newton(c, dc, z)
+
+    monkeypatch.setattr(poly, "_newton", recording)
+    find_roots(construct(n, m, validate=False).equation.det_poly, backend)
+    assert len(calls) >= 12
+    for c, dc, z in calls:
+        assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+
+
+# sha256 of find_roots' output, both backends, on the benchmark's sweep_n5
+# cells (construct(n, m) for every n <= 5) and its scan fixtures: float.hex
+# of each root's parts and its multiplicity, or the name of the exception.
+# Recorded from the numpy-scalar polish; the random_n16 document digests see
+# simple roots only, this sees the multiple-root path too.
+ROOT_BITS_SHA256 = \
+    "4774aaff7f0f1cdf355b98d2c5a86df55132282bc3492eae97bc1b6c826303c7"
+SCAN_FIXTURES = ("eq_four_solutions", "eq_x_squared_zero",
+                 "eq_x_squared_identity", "eq_x_squared_nilpotent",
+                 "eq_x_squared_jordan", "eq_shifted_square", "eq_degree_one")
+
+
+def test_root_bits_match_the_recorded_digest(request):
+    equations = [construct(n, m, validate=False).equation
+                 for n in range(1, 6)
+                 for m in range(1, solution_bound(n) + 1)]
+    equations += [request.getfixturevalue(name) for name in SCAN_FIXTURES]
+    digest = hashlib.sha256()
+    for eq in equations:
+        for backend in BACKENDS:
+            try:
+                out = [(r.value.real.hex(), r.value.imag.hex(), r.multiplicity)
+                       for r in find_roots(eq.det_poly, backend)]
+            except NonConvergence as exc:
+                out = type(exc).__name__
+            digest.update(repr(out).encode())
+    assert len(equations) == 102
+    assert digest.hexdigest() == ROOT_BITS_SHA256
 
 
 class TestDenseSolve:
