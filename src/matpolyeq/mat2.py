@@ -114,12 +114,6 @@ class Mat2:
     def adjugate(self) -> "Mat2":
         return Mat2(self.m22, -self.m12, -self.m21, self.m11)
 
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if d == 0:
-            raise ZeroDivisionError("singular 2x2 matrix")
-        return self.adjugate().scale(1.0 / d)
-
     def dist(self, o: "Mat2") -> float:
         return (self - o).max_norm()
 

@@ -103,24 +103,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def __divmod__(self, other: "Poly"):
-        """Euclidean division; returns (quotient, remainder)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dd = other.degree
-        quot = [0j] * max(len(rem) - dd, 1)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            f = rem[k] / dlead
-            quot[k - dd] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k - dd + j] -= f * c
-        return Poly(quot), Poly(rem[:dd] if dd else [0j])
-
-    def max_abs_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 

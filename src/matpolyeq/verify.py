@@ -202,8 +202,9 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     least-squares eigenpair fits for pairs of critical values, the scalar
     matrices lam I, and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.
     The offsets come from a direction search that never uses the solver's
-    rank rule: 86 grid directions scored in one array pass, the best six
-    refined by ``minimize``.  Where lam I solves the equation, members of
+    rank rule: 86 grid directions per critical value, scored for all values
+    in one array pass, then one ``minimize`` call that refines the best six
+    of every value together.  Where lam I solves the equation, members of
     the lines lam I + s K(k) along which M'(lam) K(k) vanishes (to 1e-12 of
     max(1, |M'(lam)|)) are candidates too.
     Every actual solution arises from critical pairs, scalar matrices, or
@@ -240,32 +241,19 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
                     x = _fit_eigenpairs(la, va, lb, vb)
                     if x is not None:
                         fits.append(x)
-    found = _passing(eq, pack(fits))
-    scalars = [Mat2.identity().scale(d.value) for d in data]
-    for d, x, ok in zip(data, scalars, _passes(eq, pack(scalars)).tolist()):
-        if ok:
-            found.append(x)
-        found.extend(_scan_nilpotent_offsets(eq, d.value, ok))
-
-    found.sort(key=_mat_key)
-    return [found[i] for i in greedy_unique(pack(found), keep_tol)]
+    x = np.concatenate([pack(fits),
+                        _scalar_candidates(eq, [d.value for d in data])])
+    x = x[_passes(eq, x)]
+    # the greedy dedupe runs in order of the entries' parts, m11.real first
+    parts = np.stack([x.real, x.imag], axis=2).reshape(-1, 8)
+    x = x[np.lexsort(parts.T[::-1])]
+    return unpack(x[greedy_unique(x, keep_tol)])
 
 
 def _passes(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
     """Whether each row of a packed array passes the residual acceptance
     test, from one call of the batch kernel."""
     return accepted(eq, x, residuals(eq, x))
-
-
-def _passing(eq: MatrixEquation, x: np.ndarray) -> list[Mat2]:
-    """The rows of a packed array that pass the residual test, as
-    matrices."""
-    return unpack(x[_passes(eq, x)])
-
-
-def _mat_key(m: Mat2):
-    return (m.m11.real, m.m11.imag, m.m12.real, m.m12.imag,
-            m.m21.real, m.m21.imag, m.m22.real, m.m22.imag)
 
 
 def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
@@ -305,17 +293,19 @@ _MAX_ITER = 2000
 def minimize(cost, x0: np.ndarray) -> SearchResult:
     """Compass search from every row of ``x0`` at once.
 
-    ``cost`` maps an (m, 2) array of points to their m costs.  Each
+    ``cost(points, starts)`` maps an (m, 2) array of points to their m
+    costs, where ``starts[i]`` is the row of ``x0`` that point i belongs
+    to, so one call can search several cost functions side by side.  Each
     iteration evaluates the four neighbours x +- h e_i of every unfinished
     start; a start moves to its best neighbour when that lowers its cost,
     and halves its step h otherwise.  Steps start at 0.1 and the search
     ends when every one is below 1e-13 (Kolda, Lewis and Torczon,
     "Optimization by direct search", SIAM Review 2003).  Ties go to the
     first neighbour in +x1, -x1, +x2, -x2 order, so the search is
-    deterministic.
+    deterministic, and each start follows the path it would follow alone.
     """
     x = np.array(x0, dtype=float)
-    fx = cost(x)
+    fx = cost(x, np.arange(len(x)))
     h = np.full(len(x), _FIRST_STEP)
     nfev = len(x)
     for _ in range(_MAX_ITER):
@@ -323,7 +313,8 @@ def minimize(cost, x0: np.ndarray) -> SearchResult:
         if live.size == 0:
             break
         trial = x[live, None, :] + h[live, None, None] * _MOVES
-        ft = cost(trial.reshape(-1, 2)).reshape(live.size, -1)
+        ft = cost(trial.reshape(-1, 2),
+                  np.repeat(live, len(_MOVES))).reshape(live.size, -1)
         nfev += ft.size
         best = ft.argmin(axis=1)
         fbest = ft[np.arange(live.size), best]
@@ -352,14 +343,16 @@ _GRID_K = _unit_vectors(_GRID)
 _STARTS = 6
 
 
-def _offsets(mval: np.ndarray, mder: np.ndarray, k: np.ndarray):
-    """For each direction row of ``k``: the rank-one nilpotent K = k k_perp^T,
-    G = M'(lam) K, ||G||^2, whether G is degenerate, and the offset c that
-    minimises ||M(lam) + c G|| (0 where G is degenerate)."""
+def _offsets(mval: np.ndarray, mder: np.ndarray, tiny: np.ndarray,
+             k: np.ndarray):
+    """For each row of M(lam) ``mval``, M'(lam) ``mder``, degenerate
+    threshold ``tiny`` and direction ``k``: the rank-one nilpotent
+    K = k k_perp^T, G = M'(lam) K, ||G||^2, whether ||G||^2 <= tiny, and the
+    offset c that minimises ||M(lam) + c G|| (0 where G is degenerate)."""
     kmat = k[:, :, None] * np.stack([k[:, 1], -k[:, 0]], axis=1)[:, None, :]
     g = mder @ kmat
     gnorm2 = _norm2(g)
-    degenerate = gnorm2 <= 1e-24 * max(1.0, np.abs(mder).max()) ** 2
+    degenerate = gnorm2 <= tiny
     inner = (g.conj() * mval).sum(axis=(1, 2))
     c = np.where(degenerate, 0, -inner / np.where(degenerate, 1.0, gnorm2))
     return kmat, g, gnorm2, degenerate, c
@@ -378,48 +371,69 @@ def _grid_order(key: np.ndarray) -> np.ndarray:
                        k[:, 0].real, key))
 
 
-def _scan_nilpotent_offsets(eq: MatrixEquation, lam: complex,
-                            scalar_ok: bool) -> list[Mat2]:
-    """Solutions lam I + c K(k) with K(k) = k k_perp^T a rank-one nilpotent,
-    found by a grid over the directions k refined by ``minimize``.
+def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
+    """Candidates lam I + c K(k), K(k) = k k_perp^T a rank-one nilpotent, for
+    every critical value lam, packed in value order: lam I if it passes the
+    residual test, then members of the families through it, then offsets.
 
     The offset c is the least-squares fit of f(lam I + c K) =
-    M(lam) + c M'(lam) K = 0.  When lam I itself solves the equation
-    (``scalar_ok``), ``minimize`` also searches for a direction with
-    M'(lam) K = 0, which makes the whole line lam I + s K solutions.  A
-    refined direction that meets the degenerate rule yields C(2n, 2) + 1
-    members of its line as candidates, so that a family pushes the
-    distinct-solution count past the bound; the residual test alone would
-    admit a line whose M'(lam) K is merely small, since its tolerance grows
-    with s.  Every candidate passes the residual test before it is returned.
+    M(lam) + c M'(lam) K = 0.  Where lam I solves the equation, further
+    starts search for a direction with M'(lam) K = 0 (to 1e-12 of
+    max(1, |M'(lam)|)), which makes the whole line lam I + s K solutions;
+    C(2n, 2) + 1 members of each such line are candidates, so that a family
+    pushes the distinct-solution count past the bound.  The residual test
+    alone would admit a line whose M'(lam) K is merely small, since its
+    tolerance grows with s.  The directions come from a grid pass over all
+    values and one ``minimize`` call that refines every search together.
     """
-    mval = pack([eq.matrix.eval(lam)]).reshape(2, 2)
-    mder = pack([eq.matrix_derivative.eval(lam)]).reshape(2, 2)
-    base = lam * np.eye(2)
-    cap = 1e4 * (1.0 + abs(lam))  # a larger offset cannot be residual-verified
-    _, g, gnorm2, degenerate, c = _offsets(mval, mder, _GRID_K)
+    scalars = pack([Mat2.identity().scale(lam) for lam in lams])
+    scalar_ok = _passes(eq, scalars)
+    mval = pack([eq.matrix.eval(lam) for lam in lams]).reshape(-1, 2, 2)
+    mder = pack([eq.matrix_derivative.eval(lam)
+                 for lam in lams]).reshape(-1, 2, 2)
+    tiny = np.array([1e-24 * max(1.0, np.abs(d).max()) ** 2 for d in mder])
+    # a larger offset cannot be residual-verified
+    cap = [1e4 * (1.0 + abs(lam)) for lam in lams]
+
+    # the grid pass: every direction for every value, row v * 86 + j
+    row = np.repeat(np.arange(len(lams)), len(_GRID))
+    _, g, gnorm2, degenerate, c = _offsets(
+        mval[row], mder[row], tiny[row], np.tile(_GRID_K, (len(lams), 1)))
+    gap = np.abs(mval[row] + c[:, None, None] * g).max(axis=(1, 2))
+    gnorm2, degenerate, c, gap = (a.reshape(len(lams), len(_GRID))
+                                  for a in (gnorm2, degenerate, c, gap))
+
+    # the starts, as (value, family search, grid direction) rows
+    starts = []
+    for v in range(len(lams)):
+        order = _grid_order(gap[v])
+        fit = order[~degenerate[v, order] & (np.abs(c[v, order]) <= cap[v])]
+        starts += [(v, 0, j) for j in fit[:_STARTS]]
+        if scalar_ok[v]:
+            starts += [(v, 1, j) for j in _grid_order(gnorm2[v])[:_STARTS]]
+    value, family, grid = np.array(starts, dtype=int).reshape(-1, 3).T
+    family = family == 1
+
+    def cost(x, starts):
+        w = value[starts]
+        _, g, gnorm2, degenerate, c = _offsets(
+            mval[w], mder[w], tiny[w], _unit_vectors(x))
+        fit = np.where(degenerate, 0.0,
+                       _norm2(mval[w] + c[:, None, None] * g))
+        return np.where(family[starts], gnorm2, fit)
+
+    res = minimize(cost, _GRID[grid])
+    kmat, _, _, degenerate, c = _offsets(
+        mval[value], mder[value], tiny[value], _unit_vectors(res.x))
+    steps = np.arange(1.0, solution_bound(eq.n) + 2)
     out = []
-    if scalar_ok:
-        starts = _grid_order(gnorm2)[:_STARTS]
-        res = minimize(lambda x: _offsets(mval, mder, _unit_vectors(x))[2],
-                       _GRID[starts])
+    for v, lam in enumerate(lams):
+        base = lam * np.eye(2)
+        mine = value == v
         # only a degenerate direction, M'(lam) K ~ 0, carries a family
-        line, _, _, flat, _ = _offsets(mval, mder, _unit_vectors(res.x))
-        steps = np.arange(1.0, solution_bound(eq.n) + 2)
-        out.append(base + steps[:, None, None, None] * line[flat])
-
-    def residual2(x):
-        _, g, _, degenerate, c = _offsets(mval, mder, _unit_vectors(x))
-        return np.where(degenerate, 0.0, _norm2(mval + c[:, None, None] * g))
-
-    gap = np.abs(mval + c[:, None, None] * g).max(axis=(1, 2))
-    order = _grid_order(gap)
-    starts = order[~degenerate[order] & (np.abs(c[order]) <= cap)][:_STARTS]
-    if starts.size:
-        res = minimize(residual2, _GRID[starts])
-        kmat, _, _, degenerate, c = _offsets(mval, mder, _unit_vectors(res.x))
-        keep = ~degenerate & (np.abs(c) <= cap)
-        out.append(base + c[keep, None, None] * kmat[keep])
-    if not out:
-        return []
-    return _passing(eq, np.concatenate([o.reshape(-1, 4) for o in out]))
+        line = kmat[mine & family & degenerate]
+        keep = mine & ~family & ~degenerate & (np.abs(c) <= cap[v])
+        out += [scalars[v:v + 1][scalar_ok[v:v + 1]],
+                (base + steps[:, None, None, None] * line).reshape(-1, 4),
+                (base + c[keep, None, None] * kmat[keep]).reshape(-1, 4)]
+    return np.concatenate(out)

@@ -1,0 +1,99 @@
+"""Test-only routines: exact-arithmetic references the package does not
+need, and the rank-pattern equations shared by the solver and scan tests."""
+
+import numpy as np
+
+from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2, outer
+from matpolyeq.poly import Poly
+
+
+def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division of p by d; returns (quotient, remainder)."""
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dlead = d.coeffs[-1]
+    dd = d.degree
+    quot = [0j] * max(len(rem) - dd, 1)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        f = rem[k] / dlead
+        quot[k - dd] = f
+        for j, c in enumerate(d.coeffs):
+            rem[k - dd + j] -= f * c
+    return Poly(quot), Poly(rem[:dd] if dd else [0j])
+
+
+def max_abs_coeff(p: Poly) -> float:
+    return max(abs(c) for c in p.coeffs)
+
+
+def inverse(m: Mat2) -> Mat2:
+    d = m.det()
+    if d == 0:
+        raise ZeroDivisionError("singular 2x2 matrix")
+    return m.adjugate().scale(1.0 / d)
+
+
+def _vec(rng):
+    return Vec2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (2, 2))))
+
+
+def _mat(rng):
+    return Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+
+
+def _columns(c1, c2):
+    return Mat2(c1.x, c2.x, c1.y, c2.y)
+
+
+# M(lam) = a b^T or 0, and how M'(lam) acts on the kernel vector k of a b^T
+RANK_PATTERNS = ("jordan_invertible", "jordan_rank_one", "off_a",
+                 "kernel_rank_one", "kernel_zero",
+                 "zero_invertible", "zero_rank_one", "zero_zero")
+JORDAN_PATTERNS = ("jordan_invertible", "jordan_rank_one")
+# M(lam) = 0 with M'(lam) = a a_perp^T nilpotent: at n = 2, det M(t) =
+# (t - lam)^4 and lam I + s a a_perp^T solves the equation for every s.  At
+# n = 4 the solver can miss this family (a multiplicity-4 root read as a
+# one-dimensional space), so only the degree-2 scan test uses it.
+NILPOTENT_FAMILY = "zero_nilpotent"
+# the same M'(lam) perturbed by 1e-10 b k2^T: no longer singular, so no
+# family through lam I, although lam I + s a a_perp^T passes the residual
+# test for every s up to C(4, 2) + 1
+NEAR_FAMILY = "zero_near_nilpotent"
+
+
+def prescribed_equation(pattern, n, seed):
+    """A degree-n equation whose M(lam) and M'(lam) follow ``pattern`` at a
+    seeded lam: A_1 comes from M'(lam), then A_0 from M(lam); A_2 .. A_{n-1}
+    are seeded.  Returns the equation, lam, and for the Jordan patterns the
+    one non-diagonalizable solution lam I - k b^T / alpha."""
+    rng = np.random.default_rng(seed)
+    lam = complex(*rng.uniform(-1, 1, 2))
+    a, b, k2 = _vec(rng), _vec(rng), _vec(rng)
+    k = Vec2(b.y, -b.x)
+    alpha = complex(*rng.uniform(0.5, 1.5, 2))
+    alpha_a = Vec2(alpha * a.x, alpha * a.y)
+    # M'(lam) by its images of k and k2
+    to_basis = inverse(_columns(k, k2))
+    mval = Mat2.zero() if pattern.startswith("zero") else outer(a, b)
+    mder = {
+        "jordan_invertible": _columns(alpha_a, _vec(rng)) @ to_basis,
+        "jordan_rank_one": outer(a, Vec2(alpha, 2j)) @ to_basis,
+        "off_a": _mat(rng),
+        "kernel_rank_one": outer(_vec(rng), b),
+        "kernel_zero": Mat2.zero(),
+        "zero_invertible": _mat(rng),
+        "zero_rank_one": outer(_vec(rng), _vec(rng)),
+        "zero_zero": Mat2.zero(),
+        NILPOTENT_FAMILY: outer(a, Vec2(a.y, -a.x)),
+        NEAR_FAMILY: outer(a, Vec2(a.y, -a.x)) + outer(b, k2).scale(1e-10),
+    }[pattern]
+    high = [_mat(rng) for _ in range(n - 2)]
+    a1 = mder - Mat2.identity().scale(n * lam ** (n - 1))
+    a0 = mval - Mat2.identity().scale(lam ** n)
+    for i, ai in enumerate(high, start=2):
+        a1 = a1 - ai.scale(i * lam ** (i - 1))
+        a0 = a0 - ai.scale(lam ** i)
+    a0 = a0 - a1.scale(lam)
+    jordan = Mat2.identity().scale(lam) - outer(k, b).scale(1 / alpha)
+    return MatrixEquation((a0, a1, *high)), lam, jordan

@@ -12,6 +12,8 @@ from matpolyeq.poly import Poly
 from matpolyeq.solver import (residual_tol, solution_bound, solve_equation)
 from matpolyeq.verify import brute_force_scan, count_cross_check
 
+from helpers import max_abs_coeff, poly_divmod
+
 SWEEP_N_MAX = 5
 
 
@@ -148,11 +150,11 @@ def test_criterion_6_characteristic_divisor(sweep):
     checked = 0
     for n, m, result, cross, _ in cells:
         det = poly_matrix(result.equation).det()
-        det_scale = det.max_abs_coeff()
+        det_scale = max_abs_coeff(det)
         for sol in cross.set_a.solutions:
             char = Poly([sol.matrix.det(), -sol.matrix.trace(), 1])
-            _, rem = divmod(det, char)
-            assert rem.max_abs_coeff() <= 1e-6 * det_scale, (n, m)
+            _, rem = poly_divmod(det, char)
+            assert max_abs_coeff(rem) <= 1e-6 * det_scale, (n, m)
             checked += 1
     assert checked == sum(m for n in range(1, 6)
                           for m in range(1, solution_bound(n) + 1))

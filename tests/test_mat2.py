@@ -158,12 +158,6 @@ class TestMat2Utils:
         assert n.det() == 0
         assert n.trace() == 0
 
-    def test_inverse(self):
-        m = Mat2(1, 2, 3, 4)
-        assert _close(m @ m.inverse(), Mat2.identity())
-        with pytest.raises(ZeroDivisionError):
-            Mat2(1, 1, 1, 1).inverse()
-
     def test_outer_and_det2(self):
         u, v = Vec2(1, 2), Vec2(3, 4)
         assert det2(u, v) == 4 - 6

@@ -12,6 +12,10 @@ from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
                             _aberth_roots, _comp_horner, _horner_scalar,
                             _newton, dense_solve, find_roots, relative_value)
 from matpolyeq.solver import solution_bound
+from matpolyeq.verify import brute_force_scan
+
+from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
+                     max_abs_coeff, prescribed_equation)
 
 BACKENDS = ("aberth", "companion")
 
@@ -50,21 +54,6 @@ class TestPolyArithmetic:
         assert Poly([0, 0, 1]).derivative().coeffs == (0, 2)
         assert Poly([5]).derivative().is_zero
         assert Poly([4, 0, -5, 0, 1]).derivative().coeffs == (0, -10, 0, 4)
-
-    def test_divmod(self):
-        p = Poly([4, 0, -5, 0, 1])
-        d = Poly([-1, 0, 1])
-        q, r = divmod(p, d)
-        assert r.is_zero
-        assert (q * d + r).coeffs == p.coeffs
-
-    def test_divmod_with_remainder(self):
-        p = Poly([1, 2, 3, 4])
-        d = Poly([1, 1])
-        q, r = divmod(p, d)
-        recon = q * d + r
-        assert np.allclose(recon.coeffs, p.coeffs)
-        assert r.degree == 0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +106,7 @@ class TestFindRoots:
 
     def test_residual_invariant(self):
         p = Poly.from_roots([(1.5, 2), (-0.5 + 1j, 1), (2j, 1)])
-        bound = 1e-9 * (1 + p.max_abs_coeff())
+        bound = 1e-9 * (1 + max_abs_coeff(p))
         for r in find_roots(p):
             assert abs(p(r.value)) <= bound
 
@@ -398,6 +387,33 @@ def test_root_bits_match_the_recorded_digest(request):
             digest.update(repr(out).encode())
     assert len(equations) == 102
     assert digest.hexdigest() == ROOT_BITS_SHA256
+
+
+# sha256 of brute_force_scan's output on the benchmark's scan_n3 equations
+# (construct(n, m) for every n <= 3, and the scan fixtures) and on every rank
+# pattern at n = 2, 3 with seeds 0 and 1: float.hex of each entry's parts.
+# Recorded from the scan with one compass search per critical value and
+# search kind, before all of an equation's searches became one batch.
+SCAN_BITS_SHA256 = \
+    "4f6845c0593ff4ea696c858e673117dc5bbd0f3896f4505c387d2b7d2cc09105"
+
+
+def test_scan_bits_match_the_recorded_digest(request):
+    equations = [construct(n, m, validate=False).equation
+                 for n in range(1, 4)
+                 for m in range(1, solution_bound(n) + 1)]
+    equations += [request.getfixturevalue(name) for name in SCAN_FIXTURES]
+    equations += [prescribed_equation(pattern, n, seed)[0]
+                  for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY,
+                                                  NEAR_FAMILY)
+                  for n in (2, 3) for seed in (0, 1)]
+    digest = hashlib.sha256()
+    for eq in equations:
+        out = [(z.real.hex(), z.imag.hex()) for x in brute_force_scan(eq)
+               for z in (x.m11, x.m12, x.m21, x.m22)]
+        digest.update(repr(out).encode())
+    assert len(equations) == 69
+    assert digest.hexdigest() == SCAN_BITS_SHA256
 
 
 class TestDenseSolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            eval_equation, outer, poly_matrix)
+                            eval_equation, poly_matrix)
 from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
 from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
                               InternalInconsistency, Solution, critical_data,
@@ -14,6 +14,10 @@ from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
                               solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
+
+from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
+                     RANK_PATTERNS, max_abs_coeff, poly_divmod,
+                     prescribed_equation)
 
 BACKENDS = ("aberth", "companion")
 
@@ -125,71 +129,6 @@ class TestFindNondiagonalizable:
                    for d in data)
 
 
-def _vec(rng):
-    return Vec2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (2, 2))))
-
-
-def _mat(rng):
-    return Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
-
-
-def _columns(c1, c2):
-    return Mat2(c1.x, c2.x, c1.y, c2.y)
-
-
-# M(lam) = a b^T or 0, and how M'(lam) acts on the kernel vector k of a b^T
-RANK_PATTERNS = ("jordan_invertible", "jordan_rank_one", "off_a",
-                 "kernel_rank_one", "kernel_zero",
-                 "zero_invertible", "zero_rank_one", "zero_zero")
-JORDAN_PATTERNS = ("jordan_invertible", "jordan_rank_one")
-# M(lam) = 0 with M'(lam) = a a_perp^T nilpotent: at n = 2, det M(t) =
-# (t - lam)^4 and lam I + s a a_perp^T solves the equation for every s.  At
-# n = 4 the solver can miss this family (a multiplicity-4 root read as a
-# one-dimensional space), so only the degree-2 scan test uses it.
-NILPOTENT_FAMILY = "zero_nilpotent"
-# the same M'(lam) perturbed by 1e-10 b k2^T: no longer singular, so no
-# family through lam I, although lam I + s a a_perp^T passes the residual
-# test for every s up to C(4, 2) + 1
-NEAR_FAMILY = "zero_near_nilpotent"
-
-
-def _prescribed_equation(pattern, n, seed):
-    """A degree-n equation whose M(lam) and M'(lam) follow ``pattern`` at a
-    seeded lam: A_1 comes from M'(lam), then A_0 from M(lam); A_2 .. A_{n-1}
-    are seeded.  Returns the equation, lam, and for the Jordan patterns the
-    one non-diagonalizable solution lam I - k b^T / alpha."""
-    rng = np.random.default_rng(seed)
-    lam = complex(*rng.uniform(-1, 1, 2))
-    a, b, k2 = _vec(rng), _vec(rng), _vec(rng)
-    k = Vec2(b.y, -b.x)
-    alpha = complex(*rng.uniform(0.5, 1.5, 2))
-    alpha_a = Vec2(alpha * a.x, alpha * a.y)
-    # M'(lam) by its images of k and k2
-    to_basis = _columns(k, k2).inverse()
-    mval = Mat2.zero() if pattern.startswith("zero") else outer(a, b)
-    mder = {
-        "jordan_invertible": _columns(alpha_a, _vec(rng)) @ to_basis,
-        "jordan_rank_one": outer(a, Vec2(alpha, 2j)) @ to_basis,
-        "off_a": _mat(rng),
-        "kernel_rank_one": outer(_vec(rng), b),
-        "kernel_zero": Mat2.zero(),
-        "zero_invertible": _mat(rng),
-        "zero_rank_one": outer(_vec(rng), _vec(rng)),
-        "zero_zero": Mat2.zero(),
-        NILPOTENT_FAMILY: outer(a, Vec2(a.y, -a.x)),
-        NEAR_FAMILY: outer(a, Vec2(a.y, -a.x)) + outer(b, k2).scale(1e-10),
-    }[pattern]
-    high = [_mat(rng) for _ in range(n - 2)]
-    a1 = mder - Mat2.identity().scale(n * lam ** (n - 1))
-    a0 = mval - Mat2.identity().scale(lam ** n)
-    for i, ai in enumerate(high, start=2):
-        a1 = a1 - ai.scale(i * lam ** (i - 1))
-        a0 = a0 - ai.scale(lam ** i)
-    a0 = a0 - a1.scale(lam)
-    jordan = Mat2.identity().scale(lam) - outer(k, b).scale(1 / alpha)
-    return MatrixEquation((a0, a1, *high)), lam, jordan
-
-
 class TestRankPatterns:
     """Every rank pattern of (M(lam), M'(lam)) at a repeated critical value."""
 
@@ -197,7 +136,7 @@ class TestRankPatterns:
     @pytest.mark.parametrize("pattern", RANK_PATTERNS)
     def test_forced_offsets(self, pattern, n):
         for seed in range(10):
-            eq, lam, jordan = _prescribed_equation(pattern, n, seed)
+            eq, lam, jordan = prescribed_equation(pattern, n, seed)
             cross = count_cross_check(eq)
             assert cross.agree, (pattern, n, seed)
             for ss in (cross.set_a, cross.set_b):
@@ -232,7 +171,7 @@ class TestRankPatterns:
         # refined search decides these two; more seeds cover more directions
         seeds = 2 if pattern in RANK_PATTERNS else 38
         for seed in range(seeds):
-            eq, _, _ = _prescribed_equation(pattern, 2, seed)
+            eq, _, _ = prescribed_equation(pattern, 2, seed)
             ss = solve_equation(eq)
             scan = brute_force_scan(eq)
             assert (len(scan) > solution_bound(2)) == (not ss.is_finite)
@@ -246,7 +185,7 @@ class TestRankPatterns:
     def test_scan_offset_reaches_jordan_solution(self, pattern, n):
         # the compass search refines the grid direction to the exact offset
         for seed in range(10):
-            eq, _, jordan = _prescribed_equation(pattern, n, seed)
+            eq, _, jordan = prescribed_equation(pattern, n, seed)
             scan = brute_force_scan(eq)
             assert min(x.dist(jordan) for x in scan) <= \
                 1e-10 * (1 + jordan.max_norm()), seed
@@ -339,8 +278,8 @@ class TestSolutionInvariants:
             ss = solve_equation(eq)
             for s in ss.solutions:
                 char = Poly([s.matrix.det(), -s.matrix.trace(), 1])
-                _, rem = divmod(det, char)
-                assert rem.max_abs_coeff() <= 1e-6 * det.max_abs_coeff()
+                _, rem = poly_divmod(det, char)
+                assert max_abs_coeff(rem) <= 1e-6 * max_abs_coeff(det)
 
     def test_nondiagonalizable_only_at_repeated_values(self,
                                                        eq_x_squared_jordan):

@@ -200,10 +200,11 @@ class TestBruteForceScan:
         assert run.returncode == 0, run.stderr
 
 
-def _valley(x):
-    """A rotated quadratic, condition number 10, least at (0.3, -1.2)."""
-    u = (x[:, 0] - 0.3) + (x[:, 1] + 1.2)
-    v = (x[:, 0] - 0.3) - (x[:, 1] + 1.2)
+def _valley(x, starts, centre=(0.3, -1.2)):
+    """A rotated quadratic, condition number 10, least at ``centre``; the
+    start of each point is ignored."""
+    u = (x[:, 0] - centre[0]) + (x[:, 1] - centre[1])
+    v = (x[:, 0] - centre[0]) - (x[:, 1] - centre[1])
     return 10 * u ** 2 + v ** 2
 
 
@@ -219,9 +220,9 @@ class TestMinimize:
     def test_counts_evaluated_points(self):
         seen = []
 
-        def cost(x):
+        def cost(x, starts):
             seen.append(len(x))
-            return _valley(x)
+            return _valley(x, starts)
 
         res = minimize(cost, self.STARTS)
         assert isinstance(res.nfev, int)
@@ -241,3 +242,37 @@ class TestMinimize:
         assert a.x.tobytes() == b.x.tobytes()
         assert a.nfev == b.nfev
         assert np.array_equal(starts, self.STARTS)  # x0 is not modified
+
+    def test_batched_starts_match_separate_runs(self):
+        # a different valley per start: the batch must follow each start's
+        # own path, evaluate each point against its own start's cost, and
+        # count the points of all the separate runs.  The first start sits
+        # at its minimum and finishes first, so the later ones are named
+        # by their rows of x0, not by their places among unfinished starts.
+        centres = np.array([(0.0, 0.0), (-0.7, 0.05), (2.0, 1.0)])
+        alone = []
+        for x0, centre in zip(self.STARTS, centres):
+            points = []
+
+            def cost(x, starts, centre=centre):
+                points.append(x.copy())
+                return _valley(x, starts, centre)
+
+            res = minimize(cost, x0[None])
+            alone.append((res, np.concatenate(points)))
+
+        seen = [[] for _ in self.STARTS]
+
+        def cost(x, starts):
+            for i, point in zip(starts.tolist(), x):
+                seen[i].append(point.copy())
+            u = x - centres[starts]
+            return 10 * (u[:, 0] + u[:, 1]) ** 2 + (u[:, 0] - u[:, 1]) ** 2
+
+        res = minimize(cost, self.STARTS)
+        assert res.x.tobytes() == np.concatenate(
+            [r.x for r, _ in alone]).tobytes()
+        assert res.nfev == sum(r.nfev for r, _ in alone)
+        assert [r.nfev for r, _ in alone] == [1 + 4 * 40, 313, 241]
+        for (_, points), mine in zip(alone, seen):
+            assert np.array(mine).tobytes() == points.tobytes()
