@@ -1,6 +1,7 @@
 """2x2 complex matrices, polynomial matrices, matrix equations, and array
-kernels over sets of matrices: pairwise distances, and f(X) and the
-eigenvalues for many candidates X at once."""
+kernels over sets of matrices: one sort-and-sweep kernel for the pairs
+within a distance (the dedupe, the duplicate check and set matching), and
+f(X) and the eigenvalues for many candidates X at once."""
 
 from __future__ import annotations
 
@@ -127,15 +128,6 @@ E1 = Vec2(1, 0)
 E2 = Vec2(0, 1)
 
 
-# Rows per block of the pairwise kernel.  A block holds two float arrays of
-# _BLOCK_ROWS x k (about 130 kB at k = 496), so memory stays O(k) instead of
-# the full k x k x 4 difference; more rows save no measurable time.
-_BLOCK_ROWS = 16
-# Mat2.dist <= _UPPER * _lower_bounds: hypot(x, y) <= sqrt(2) max(|x|, |y|),
-# 2 leaves room for hypot's rounding, and doubling a float is exact
-_UPPER = 2.0
-
-
 def pack(mats: Sequence[Mat2]) -> np.ndarray:
     """The matrices as a (k, 4) complex array, entries in m11, m12, m21,
     m22 order."""
@@ -208,18 +200,6 @@ def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return t[:, :, 0] + t[:, :, 1]
 
 
-def _lower_bounds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # low[r, c]: the largest |real or imaginary part| over the entries of
-    # a[r] - b[c], a lower bound on Mat2.dist that needs no hypot
-    low = np.zeros((len(a), len(b)))
-    part = np.empty_like(low)
-    for e in range(4):
-        for get in (np.real, np.imag):
-            np.subtract(get(a[:, None, e]), get(b[None, :, e]), out=part)
-            np.maximum(low, np.abs(part, out=part), out=low)
-    return low
-
-
 def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Mat2.dist between matching rows, bit for bit: complex subtraction is
     # part-wise, and Python's complex abs is hypot (numpy's complex abs uses
@@ -228,64 +208,85 @@ def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag).max(axis=-1)
 
 
+@np.errstate(over="ignore")
+def _near_pairs(x: np.ndarray, cut: float):
+    """Index arrays i < j of the pairs of finite rows of a packed array whose
+    real and imaginary parts all differ by at most cut (a lower bound on
+    Mat2.dist, so this takes in every pair with Mat2.dist <= cut), and their
+    exact distances: a sort and sweep (Hinrichs, Nievergelt and Schorn 1988)
+    along the part u of widest range, each row against the later rows within
+    cut + a few ulps of |u| + cut along u, so that rounding drops no pair."""
+    rows = np.flatnonzero(np.isfinite(x).all(axis=1))
+    parts = x[rows].view(float)
+    widest = np.argmax(parts.max(axis=0, initial=-math.inf)
+                       - parts.min(axis=0, initial=math.inf))
+    order = np.argsort(parts[:, widest])
+    cols = parts.T[:, order]
+    u = cols[widest]
+    end = np.searchsorted(
+        u, u + cut + 4 * np.finfo(float).eps * (np.abs(u) + cut), "right")
+    first = np.arange(1, len(u) + 1)
+    count = np.maximum(end - first, 0)  # none when cut < 0
+    s = np.repeat(first - 1, count)
+    t = np.arange(len(s)) + np.repeat(first - np.cumsum(count) + count, count)
+    for col in cols:
+        near = np.abs(col[s] - col[t]) <= cut
+        s, t = s[near], t[near]
+    i, j = np.sort(rows[order[np.stack((s, t))]], axis=0)
+    return i, j, _exact_dists(x[i], x[j])
+
+
+@np.errstate(over="ignore")
 def close_pairs(x: np.ndarray, tol: float
                 ) -> tuple[list[tuple[int, int]], Optional[float]]:
     """Index pairs i < j of rows of a packed array with Mat2.dist <= tol, in
     (i, j) order, and the exact least pairwise distance (None for fewer than
-    two matrices).
-
-    Exact distances are computed only for the pairs whose lower bound leaves
-    them a chance to be within tol or to be the least."""
-    pairs: list[tuple[int, int]] = []
-    least = math.inf
-    for start in range(0, len(x) - 1, _BLOCK_ROWS):
-        # rows start.. against columns start+1..; column c holds index
-        # start + 1 + c, so c < r lies below the diagonal (j <= i)
-        low = _lower_bounds(x[start:start + _BLOCK_ROWS], x[start + 1:])
-        low[np.tril_indices(low.shape[0], -1, low.shape[1])] = np.inf
-        cut = max(tol, min(least, _UPPER * low.min()))
-        rows, cols = np.nonzero(low <= cut)
-        i, j = rows + start, cols + start + 1
-        d = _exact_dists(x[i], x[j])
-        if d.size:
-            least = min(least, d.min())
-        close = d <= tol
-        pairs.extend(zip(i[close].tolist(), j[close].tolist()))
-    return pairs, float(least) if len(x) > 1 else None
+    two matrices).  Rows with a non-finite entry are in no pair; the least
+    distance is over the other pairs, inf when there is none.  The sweep's
+    cut is the larger of tol and a distance that occurs, an upper bound on
+    the least: that of the neighbours in one of the 8 part orders whose
+    parts differ least."""
+    y = x[np.isfinite(x).all(axis=1)]
+    cols = y.view(float).T
+    nb = np.argsort(cols, axis=1)
+    a, b = nb[:, :-1].ravel(), nb[:, 1:].ravel()
+    k = np.argsort(np.max([np.abs(c[a] - c[b]) for c in cols], axis=0))[:1]
+    bound = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
+    i, j, d = _near_pairs(x, max(tol, bound))
+    close = d <= tol
+    return (sorted(zip(i[close].tolist(), j[close].tolist())),
+            float(d.min(initial=math.inf)) if len(x) > 1 else None)
 
 
 def match_in_order(a: Sequence[Mat2], b: Sequence[Mat2], tol: float) -> bool:
     """Greedy one-to-one matching in a's order: each matrix takes its
     nearest remaining partner in b, the earliest on ties, and that partner
-    must lie within tol."""
+    must lie within tol; so only the pairs within tol can decide."""
     if len(a) != len(b):
         return False
-    xa, xb = pack(a), pack(b)
-    free = np.ones(len(b), dtype=bool)
-    for start in range(0, len(xa), _BLOCK_ROWS):
-        low = _lower_bounds(xa[start:start + _BLOCK_ROWS], xb)
-        for r, row in enumerate(low, start):
-            # the nearest free partner's lower bound is at most the cut
-            cut = _UPPER * row[free].min()
-            cand = np.flatnonzero(free & (row <= cut))
-            d = _exact_dists(xa[r], xb[cand])
-            best = int(np.argmin(d))
-            if d[best] > tol:
-                return False
-            free[cand[best]] = False
-    return True
+    i, j, d = _near_pairs(pack(list(a) + list(b)), tol)
+    # a's rows come first, so a pair across the sets has i in a, j in b;
+    # by row, distance and partner, each row takes the first one still free
+    near = (i < len(a)) & (j >= len(a)) & (d <= tol)
+    used: set[int] = set()
+    for r, _, c in sorted(zip(i[near].tolist(), d[near].tolist(),
+                              j[near].tolist())):
+        if r not in used and c not in used:
+            used.update((r, c))
+    return len(used) == 2 * len(a)
 
 
 def greedy_unique(x: np.ndarray, tol: float) -> list[int]:
     """Indices of the rows of a packed array kept by a greedy pass in row
     order: one is kept unless it lies within tol of an earlier kept one."""
-    pairs, _ = close_pairs(x, tol)
+    i, j, d = _near_pairs(x, tol)
+    close = d <= tol
     dropped: set[int] = set()
     # by later index, so that every i < j is settled before j is
-    for i, j in sorted(pairs, key=lambda p: p[1]):
-        if i not in dropped:
-            dropped.add(j)
-    return [i for i in range(len(x)) if i not in dropped]
+    for later, earlier in sorted(zip(j[close].tolist(), i[close].tolist())):
+        if earlier not in dropped:
+            dropped.add(later)
+    return [r for r in range(len(x)) if r not in dropped]
 
 
 @dataclass(frozen=True)

@@ -212,15 +212,26 @@ def _aberth_roots(c: np.ndarray, sweeps: int = _ABERTH_SWEEPS) -> np.ndarray:
     # deterministic, slightly perturbed circle of starting points
     z = radius * (1.0 + 0.05 * np.sin(7.0 * k + 1.0)) \
         * np.exp(1j * (2 * np.pi * k / d + 0.4))
-    dc = c[1:] * np.arange(1, d + 1)
+    # p and p' as the rows of one Horner pass; p' gets a zero top
+    # coefficient, whose first step 0 * z + dc[-1] is exact
+    coef = np.stack((c, np.append(c[1:] * np.arange(1, d + 1), 0)))
     for _ in range(sweeps):
-        pv, noise = _horner_vec(c, z)
+        acc = np.repeat(coef[:, -1:], d, axis=1)
+        # running roundoff bound of p's Horner values
+        err = np.abs(acc[0]) * 0.5
+        az = np.abs(z)
+        for ck in coef[:, -2::-1].T:
+            acc *= z
+            acc += ck[:, None]
+            err *= az
+            err += np.abs(acc[0])
+        pv, dv = acc
+        noise = 2.0 * err * np.finfo(float).eps
         # an overflowed value or bound would pass the test below vacuously
         if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(noise))):
             raise NonConvergence(f"polynomial values overflow at degree {d}")
         if np.all(np.abs(pv) <= 8.0 * noise):
             return z
-        dv, _ = _horner_vec(dc, z)
         dv = np.where(dv == 0, 1e-30, dv)
         w = pv / dv
         diff = z[:, None] - z[None, :]
@@ -246,17 +257,6 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
-
-
-def _horner_vec(c: np.ndarray, z: np.ndarray):
-    """Vectorized Horner evaluation plus a running roundoff bound."""
-    acc = np.full_like(z, c[-1])
-    err = np.abs(acc) * 0.5
-    az = np.abs(z)
-    for ck in c[-2::-1]:
-        acc = acc * z + ck
-        err = err * az + np.abs(acc)
-    return acc, 2.0 * err * np.finfo(float).eps
 
 
 # --- clustering -------------------------------------------------------------

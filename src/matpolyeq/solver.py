@@ -379,9 +379,11 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     offsets) are held as one array batch (``Candidates``): their residuals
     come from one call of the batch kernel ``mat2.eval_batch`` for the pairs,
     the dedupe keeps a candidate unless it lies within the tolerance of an
-    earlier kept one (the pairwise kernel ``mat2.greedy_unique``), and the
-    kept ones are residual-verified and checked against the C(2n, 2) bound
-    before Solution objects are built for them, sorted by eigenvalues.
+    earlier kept one (``mat2.greedy_unique``: its sorted-window pair kernel
+    computes distances only for the pairs whose entry parts all lie within
+    the tolerance), and the kept ones are residual-verified and checked
+    against the C(2n, 2) bound before Solution objects are built for them,
+    sorted by eigenvalues.
     """
     data = critical_data(eq, backend=backend)
     cert = detect_infinite(eq, data)

@@ -86,8 +86,9 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     values are the equation's own, shared with an earlier solve).  The
     solutions' residuals come from one call of the batch kernel
     ``mat2.eval_batch``, the certificate samples' from another; the pairwise
-    distinctness check and ``min_pair_distance`` come from the pairwise
-    kernel (``mat2.close_pairs``); the eigenvalues of all the finite
+    distinctness check and the exact ``min_pair_distance`` come from the
+    sorted-window pair kernel (``mat2.close_pairs``), which leaves out
+    matrices with non-finite entries; the eigenvalues of all the finite
     matrices come from one call of ``mat2.eigenvalues``, and the divisor
     test from two of ``poly.relative_value``.  Failures are reported, not
     raised.
@@ -305,7 +306,8 @@ def minimize(cost, x0: np.ndarray) -> SearchResult:
     deterministic, and each start follows the path it would follow alone.
     """
     x = np.array(x0, dtype=float)
-    fx = cost(x, np.arange(len(x)))
+    # a copy: x is updated in place, and a cost may keep its argument
+    fx = cost(x.copy(), np.arange(len(x)))
     h = np.full(len(x), _FIRST_STEP)
     nfev = len(x)
     for _ in range(_MAX_ITER):

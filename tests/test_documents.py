@@ -162,6 +162,20 @@ class TestDocumentByteStability:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == \
                 digests[str(i)], (seed, i)
 
+    # the digests cover documents, not reports: pin the verifier's pairwise
+    # check on the same equations against the all-pairs Mat2.dist minimum
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_n16_report_least_distance(self, seed):
+        eq = self._random_n16(seed, 1)[0]
+        sset = solve_equation(eq)
+        report = verify_solution_set(eq, sset)
+        mats = [s.matrix for s in sset.solutions]
+        assert len(mats) == 496
+        assert report.min_pair_distance == min(
+            mats[i].dist(mats[j]) for i in range(len(mats))
+            for j in range(i + 1, len(mats)))
+        assert report.duplicates_ok
+
 
 class TestPlanAndReportDocuments:
     def test_plan_document(self):

@@ -276,3 +276,16 @@ class TestMinimize:
         assert [r.nfev for r, _ in alone] == [1 + 4 * 40, 313, 241]
         for (_, points), mine in zip(alone, seen):
             assert np.array(mine).tobytes() == points.tobytes()
+
+    def test_cost_keeps_the_start_points(self):
+        # the search updates its points in place; what the cost was given
+        # must not change under it
+        kept = []
+
+        def cost(x, starts):
+            kept.append(x)
+            return _valley(x, starts)
+
+        res = minimize(cost, self.STARTS)
+        assert kept[0].tolist() == self.STARTS.tolist()
+        assert not np.array_equal(res.x, self.STARTS)
