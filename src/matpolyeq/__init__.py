@@ -13,8 +13,7 @@ from .poly import (NonConvergence, Poly, Root, SingularSystem, dense_solve,
 from .solver import (CriticalDatum, InfiniteCertificate, InternalInconsistency,
                      Solution, SolutionSet, critical_data, detect_infinite,
                      enumerate_diagonalizable, find_nondiagonalizable,
-                     residual_tol, scalar_solutions, solution_bound,
-                     solve_equation)
+                     scalar_solutions, solution_bound, solve_equation)
 from .verify import (CrossCheck, VerificationReport, brute_force_scan,
                      count_cross_check, verify_solution_set)
 
@@ -28,7 +27,7 @@ __all__ = [
     "construct", "count_cross_check", "critical_data", "dense_solve", "det2",
     "detect_infinite", "eigen2", "enumerate_diagonalizable",
     "eval_batch", "eval_equation", "find_nondiagonalizable", "find_roots", "poly_matrix",
-    "rank_and_nullspace", "residual_tol", "scalar_solutions",
+    "rank_and_nullspace", "scalar_solutions",
     "solution_bound", "solve_coefficients", "solve_equation", "special_case",
     "verify_solution_set",
 ]

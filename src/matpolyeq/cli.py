@@ -153,17 +153,11 @@ def cmd_sweep(args) -> int:
     lines = [f"{'n':>3} {'m':>4} {'p':>3} {'pbar':>4} {'count':>6} "
              f"{'max_residual':>13} {'ms':>7} {'status':>7} error"]
     for r in rows:
-        if r["error"] is not None:
-            count = "-"   # the cell crashed before counting
-        else:
-            count = r["count"] if r["count"] is not None else "inf"
         lines.append(
-            f"{r['n']:>3} {r['m']:>4} {r['p'] if r['p'] is not None else '-':>3} "
-            f"{r['pbar'] if r['pbar'] is not None else '-':>4} "
-            f"{count:>6} "
+            f"{r['n']:>3} {r['m']:>4} {r['p']:>3} {r['pbar']:>4} {r['count']:>6} "
             f"{r['max_residual']:>13.3e} {r['ms']:>7.1f} "
-            f"{'pass' if r['ok'] else 'FAIL':>7} {r['error'] or '-'}")
-    failures = [(r["n"], r["m"]) for r in rows if not r["ok"]]
+            f"{'FAIL' if r['error'] else 'pass':>7} {r['error'] or '-'}")
+    failures = [(r["n"], r["m"]) for r in rows if r["error"]]
     lines.append(f"cells: {len(rows)}, failures: {len(failures)}")
     if failures:
         lines.append("failing cells: " + ", ".join(map(str, failures)))
@@ -179,8 +173,10 @@ def cmd_sweep(args) -> int:
 def _sweep_cell(cell) -> dict:
     n, m = cell
     start = time.perf_counter()
-    row = {"n": n, "m": m, "p": None, "pbar": None, "count": None,
-           "max_residual": 0.0, "ms": 0.0, "ok": False, "error": None}
+    # "-" where a cell has no value; a failed cell names every failed
+    # condition, or its crash, in one whitespace-free error token
+    row = {"n": n, "m": m, "p": "-", "pbar": "-", "count": "-",
+           "max_residual": 0.0, "ms": 0.0, "error": None}
     try:
         result = construct(n, m, validate=False)
         if result.plan is not None:
@@ -188,10 +184,16 @@ def _sweep_cell(cell) -> dict:
         cross = count_cross_check(result.equation)
         report = verify_solution_set(result.equation, cross.set_a,
                                      backend_agreement=cross.agree)
-        row["count"] = cross.count_a
+        row["count"] = cross.count_a if cross.count_a is not None else "inf"
         row["max_residual"] = report.max_residual
-        row["ok"] = (report.verdict == "pass" and cross.agree
-                     and cross.count_a == m)
+        failed = [f"count:{row['count']}!={m}"] if row["count"] != m else []
+        if not cross.agree:
+            failed.append("backends")
+        checks = [k[:-3] for k, v in vars(report).items()
+                  if k.endswith("_ok") and v is False]
+        if checks:
+            failed.append("verify:" + "+".join(checks))
+        row["error"] = ",".join(failed) or None
     except Exception as exc:  # a failing cell must not kill the sweep
         row["error"] = type(exc).__name__
     row["ms"] = (time.perf_counter() - start) * 1e3

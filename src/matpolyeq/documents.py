@@ -218,9 +218,9 @@ def report_to_doc(report: VerificationReport) -> dict:
         "classification": report.classification,
         "claimed_count": report.claimed_count,
         "bound": report.bound,
-        "max_residual": report.max_residual,
-        "residuals": list(report.residuals),
-        "min_pair_distance": report.min_pair_distance,
+        "max_residual": _finite_or_null(report.max_residual),
+        "residuals": [_finite_or_null(r) for r in report.residuals],
+        "min_pair_distance": _finite_or_null(report.min_pair_distance),
         "checks": {
             "residuals": report.residuals_ok,
             "duplicates": report.duplicates_ok,
@@ -235,8 +235,13 @@ def report_to_doc(report: VerificationReport) -> dict:
     }
 
 
+def _finite_or_null(v):  # JSON has no NaN or Infinity
+    return v if v is not None and math.isfinite(v) else None
+
+
 def save_doc(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def load_doc(path) -> dict:

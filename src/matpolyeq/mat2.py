@@ -61,7 +61,7 @@ class Mat2:
     m22: complex
 
     def __post_init__(self):
-        # finiteness is checked by MatrixEquation and solver.residual
+        # finiteness is checked by MatrixEquation and solver.residuals
         for name in ("m11", "m12", "m21", "m22"):
             object.__setattr__(self, name, complex(getattr(self, name)))
 
@@ -464,15 +464,10 @@ def eigenvalues(x: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigenvalues2(a: Mat2) -> tuple[complex, complex]:
-    """Eigenvalues of one matrix: one row of ``eigenvalues``."""
-    return tuple(eigenvalues(pack([a]))[0].tolist())
-
-
 def eigen2(a: Mat2) -> Eigen2:
-    """Eigen-decomposition on top of ``eigenvalues2``; classifies defective
-    matrices by eigenvalue gap and kernel dimension."""
-    values = eigenvalues2(a)
+    """Eigen-decomposition on top of a one-row call of ``eigenvalues``;
+    classifies defective matrices by eigenvalue gap and kernel dimension."""
+    values = tuple(eigenvalues(pack([a]))[0].tolist())
     scale = max(1.0, a.max_norm())
     if values[0] != values[1]:
         vecs = []

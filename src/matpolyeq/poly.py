@@ -202,7 +202,7 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
 
 # --- backends ---------------------------------------------------------------
 
-def _aberth_roots(c: np.ndarray, sweeps: int = _ABERTH_SWEEPS) -> np.ndarray:
+def _aberth_roots(c: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration on a monic polynomial with c[0] != 0."""
     d = len(c) - 1
     if d == 1:
@@ -215,7 +215,7 @@ def _aberth_roots(c: np.ndarray, sweeps: int = _ABERTH_SWEEPS) -> np.ndarray:
     # p and p' as the rows of one Horner pass; p' gets a zero top
     # coefficient, whose first step 0 * z + dc[-1] is exact
     coef = np.stack((c, np.append(c[1:] * np.arange(1, d + 1), 0)))
-    for _ in range(sweeps):
+    for _ in range(_ABERTH_SWEEPS):
         acc = np.repeat(coef[:, -1:], d, axis=1)
         # running roundoff bound of p's Horner values
         err = np.abs(acc[0]) * 0.5
@@ -242,7 +242,8 @@ def _aberth_roots(c: np.ndarray, sweeps: int = _ABERTH_SWEEPS) -> np.ndarray:
         z = z - corr
         if np.all(np.abs(corr) <= 1e-15 * (1.0 + np.abs(z))):
             return z
-    raise NonConvergence(f"no convergence in {sweeps} sweeps at degree {d}")
+    raise NonConvergence(
+        f"no convergence in {_ABERTH_SWEEPS} sweeps at degree {d}")
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:

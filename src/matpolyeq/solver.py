@@ -131,22 +131,16 @@ def solution_bound(n: int) -> int:
 
 def residual_tols(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
     """Acceptance threshold for ||f(X)|| of each packed candidate, tracking
-    Horner error growth; inf where it overflows."""
+    Horner error growth; inf where it overflows.  The power is CPython's,
+    one row at a time: numpy's differs in the last bit."""
     coef = RESIDUAL_COEF * (1.0 + eq.coeff_scale())
-    return np.array([coef * _growth(norm, eq.n)
-                     for norm in max_norms(x).tolist()], float)
-
-
-def _growth(norm: float, n: int) -> float:
-    try:
-        return (1.0 + norm) ** n
-    except OverflowError:  # no finite threshold, so nothing is accepted
-        return math.inf
-
-
-def residual_tol(eq: MatrixEquation, x: Mat2) -> float:
-    """``residual_tols`` of one candidate."""
-    return float(residual_tols(eq, pack([x]))[0])
+    tols = []
+    for norm in max_norms(x).tolist():
+        try:
+            tols.append(coef * (1.0 + norm) ** eq.n)
+        except OverflowError:  # no finite threshold, so nothing is accepted
+            tols.append(math.inf)
+    return np.array(tols, float)
 
 
 def residuals(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
@@ -156,22 +150,12 @@ def residuals(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
     return max_norms(eval_batch(eq, x))
 
 
-def residual(eq: MatrixEquation, x: Mat2) -> float:
-    """``residuals`` of one candidate: a one-row call of the kernel."""
-    return float(residuals(eq, pack([x]))[0])
-
-
 def accepted(eq: MatrixEquation, x: np.ndarray,
              res: np.ndarray) -> np.ndarray:
     """The acceptance test for each packed candidate with its residual; an
     overflowed threshold accepts nothing."""
     tol = residual_tols(eq, x)
     return (res <= tol) & (tol < math.inf)
-
-
-def residual_ok(eq: MatrixEquation, x: Mat2, res: float) -> bool:
-    """``accepted`` for one candidate X with residual ``res``."""
-    return bool(accepted(eq, pack([x]), np.array([res]))[0])
 
 
 def critical_data(eq: MatrixEquation,
@@ -215,17 +199,15 @@ def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
 
 
 def scalar_solutions(eq: MatrixEquation,
-                     data: Sequence[CriticalDatum]) -> list[Solution]:
+                     data: Sequence[CriticalDatum]) -> Candidates:
     """lam * I for every critical value whose critical space is the whole
-    plane (rank M(lam) = 0)."""
-    out = []
-    for d in data:
-        if d.space_dim == 2:
-            x = Mat2.identity().scale(d.value)
-            out.append(Solution(x, "scalar",
-                                ((d.value, E1), (d.value, E2)),
-                                residual(eq, x)))
-    return out
+    plane (rank M(lam) = 0), residual-checked as one batch."""
+    planes = [d for d in data if d.space_dim == 2]
+    x = pack([Mat2.identity().scale(d.value) for d in planes])
+    # no kernel call on an empty batch
+    return Candidates(x, residuals(eq, x) if planes else np.zeros(0),
+                      ("scalar",) * len(planes),
+                      tuple(((d.value, E1), (d.value, E2)) for d in planes))
 
 
 def enumerate_diagonalizable(eq: MatrixEquation,
@@ -315,10 +297,11 @@ def find_nondiagonalizable(
     v = Vec2(-(w.x.conjugate() * mval.m11 + w.y.conjugate() * mval.m21),
              -(w.x.conjugate() * mval.m12 + w.y.conjugate() * mval.m22))
     x = Mat2.identity().scale(lam) + outer(k, v).scale(1.0 / wnorm ** 2)
-    res = residual(eq, x)
-    if not residual_ok(eq, x, res):
+    packed = pack([x])
+    res = residuals(eq, packed)
+    if not accepted(eq, packed, res)[0]:
         return None
-    return Solution(x, "non_diagonalizable", ((lam, k),), res)
+    return Solution(x, "non_diagonalizable", ((lam, k),), float(res[0]))
 
 
 def _certify_family(eq, reason, base, direction
@@ -393,7 +376,7 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     # detect_infinite has settled every 2D space
     offsets = [find_nondiagonalizable(eq, d) for d in data
                if d.multiplicity >= 2 and d.space_dim == 1]
-    found = (Candidates.of(scalar_solutions(eq, data))
+    found = (scalar_solutions(eq, data)
              + enumerate_diagonalizable(eq, data)
              + Candidates.of([s for s in offsets if s is not None]))
 

@@ -140,8 +140,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     certificate_ok = None
     if sset.certificate is not None:
         cert = sset.certificate
-        sample_ok = _passes(
-            eq, pack([cert.member(mu) for mu in cert.samples])).tolist()
+        samples = pack([cert.member(mu) for mu in cert.samples])
+        sample_ok = accepted(eq, samples, residuals(eq, samples)).tolist()
         certificate_ok = all(sample_ok)
         for mu, good in zip(cert.samples, sample_ok):
             if not good:
@@ -244,17 +244,11 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
                         fits.append(x)
     x = np.concatenate([pack(fits),
                         _scalar_candidates(eq, [d.value for d in data])])
-    x = x[_passes(eq, x)]
+    x = x[accepted(eq, x, residuals(eq, x))]
     # the greedy dedupe runs in order of the entries' parts, m11.real first
     parts = np.stack([x.real, x.imag], axis=2).reshape(-1, 8)
     x = x[np.lexsort(parts.T[::-1])]
     return unpack(x[greedy_unique(x, keep_tol)])
-
-
-def _passes(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
-    """Whether each row of a packed array passes the residual acceptance
-    test, from one call of the batch kernel."""
-    return accepted(eq, x, residuals(eq, x))
 
 
 def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
@@ -389,7 +383,7 @@ def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
     values and one ``minimize`` call that refines every search together.
     """
     scalars = pack([Mat2.identity().scale(lam) for lam in lams])
-    scalar_ok = _passes(eq, scalars)
+    scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
     mval = pack([eq.matrix.eval(lam) for lam in lams]).reshape(-1, 2, 2)
     mder = pack([eq.matrix_derivative.eval(lam)
                  for lam in lams]).reshape(-1, 2, 2)

@@ -1,10 +1,14 @@
 """Test-only routines: exact-arithmetic references the package does not
 need, and the rank-pattern equations shared by the solver and scan tests."""
 
+import cmath
+import math
+
 import numpy as np
 
 from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2, outer
 from matpolyeq.poly import Poly
+from matpolyeq.solver import RESIDUAL_COEF
 
 
 def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
@@ -21,6 +25,20 @@ def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
         for j, c in enumerate(d.coeffs):
             rem[k - dd + j] -= f * c
     return Poly(quot), Poly(rem[:dd] if dd else [0j])
+
+
+def ref_residual_tol(eq: MatrixEquation, x: Mat2) -> float:
+    """The acceptance threshold of one candidate, one float at a time:
+    RESIDUAL_COEF (1 + coefficient scale) (1 + ||X||)^n with CPython's
+    power, ||X|| the largest entry modulus, inf where an entry is not
+    finite or the modulus or the power overflows."""
+    entries = (x.m11, x.m12, x.m21, x.m22)
+    try:
+        norm = (max(abs(z) for z in entries)
+                if all(map(cmath.isfinite, entries)) else math.inf)
+        return RESIDUAL_COEF * (1.0 + eq.coeff_scale()) * (1.0 + norm) ** eq.n
+    except OverflowError:
+        return math.inf
 
 
 def max_abs_coeff(p: Poly) -> float:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from matpolyeq.construct import SPECIAL_COUNTS, construct
-from matpolyeq.mat2 import Mat2, MatrixEquation, eigen2, poly_matrix
+from matpolyeq.mat2 import Mat2, MatrixEquation, eigen2, pack, poly_matrix
 from matpolyeq.poly import Poly
-from matpolyeq.solver import (residual_tol, solution_bound, solve_equation)
+from matpolyeq.solver import (accepted, residuals, solution_bound,
+                              solve_equation)
 from matpolyeq.verify import brute_force_scan, count_cross_check
 
 from helpers import max_abs_coeff, poly_divmod
@@ -43,8 +44,13 @@ def test_criterion_1_exact_counts_across_sweep(sweep):
     for n, m, result, cross, elapsed in cells:
         assert cross.set_a.is_finite, f"(n={n}, m={m}) classified infinite"
         assert cross.count_a == m, f"(n={n}, m={m}) gave {cross.count_a}"
-        for sol in cross.set_a.solutions:
-            assert sol.residual <= residual_tol(result.equation, sol.matrix)
+        # the stored residuals are the batch kernel's, bit for bit, and
+        # every solution passes the one acceptance test
+        x = pack([sol.matrix for sol in cross.set_a.solutions])
+        res = residuals(result.equation, x)
+        assert [r.hex() for r in res.tolist()] == \
+            [sol.residual.hex() for sol in cross.set_a.solutions]
+        assert accepted(result.equation, x, res).all(), (n, m)
         assert elapsed < 1.0, f"(n={n}, m={m}) took {elapsed:.2f}s"
         worst = max(worst, elapsed)
     assert total < 60.0

@@ -20,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq.mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
-                            eigenvalues, eigenvalues2, eval_batch,
-                            eval_equation, pack, unpack)
+                            eigenvalues, eval_batch, eval_equation, pack,
+                            unpack)
 from matpolyeq.poly import CLUSTER_TOL
 from matpolyeq.solver import (INDEPENDENCE_TOL, CriticalDatum, Solution,
                               SolutionSet, critical_data,
-                              enumerate_diagonalizable, residual, residuals,
-                              solve_equation)
+                              enumerate_diagonalizable, residual_tols,
+                              residuals, solve_equation)
 from matpolyeq.verify import verify_solution_set
+
+from helpers import ref_residual_tol
 
 
 def ref_eval(eq, x):
@@ -102,9 +104,32 @@ def test_one_row_calls(coeffs, x):
     eq = MatrixEquation(tuple(coeffs))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, res = eval_equation(eq, x), residual(eq, x)
+        got, res = eval_equation(eq, x), residuals(eq, pack([x]))[0]
     assert bits(pack([got])) == bits(pack([ref_eval(eq, x)]))
     assert res == ref_residual(eq, x)
+
+
+# on top of the drawn rows: rows whose threshold overflows, NaN and inf
+# rows, and rows of moderate norm, where numpy's power and CPython's differ
+# in the last bit for about one (1 + norm, n) in twenty
+_SPREAD = np.random.default_rng(13).uniform(-1, 1, (2, 64, 4))
+_TOL_ROWS = [Mat2.diag(1e200, 1e200), Mat2(complex(1.5e308, 1.5e308), 0, 0, 0),
+             Mat2(0, 1, 0, math.nan), Mat2(math.inf, 0, 0, 1j)] + unpack(
+    (_SPREAD[0] + 1j * _SPREAD[1]) * 10.0 ** np.arange(-2, 2).repeat(16)[:, None])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_COEFFS, min_size=1, max_size=16),
+       mats=st.lists(_MATS, max_size=20))
+def test_thresholds_match_scalar_power(coeffs, mats):
+    # CPython's power, not numpy's, which differs in the last bit
+    eq = MatrixEquation(tuple(coeffs))
+    mats = mats + _TOL_ROWS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tols = residual_tols(eq, pack(mats))
+    assert [t.hex() for t in tols.tolist()] == \
+        [ref_residual_tol(eq, x).hex() for x in mats]
 
 
 def test_unpack_round_trips_signed_zeros():
@@ -243,7 +268,7 @@ def test_eigenvalues_match_numpy():
         err = min(np.abs(row - ref).max(), np.abs(row - ref[::-1]).max())
         assert err <= 1e-9 * scale
         assert (row[0].real, row[0].imag) <= (row[1].real, row[1].imag)
-        assert np.allclose(eigenvalues2(Mat2(*a)), ref_eigenvalues2(Mat2(*a)),
+        assert np.allclose(eigenvalues(a[None])[0], ref_eigenvalues2(Mat2(*a)),
                            rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -252,7 +277,7 @@ def test_eigenvalues_collapse_exactly():
                             Mat2(1, 0, 0, 1 + 1e-12), Mat2.diag(1, -1)]))
     assert got.tolist() == [[2, 2], [3j, 3j], [1 + 5e-13, 1 + 5e-13],
                             [-1, 1]]
-    assert eigenvalues2(Mat2(2, 1, 0, 2)) == (2, 2)
+    assert eigenvalues(pack([Mat2(2, 1, 0, 2)])).tolist() == [[2, 2]]
     assert eigenvalues(pack([])).shape == (0, 2)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,14 @@ from matpolyeq.solver import InternalInconsistency
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def strict_json(path):
+    """The document at path, read by a parser that refuses NaN and
+    Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestConstructCommand:
@@ -203,9 +212,27 @@ class TestVerifyCommand:
         assert run("verify", "--equation", eq_path, "--solutions", sol,
                    "--report", report) == 5
         assert "Traceback" not in capsys.readouterr().err
-        doc = load_doc(report)
+        doc = strict_json(report)
         assert doc["verdict"] == "fail"
-        assert doc["max_residual"] == float("inf")
+        assert doc["max_residual"] is None
+
+    def test_infinite_residual_report_is_strict_json(self, tmp_path):
+        eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+        assert run("construct", "--n", 2, "--m", 4, "--out", eq_path) == 0
+        assert run("solve", "--in", eq_path, "--out", sol) == 0
+        doc = load_doc(sol)
+        doc["solutions"][0]["matrix"][0][0] = [1e200, 0.0]
+        save_doc(doc, sol)
+        report = tmp_path / "report.json"
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 5
+        doc = strict_json(report)
+        # X^2 overflows at the 1e200 entry: its residual is written as null
+        assert doc["max_residual"] is None
+        assert doc["residuals"][0] is None
+        assert all(isinstance(r, float) for r in doc["residuals"][1:])
+        assert isinstance(doc["min_pair_distance"], float)
+        assert doc["checks"]["residuals"] is False
 
     def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
                                             monkeypatch, eq_four_solutions):
@@ -290,6 +317,51 @@ class TestSweepCommand:
         assert rows[("2", "6")][4] == "6"
         assert rows[("2", "6")][7:] == ["pass", "-"]
         assert "failing cells: (2, 5)" in lines[-1]
+
+    def test_failed_cell_names_its_cause(self, tmp_path, monkeypatch):
+        real_construct = cli.construct
+
+        def construct(n, m, **kwargs):
+            # cell (2, 5) gets the equation of (2, 6): a wrong count only
+            return real_construct(n, 6 if (n, m) == (2, 5) else m, **kwargs)
+
+        monkeypatch.setattr(cli, "construct", construct)
+        report = tmp_path / "table.txt"
+        assert run("sweep", "--n-max", 2, "--report", report) == 5
+        lines = report.read_text().splitlines()
+        rows = {tuple(line.split()[:2]): line.split() for line in lines[1:8]}
+        assert rows[("2", "5")][4] == "6"
+        assert rows[("2", "5")][7:] == ["FAIL", "count:6!=5"]
+        for key, row in rows.items():
+            if key != ("2", "5"):
+                assert row[7:] == ["pass", "-"], key
+        assert "failing cells: (2, 5)" in lines[-1]
+
+    def test_failed_cell_names_backends_and_checks(self, tmp_path,
+                                                   monkeypatch):
+        real_cross, real_verify = cli.count_cross_check, cli.verify_solution_set
+
+        # at n = 1 the backends disagree and two report checks fail
+        def count_cross_check(eq):
+            cross = real_cross(eq)
+            return replace(cross, agree=cross.agree and eq.n != 1)
+
+        def verify_solution_set(eq, sset, backend_agreement=None):
+            report = real_verify(eq, sset, backend_agreement=backend_agreement)
+            return report if eq.n != 1 else replace(
+                report, eigenvalues_ok=False, char_divisor_ok=False)
+
+        monkeypatch.setattr(cli, "count_cross_check", count_cross_check)
+        monkeypatch.setattr(cli, "verify_solution_set", verify_solution_set)
+        report = tmp_path / "table.txt"
+        assert run("sweep", "--n-max", 2, "--report", report) == 5
+        lines = report.read_text().splitlines()
+        rows = {tuple(line.split()[:2]): line.split() for line in lines[1:8]}
+        assert rows[("1", "1")][4] == "1"
+        assert rows[("1", "1")][7:] == \
+            ["FAIL", "backends,verify:eigenvalues+char_divisor"]
+        assert all(row[7:] == ["pass", "-"] for key, row in rows.items()
+                   if key != ("1", "1"))
 
     def test_parallel_jobs(self, tmp_path):
         report = tmp_path / "table.txt"

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,3 +201,21 @@ class TestPlanAndReportDocuments:
         assert doc["verdict"] == "pass"
         assert doc["checks"]["backend_agreement"] is True
         assert doc["claimed_count"] == 4
+
+    def test_non_finite_report_numbers_are_null(self, tmp_path,
+                                                eq_four_solutions):
+        report = verify_solution_set(eq_four_solutions,
+                                     solve_equation(eq_four_solutions))
+        report = replace(report, max_residual=math.inf,
+                         residuals=(0.5, math.nan, -math.inf),
+                         min_pair_distance=math.inf)
+        path = tmp_path / "report.json"
+        save_doc(report_to_doc(report), path)
+        doc = json.loads(path.read_text())
+        assert (doc["max_residual"], doc["residuals"],
+                doc["min_pair_distance"]) == (None, [0.5, None, None], None)
+
+    def test_writer_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_doc({"residual": math.nan}, tmp_path / "doc.json")
+        assert not (tmp_path / "doc.json").exists()

@@ -118,10 +118,11 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(Poly([-1, 0, 1]), backend="secant")
 
-    def test_iteration_budget_exhaustion(self):
+    def test_iteration_budget_exhaustion(self, monkeypatch):
         coeffs = np.array(Poly.from_roots([(1, 1), (2, 1), (3, 1)]).coeffs)
-        with pytest.raises(NonConvergence):
-            _aberth_roots(coeffs, sweeps=1)
+        monkeypatch.setattr(poly, "_ABERTH_SWEEPS", 1)
+        with pytest.raises(NonConvergence, match="in 1 sweeps at degree 3"):
+            _aberth_roots(coeffs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_agree(self, backend):

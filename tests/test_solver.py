@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            eval_equation, poly_matrix)
+                            eval_equation, pack, poly_matrix)
 from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
 from matpolyeq.solver import (CriticalDatum, InfiniteCertificate,
-                              InternalInconsistency, Solution, critical_data,
-                              detect_infinite, enumerate_diagonalizable,
-                              find_nondiagonalizable, residual, residual_ok,
-                              residual_tol, scalar_solutions, solution_bound,
+                              InternalInconsistency, Solution, accepted,
+                              critical_data, detect_infinite,
+                              enumerate_diagonalizable,
+                              find_nondiagonalizable, residual_tols,
+                              residuals, scalar_solutions, solution_bound,
                               solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
@@ -87,18 +88,18 @@ class TestEnumerateDiagonalizable:
 class TestScalarSolutions:
     def test_nilpotent_square_includes_zero(self, eq_x_squared_zero):
         data = critical_data(eq_x_squared_zero)
-        sols = scalar_solutions(eq_x_squared_zero, data)
+        sols = scalar_solutions(eq_x_squared_zero, data).solutions()
         assert len(sols) == 1
         assert sols[0].matrix.dist(Mat2.zero()) == 0
         assert sols[0].kind == "scalar"
 
     def test_four_solution_fixture_empty(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        assert scalar_solutions(eq_four_solutions, data) == []
+        assert scalar_solutions(eq_four_solutions, data).solutions() == []
 
     def test_shifted_square_includes_identity(self, eq_shifted_square):
         data = critical_data(eq_shifted_square)
-        sols = scalar_solutions(eq_shifted_square, data)
+        sols = scalar_solutions(eq_shifted_square, data).solutions()
         assert len(sols) == 1
         assert sols[0].matrix.dist(Mat2.identity()) == 0
 
@@ -257,8 +258,8 @@ class TestSolutionInvariants:
                                         eq_x_squared_jordan, backend):
         for eq in (eq_four_solutions, eq_x_squared_jordan):
             ss = solve_equation(eq, backend=backend)
-            for s in ss.solutions:
-                assert s.residual <= residual_tol(eq, s.matrix)
+            _assert_accepted(eq, [s.matrix for s in ss.solutions],
+                             [s.residual for s in ss.solutions])
 
     def test_eigenvalue_containment(self, eq_four_solutions, eq_x_squared_jordan,
                                     eq_degree_one):
@@ -297,9 +298,8 @@ class TestSolutionInvariants:
             cert = solve_equation(eq).certificate
             assert len(cert.samples) == 3
             assert len(set(cert.samples)) == 3
-            for mu, res in zip(cert.samples, cert.sample_residuals):
-                x = cert.member(mu)
-                assert res <= residual_tol(eq, x)
+            _assert_accepted(eq, [cert.member(mu) for mu in cert.samples],
+                             cert.sample_residuals)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generic_equations_hit_the_bound(self, n):
@@ -316,26 +316,43 @@ class TestSolutionInvariants:
         assert [solution_bound(n) for n in range(1, 6)] == [1, 6, 15, 28, 45]
 
 
+def _assert_accepted(eq, mats, stored):
+    """The stored residuals are the batch kernel's, bit for bit, and every
+    matrix passes the one acceptance test."""
+    x = pack(mats)
+    res = residuals(eq, x)
+    assert [r.hex() for r in res.tolist()] == [r.hex() for r in stored]
+    assert accepted(eq, x, res).all()
+
+
+def _batch_of_one(eq, x, res=None):
+    """Residual, threshold and verdict of one candidate, or of one with the
+    given residual, as a batch of one."""
+    packed = pack([x])
+    res = residuals(eq, packed) if res is None else np.array([res])
+    return (float(res[0]), float(residual_tols(eq, packed)[0]),
+            bool(accepted(eq, packed, res)[0]))
+
+
 class TestResidual:
     def test_nan_past_the_first_entry_is_infinite(self, eq_degree_one):
         x = Mat2(0, 1, 0, math.nan)
         # max() keeps its first candidate against a NaN, so max_norm is 0
         assert eval_equation(eq_degree_one, x).max_norm() == 0
-        assert residual(eq_degree_one, x) == math.inf
-        assert not residual_ok(eq_degree_one, x, residual(eq_degree_one, x))
+        res, _, ok = _batch_of_one(eq_degree_one, x)
+        assert res == math.inf
+        assert not ok
 
     def test_overflowing_modulus_is_infinite(self, eq_degree_one):
         # finite entries, but abs() of f(X)'s first entry would overflow
         x = Mat2(complex(1.5e308, 1.5e308), 0, 0, 0)
-        assert residual(eq_degree_one, x) == math.inf
-        assert residual_tol(eq_degree_one, x) == math.inf
-        assert not residual_ok(eq_degree_one, x, residual(eq_degree_one, x))
+        assert _batch_of_one(eq_degree_one, x) == (math.inf, math.inf, False)
 
     def test_overflowing_threshold_accepts_nothing(self, eq_four_solutions):
         # (1 + 1e200)^2 overflows, so the threshold says nothing about X
         x = Mat2.diag(1e200, 1e200)
-        assert residual_tol(eq_four_solutions, x) == math.inf
-        assert not residual_ok(eq_four_solutions, x, 0.0)
+        assert _batch_of_one(eq_four_solutions, x, 0.0) == \
+            (0.0, math.inf, False)
 
 
 class TestOverflow:
