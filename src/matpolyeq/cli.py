@@ -20,6 +20,7 @@ from pathlib import Path
 from . import documents
 from .construct import (DomainError, UnreachableCase, ValidationFailure,
                         construct)
+from .mat2 import MAX_DEGREE
 from .poly import NonConvergence
 from .solver import InternalInconsistency, solution_bound, solve_equation
 from .verify import count_cross_check, verify_solution_set
@@ -137,6 +138,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_max < 1:
         raise DomainError("--n-max must be >= 1")
+    if args.n_max > MAX_DEGREE:  # every cell would fail in construct
+        raise DomainError(f"--n-max is capped at {MAX_DEGREE}")
     if args.jobs < 1:
         raise DomainError("--jobs must be >= 1")
     cells = [(n, m) for n in range(1, args.n_max + 1)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .mat2 import Mat2, MatrixEquation, Vec2
+from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
 from .solver import SolutionSet, solution_bound, solve_equation
 
@@ -200,8 +200,8 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    if n > 16:
-        raise DomainError("n is capped at 16")
+    if n > MAX_DEGREE:
+        raise DomainError(f"n is capped at {MAX_DEGREE}")
     if not 1 <= m <= solution_bound(n):
         raise DomainError(
             f"m must lie in 1..{solution_bound(n)} for n = {n}, got {m}")

@@ -13,14 +13,11 @@ from pathlib import Path
 
 from .construct import ConstructionResult
 from .mat2 import Mat2, MatrixEquation
-from .solver import (CriticalDatum, InfiniteCertificate, Solution,
-                     SolutionSet)
+from .solver import (KINDS, REASONS, CriticalDatum, InfiniteCertificate,
+                     Solution, SolutionSet)
 from .verify import VerificationReport
 
 FORMAT_VERSION = "1"
-
-_KINDS = {"diagonalizable_distinct", "scalar", "non_diagonalizable"}
-_REASONS = {"two_dim_space_with_second_value", "nilpotent_affine_family"}
 
 
 class DocumentError(ValueError):
@@ -139,7 +136,8 @@ def solution_set_from_doc(doc) -> SolutionSet:
         if not isinstance(entry, dict):
             raise DocumentError(f"solution {i} must be an object")
         kind = entry.get("kind")
-        if kind not in _KINDS:
+        # KINDS and REASONS are tuples: an unhashable value fails the test
+        if kind not in KINDS:
             raise DocumentError(f"solution {i} has unknown kind {kind!r}")
         residual = entry.get("residual")
         if not _is_number(residual):
@@ -152,7 +150,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
         raw = doc.get("certificate")
         if not isinstance(raw, dict):
             raise DocumentError("infinite classification needs a certificate")
-        if raw.get("reason") not in _REASONS:
+        if raw.get("reason") not in REASONS:
             raise DocumentError(f"unknown certificate reason {raw.get('reason')!r}")
         samples = raw.get("samples")
         residuals = raw.get("sample_residuals")
@@ -247,9 +245,10 @@ def save_doc(doc: dict, path) -> None:
 def load_doc(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # RecursionError: nesting deeper than the parser's recursion limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc

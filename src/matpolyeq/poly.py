@@ -159,8 +159,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     fail the derivative test (``relative_value``) for their claimed
     multiplicities while the fused centroid passes it.
 
-    Overflow is detected here instead of warned about: iterates or roots
-    that stop being finite raise NonConvergence.
+    The roots come back in (real, imag) order, which the critical data
+    keep.  Overflow is detected here instead of warned about: iterates or
+    roots that stop being finite raise NonConvergence.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")

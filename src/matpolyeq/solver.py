@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,11 @@ INDEPENDENCE_TOL = 1e-6
 DEDUPE_TOL = 1e-6
 _NILPOTENT_TOL = 1e-8
 _SAMPLE_PARAMS = (0.25 + 0j, 0.5 + 0j, 0.75 + 0j)
+# solution kinds and family reasons, spelled as documents carry them
+DIAGONALIZABLE, SCALAR, NON_DIAGONALIZABLE = KINDS = (
+    "diagonalizable_distinct", "scalar", "non_diagonalizable")
+SECOND_VALUE_FAMILY, NILPOTENT_FAMILY = REASONS = (
+    "two_dim_space_with_second_value", "nilpotent_affine_family")
 
 
 class InternalInconsistency(RuntimeError):
@@ -52,7 +57,7 @@ class CriticalDatum:
 @dataclass(frozen=True)
 class Solution:
     matrix: Mat2
-    kind: str  # diagonalizable_distinct | scalar | non_diagonalizable
+    kind: str  # one of KINDS
     eigen_data: Optional[tuple[tuple[complex, Vec2], ...]]
     residual: float
 
@@ -67,13 +72,6 @@ class Candidates:
     residuals: np.ndarray
     kinds: tuple[str, ...]
     eigen_data: tuple
-
-    @staticmethod
-    def of(solutions: Sequence[Solution]) -> "Candidates":
-        return Candidates(pack([s.matrix for s in solutions]),
-                          np.array([s.residual for s in solutions], float),
-                          tuple(s.kind for s in solutions),
-                          tuple(s.eigen_data for s in solutions))
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -145,9 +143,9 @@ def residual_tols(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
 
 def residuals(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
     """Largest entry modulus of f(X) for each packed candidate, from one
-    call of ``mat2.eval_batch``; inf where an entry is not finite or its
-    modulus overflows."""
-    return max_norms(eval_batch(eq, x))
+    call of ``mat2.eval_batch`` (none for an empty batch); inf where an
+    entry is not finite or its modulus overflows."""
+    return max_norms(eval_batch(eq, x)) if len(x) else np.zeros(0)
 
 
 def accepted(eq: MatrixEquation, x: np.ndarray,
@@ -180,7 +178,6 @@ def _critical_data(eq, backend):
                 f"no critical space at critical value {root.value:.6g}")
         data.append(CriticalDatum(root.value, root.multiplicity,
                                   2 - rank, tuple(basis)))
-    data.sort(key=lambda d: (d.value.real, d.value.imag))
     return tuple(data)
 
 
@@ -204,9 +201,8 @@ def scalar_solutions(eq: MatrixEquation,
     plane (rank M(lam) = 0), residual-checked as one batch."""
     planes = [d for d in data if d.space_dim == 2]
     x = pack([Mat2.identity().scale(d.value) for d in planes])
-    # no kernel call on an empty batch
-    return Candidates(x, residuals(eq, x) if planes else np.zeros(0),
-                      ("scalar",) * len(planes),
+    return Candidates(x, residuals(eq, x),
+                      (SCALAR,) * len(planes),
                       tuple(((d.value, E1), (d.value, E2)) for d in planes))
 
 
@@ -228,7 +224,7 @@ def enumerate_diagonalizable(eq: MatrixEquation,
            for r, m in zip(pr[keep].tolist(), pi[keep].tolist())]
     x = _assemble(z[i], z[j], np.array(inv, complex))
     return Candidates(
-        x, residuals(eq, x), ("diagonalizable_distinct",) * len(i),
+        x, residuals(eq, x), (DIAGONALIZABLE,) * len(i),
         tuple(((lines[p].value, lines[p].basis[0]),
                (lines[q].value, lines[q].basis[0]))
               for p, q in zip(i.tolist(), j.tolist())))
@@ -255,53 +251,43 @@ def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return join(mul_parts(_parts(inv), x))
 
 
-def find_nondiagonalizable(
-        eq: MatrixEquation, datum: CriticalDatum
-) -> Union[None, Solution, InfiniteCertificate]:
-    """Search lam*I + N with N nonzero nilpotent at a repeated critical
-    value lam.
+def find_nondiagonalizable(eq: MatrixEquation,
+                           data: Sequence[CriticalDatum]) -> Candidates:
+    """lam*I + N with N nonzero nilpotent at each repeated critical value lam
+    with a one-dimensional critical space, in data order; the offsets are
+    residual-checked as one batch and the failing ones dropped.
 
     For nilpotent N, X^k = lam^k I + k lam^(k-1) N collapses the residual
     to M(lam) + M'(lam) N, and a nonzero nilpotent is N = k v^T with
     v^T k = 0.  A one-dimensional critical space (M(lam) = a b^T) forces v
     along b, hence k onto the critical vector: at most one offset exists,
-    and only when M'(lam) k is parallel to a, so a Solution or None comes
-    back.  A two-dimensional one (M(lam) = 0) admits the whole family
-    mu k k_perp^T exactly when M'(lam) has a kernel vector k, so an
-    InfiniteCertificate or None comes back.
+    and only when M'(lam) k is parallel to a.  Two-dimensional spaces are
+    ``detect_infinite``'s.
     """
-    if datum.multiplicity < 2:
-        return None
-    lam = datum.value
-    mder = eq.matrix_derivative.eval(lam)
-    der_scale = _eval_scale(eq.norm_poly.derivative(), lam)
-    if datum.space_dim == 2:
-        rank, kernel = rank_and_nullspace(mder, der_scale)
-        if rank == 2:
-            return None
-        k = kernel[0]
-        return _certify_family(eq, "nilpotent_affine_family",
-                               Mat2.identity().scale(lam),
-                               outer(k, Vec2(-k.y, k.x).normalized()))
-
-    mval = eq.matrix.eval(lam)
-    k = datum.basis[0]
-    w = mder.apply(k)
-    col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
-              key=Vec2.norm)
-    wnorm = w.norm()
-    if (wnorm <= RANK_TOL * der_scale
-            or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
-        return None
-    # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
-    v = Vec2(-(w.x.conjugate() * mval.m11 + w.y.conjugate() * mval.m21),
-             -(w.x.conjugate() * mval.m12 + w.y.conjugate() * mval.m22))
-    x = Mat2.identity().scale(lam) + outer(k, v).scale(1.0 / wnorm ** 2)
-    packed = pack([x])
-    res = residuals(eq, packed)
-    if not accepted(eq, packed, res)[0]:
-        return None
-    return Solution(x, "non_diagonalizable", ((lam, k),), float(res[0]))
+    mats, eigen_data = [], []
+    for d in data:
+        if d.multiplicity < 2 or d.space_dim != 1:
+            continue
+        lam, k = d.value, d.basis[0]
+        mval = eq.matrix.eval(lam)
+        w = eq.matrix_derivative.eval(lam).apply(k)
+        col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
+                  key=Vec2.norm)
+        wnorm = w.norm()
+        if (wnorm <= RANK_TOL * _eval_scale(eq.norm_poly.derivative(), lam)
+                or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
+            continue
+        # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
+        v = Vec2(-(w.x.conjugate() * mval.m11 + w.y.conjugate() * mval.m21),
+                 -(w.x.conjugate() * mval.m12 + w.y.conjugate() * mval.m22))
+        mats.append(Mat2.identity().scale(lam)
+                    + outer(k, v).scale(1.0 / wnorm ** 2))
+        eigen_data.append(((lam, k),))
+    x = pack(mats)
+    res = residuals(eq, x)
+    ok = np.flatnonzero(accepted(eq, x, res)).tolist()
+    return Candidates(x, res, (NON_DIAGONALIZABLE,) * len(mats),
+                      tuple(eigen_data)).take(ok)
 
 
 def _certify_family(eq, reason, base, direction
@@ -321,22 +307,30 @@ def detect_infinite(eq: MatrixEquation,
     Rule (a): a two-dimensional critical space combined with any second
     distinct critical value yields a family by rotating the direction paired
     with the other value's vector.  Rule (b): a lone critical value with a
-    two-dimensional space admits a whole family of nilpotent offsets when
-    M'(lam) is singular.  A one-dimensional space admits at most one offset,
-    so no other family exists.
+    two-dimensional space admits the nilpotent offsets mu k k_perp^T for a
+    kernel vector k of a singular M'(lam).  A one-dimensional space admits
+    at most one offset, so no other family exists.
     """
-    for d in data:
-        if d.space_dim != 2:
-            continue
-        if len(data) == 1:
-            return find_nondiagonalizable(eq, d)
-        other = next(o for o in data if o is not d)
-        cert = _two_dim_family(eq, d.value, other.value, other.basis[0])
-        if cert is None:
-            raise InternalInconsistency(
-                "two-dimensional critical space family failed verification")
-        return cert
-    return None
+    d = next((d for d in data if d.space_dim == 2), None)
+    if d is None:
+        return None
+    if len(data) == 1:
+        lam = d.value
+        rank, kernel = rank_and_nullspace(
+            eq.matrix_derivative.eval(lam),
+            _eval_scale(eq.norm_poly.derivative(), lam))
+        if rank == 2:
+            return None
+        k = kernel[0]
+        return _certify_family(eq, NILPOTENT_FAMILY,
+                               Mat2.identity().scale(lam),
+                               outer(k, Vec2(-k.y, k.x).normalized()))
+    other = next(o for o in data if o is not d)
+    cert = _two_dim_family(eq, d.value, other.value, other.basis[0])
+    if cert is None:
+        raise InternalInconsistency(
+            "two-dimensional critical space family failed verification")
+    return cert
 
 
 def _two_dim_family(eq, lam, lam2, vprime) -> Optional[InfiniteCertificate]:
@@ -349,8 +343,7 @@ def _two_dim_family(eq, lam, lam2, vprime) -> Optional[InfiniteCertificate]:
     factor = (lam2 - lam) / c
     base = Mat2.identity().scale(lam) + outer(vprime, z0).scale(factor)
     direction = outer(vprime, z1).scale(factor)
-    return _certify_family(eq, "two_dim_space_with_second_value",
-                           base, direction)
+    return _certify_family(eq, SECOND_VALUE_FAMILY, base, direction)
 
 
 def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
@@ -373,12 +366,9 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     if cert is not None:
         return SolutionSet((), cert, data)
 
-    # detect_infinite has settled every 2D space
-    offsets = [find_nondiagonalizable(eq, d) for d in data
-               if d.multiplicity >= 2 and d.space_dim == 1]
     found = (scalar_solutions(eq, data)
              + enumerate_diagonalizable(eq, data)
-             + Candidates.of([s for s in offsets if s is not None]))
+             + find_nondiagonalizable(eq, data))
 
     kept = found.take(greedy_unique(found.matrices, dedupe_tol(data)))
     ok = accepted(eq, kept.matrices, kept.residuals)

@@ -11,6 +11,7 @@ from matpolyeq.cli import main
 from matpolyeq.construct import UnreachableCase
 from matpolyeq.documents import (equation_to_doc, load_doc, save_doc,
                                  solution_set_from_doc)
+from matpolyeq.mat2 import MAX_DEGREE
 from matpolyeq.poly import NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
@@ -291,6 +292,19 @@ class TestSweepCommand:
     def test_zero_n_max_exits_2(self, tmp_path):
         assert run("sweep", "--n-max", 0, "--report", tmp_path / "t.txt") == 2
 
+    def test_n_max_beyond_the_cap_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        # refused before any cell runs: each would fail in construct
+        def no_cell(cell):
+            raise AssertionError(f"cell {cell} ran")
+
+        monkeypatch.setattr(cli, "_sweep_cell", no_cell)
+        report = tmp_path / "t.txt"
+        assert run("sweep", "--n-max", MAX_DEGREE + 1, "--report", report) == 2
+        assert capsys.readouterr().err == \
+            f"domain error: --n-max is capped at {MAX_DEGREE}\n"
+        assert not report.exists()
+
     def test_full_sweep_to_degree_five(self, tmp_path):
         report = tmp_path / "table.txt"
         assert run("sweep", "--n-max", 5, "--report", report) == 0
@@ -434,6 +448,42 @@ def test_unwritable_output_exits_1(tmp_path, capsys, eq_four_solutions,
     assert str(missing) in err
     if command == "plan":
         assert not (tmp_path / "e.json").exists()
+
+
+# documents that are no JSON object: bytes that are no UTF-8, nesting
+# deeper than the parser's recursion limit, nothing, and a JSON array
+MALFORMED = {
+    "invalid_utf8": b"\xff\xfe{}",
+    "deep_nesting": b"[" * 100_000,
+    "empty": b"",
+    "array": b"[]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("slot", ["solve_in", "verify_equation",
+                                  "verify_solutions"])
+def test_malformed_document_exits_1_without_traceback(tmp_path, capsys,
+                                                      eq_four_solutions,
+                                                      slot, name):
+    eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+    save_doc(equation_to_doc(eq_four_solutions), eq_path)
+    assert run("solve", "--in", eq_path, "--out", sol) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED[name])
+    args = {
+        "solve_in": ("solve", "--in", bad, "--out", tmp_path / "out.json"),
+        "verify_equation": ("verify", "--equation", bad, "--solutions", sol),
+        "verify_solutions": ("verify", "--equation", eq_path,
+                             "--solutions", bad),
+    }[slot]
+    capsys.readouterr()
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("bad input: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -115,9 +115,10 @@ class TestSolutionDocuments:
 
     def test_unknown_kind_rejected(self, eq_four_solutions):
         doc = solution_set_to_doc(solve_equation(eq_four_solutions))
-        doc["solutions"][0]["kind"] = "mystery"
-        with pytest.raises(DocumentError):
-            solution_set_from_doc(doc)
+        for kind in ("mystery", [], {}):  # unhashable ones too
+            doc["solutions"][0]["kind"] = kind
+            with pytest.raises(DocumentError):
+                solution_set_from_doc(doc)
 
     @pytest.mark.parametrize("field", ["multiplicity", "space_dim"])
     def test_boolean_critical_datum_rejected(self, eq_four_solutions, field):
@@ -127,7 +128,9 @@ class TestSolutionDocuments:
         with pytest.raises(DocumentError):
             solution_set_from_doc(doc)
 
-    @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery"])
+    @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery",
+                                        pytest.param([], id="list"),
+                                        pytest.param({}, id="object")])
     def test_unknown_certificate_reason_rejected(self, eq_x_squared_identity,
                                                  reason):
         doc = solution_set_to_doc(solve_equation(eq_x_squared_identity))
