@@ -2,8 +2,8 @@
 solutions, and construct equations with any prescribed finite count."""
 
 from .construct import (ConstructionPlan, ConstructionResult, DomainError,
-                        UnreachableCase, ValidationFailure, build_partition,
-                        choose_p, choose_values, construct, special_case,
+                        ValidationFailure, build_partition, choose_p,
+                        choose_values, construct, special_case,
                         solve_coefficients)
 from .mat2 import (Eigen2, Mat2, MatrixEquation, PolyMat2, Vec2, det2,
                    eigen2, eval_batch, eval_equation, poly_matrix,
@@ -22,7 +22,7 @@ __all__ = [
     "DomainError", "Eigen2", "InfiniteCertificate",
     "InternalInconsistency", "Mat2", "MatrixEquation", "NonConvergence",
     "Poly", "PolyMat2", "Root", "SingularSystem", "Solution", "SolutionSet",
-    "UnreachableCase", "ValidationFailure", "Vec2", "VerificationReport",
+    "ValidationFailure", "Vec2", "VerificationReport",
     "brute_force_scan", "build_partition", "choose_p", "choose_values",
     "construct", "count_cross_check", "critical_data", "dense_solve", "det2",
     "detect_infinite", "eigen2", "enumerate_diagonalizable",

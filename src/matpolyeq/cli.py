@@ -18,8 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import documents
-from .construct import (DomainError, UnreachableCase, ValidationFailure,
-                        construct)
+from .construct import DomainError, ValidationFailure, construct
 from .mat2 import MAX_DEGREE
 from .poly import NonConvergence
 from .solver import InternalInconsistency, solution_bound, solve_equation
@@ -42,7 +41,6 @@ _FAILURES = (
     (OSError, EXIT_MALFORMED, "i/o error"),
     (DomainError, EXIT_DOMAIN, "domain error"),
     (ValidationFailure, EXIT_VALIDATION, "validation failure ({name})"),
-    (UnreachableCase, EXIT_VALIDATION, "validation failure ({name})"),
     (NonConvergence, EXIT_NONCONVERGENCE, "non-convergence"),
     (InternalInconsistency, EXIT_INTERNAL, "internal inconsistency"),
 )

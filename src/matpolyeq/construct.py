@@ -35,10 +35,6 @@ class ValidationFailure(RuntimeError):
     """The built equation did not round-trip to exactly m solutions."""
 
 
-class UnreachableCase(RuntimeError):
-    """Partition case that provably reduces to m = 4 or m = 16."""
-
-
 @dataclass(frozen=True)
 class ConstructionPlan:
     """Full witness of the choices behind a constructed equation."""
@@ -73,46 +69,28 @@ def choose_p(m: int) -> tuple[int, int, int]:
     return p, gap // 3, gap % 3
 
 
-def build_partition(m: int, p: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+def build_partition(m: int) -> tuple[tuple[int, ...], ...]:
     """Blocks over 0..p-1 leaving exactly m cross-block index pairs.
 
-    0 always sits alone.  The equivalent-pair budget C(p, 2) - m = 3a + b is
-    spent on triples (3 pairs each), pairs (1 each), and for one corner case
-    a quadruple (6); with b = 2 the two-pair layout is preferred over the
-    quadruple when both fit.
+    0 always sits alone.  The equivalent-pair budget C(p, 2) - m = 3a + b
+    is spent on a triples (3 pairs each) and b pairs (1 each), in index
+    order; when those do not fit in p indices, two triples and the two
+    pairs become one quadruple and two pairs (6 + 2 = 3 * 2 + 2 pairs).
     """
     if m in SPECIAL_COUNTS:
         raise DomainError(f"m = {m} is handled by the explicit special case")
+    p, a, b = choose_p(m)
+    sizes = [3] * a + [2] * b
+    if 1 + sum(sizes) > p:
+        sizes = [3] * (a - 2) + [4, 2, 2]
     blocks: list[tuple[int, ...]] = [(0,)]
-    if b == 0:
-        nxt = _take_triples(blocks, a, start=1)
-    elif b == 1:
-        nxt = _take_triples(blocks, a, start=1)
-        blocks.append((nxt, nxt + 1))
-        nxt += 2
-    elif p > 3 * a + 4:
-        nxt = _take_triples(blocks, a, start=1)
-        blocks.append((nxt, nxt + 1))
-        blocks.append((nxt + 2, nxt + 3))
-        nxt += 4
-    elif a >= 2:
-        nxt = _take_triples(blocks, a - 2, start=1)
-        blocks.append((nxt, nxt + 1, nxt + 2, nxt + 3))
-        blocks.append((nxt + 4, nxt + 5))
-        blocks.append((nxt + 6, nxt + 7))
-        nxt += 8
-    else:
-        raise UnreachableCase(
-            f"b = 2, a = {a}, p = {p} reduces to a special count, got m = {m}")
+    nxt = 1
+    for size in sizes:
+        blocks.append(tuple(range(nxt, nxt + size)))
+        nxt += size
     blocks.extend((i,) for i in range(nxt, p))
     _check_partition(blocks, m, p)
     return tuple(blocks)
-
-
-def _take_triples(blocks, count, start):
-    for t in range(count):
-        blocks.append((start + 3 * t, start + 3 * t + 1, start + 3 * t + 2))
-    return start + 3 * count
 
 
 def _check_partition(blocks, m, p):
@@ -121,7 +99,7 @@ def _check_partition(blocks, m, p):
     assert blocks[0] == (0,), "0 must sit in a singleton block"
     equivalent = sum(math.comb(len(b), 2) for b in blocks)
     if math.comb(p, 2) - equivalent != m:
-        raise UnreachableCase(
+        raise ValidationFailure(
             f"partition leaves {math.comb(p, 2) - equivalent} pairs, wanted {m}")
     assert max(len(b) for b in blocks) <= -(-p // 2), "block too large"
 
@@ -210,9 +188,9 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
         eq = special_case(m, n)
         result = ConstructionResult(eq, None, m, m)
     else:
-        p, a, b = choose_p(m)
-        partition = build_partition(m, p, a, b)
+        partition = build_partition(m)
         lambdas, ys, vectors = choose_values(partition, n)
+        p = len(lambdas)
         plan = ConstructionPlan(n, m, p, 2 * n - p + 1, partition,
                                 lambdas, ys, vectors)
         result = ConstructionResult(solve_coefficients(plan), plan, None, m)

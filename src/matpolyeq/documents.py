@@ -42,6 +42,12 @@ def _is_number(v) -> bool:
     return True
 
 
+def _is_residual(v) -> bool:
+    """A finite, non-negative JSON number: the parser also reads NaN and
+    Infinity, which JSON does not have."""
+    return _is_number(v) and math.isfinite(v) and v >= 0
+
+
 def _unpair(v, what: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
         raise DocumentError(f"{what} must be a [re, im] number pair")
@@ -140,8 +146,9 @@ def solution_set_from_doc(doc) -> SolutionSet:
         if kind not in KINDS:
             raise DocumentError(f"solution {i} has unknown kind {kind!r}")
         residual = entry.get("residual")
-        if not _is_number(residual):
-            raise DocumentError(f"solution {i} needs a numeric residual")
+        if not _is_residual(residual):
+            raise DocumentError(
+                f"solution {i} needs a finite, non-negative residual")
         solutions.append(Solution(_unmat(entry.get("matrix"), f"solution {i}"),
                                   kind, None, float(residual)))
 
@@ -157,8 +164,9 @@ def solution_set_from_doc(doc) -> SolutionSet:
         if not (isinstance(samples, list) and len(samples) >= 3
                 and isinstance(residuals, list)
                 and len(residuals) == len(samples)
-                and all(map(_is_number, residuals))):
-            raise DocumentError("certificate needs >= 3 samples with residuals")
+                and all(map(_is_residual, residuals))):
+            raise DocumentError("certificate needs >= 3 samples with finite, "
+                                "non-negative residuals")
         certificate = InfiniteCertificate(
             raw["reason"],
             _unmat(raw.get("base"), "certificate base"),

@@ -156,6 +156,16 @@ def accepted(eq: MatrixEquation, x: np.ndarray,
     return (res <= tol) & (tol < math.inf)
 
 
+def rejection_reason(eq: MatrixEquation, x: np.ndarray, res: np.ndarray,
+                     ok: np.ndarray) -> str:
+    """Why the first packed candidate that ``accepted`` refused failed."""
+    r = int(np.argmin(ok))
+    tol = residual_tols(eq, x[r:r + 1])[0]
+    if tol == math.inf:
+        return f"residual {res[r]:.3e} of a matrix with no finite threshold"
+    return f"residual {res[r]:.3e} exceeds {tol:.3e}"
+
+
 def critical_data(eq: MatrixEquation,
                   backend: str = "aberth") -> tuple[CriticalDatum, ...]:
     """Critical values of the equation paired with their critical spaces,
@@ -373,10 +383,8 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     kept = found.take(greedy_unique(found.matrices, dedupe_tol(data)))
     ok = accepted(eq, kept.matrices, kept.residuals)
     if not ok.all():
-        r = int(np.argmin(ok))
-        raise InternalInconsistency(
-            f"candidate residual {kept.residuals[r]:.3e} exceeds "
-            f"{residual_tols(eq, kept.matrices[r:r + 1])[0]:.3e}")
+        raise InternalInconsistency("candidate " + rejection_reason(
+            eq, kept.matrices, kept.residuals, ok))
     if len(kept) > solution_bound(eq.n):
         raise InternalInconsistency(
             f"{len(kept)} solutions exceed the C(2n,2) bound")

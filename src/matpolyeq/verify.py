@@ -12,7 +12,7 @@ from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2,
                    eigenvalues, greedy_unique, match_in_order, pack, unpack)
 from .poly import CLUSTER_TOL, relative_value
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
-                     dedupe_tol, residual_tols, residuals,
+                     dedupe_tol, rejection_reason, residuals,
                      solution_bound, solve_equation)
 
 _CHAR_DIVISOR_TOL = 1e-6
@@ -104,9 +104,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     ok = accepted(eq, x, res)
     residuals_ok = bool(ok.all())
     if not residuals_ok:
-        first = int(np.argmin(ok))
-        reasons.append(f"residual {res[first]:.3e} exceeds "
-                       f"{residual_tols(eq, x[first:first + 1])[0]:.3e}")
+        reasons.append(rejection_reason(eq, x, res, ok))
     # the checks below need finite numbers; the other matrices failed above
     finite = np.isfinite(res)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from matpolyeq import cli
 from matpolyeq.cli import main
-from matpolyeq.construct import UnreachableCase
+from matpolyeq.construct import ValidationFailure
 from matpolyeq.documents import (equation_to_doc, load_doc, save_doc,
                                  solution_set_from_doc)
 from matpolyeq.mat2 import MAX_DEGREE
@@ -70,7 +71,7 @@ class TestConstructCommand:
         assert len(doc["solutions"]) == 66
 
     @pytest.mark.parametrize("exc,code", [
-        (UnreachableCase("reduces to m = 4"), 3),
+        (ValidationFailure("construction yielded 3 solutions, wanted 5"), 3),
         (NonConvergence("no convergence"), 4),
         (InternalInconsistency("residual too large"), 6),
     ])
@@ -265,14 +266,33 @@ class TestVerifyCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("bad input: ")
 
+    # save_doc refuses NaN and Infinity, so the documents below are written
+    # with the json module's default, which spells them out
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0],
+                             ids=["NaN", "Infinity", "negative"])
+    def test_nonfinite_or_negative_residual_exits_1(self, tmp_path, capsys,
+                                                    eq_four_solutions, bad):
+        eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)
+        doc = load_doc(sol)
+        doc["solutions"][0]["residual"] = bad
+        sol.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bad input: solution 0 needs a finite")
+
     @pytest.mark.parametrize("bad", ["x", [1], True, "nan", None, {},
-                                     pytest.param(10 ** 400, id="10**400")])
+                                     pytest.param(10 ** 400, id="10**400"),
+                                     pytest.param(math.nan, id="NaN"),
+                                     pytest.param(math.inf, id="Infinity"),
+                                     pytest.param(-5.0, id="negative")])
     def test_bad_sample_residual_exits_1(self, tmp_path, capsys,
                                          eq_x_squared_identity, bad):
         eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
         doc = load_doc(sol)
         doc["certificate"]["sample_residuals"][1] = bad
-        save_doc(doc, sol)
+        sol.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert run("verify", "--equation", eq_path, "--solutions", sol) == 1
         err = capsys.readouterr().err

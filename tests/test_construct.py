@@ -1,13 +1,17 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.construct import (SPECIAL_COUNTS, DomainError, build_partition,
+from matpolyeq.construct import (SPECIAL_COUNTS, DomainError,
+                                 ValidationFailure, build_partition,
                                  choose_p, choose_values, construct,
                                  solve_coefficients, special_case)
+from matpolyeq.documents import equation_to_doc, plan_to_doc
 from matpolyeq.mat2 import Mat2, Vec2
 from matpolyeq.poly import Poly
 from matpolyeq.solver import solution_bound, solve_equation
@@ -39,34 +43,41 @@ class TestChooseP:
 
 class TestBuildPartition:
     def test_single_pair_block(self):
-        assert build_partition(5, 4, 0, 1) == ((0,), (1, 2), (3,))
+        assert build_partition(5) == ((0,), (1, 2), (3,))
 
     def test_all_singletons(self):
-        assert build_partition(3, 3, 0, 0) == ((0,), (1,), (2,))
+        assert build_partition(3) == ((0,), (1,), (2,))
 
     def test_quadruple_case(self):
-        got = build_partition(37, 10, 2, 2)
+        got = build_partition(37)
         assert got == ((0,), (1, 2, 3, 4), (5, 6), (7, 8), (9,))
 
     def test_two_pair_case_preferred(self):
         # b=2 with room for two pairs instead of the quadruple layout
-        p, a, b = choose_p(8)   # p=5, gap=2 -> a=0, b=2, p > 3a+4
-        got = build_partition(8, p, a, b)
+        assert choose_p(8) == (5, 0, 2)   # p > 3a + 4
+        got = build_partition(8)
         assert got == ((0,), (1, 2), (3, 4))
 
     def test_special_counts_rejected(self):
         with pytest.raises(DomainError):
-            build_partition(4, 4, 0, 2)
+            build_partition(4)
         with pytest.raises(DomainError):
-            build_partition(16, 7, 1, 2)
+            build_partition(16)
+
+    def test_miscounted_partition_fails_validation(self, monkeypatch):
+        # a budget one pair short of C(5, 2) - 8 leaves 9 pairs, not 8
+        monkeypatch.setitem(build_partition.__globals__, "choose_p",
+                            lambda m: (5, 0, 1))
+        with pytest.raises(ValidationFailure):
+            build_partition(8)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300))
     def test_partition_conditions(self, m):
         if m in (4, 16):
             return
-        p, a, b = choose_p(m)
-        blocks = build_partition(m, p, a, b)
+        p = choose_p(m)[0]
+        blocks = build_partition(m)
         flat = sorted(i for blk in blocks for i in blk)
         assert flat == list(range(p))
         assert blocks[0] == (0,)
@@ -207,3 +218,25 @@ class TestConstruct:
                 roots = [(lam, 1) for lam in plan.lambdas[1:]]
                 want = Poly.from_roots([(0, plan.pbar)] + roots)
                 assert result.equation.det_poly.coeffs == want.coeffs, (n, m)
+
+
+# sha256 of the plan and equation documents of every cell with n <= 16
+# (construct(n, m, validate=False), the special counts included), each pair
+# as json.dumps writes it, so every number as its repr.  Recorded before
+# build_partition derived its block sizes from m alone.
+CONSTRUCTION_SHA256 = \
+    "8f27b9f395ff8bdada58f45bd53ee202707d563b3254bf3eb067ce739d8a1e1d"
+
+
+def test_construction_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    cells = 0
+    for n in range(1, 17):
+        for m in range(1, solution_bound(n) + 1):
+            result = construct(n, m, validate=False)
+            digest.update(json.dumps([plan_to_doc(result),
+                                      equation_to_doc(result.equation)])
+                          .encode())
+            cells += 1
+    assert cells == 2856
+    assert digest.hexdigest() == CONSTRUCTION_SHA256

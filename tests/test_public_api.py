@@ -1,14 +1,18 @@
 """The package's public names: every ``__all__`` entry resolves and is
 listed once, and ``__all__`` is exactly the public names imported into the
-package, so a removed export cannot leave a stale string behind."""
+package, so a removed export cannot leave a stale string behind.  The
+README's library example runs as written, and its table of key entry points
+names only exported names."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import matpolyeq
 
 INIT = Path(matpolyeq.__file__)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _module():
@@ -41,3 +45,24 @@ def test_all_entries_resolve_once():
 def test_all_lists_exactly_the_imported_public_names():
     tree = _module()
     assert set(_all_entries(tree)) == _imported_public_names(tree)
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    code = re.search(r"```python\n(.*?)```", _readme_section("Library"),
+                     re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    # the last line prints the partition and the count of the built equation
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "11"
+
+
+def test_readme_entry_points_are_exported():
+    table = _readme_section("Library").split("Key entry points:", 1)[1]
+    names = [name for row in table.splitlines() if row.startswith("| `")
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(names) >= 10
+    assert [name for name in names if name not in matpolyeq.__all__] == []

@@ -72,6 +72,18 @@ class TestVerifySolutionSet:
         assert not report.residuals_ok
         assert report.residuals[2] == math.inf
 
+    @pytest.mark.parametrize("entry,reason", [
+        (2.0, "residual 4.000e+00 exceeds 1.800e-06"),
+        # (1 + ||X||)^2 overflows, so there is no threshold to exceed
+        (1.5e308, "residual inf of a matrix with no finite threshold"),
+    ])
+    def test_residual_reason(self, eq_x_squared_zero, entry, reason):
+        ss = SolutionSet((Solution(Mat2(entry, 0, 0, 0),
+                                   "diagonalizable_distinct", None, 0.0),),
+                         None, ())
+        report = verify_solution_set(eq_x_squared_zero, ss)
+        assert report.reasons[0] == reason
+
     def test_certificate_checked(self, eq_x_squared_identity):
         ss = solve_equation(eq_x_squared_identity)
         report = verify_solution_set(eq_x_squared_identity, ss)
