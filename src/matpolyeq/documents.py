@@ -257,6 +257,8 @@ def load_doc(path) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    # RecursionError: nesting deeper than the parser's recursion limit
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: JSONDecodeError, or an integer literal longer than
+    # CPython's integer-string limit; RecursionError: nesting deeper than
+    # the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}") from exc

@@ -200,12 +200,11 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     path on top of the companion root backend, then filtered by residual:
     least-squares eigenpair fits for pairs of critical values, the scalar
     matrices lam I, and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.
-    The offsets come from a direction search that never uses the solver's
-    rank rule: 86 grid directions per critical value, scored for all values
-    in one array pass, then one ``minimize`` call that refines the best six
-    of every value together.  Where lam I solves the equation, members of
-    the lines lam I + s K(k) along which M'(lam) K(k) vanishes (to 1e-12 of
-    max(1, |M'(lam)|)) are candidates too.
+    The offset directions never use the solver's rank rule: where lam I
+    fails the residual test, k is the least right singular vector of
+    M(lam), and where it passes, the least right singular vector of M'(lam)
+    spans a line lam I + s K(k) of solutions if M'(lam) K(k) vanishes (to
+    1e-12 of max(1, |M'(lam)|)); see ``_scalar_candidates``.
     Every actual solution arises from critical pairs, scalar matrices, or
     nilpotent offsets, so this candidate space is exhaustive; more distinct
     survivors than C(2n,2) signals an infinite family.
@@ -275,7 +274,7 @@ class SearchResult:
 
 # the compass moves: +-1 along each coordinate
 _MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-# every start's first step: about half the theta spacing of the scan's grid
+# every start's first step
 _FIRST_STEP = 0.1
 # a start stops once its step is below this
 _STEP_TOL = 1e-13
@@ -319,66 +318,46 @@ def minimize(cost, x0: np.ndarray) -> SearchResult:
     return SearchResult(x, nfev)
 
 
-def _unit_vectors(angles: np.ndarray) -> np.ndarray:
-    """Unit vectors k = (cos theta, sin theta e^{i phi}), one row per
-    (theta, phi) row."""
-    theta, phi = angles[:, 0], angles[:, 1]
-    return np.stack([np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)],
-                    axis=1)
-
-
-# the direction grid: both axes, and 7 interior theta by 12 phi
-_GRID = np.array([(0.0, 0.0), (np.pi / 2, 0.0)] + [
-    (theta, phi) for theta in np.linspace(0.0, np.pi / 2, 9)[1:-1]
-    for phi in np.linspace(0.0, 2 * np.pi, 12, endpoint=False)])
-_GRID_K = _unit_vectors(_GRID)
-# refinement only chases the best grid directions; a finite equation has
-# at most one admissible offset per critical value
-_STARTS = 6
-
-
 def _offsets(mval: np.ndarray, mder: np.ndarray, tiny: np.ndarray,
              k: np.ndarray):
     """For each row of M(lam) ``mval``, M'(lam) ``mder``, degenerate
-    threshold ``tiny`` and direction ``k``: the rank-one nilpotent
-    K = k k_perp^T, G = M'(lam) K, ||G||^2, whether ||G||^2 <= tiny, and the
-    offset c that minimises ||M(lam) + c G|| (0 where G is degenerate)."""
+    threshold ``tiny`` and unit direction ``k``: the rank-one nilpotent
+    K = k k_perp^T, whether ||M'(lam) K||^2 <= tiny, and the offset c that
+    minimises ||M(lam) + c M'(lam) K|| (0 where M'(lam) K is degenerate)."""
     kmat = k[:, :, None] * np.stack([k[:, 1], -k[:, 0]], axis=1)[:, None, :]
     g = mder @ kmat
-    gnorm2 = _norm2(g)
+    gnorm2 = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
     degenerate = gnorm2 <= tiny
     inner = (g.conj() * mval).sum(axis=(1, 2))
     c = np.where(degenerate, 0, -inner / np.where(degenerate, 1.0, gnorm2))
-    return kmat, g, gnorm2, degenerate, c
+    return kmat, degenerate, c
 
 
-def _norm2(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each 2x2 matrix of an (m, 2, 2) array."""
-    return (a.real ** 2 + a.imag ** 2).sum(axis=(1, 2))
-
-
-def _grid_order(key: np.ndarray) -> np.ndarray:
-    """Grid indices by increasing key, ties broken by the components of
-    k."""
-    k = _GRID_K
-    return np.lexsort((k[:, 1].imag, k[:, 1].real, k[:, 0].imag,
-                       k[:, 0].real, key))
+def _least_right_singular(a: np.ndarray) -> np.ndarray:
+    """The unit right singular vector of the least singular value of each
+    2x2 matrix of an (m, 2, 2) array, one row per matrix."""
+    return np.linalg.svd(a)[2][:, -1].conj()
 
 
 def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
     """Candidates lam I + c K(k), K(k) = k k_perp^T a rank-one nilpotent, for
     every critical value lam, packed in value order: lam I if it passes the
-    residual test, then members of the families through it, then offsets.
+    residual test, then members of the family line through it, then the
+    offset.
 
-    The offset c is the least-squares fit of f(lam I + c K) =
-    M(lam) + c M'(lam) K = 0.  Where lam I solves the equation, further
-    starts search for a direction with M'(lam) K = 0 (to 1e-12 of
-    max(1, |M'(lam)|)), which makes the whole line lam I + s K solutions;
-    C(2n, 2) + 1 members of each such line are candidates, so that a family
-    pushes the distinct-solution count past the bound.  The residual test
-    alone would admit a line whose M'(lam) K is merely small, since its
-    tolerance grows with s.  The directions come from a grid pass over all
-    values and one ``minimize`` call that refines every search together.
+    Since K^2 = 0, f(lam I + c K) = M(lam) + c M'(lam) K, and since K k = 0
+    a solution needs M(lam) k = 0.  So where lam I fails the residual test,
+    k is the least right singular vector of M(lam), its kernel when M(lam)
+    has rank one, and c the least-squares fit of M(lam) + c M'(lam) K = 0:
+    at most one offset per value.  Where lam I passes, M(lam) = 0 and an
+    offset needs M'(lam) K = 0, which makes the whole line lam I + s K
+    solutions.  Its direction is the least right singular vector of
+    M'(lam), the exact minimiser of ||M'(lam) K(k)|| over unit k, and the
+    line counts where ||M'(lam) K||^2 <= 1e-24 max(1, |M'(lam)|)^2;
+    C(2n, 2) + 1 of its members are candidates, so that a family pushes the
+    distinct-solution count past the bound.  The residual test alone would
+    admit a line whose M'(lam) K is merely small, since its tolerance grows
+    with s.
     """
     scalars = pack([Mat2.identity().scale(lam) for lam in lams])
     scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
@@ -387,47 +366,21 @@ def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
                  for lam in lams]).reshape(-1, 2, 2)
     tiny = np.array([1e-24 * max(1.0, np.abs(d).max()) ** 2 for d in mder])
     # a larger offset cannot be residual-verified
-    cap = [1e4 * (1.0 + abs(lam)) for lam in lams]
+    cap = np.array([1e4 * (1.0 + abs(lam)) for lam in lams])
 
-    # the grid pass: every direction for every value, row v * 86 + j
-    row = np.repeat(np.arange(len(lams)), len(_GRID))
-    _, g, gnorm2, degenerate, c = _offsets(
-        mval[row], mder[row], tiny[row], np.tile(_GRID_K, (len(lams), 1)))
-    gap = np.abs(mval[row] + c[:, None, None] * g).max(axis=(1, 2))
-    gnorm2, degenerate, c, gap = (a.reshape(len(lams), len(_GRID))
-                                  for a in (gnorm2, degenerate, c, gap))
-
-    # the starts, as (value, family search, grid direction) rows
-    starts = []
-    for v in range(len(lams)):
-        order = _grid_order(gap[v])
-        fit = order[~degenerate[v, order] & (np.abs(c[v, order]) <= cap[v])]
-        starts += [(v, 0, j) for j in fit[:_STARTS]]
-        if scalar_ok[v]:
-            starts += [(v, 1, j) for j in _grid_order(gnorm2[v])[:_STARTS]]
-    value, family, grid = np.array(starts, dtype=int).reshape(-1, 3).T
-    family = family == 1
-
-    def cost(x, starts):
-        w = value[starts]
-        _, g, gnorm2, degenerate, c = _offsets(
-            mval[w], mder[w], tiny[w], _unit_vectors(x))
-        fit = np.where(degenerate, 0.0,
-                       _norm2(mval[w] + c[:, None, None] * g))
-        return np.where(family[starts], gnorm2, fit)
-
-    res = minimize(cost, _GRID[grid])
-    kmat, _, _, degenerate, c = _offsets(
-        mval[value], mder[value], tiny[value], _unit_vectors(res.x))
+    kmat, degenerate, c = _offsets(mval, mder, tiny,
+                                   _least_right_singular(mval))
+    offset_ok = ~scalar_ok & ~degenerate & (np.abs(c) <= cap)
+    line, flat, _ = _offsets(mval, mder, tiny, _least_right_singular(mder))
+    line_ok = scalar_ok & flat
     steps = np.arange(1.0, solution_bound(eq.n) + 2)
-    out = []
+    out = [scalars[:0]]
     for v, lam in enumerate(lams):
         base = lam * np.eye(2)
-        mine = value == v
-        # only a degenerate direction, M'(lam) K ~ 0, carries a family
-        line = kmat[mine & family & degenerate]
-        keep = mine & ~family & ~degenerate & (np.abs(c) <= cap[v])
-        out += [scalars[v:v + 1][scalar_ok[v:v + 1]],
-                (base + steps[:, None, None, None] * line).reshape(-1, 4),
-                (base + c[keep, None, None] * kmat[keep]).reshape(-1, 4)]
+        if scalar_ok[v]:
+            out.append(scalars[v:v + 1])
+        if line_ok[v]:
+            out.append((base + steps[:, None, None] * line[v]).reshape(-1, 4))
+        if offset_ok[v]:
+            out.append((base + c[v] * kmat[v]).reshape(1, 4))
     return np.concatenate(out)

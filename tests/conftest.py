@@ -42,7 +42,7 @@ def eq_shifted_square():
 def eq_nilpotent_family():
     """(X - I)^2 + N (X - I) = 0 with N = c c_perp^T, c = (1, 0.5 + 0.5j):
     det M(t) = (t - 1)^4 with M(1) = 0 and M'(1) = N, and I + s N solves
-    it for every s.  c lies off the scan's direction grid."""
+    it for every s."""
     n = Mat2(0.5 + 0.5j, -1, 0.5j, -0.5 - 0.5j)
     return MatrixEquation((Mat2.identity() - n,
                            n - Mat2.identity().scale(2)))

@@ -477,6 +477,8 @@ MALFORMED = {
     "deep_nesting": b"[" * 100_000,
     "empty": b"",
     "array": b"[]",
+    # past CPython's 4,300-digit integer-string limit
+    "huge_integer": b'{"n": ' + b"1" * 5000 + b"}",
 }
 
 

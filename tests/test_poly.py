@@ -393,10 +393,10 @@ def test_root_bits_match_the_recorded_digest(request):
 # sha256 of brute_force_scan's output on the benchmark's scan_n3 equations
 # (construct(n, m) for every n <= 3, and the scan fixtures) and on every rank
 # pattern at n = 2, 3 with seeds 0 and 1: float.hex of each entry's parts.
-# Recorded from the scan with one compass search per critical value and
-# search kind, before all of an equation's searches became one batch.
+# Recorded from the scan whose offset and family directions are the least
+# right singular vectors of M(lam) and M'(lam).
 SCAN_BITS_SHA256 = \
-    "4f6845c0593ff4ea696c858e673117dc5bbd0f3896f4505c387d2b7d2cc09105"
+    "d103e2f09fab779eca9b4d9a16c5e4f21afb3cb5463c7738220531044aec95f7"
 
 
 def test_scan_bits_match_the_recorded_digest(request):
