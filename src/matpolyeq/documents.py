@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
 from .construct import ConstructionResult
-from .mat2 import Mat2, MatrixEquation
+from .mat2 import Mat2, MatrixEquation, unpack
 from .solver import (KINDS, REASONS, CriticalDatum, InfiniteCertificate,
                      Solution, SolutionSet)
 from .verify import VerificationReport
 
 FORMAT_VERSION = "1"
+_KIND_SET = frozenset(KINDS)
 
 
 class DocumentError(ValueError):
@@ -40,6 +44,10 @@ def _is_number(v) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_residual(v) -> bool:
@@ -88,7 +96,7 @@ def equation_to_doc(eq: MatrixEquation) -> dict:
 def equation_from_doc(doc) -> MatrixEquation:
     _expect_version(doc)
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DocumentError("n must be a positive integer")
     coeffs = doc.get("coefficients")
     if not isinstance(coeffs, list) or len(coeffs) != n:
@@ -137,20 +145,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
     raw_solutions = doc.get("solutions")
     if not isinstance(raw_solutions, list):
         raise DocumentError("solutions must be a list")
-    solutions = []
-    for i, entry in enumerate(raw_solutions):
-        if not isinstance(entry, dict):
-            raise DocumentError(f"solution {i} must be an object")
-        kind = entry.get("kind")
-        # KINDS and REASONS are tuples: an unhashable value fails the test
-        if kind not in KINDS:
-            raise DocumentError(f"solution {i} has unknown kind {kind!r}")
-        residual = entry.get("residual")
-        if not _is_residual(residual):
-            raise DocumentError(
-                f"solution {i} needs a finite, non-negative residual")
-        solutions.append(Solution(_unmat(entry.get("matrix"), f"solution {i}"),
-                                  kind, None, float(residual)))
+    solutions = _solutions(raw_solutions)
 
     certificate = None
     if classification == "infinite":
@@ -187,13 +182,89 @@ def solution_set_from_doc(doc) -> SolutionSet:
             raise DocumentError(f"critical value {i} must be an object")
         mult = entry.get("multiplicity")
         dim = entry.get("space_dim")
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1 \
-                or isinstance(dim, bool) or dim not in (1, 2):
+        if not _is_int(mult) or mult < 1 or not _is_int(dim) \
+                or dim not in (1, 2):
             raise DocumentError(f"critical value {i} has bad multiplicity/dim")
         data.append(CriticalDatum(_unpair(entry.get("value"),
                                           f"critical value {i}"),
                                   mult, dim, ()))
-    return SolutionSet(tuple(solutions), certificate, tuple(data))
+    return SolutionSet(solutions, certificate, tuple(data))
+
+
+def _solutions(entries: list) -> tuple[Solution, ...]:
+    """The solution entries, checked per array; a failing check raises the
+    message of the first bad entry."""
+    checked = _solution_arrays(entries)
+    if checked is None:
+        for i, entry in enumerate(entries):
+            _check_solution(i, entry)
+        raise AssertionError("the array check refused valid solutions")
+    kinds, matrices, residuals = checked
+    return tuple(map(Solution, unpack(matrices), kinds, repeat(None),
+                     residuals))
+
+
+def _check_solution(i: int, entry) -> None:
+    """Raise the DocumentError of solution entry i, if it has one."""
+    if not isinstance(entry, dict):
+        raise DocumentError(f"solution {i} must be an object")
+    kind = entry.get("kind")
+    # KINDS and REASONS are tuples: an unhashable value fails the test
+    if kind not in KINDS:
+        raise DocumentError(f"solution {i} has unknown kind {kind!r}")
+    if not _is_residual(entry.get("residual")):
+        raise DocumentError(
+            f"solution {i} needs a finite, non-negative residual")
+    _unmat(entry.get("matrix"), f"solution {i}")
+
+
+def _solution_arrays(entries: list):
+    """The kinds, the matrices packed (k, 4) and the residuals of all
+    solution entries, or None when some entry fails ``_check_solution``.
+
+    The checks are those of ``_check_solution``, made once per array
+    instead of once per entry: the set of types at each level of nesting,
+    the lengths, and the finiteness and sign of one float array.
+    """
+    if not _all_subclass(entries, dict):
+        return None
+    kinds = list(map(dict.get, entries, repeat("kind")))
+    try:
+        if not set(kinds) <= _KIND_SET:
+            return None
+    except TypeError:  # an unhashable kind
+        return None
+    residuals = _doubles(list(map(dict.get, entries, repeat("residual"))))
+    if residuals is None or not (np.isfinite(residuals).all()
+                                 and (residuals >= 0).all()):
+        return None
+    # matrix, row, [re, im] pair: lists of two at each level
+    parts = list(map(dict.get, entries, repeat("matrix")))
+    for _ in range(3):
+        if not (_all_subclass(parts, list) and set(map(len, parts)) <= {2}):
+            return None
+        parts = list(chain.from_iterable(parts))
+    parts = _doubles(parts)
+    if parts is None or not np.isfinite(parts).all():
+        return None
+    # the (re, im) doubles of m11, m12, m21, m22 are pack's layout
+    return kinds, parts.view(complex).reshape(-1, 4), residuals.tolist()
+
+
+def _all_subclass(values: list, cls) -> bool:
+    return all(issubclass(t, cls) for t in set(map(type, values)))
+
+
+def _doubles(values: list):
+    """The values as one float array, or None unless each is a number
+    that ``_is_number`` takes."""
+    if not all(issubclass(t, (float, int)) and t is not bool
+               for t in set(map(type, values))):
+        return None
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return None
 
 
 def plan_to_doc(result: ConstructionResult) -> dict:

@@ -21,6 +21,7 @@ _MERGE_RADIUS = 5e-3
 # Low-order coefficients below this (relative) are exact zero roots.
 _DEFLATE_TOL = 1e-13
 _ABERTH_SWEEPS = 200
+_EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 80
 
 
@@ -149,7 +150,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     """All complex roots of ``p`` with multiplicities.
 
     Zero roots carried by exactly-vanishing low-order coefficients are
-    deflated first.  The remaining roots come from the chosen backend, are
+    deflated first.  The remaining roots come from the chosen backend
+    (``_aberth_roots``, which forms its roundoff bound only on the sweeps
+    where that bound can stop the iteration, or ``_companion_roots``), are
     clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
     derivative with compensated Horner values (Graillat, Langlois and Louvet
@@ -203,8 +206,36 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
 
 # --- backends ---------------------------------------------------------------
 
+def _err_bound_scale(c: np.ndarray) -> float:
+    """The factor of the closed-form bound ``ub = scale * max(1, |z|)^d``
+    on ``_aberth_roots``' running roundoff bound ``err`` at z.
+
+    With p's Horner values ``b_k = sum_{j >= k} c_j z^(j-k)`` (``b_d = 1``),
+    ``err = |z|^d / 2 + sum_{k < d} |b_k| |z|^k``.  Each of its d + 1 terms
+    is at most ``sum_j |c_j| |z|^j <= (d+1) max|c| max(1, |z|)^d``, so
+    ``err <= (d+1)^2 max|c| max(1, |z|)^d``; the factor 2 in the scale
+    covers the rounding of the computed ``b_k`` and ``err``, which is
+    O(d eps) relative.
+    """
+    d = len(c) - 1
+    return 2.0 * (d + 1) ** 2 * float(np.abs(c).max())
+
+
 def _aberth_roots(c: np.ndarray) -> np.ndarray:
-    """Simultaneous root iteration on a monic polynomial with c[0] != 0."""
+    """Simultaneous root iteration on a monic polynomial with c[0] != 0.
+
+    The iteration stops when every ``|p(z_i)| <= 8 noise_i``, with ``noise
+    = 2 eps err`` from a running roundoff bound ``err`` of p's Horner
+    values (Bini 1996), or when every correction is below 1e-15 relative.
+    The ``err`` row costs three array calls per Horner step, so a sweep
+    forms it only where that test can pass.  Where the closed-form bound
+    ``ub`` (``_err_bound_scale``) is finite and some ``|p(z_i)| > 16 eps
+    ub_i >= 8 noise_i``, the test fails at i and ``err`` is not needed;
+    ``ub`` finite also keeps ``err`` finite, so no overflow goes unseen.
+    Every value the iteration uses is computed operation for operation as
+    when ``err`` was formed on every sweep, so the roots, the number of
+    sweeps and the exceptions are the same bit for bit.
+    """
     d = len(c) - 1
     if d == 1:
         return np.array([-c[0]])
@@ -216,32 +247,51 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray:
     # p and p' as the rows of one Horner pass; p' gets a zero top
     # coefficient, whose first step 0 * z + dc[-1] is exact
     coef = np.stack((c, np.append(c[1:] * np.arange(1, d + 1), 0)))
+    # rows[j] holds both Horner rows after j steps; rows[d] = p(z), p'(z).
+    # Every operand is a full (2, d) array: broadcasting costs more per
+    # call than these small arrays take to compute.
+    rows = np.empty((d + 1, 2, d), dtype=complex)
+    rows[0] = coef[:, -1:]
+    zz = np.empty((2, d), dtype=complex)
+    steps = list(zip(rows[:-1], rows[1:],
+                     np.repeat(coef[:, -2::-1].T[:, :, None], d, axis=2)))
+    pv, dv = rows[d]
+    ub_scale = _err_bound_scale(c)
+    diff = np.empty((d, d), dtype=complex)
+    az = np.abs(z)
     for _ in range(_ABERTH_SWEEPS):
-        acc = np.repeat(coef[:, -1:], d, axis=1)
-        # running roundoff bound of p's Horner values
-        err = np.abs(acc[0]) * 0.5
-        az = np.abs(z)
-        for ck in coef[:, -2::-1].T:
-            acc *= z
-            acc += ck[:, None]
-            err *= az
-            err += np.abs(acc[0])
-        pv, dv = acc
-        noise = 2.0 * err * np.finfo(float).eps
-        # an overflowed value or bound would pass the test below vacuously
-        if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(noise))):
+        zz[:] = z
+        for prev, cur, ck in steps:
+            np.multiply(prev, zz, out=cur)
+            np.add(cur, ck, out=cur)
+        if not np.isfinite(pv).all():
             raise NonConvergence(f"polynomial values overflow at degree {d}")
-        if np.all(np.abs(pv) <= 8.0 * noise):
-            return z
-        dv = np.where(dv == 0, 1e-30, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = (1.0 / diff).sum(axis=1) - 1.0
+        apv = np.abs(pv)
+        ub = ub_scale * np.maximum(az, 1.0) ** d
+        # a finite ub keeps err finite, and |p(z_i)| above 16 eps ub_i
+        # fails the stopping test at i: this sweep cannot return
+        if not (np.isfinite(ub).all() and (apv > 16.0 * _EPS * ub).any()):
+            # running roundoff bound of p's Horner values
+            err = np.abs(rows[0, 0]) * 0.5
+            for row in rows[1:, 0]:
+                err *= az
+                err += np.abs(row)
+            noise = 2.0 * err * _EPS
+            # an overflowed bound would pass the test below vacuously
+            if not np.isfinite(noise).all():
+                raise NonConvergence(
+                    f"polynomial values overflow at degree {d}")
+            if (apv <= 8.0 * noise).all():
+                return z
+        w = pv / np.where(dv == 0, 1e-30, dv)
+        np.subtract(z[:, None], z, out=diff)
+        diff.flat[::d + 1] = 1.0
+        s = np.divide(1.0, diff, out=diff).sum(axis=1) - 1.0
         corr = w / (1.0 - w * s)
         corr = np.where(np.isfinite(corr), corr, w)
         z = z - corr
-        if np.all(np.abs(corr) <= 1e-15 * (1.0 + np.abs(z))):
+        az = np.abs(z)
+        if (np.abs(corr) <= 1e-15 * (1.0 + az)).all():
             return z
     raise NonConvergence(
         f"no convergence in {_ABERTH_SWEEPS} sweeps at degree {d}")

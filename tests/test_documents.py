@@ -128,6 +128,17 @@ class TestSolutionDocuments:
         with pytest.raises(DocumentError):
             solution_set_from_doc(doc)
 
+    @pytest.mark.parametrize("field", ["multiplicity", "space_dim"])
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_float_critical_datum_rejected(self, eq_four_solutions, field,
+                                           value):
+        # 1.0 == 1 would pass a membership test and store a float
+        doc = solution_set_to_doc(solve_equation(eq_four_solutions))
+        doc["metadata"]["critical_values"][0][field] = value
+        with pytest.raises(DocumentError) as raised:
+            solution_set_from_doc(doc)
+        assert str(raised.value) == "critical value 0 has bad multiplicity/dim"
+
     @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery",
                                         pytest.param([], id="list"),
                                         pytest.param({}, id="object")])
@@ -144,6 +155,113 @@ class TestSolutionDocuments:
             json.dumps(solution_set_to_doc(ss))))
         report = verify_solution_set(eq_four_solutions, back)
         assert report.verdict == "pass"
+
+
+def _set_part(value):
+    def mutate(entry):
+        entry["matrix"][1][0][1] = value
+    return mutate
+
+
+def _set(key, value):
+    def mutate(entry):
+        entry[key] = value
+    return mutate
+
+
+# a malformed solution entry and the error text it must raise
+MALFORMED_SOLUTIONS = [
+    ("bool part", _set_part(True), "must be a [re, im] number pair"),
+    ("huge int part", _set_part(10 ** 400), "must be a [re, im] number pair"),
+    ("nan part", _set_part(math.nan), "must be finite"),
+    ("infinite part", _set_part(-math.inf), "must be finite"),
+    ("string part", _set_part("1.0"), "must be a [re, im] number pair"),
+    ("short pair", lambda e: e["matrix"][0][1].pop(),
+     "must be a [re, im] number pair"),
+    ("long pair", lambda e: e["matrix"][1][1].append(0.0),
+     "must be a [re, im] number pair"),
+    ("tuple pair", lambda e: e["matrix"][0].__setitem__(0, (1.0, 0.0)),
+     "must be a [re, im] number pair"),
+    ("one row", lambda e: e["matrix"].pop(), "must be a 2x2 array"),
+    ("three columns", lambda e: e["matrix"][1].append([0.0, 0.0]),
+     "must be a 2x2 array"),
+    ("no matrix", lambda e: e.pop("matrix"), "must be a 2x2 array"),
+    ("unknown kind", _set("kind", "mystery"), "has unknown kind 'mystery'"),
+    ("list kind", _set("kind", ["scalar"]), "has unknown kind ['scalar']"),
+    ("negative residual", _set("residual", -1e-300),
+     "needs a finite, non-negative residual"),
+    ("nan residual", _set("residual", math.nan),
+     "needs a finite, non-negative residual"),
+    ("infinite residual", _set("residual", math.inf),
+     "needs a finite, non-negative residual"),
+    ("bool residual", _set("residual", False),
+     "needs a finite, non-negative residual"),
+]
+
+
+class TestSolutionReader:
+    """solution_set_from_doc checks all solution entries per array; a bad
+    entry still gets the message the per-entry checks give it."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        rng = np.random.default_rng(1)
+        eq = MatrixEquation(tuple(
+            Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+            for _ in range(16)))
+        sset = solve_equation(eq)
+        assert sset.count == 496
+        return sset, json.dumps(solution_set_to_doc(sset))
+
+    def test_valid_document_rereads_bit_for_bit(self, solved):
+        sset, text = solved
+        back = solution_set_from_doc(json.loads(text))
+
+        def bits(s):
+            m = s.matrix
+            return (s.kind, s.residual.hex(),
+                    [(type(z), z.real.hex(), z.imag.hex())
+                     for z in (m.m11, m.m12, m.m21, m.m22)])
+        assert [bits(s) for s in back.solutions] == \
+            [bits(s) for s in sset.solutions]
+        assert all(type(s.residual) is float and s.eigen_data is None
+                   for s in back.solutions)
+
+    @pytest.mark.parametrize("index", [0, 300])
+    @pytest.mark.parametrize("case, mutate, message", MALFORMED_SOLUTIONS,
+                             ids=[c[0] for c in MALFORMED_SOLUTIONS])
+    def test_malformed_entry_message(self, solved, index, case, mutate,
+                                     message):
+        doc = json.loads(solved[1])
+        mutate(doc["solutions"][index])
+        with pytest.raises(DocumentError) as raised:
+            solution_set_from_doc(doc)
+        assert str(raised.value) == f"solution {index} {message}"
+
+    @pytest.mark.parametrize("index", [0, 300])
+    def test_entry_not_an_object(self, solved, index):
+        doc = json.loads(solved[1])
+        doc["solutions"][index] = [doc["solutions"][index]]
+        with pytest.raises(DocumentError) as raised:
+            solution_set_from_doc(doc)
+        assert str(raised.value) == f"solution {index} must be an object"
+
+    def test_first_bad_entry_is_reported(self, solved):
+        doc = json.loads(solved[1])
+        _set("residual", -1.0)(doc["solutions"][300])
+        _set_part(math.inf)(doc["solutions"][7])
+        with pytest.raises(DocumentError,
+                           match=r"^solution 7 must be finite$"):
+            solution_set_from_doc(doc)
+
+    def test_integer_numbers_read_as_doubles(self, solved):
+        doc = json.loads(solved[1])
+        entry = doc["solutions"][300]
+        entry["residual"] = 0
+        entry["matrix"] = [[[1, 0], [2 ** 53 + 1, -3]], [[0, 0], [1, 1]]]
+        got = solution_set_from_doc(doc).solutions[300]
+        assert got.residual == 0.0 and type(got.residual) is float
+        assert got.matrix == Mat2(1, float(2 ** 53 + 1) - 3j, 0, 1 + 1j)
 
 
 class TestDocumentByteStability:

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import poly
-from matpolyeq.construct import construct
+from matpolyeq.construct import construct, special_case
+from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _comp_horner, _horner_scalar,
-                            _newton, dense_solve, find_roots, relative_value)
+                            _aberth_roots, _comp_horner, _err_bound_scale,
+                            _horner_scalar, _newton, dense_solve, find_roots,
+                            relative_value)
 from matpolyeq.solver import solution_bound
 from matpolyeq.verify import brute_force_scan
 
 from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
-                     max_abs_coeff, prescribed_equation)
+                     max_abs_coeff, prescribed_equation, ref_aberth_roots)
 
 BACKENDS = ("aberth", "companion")
 
@@ -415,6 +417,127 @@ def test_scan_bits_match_the_recorded_digest(request):
         digest.update(repr(out).encode())
     assert len(equations) == 69
     assert digest.hexdigest() == SCAN_BITS_SHA256
+
+
+class _Captured(Exception):
+    pass
+
+
+def aberth_input(p: Poly):
+    """The coefficients find_roots hands to the aberth backend for p (monic,
+    zero roots deflated), or None when it needs no iteration."""
+    seen = []
+
+    def capture(c):
+        seen.append(c.copy())
+        raise _Captured
+
+    original, poly._aberth_roots = poly._aberth_roots, capture
+    try:
+        find_roots(p)
+    except _Captured:
+        pass
+    finally:
+        poly._aberth_roots = original
+    return seen[0] if seen else None
+
+
+def _random_equation(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    return MatrixEquation(tuple(
+        Mat2(*(complex(a, b) * scale for a, b in rng.uniform(-1, 1, (4, 2))))
+        for _ in range(n)))
+
+
+def aberth_corpus():
+    """The aberth inputs of the sweep cells with n <= 5, of random
+    equations at n = 1..16 with entries scaled from 1 to 1e60, and of the
+    explicit diagonal equations for m = 4 and m = 16 up to n = 16."""
+    equations = [construct(n, m, validate=False).equation
+                 for n in range(1, 6)
+                 for m in range(1, solution_bound(n) + 1)]
+    equations += [_random_equation(seed, n, scale)
+                  for scale in (1.0, 1e10, 1e30, 1e60)
+                  for seed in range(3) for n in range(1, 17)]
+    equations += [special_case(m, n) for m, n_min in ((4, 2), (16, 4))
+                  for n in range(n_min, 17)]
+    inputs = [aberth_input(eq.det_poly) for eq in equations]
+    return [c for c in inputs if c is not None]
+
+
+def kernel_outcome(kernel, c):
+    """The raw bytes of the roots, or the type and text of the exception."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel(c.copy()).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_bound_dominates(c):
+    """The closed-form ub is at least the running err of every sweep of
+    the reference, wherever ub is finite."""
+    sweeps = []
+    kernel_outcome(lambda c: ref_aberth_roots(c, sweeps), c)
+    d = len(c) - 1
+    for az, err in sweeps:
+        with np.errstate(over="ignore"):
+            ub = _err_bound_scale(c) * np.maximum(az, 1.0) ** d
+        finite = np.isfinite(ub)
+        assert np.all(ub[finite] >= err[finite])
+
+
+class TestAberthKernel:
+    """_aberth_roots forms its roundoff bound only where the bound can stop
+    the iteration; it must give what forming it on every sweep gave."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return aberth_corpus()
+
+    def test_bits_match_the_reference(self, corpus):
+        outcomes = [kernel_outcome(_aberth_roots, c) for c in corpus]
+        assert outcomes == [kernel_outcome(ref_aberth_roots, c)
+                            for c in corpus]
+        # roots, values that overflow, and a spent sweep budget
+        assert len(corpus) == 315
+        assert any(isinstance(o, bytes) for o in outcomes)
+        errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+        assert any("overflow" in e for e in errors)
+        assert any("sweeps" in e for e in errors)
+
+    def test_bound_dominates_the_running_bound(self, corpus):
+        for c in corpus:
+            assert_bound_dominates(c)
+
+    def test_bound_overflowing_at_some_points(self):
+        # the start circle's 5% wobble spreads |z|^150 over ~1e13: ub
+        # overflows at the outer points, where err does and p(z) does not,
+        # and is finite and far below |p(z)| at the inner ones
+        c = np.zeros(151, dtype=complex)
+        c[0], c[-1] = 10.0 ** (302 / 150), 1.0
+        ref = kernel_outcome(ref_aberth_roots, c)
+        assert ref == (NonConvergence,
+                       "polynomial values overflow at degree 150")
+        assert kernel_outcome(_aberth_roots, c) == ref
+
+    def test_sweep_budget_matches_the_reference(self, monkeypatch):
+        c = aberth_input(_random_equation(0, 16, 1.0).det_poly)
+        for sweeps in (1, 5, 20):
+            monkeypatch.setattr(poly, "_ABERTH_SWEEPS", sweeps)
+            assert kernel_outcome(_aberth_roots, c) == \
+                kernel_outcome(ref_aberth_roots, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.lists(_COMPLEX, min_size=2, max_size=12))
+def test_aberth_matches_the_reference(c):
+    c = np.array([*c, 1.0], dtype=complex)
+    if c[0] == 0:
+        c[0] = 1.0
+    assert kernel_outcome(_aberth_roots, c) == \
+        kernel_outcome(ref_aberth_roots, c)
+    assert_bound_dominates(c)
 
 
 class TestDenseSolve:
