@@ -2,7 +2,9 @@
 
 Every number is a [re, im] pair of doubles; serialization goes through the
 shortest representation that round-trips IEEE-754, so documents are
-byte-stable across runs.
+byte-stable across runs.  A solution set's matrices are written straight
+from its packed batch (``SolutionSet.batch``) and read back into one,
+checked per array; no Mat2 or Solution object is built on either way.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .construct import ConstructionResult
-from .mat2 import Mat2, MatrixEquation, unpack
-from .solver import (KINDS, REASONS, CriticalDatum, InfiniteCertificate,
-                     Solution, SolutionSet)
+from .mat2 import Mat2, MatrixEquation
+from .solver import (KINDS, REASONS, Candidates, CriticalDatum,
+                     InfiniteCertificate, SolutionSet)
 from .verify import VerificationReport
 
 FORMAT_VERSION = "1"
@@ -109,13 +111,17 @@ def equation_from_doc(doc) -> MatrixEquation:
 
 
 def solution_set_to_doc(sset: SolutionSet) -> dict:
+    """The document of a solution set, written from its batch: the packed
+    (re, im) doubles of m11, m12, m21, m22 are the nested matrix lists."""
+    batch = sset.batch
     doc = {
         "format_version": FORMAT_VERSION,
         "classification": "finite" if sset.is_finite else "infinite",
         "solutions": [
-            {"matrix": _mat(s.matrix), "kind": s.kind,
-             "residual": float(s.residual)}
-            for s in sset.solutions
+            {"matrix": m, "kind": kind, "residual": r}
+            for m, kind, r in zip(
+                batch.matrices.view(float).reshape(-1, 2, 2, 2).tolist(),
+                batch.kinds, batch.residuals.tolist())
         ],
         "metadata": {
             "critical_values": [
@@ -145,7 +151,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
     raw_solutions = doc.get("solutions")
     if not isinstance(raw_solutions, list):
         raise DocumentError("solutions must be a list")
-    solutions = _solutions(raw_solutions)
+    batch = _solutions(raw_solutions)
 
     certificate = None
     if classification == "infinite":
@@ -188,20 +194,20 @@ def solution_set_from_doc(doc) -> SolutionSet:
         data.append(CriticalDatum(_unpair(entry.get("value"),
                                           f"critical value {i}"),
                                   mult, dim, ()))
-    return SolutionSet(solutions, certificate, tuple(data))
+    return SolutionSet(batch, certificate, tuple(data))
 
 
-def _solutions(entries: list) -> tuple[Solution, ...]:
-    """The solution entries, checked per array; a failing check raises the
-    message of the first bad entry."""
+def _solutions(entries: list) -> Candidates:
+    """The solution entries as one batch without eigen data, checked per
+    array; a failing check raises the message of the first bad entry."""
     checked = _solution_arrays(entries)
     if checked is None:
         for i, entry in enumerate(entries):
             _check_solution(i, entry)
         raise AssertionError("the array check refused valid solutions")
     kinds, matrices, residuals = checked
-    return tuple(map(Solution, unpack(matrices), kinds, repeat(None),
-                     residuals))
+    return Candidates(matrices, residuals, tuple(kinds),
+                      (None,) * len(kinds))
 
 
 def _check_solution(i: int, entry) -> None:
@@ -248,7 +254,7 @@ def _solution_arrays(entries: list):
     if parts is None or not np.isfinite(parts).all():
         return None
     # the (re, im) doubles of m11, m12, m21, m22 are pack's layout
-    return kinds, parts.view(complex).reshape(-1, 4), residuals.tolist()
+    return kinds, parts.view(complex).reshape(-1, 4), residuals
 
 
 def _all_subclass(values: list, cls) -> bool:

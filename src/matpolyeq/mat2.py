@@ -61,9 +61,13 @@ class Mat2:
     m22: complex
 
     def __post_init__(self):
-        # finiteness is checked by MatrixEquation and solver.residuals
-        for name in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        # finiteness is checked by MatrixEquation and solver.residuals;
+        # complex(z) of an exact complex z is z itself, so only other types
+        # (int, float, bool, numpy scalars) need converting
+        if not (type(self.m11) is type(self.m12) is type(self.m21)
+                is type(self.m22) is complex):
+            for name in ("m11", "m12", "m21", "m22"):
+                object.__setattr__(self, name, complex(getattr(self, name)))
 
     @staticmethod
     def zero() -> "Mat2":
@@ -258,13 +262,14 @@ def close_pairs(x: np.ndarray, tol: float
             float(d.min(initial=math.inf)) if len(x) > 1 else None)
 
 
-def match_in_order(a: Sequence[Mat2], b: Sequence[Mat2], tol: float) -> bool:
-    """Greedy one-to-one matching in a's order: each matrix takes its
-    nearest remaining partner in b, the earliest on ties, and that partner
-    must lie within tol; so only the pairs within tol can decide."""
+def match_in_order(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Greedy one-to-one matching of two packed arrays in a's row order:
+    each matrix takes its nearest remaining partner in b, the earliest on
+    ties, and that partner must lie within tol; so only the pairs within
+    tol can decide."""
     if len(a) != len(b):
         return False
-    i, j, d = _near_pairs(pack(list(a) + list(b)), tol)
+    i, j, d = _near_pairs(np.concatenate((a, b)), tol)
     # a's rows come first, so a pair across the sets has i in a, j in b;
     # by row, distance and partner, each row takes the first one still free
     near = (i < len(a)) & (j >= len(a)) & (d <= tol)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,11 +63,11 @@ class Solution:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Candidates:
     """Candidate solutions held as arrays: the matrices packed (k, 4) as
     ``mat2.pack`` lays them out and their residuals, with a kind and eigen
-    data per row.  Solution objects are built only for the rows kept."""
+    data per row (None for a row read from a document)."""
 
     matrices: np.ndarray
     residuals: np.ndarray
@@ -87,11 +88,6 @@ class Candidates:
                           tuple(self.kinds[r] for r in rows),
                           tuple(self.eigen_data[r] for r in rows))
 
-    def solutions(self) -> list[Solution]:
-        return [Solution(*row) for row in
-                zip(unpack(self.matrices), self.kinds, self.eigen_data,
-                    self.residuals.tolist())]
-
 
 @dataclass(frozen=True)
 class InfiniteCertificate:
@@ -107,11 +103,34 @@ class InfiniteCertificate:
         return self.base + self.direction.scale(mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSet:
-    solutions: tuple[Solution, ...]
+    """A classified solution set.  ``batch`` holds the finite solutions in
+    output order as one array batch (empty for an infinite set); the
+    Solution objects are built from it, bit for bit, on first access to
+    ``solutions`` only."""
+
+    batch: Candidates
     certificate: Optional[InfiniteCertificate]
     critical_data: tuple[CriticalDatum, ...]
+
+    @classmethod
+    def of(cls, solutions: Sequence[Solution],
+           certificate: Optional[InfiniteCertificate],
+           critical_data: Sequence[CriticalDatum]) -> "SolutionSet":
+        """A set of hand-built solutions, packed in their order."""
+        return cls(Candidates(pack([s.matrix for s in solutions]),
+                              np.array([s.residual for s in solutions],
+                                       float),
+                              tuple(s.kind for s in solutions),
+                              tuple(s.eigen_data for s in solutions)),
+                   certificate, tuple(critical_data))
+
+    @cached_property
+    def solutions(self) -> tuple[Solution, ...]:
+        b = self.batch
+        return tuple(map(Solution, unpack(b.matrices), b.kinds, b.eigen_data,
+                         b.residuals.tolist()))
 
     @property
     def is_finite(self) -> bool:
@@ -119,7 +138,7 @@ class SolutionSet:
 
     @property
     def count(self) -> Optional[int]:
-        return len(self.solutions) if self.is_finite else None
+        return len(self.batch) if self.is_finite else None
 
 
 def solution_bound(n: int) -> int:
@@ -368,13 +387,15 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     earlier kept one (``mat2.greedy_unique``: its sorted-window pair kernel
     computes distances only for the pairs whose entry parts all lie within
     the tolerance), and the kept ones are residual-verified and checked
-    against the C(2n, 2) bound before Solution objects are built for them,
-    sorted by eigenvalues.
+    against the C(2n, 2) bound.  The set holds the kept rows as that batch,
+    sorted by eigenvalues and then entries with one ``np.lexsort``
+    (``output_order``); Solution objects are built only if
+    ``SolutionSet.solutions`` is read.
     """
     data = critical_data(eq, backend=backend)
     cert = detect_infinite(eq, data)
     if cert is not None:
-        return SolutionSet((), cert, data)
+        return SolutionSet.of((), cert, data)
 
     found = (scalar_solutions(eq, data)
              + enumerate_diagonalizable(eq, data)
@@ -389,18 +410,21 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
         raise InternalInconsistency(
             f"{len(kept)} solutions exceed the C(2n,2) bound")
 
-    return SolutionSet(tuple(sorted(kept.solutions(), key=_sort_key)),
-                       None, data)
+    return SolutionSet(kept.take(output_order(kept).tolist()), None, data)
 
 
-def _sort_key(sol: Solution):
-    if sol.eigen_data:
-        lams = sorted((p[0] for p in sol.eigen_data),
-                      key=lambda z: (z.real, z.imag))
-    else:
-        lams = []
-    flat = [c for lam in lams for c in (lam.real, lam.imag)]
-    m = sol.matrix
-    flat += [m.m11.real, m.m11.imag, m.m12.real, m.m12.imag,
-             m.m21.real, m.m21.imag, m.m22.real, m.m22.imag]
-    return tuple(flat)
+def output_order(rows: Candidates) -> np.ndarray:
+    """The stable order of the rows by their key: the eigenvalues of the
+    eigen data ordered by (real, imag), as numpy sorts complex numbers, then
+    the matrix entries, each as its (real, imag) parts.  Tuple comparison
+    orders a one-eigenvalue key before a longer one it is a prefix of; its
+    -inf padding does the same in one ``np.lexsort`` over rows of equal
+    length."""
+    lams = np.sort(np.array([(ed[0][0], ed[-1][0]) for ed in rows.eigen_data],
+                            complex).reshape(-1, 2))
+    parts = rows.matrices.view(float)
+    key = np.hstack((lams.view(float), parts))
+    single = np.array([len(ed) == 1 for ed in rows.eigen_data], bool)
+    key[single, 2:10] = parts[single]
+    key[single, 10:] = -np.inf
+    return np.lexsort(key.T[::-1])

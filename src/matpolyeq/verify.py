@@ -83,7 +83,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     solution's characteristic polynomial (det M(t) vanishing at its
     eigenvalues, relative to the term bound) are all recomputed here;
     nothing is taken from the input set but the matrices (the critical
-    values are the equation's own, shared with an earlier solve).  The
+    values are the equation's own, shared with an earlier solve), read from
+    the set's packed batch without building Solution objects.  The
     solutions' residuals come from one call of the batch kernel
     ``mat2.eval_batch``, the certificate samples' from another; the pairwise
     distinctness check and the exact ``min_pair_distance`` come from the
@@ -99,7 +100,7 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     eig_tol = CLUSTER_TOL * max(1.0, np.abs(values).max(initial=0.0))
     bound = solution_bound(eq.n)
 
-    x = pack([s.matrix for s in sset.solutions])
+    x = sset.batch.matrices
     res = residuals(eq, x)
     ok = accepted(eq, x, res)
     residuals_ok = bool(ok.all())
@@ -180,16 +181,17 @@ class CrossCheck:
 def count_cross_check(eq: MatrixEquation) -> CrossCheck:
     """Solve with both root backends and compare the outcomes.
 
-    Agreement means identical classification and, for finite sets, solution
-    lists that match one to one within ten times the dedupe tolerance.
+    Agreement means identical classification and, for finite sets, packed
+    solution batches that match one to one within ten times the dedupe
+    tolerance.
     """
     set_a = solve_equation(eq, backend="aberth")
     set_b = solve_equation(eq, backend="companion")
     agree = set_a.is_finite == set_b.is_finite
     if agree and set_a.is_finite:
         tol = 10 * dedupe_tol(set_a.critical_data)
-        agree = match_in_order([s.matrix for s in set_a.solutions],
-                               [s.matrix for s in set_b.solutions], tol)
+        agree = match_in_order(set_a.batch.matrices,
+                               set_b.batch.matrices, tol)
     return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
 
 

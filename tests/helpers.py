@@ -1,5 +1,7 @@
 """Test-only routines: exact-arithmetic references the package does not
-need, and the rank-pattern equations shared by the solver and scan tests."""
+need, the per-solution sort key and document writer that the packed
+solution batch replaced, and the rank-pattern equations shared by the
+solver and scan tests."""
 
 import cmath
 import math
@@ -7,9 +9,10 @@ import math
 import numpy as np
 
 from matpolyeq import poly
+from matpolyeq.documents import FORMAT_VERSION
 from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2, outer
 from matpolyeq.poly import NonConvergence, Poly
-from matpolyeq.solver import RESIDUAL_COEF
+from matpolyeq.solver import RESIDUAL_COEF, Solution, SolutionSet
 
 
 def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
@@ -40,6 +43,61 @@ def ref_residual_tol(eq: MatrixEquation, x: Mat2) -> float:
         return RESIDUAL_COEF * (1.0 + eq.coeff_scale()) * (1.0 + norm) ** eq.n
     except OverflowError:
         return math.inf
+
+
+def ref_sort_key(sol: Solution):
+    """The solver's output order, one Solution at a time: the eigenvalues
+    of the eigen data by (real, imag), then the entries' parts."""
+    if sol.eigen_data:
+        lams = sorted((p[0] for p in sol.eigen_data),
+                      key=lambda z: (z.real, z.imag))
+    else:
+        lams = []
+    flat = [c for lam in lams for c in (lam.real, lam.imag)]
+    m = sol.matrix
+    flat += [m.m11.real, m.m11.imag, m.m12.real, m.m12.imag,
+             m.m21.real, m.m21.imag, m.m22.real, m.m22.imag]
+    return tuple(flat)
+
+
+def _ref_pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _ref_mat(m: Mat2) -> list:
+    return [[_ref_pair(m.m11), _ref_pair(m.m12)],
+            [_ref_pair(m.m21), _ref_pair(m.m22)]]
+
+
+def ref_solution_set_to_doc(sset: SolutionSet) -> dict:
+    """documents.solution_set_to_doc as it wrote each Solution object's
+    matrix through [re, im] pairs, before it wrote the packed batch."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "classification": "finite" if sset.is_finite else "infinite",
+        "solutions": [
+            {"matrix": _ref_mat(s.matrix), "kind": s.kind,
+             "residual": float(s.residual)}
+            for s in sset.solutions
+        ],
+        "metadata": {
+            "critical_values": [
+                {"value": _ref_pair(d.value),
+                 "multiplicity": d.multiplicity, "space_dim": d.space_dim}
+                for d in sset.critical_data
+            ],
+        },
+    }
+    if sset.certificate is not None:
+        cert = sset.certificate
+        doc["certificate"] = {
+            "reason": cert.reason,
+            "base": _ref_mat(cert.base),
+            "direction": _ref_mat(cert.direction),
+            "samples": [_ref_pair(mu) for mu in cert.samples],
+            "sample_residuals": [float(r) for r in cert.sample_residuals],
+        }
+    return doc
 
 
 def ref_aberth_roots(c: np.ndarray, sweeps=None) -> np.ndarray:

@@ -259,8 +259,8 @@ def _random_equation(seed, n):
 
 
 def _flags(eq, mats):
-    sset = SolutionSet(tuple(Solution(m, "diagonalizable_distinct", None, 0.0)
-                             for m in mats), None, ())
+    sset = SolutionSet.of([Solution(m, "diagonalizable_distinct", None, 0.0)
+                           for m in mats], None, ())
     report = verify_solution_set(eq, sset)
     return report.eigenvalues_ok, report.char_divisor_ok
 
@@ -324,8 +324,8 @@ def test_derivative_branch(eq_four_solutions, eq_x_squared_identity):
 def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
     # f(X) = X + A0 stays finite, so X reaches the eigenvalue checks,
     # where tr^2 or det overflows; RuntimeWarning is an error under pytest
-    sset = SolutionSet((Solution(x, "diagonalizable_distinct", None, 0.0),),
-                       None, ())
+    sset = SolutionSet.of((Solution(x, "diagonalizable_distinct", None, 0.0),),
+                          None, ())
     report = verify_solution_set(eq_degree_one, sset)
     assert math.isfinite(report.max_residual)
     assert not report.residuals_ok

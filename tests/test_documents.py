@@ -13,8 +13,10 @@ from matpolyeq.documents import (DocumentError, equation_from_doc,
                                  report_to_doc, save_doc,
                                  solution_set_from_doc, solution_set_to_doc)
 from matpolyeq.mat2 import Mat2, MatrixEquation
-from matpolyeq.solver import solve_equation
+from matpolyeq.solver import Solution, SolutionSet, solve_equation
 from matpolyeq.verify import verify_solution_set
+
+from helpers import ref_solution_set_to_doc
 
 # sha256 of the solution documents of random n = 16 equations, committed
 # with the benchmark (perfbench/make_digests.py writes it); read only here
@@ -262,6 +264,73 @@ class TestSolutionReader:
         got = solution_set_from_doc(doc).solutions[300]
         assert got.residual == 0.0 and type(got.residual) is float
         assert got.matrix == Mat2(1, float(2 ** 53 + 1) - 3j, 0, 1 + 1j)
+
+
+def _edge_set(certificate=None):
+    """Hand-built solutions whose parts and residuals are signed zeros, the
+    least subnormal and near the largest double."""
+    parts = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -2.5)
+    sols = [Solution(Mat2(*(complex(parts[(i + k) % 8],
+                                    parts[(i + 3 * k) % 8])
+                            for k in range(4))),
+                     "diagonalizable_distinct", None, r)
+            for i, r in enumerate((0.0, 5e-324, 1e308, 2.5e-17))]
+    return SolutionSet.of(sols, certificate, ())
+
+
+def _bits(sset):
+    return [(s.kind, s.residual.hex(),
+             [(z.real.hex(), z.imag.hex())
+              for z in (s.matrix.m11, s.matrix.m12, s.matrix.m21,
+                        s.matrix.m22)])
+            for s in sset.solutions]
+
+
+class TestBatchDocuments:
+    """The writer's and reader's packed batch against the per-solution
+    writer it replaced (``helpers.ref_solution_set_to_doc``)."""
+
+    @pytest.mark.parametrize("fixture", [
+        "eq_four_solutions", "eq_x_squared_jordan", "eq_degree_one",
+        # infinite, with a certificate
+        "eq_x_squared_identity", "eq_shifted_square", "eq_nilpotent_family",
+        # finite and empty
+        "eq_x_squared_nilpotent"])
+    def test_writer_bytes_match_reference(self, request, fixture):
+        sset = solve_equation(request.getfixturevalue(fixture))
+        assert json.dumps(solution_set_to_doc(sset), indent=2) == \
+            json.dumps(ref_solution_set_to_doc(sset), indent=2)
+
+    def test_writer_bytes_on_edge_entries(self, eq_x_squared_identity):
+        cert = solve_equation(eq_x_squared_identity).certificate
+        for sset in (_edge_set(), _edge_set(cert),
+                     SolutionSet.of((), None, ())):
+            text = json.dumps(solution_set_to_doc(sset), indent=2)
+            assert text == json.dumps(ref_solution_set_to_doc(sset), indent=2)
+        text = json.dumps(solution_set_to_doc(_edge_set()))
+        assert all(s in text for s in ("-0.0", "5e-324", "1e+308"))
+
+    def test_reader_keeps_every_bit(self):
+        sset = _edge_set()
+        back = solution_set_from_doc(json.loads(json.dumps(
+            solution_set_to_doc(sset))))
+        assert _bits(back) == _bits(sset)
+        assert all(s.eigen_data is None and type(s.residual) is float
+                   for s in back.solutions)
+
+    def test_solution_objects_stay_unbuilt(self):
+        # solve, write, reread and verify an n = 16 set from its batch alone
+        rng = np.random.default_rng(1)
+        eq = MatrixEquation(tuple(
+            Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
+            for _ in range(16)))
+        sset = solve_equation(eq)
+        back = solution_set_from_doc(json.loads(json.dumps(
+            solution_set_to_doc(sset), indent=2)))
+        report = verify_solution_set(eq, back)
+        assert report.claimed_count == back.count == sset.count == 496
+        assert "solutions" not in vars(sset)
+        assert "solutions" not in vars(back)
 
 
 class TestDocumentByteStability:

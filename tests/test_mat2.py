@@ -201,3 +201,23 @@ class TestMat2Utils:
     def test_entries_coerced_to_complex(self):
         m = Mat2(np.complex128(1 + 2j), 0, 0, 1)
         assert type(m.m11) is complex
+
+    @pytest.mark.parametrize("value, want", [
+        (3, 3 + 0j), (-0.0, complex(-0.0, 0.0)), (5e-324, 5e-324 + 0j),
+        (True, 1 + 0j), (False, 0j),
+        (np.complex128(complex(1e308, -0.0)), complex(1e308, -0.0)),
+        (np.float64(-2.5), -2.5 + 0j)])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_each_entry_converts_alone(self, value, want, slot):
+        # the other entries are exact complex numbers and stay the objects
+        # they were; the odd one out converts as complex() converts it
+        z = complex(-0.0, 2.0)
+        args = [z] * 4
+        args[slot] = value
+        m = Mat2(*args)
+        entries = (m.m11, m.m12, m.m21, m.m22)
+        assert all(type(e) is complex for e in entries)
+        assert all(e is z for i, e in enumerate(entries) if i != slot)
+        got = entries[slot]
+        assert (got.real.hex(), got.imag.hex()) == \
+            (want.real.hex(), want.imag.hex())

@@ -203,12 +203,13 @@ def test_non_finite_rows_are_never_paired():
     assert close_pairs(pack([a, inf_row, c]), math.inf) == ([(0, 2)],
                                                             a.dist(c))
     assert greedy_unique(pack([a, inf_row, c]), math.inf) == [0, 1]
-    assert not match_in_order([a, inf_row], [inf_row, c], math.inf)
+    assert not match_in_order(pack([a, inf_row]), pack([inf_row, c]),
+                              math.inf)
     # no finite pair: no least distance over finite pairs
     assert close_pairs(pack([nan_row, a]), 1.0) == ([], math.inf)
     assert close_pairs(pack([nan_row, inf_row]), 1.0) == ([], math.inf)
-    assert not match_in_order([nan_row], [nan_row], 1.0)
-    assert not match_in_order([a, nan_row], [a, a], 1.0)
+    assert not match_in_order(pack([nan_row]), pack([nan_row]), 1.0)
+    assert not match_in_order(pack([a, nan_row]), pack([a, a]), 1.0)
 
 
 def test_exact_distances_and_bounds():
@@ -265,7 +266,8 @@ def _match_cases(seed):
 def test_match_sets_matches_scalar_loop(seed):
     for a, b, tol in _match_cases(seed):
         for t in (tol, 0.0, 1.0):
-            assert match_in_order(a, b, t) == ref_match_sets(a, b, t)
+            assert match_in_order(pack(a), pack(b), t) == \
+                ref_match_sets(a, b, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,7 +275,8 @@ def test_match_sets_matches_scalar_loop(seed):
 def test_match_sets_property(a, data, tol):
     b = data.draw(st.permutations(a)) if data.draw(st.booleans()) \
         else data.draw(_MATS)
-    assert match_in_order(a, b, tol) == ref_match_sets(a, b, tol)
+    assert match_in_order(pack(a), pack(b), tol) == \
+        ref_match_sets(a, b, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,4 +292,5 @@ def test_match_at_an_actual_distance(a, data):
     d = a[data.draw(st.integers(0, len(a) - 1))].dist(
         b[data.draw(st.integers(0, len(b) - 1))])
     for tol in _around(d):
-        assert match_in_order(a, b, tol) == ref_match_sets(a, b, tol)
+        assert match_in_order(pack(a), pack(b), tol) == \
+        ref_match_sets(a, b, tol)

@@ -3,22 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matpolyeq.construct import construct
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            eval_equation, pack, poly_matrix)
+                            eval_equation, pack, poly_matrix, unpack)
 from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
-from matpolyeq.solver import (CriticalDatum, InternalInconsistency, accepted,
+from matpolyeq.solver import (KINDS, Candidates, CriticalDatum,
+                              InternalInconsistency, SolutionSet, accepted,
                               critical_data, detect_infinite,
                               enumerate_diagonalizable,
-                              find_nondiagonalizable, residual_tols,
-                              residuals, scalar_solutions, solution_bound,
-                              solve_equation)
+                              find_nondiagonalizable, output_order,
+                              residual_tols, residuals, scalar_solutions,
+                              solution_bound, solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
 
 from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
                      RANK_PATTERNS, max_abs_coeff, poly_divmod,
-                     prescribed_equation)
+                     prescribed_equation, ref_sort_key)
 
 BACKENDS = ("aberth", "companion")
 
@@ -62,14 +66,13 @@ class TestCriticalData:
 class TestEnumerateDiagonalizable:
     def test_four_diagonal_solutions(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        sols = enumerate_diagonalizable(eq_four_solutions, data).solutions()
-        got = sorted((round(s.matrix.m11.real), round(s.matrix.m22.real))
-                     for s in sols)
+        found = enumerate_diagonalizable(eq_four_solutions, data)
+        mats = unpack(found.matrices)
+        got = sorted((round(m.m11.real), round(m.m22.real)) for m in mats)
         assert got == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
-        assert all(s.kind == "diagonalizable_distinct" for s in sols)
-        for s in sols:
-            off = max(abs(s.matrix.m12), abs(s.matrix.m21))
-            assert off < 1e-10
+        assert found.kinds == ("diagonalizable_distinct",) * 4
+        for m in mats:
+            assert max(abs(m.m12), abs(m.m21)) < 1e-10
 
     def test_shared_direction_gives_nothing(self, eq_four_solutions):
         data = [
@@ -80,28 +83,27 @@ class TestEnumerateDiagonalizable:
 
     def test_degree_one_assembly(self, eq_degree_one):
         data = critical_data(eq_degree_one)
-        sols = enumerate_diagonalizable(eq_degree_one, data).solutions()
-        assert len(sols) == 1
-        assert sols[0].matrix.dist(Mat2(0, 1, 0, 1)) < 1e-10
+        mats = unpack(enumerate_diagonalizable(eq_degree_one, data).matrices)
+        assert len(mats) == 1
+        assert mats[0].dist(Mat2(0, 1, 0, 1)) < 1e-10
 
 
 class TestScalarSolutions:
     def test_nilpotent_square_includes_zero(self, eq_x_squared_zero):
         data = critical_data(eq_x_squared_zero)
-        sols = scalar_solutions(eq_x_squared_zero, data).solutions()
-        assert len(sols) == 1
-        assert sols[0].matrix.dist(Mat2.zero()) == 0
-        assert sols[0].kind == "scalar"
+        found = scalar_solutions(eq_x_squared_zero, data)
+        assert found.kinds == ("scalar",)
+        assert unpack(found.matrices)[0].dist(Mat2.zero()) == 0
 
     def test_four_solution_fixture_empty(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        assert scalar_solutions(eq_four_solutions, data).solutions() == []
+        assert len(scalar_solutions(eq_four_solutions, data)) == 0
 
     def test_shifted_square_includes_identity(self, eq_shifted_square):
         data = critical_data(eq_shifted_square)
-        sols = scalar_solutions(eq_shifted_square, data).solutions()
-        assert len(sols) == 1
-        assert sols[0].matrix.dist(Mat2.identity()) == 0
+        mats = unpack(scalar_solutions(eq_shifted_square, data).matrices)
+        assert len(mats) == 1
+        assert mats[0].dist(Mat2.identity()) == 0
 
 
 class TestFindNondiagonalizable:
@@ -114,10 +116,10 @@ class TestFindNondiagonalizable:
         assert found.kinds == ("non_diagonalizable",) * 2
         assert list(found.eigen_data) == [((d.value, d.basis[0]),)
                                           for d in data]
-        minus, plus = found.solutions()
-        assert minus.matrix.dist(Mat2(-1, -0.5, 0, -1)) < 1e-10
-        assert plus.matrix.dist(Mat2(1, 0.5, 0, 1)) < 1e-10
-        _assert_accepted(eq_x_squared_jordan, [minus.matrix, plus.matrix],
+        minus, plus = unpack(found.matrices)
+        assert minus.dist(Mat2(-1, -0.5, 0, -1)) < 1e-10
+        assert plus.dist(Mat2(1, 0.5, 0, 1)) < 1e-10
+        _assert_accepted(eq_x_squared_jordan, [minus, plus],
                          found.residuals.tolist())
 
     def test_plane_left_to_detect_infinite(self, eq_x_squared_zero):
@@ -274,6 +276,60 @@ class TestSolveEquation:
         a = solve_equation(eq_four_solutions)
         b = solve_equation(eq_four_solutions)
         assert [s.matrix for s in a.solutions] == [s.matrix for s in b.solutions]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_output_in_sort_key_order(self, request, backend):
+        equations = [request.getfixturevalue(name) for name in _FIXTURES]
+        equations += [construct(n, m, validate=False).equation
+                      for n in (1, 2, 3)
+                      for m in range(1, solution_bound(n) + 1)]
+        for eq in equations:
+            keys = [ref_sort_key(s)
+                    for s in solve_equation(eq, backend=backend).solutions]
+            assert keys == sorted(keys)
+
+
+# few distinct parts, so that repeated eigenvalues, exact ties between
+# keys and +-0.0 entries are common
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324])
+_VALUES = st.builds(complex, _PARTS, _PARTS)
+
+
+@st.composite
+def _solver_rows(draw):
+    """(matrix, kind, eigen data) rows with one eigenvalue (non-
+    diagonalizable), one repeated (scalar) or two (diagonalizable), some of
+    them drawn twice, in any order."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(KINDS))
+        la = draw(_VALUES)
+        lb = la if kind == "scalar" else draw(_VALUES)
+        m = Mat2(*(draw(_VALUES) for _ in range(4)))
+        if kind == "non_diagonalizable":
+            rows.append((m, kind, ((la, E1),)))
+            if draw(st.booleans()):
+                # a two-eigenvalue key that the one-eigenvalue key is a
+                # prefix of: its second eigenvalue is m11, then m12 .. m22
+                rows.append((Mat2(m.m12, m.m21, m.m22, draw(_VALUES)),
+                             "diagonalizable_distinct",
+                             ((la, E1), (m.m11, E2))))
+        else:
+            rows.append((m, kind, ((la, E1), (lb, E2))))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_solver_rows())
+def test_output_order_matches_the_sort_key(rows):
+    # the one lexsort against a stable sort on the per-solution key
+    mats, kinds, eigen = zip(*rows) if rows else ((), (), ())
+    batch = Candidates(pack(mats), np.zeros(len(rows)), kinds, eigen)
+    sols = SolutionSet(batch, None, ()).solutions
+    assert output_order(batch).tolist() == sorted(
+        range(len(sols)), key=lambda r: ref_sort_key(sols[r]))
 
 
 # sha256 of solve_equation's output with both backends on the conftest

@@ -17,7 +17,7 @@ from matpolyeq.verify import (brute_force_scan, count_cross_check, minimize,
 
 
 def _with_solutions(sset, solutions):
-    return SolutionSet(tuple(solutions), sset.certificate, sset.critical_data)
+    return SolutionSet.of(solutions, sset.certificate, sset.critical_data)
 
 
 class TestVerifySolutionSet:
@@ -78,9 +78,9 @@ class TestVerifySolutionSet:
         (1.5e308, "residual inf of a matrix with no finite threshold"),
     ])
     def test_residual_reason(self, eq_x_squared_zero, entry, reason):
-        ss = SolutionSet((Solution(Mat2(entry, 0, 0, 0),
-                                   "diagonalizable_distinct", None, 0.0),),
-                         None, ())
+        ss = SolutionSet.of((Solution(Mat2(entry, 0, 0, 0),
+                                      "diagonalizable_distinct", None, 0.0),),
+                            None, ())
         report = verify_solution_set(eq_x_squared_zero, ss)
         assert report.reasons[0] == reason
 
@@ -156,6 +156,15 @@ class TestCountCrossCheck:
         eq = construct(3, 10, validate=False).equation
         cc = count_cross_check(eq)
         assert (cc.count_a, cc.count_b, cc.agree) == (10, 10, True)
+
+    def test_solution_objects_stay_unbuilt(self):
+        # a sweep cell's cross-check and verification read the batches only
+        eq = construct(4, 21, validate=False).equation
+        cc = count_cross_check(eq)
+        report = verify_solution_set(eq, cc.set_a, backend_agreement=cc.agree)
+        assert report.verdict == "pass" and cc.count_a == 21
+        assert "solutions" not in vars(cc.set_a)
+        assert "solutions" not in vars(cc.set_b)
 
 
 class TestBruteForceScan:
