@@ -163,7 +163,7 @@ def max_norms(x: np.ndarray) -> np.ndarray:
 
 def split(x: np.ndarray) -> np.ndarray:
     """A packed (k, 4) complex array as parts."""
-    return np.stack((x.real.T, x.imag.T)).reshape(2, 2, 2, len(x))
+    return np.array((x.real.T, x.imag.T)).reshape(2, 2, 2, len(x))
 
 
 def join(parts: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def mul_parts(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     s holds the parts (2, k) of one scalar per matrix (a may also hold k
     scalars)."""
     sr, si = s
-    return np.stack((sr * a[0] - si * a[1], sr * a[1] + si * a[0]))
+    return np.array((sr * a[0] - si * a[1], sr * a[1] + si * a[0]))
 
 
 def matmul_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,7 +220,7 @@ def _near_pairs(x: np.ndarray, cut: float):
     exact distances: a sort and sweep (Hinrichs, Nievergelt and Schorn 1988)
     along the part u of widest range, each row against the later rows within
     cut + a few ulps of |u| + cut along u, so that rounding drops no pair."""
-    rows = np.flatnonzero(np.isfinite(x).all(axis=1))
+    rows = np.isfinite(x).all(axis=1).nonzero()[0]
     parts = x[rows].view(float)
     widest = np.argmax(parts.max(axis=0, initial=-math.inf)
                        - parts.min(axis=0, initial=math.inf))
@@ -236,7 +236,7 @@ def _near_pairs(x: np.ndarray, cut: float):
     for col in cols:
         near = np.abs(col[s] - col[t]) <= cut
         s, t = s[near], t[near]
-    i, j = np.sort(rows[order[np.stack((s, t))]], axis=0)
+    i, j = np.sort(rows[order[np.array((s, t))]], axis=0)
     return i, j, _exact_dists(x[i], x[j])
 
 
@@ -458,7 +458,9 @@ def eigenvalues(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         tr = a + d
         disc = np.sqrt(tr * tr - 4 * (a * d - b * c))
-        lam = np.stack(((tr + disc) / 2, (tr - disc) / 2), axis=1)
+        lam = np.empty((len(x), 2), dtype=complex)
+        lam[:, 0] = (tr + disc) / 2
+        lam[:, 1] = (tr - disc) / 2
         re, im = lam.real, lam.imag
         swap = (re[:, 1] < re[:, 0]) | (re[:, 1] == re[:, 0]) & (
             im[:, 1] < im[:, 0])

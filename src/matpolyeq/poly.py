@@ -9,6 +9,7 @@ deflation / clustering / polishing stage that assigns multiplicities.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,7 +247,7 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray:
         * np.exp(1j * (2 * np.pi * k / d + 0.4))
     # p and p' as the rows of one Horner pass; p' gets a zero top
     # coefficient, whose first step 0 * z + dc[-1] is exact
-    coef = np.stack((c, np.append(c[1:] * np.arange(1, d + 1), 0)))
+    coef = np.array((c, np.concatenate((c[1:] * np.arange(1, d + 1), [0]))))
     # rows[j] holds both Horner rows after j steps; rows[d] = p(z), p'(z).
     # Every operand is a full (2, d) array: broadcasting costs more per
     # call than these small arrays take to compute.
@@ -346,7 +347,12 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
 
 def _components(items, radius, value=lambda z: z):
     """Single-linkage components of the items by value, each sorted, and
-    ordered by their least values."""
+    ordered by their least values.  The values are compared as Python
+    complex copies, which subtract part by part and take the modulus by
+    libm's hypot as numpy's scalars do, at a fraction of the cost; where
+    that modulus overflows, Python raises and numpy gives inf, so inf is
+    taken."""
+    values = [complex(value(item)) for item in items]
     parent = list(range(len(items)))
 
     def find(i):
@@ -355,19 +361,23 @@ def _components(items, radius, value=lambda z: z):
             i = parent[i]
         return i
 
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if abs(value(items[i]) - value(items[j])) <= radius:
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            try:
+                d = abs(values[i] - values[j])
+            except OverflowError:
+                d = math.inf
+            if d <= radius:
                 parent[find(i)] = find(j)
     groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(find(i), []).append(item)
+    for i in range(len(items)):
+        groups.setdefault(find(i), []).append(i)
 
-    def key(item):
-        return value(item).real, value(item).imag
+    def key(i):
+        return values[i].real, values[i].imag
     out = [sorted(g, key=key) for g in groups.values()]
     out.sort(key=lambda g: key(g[0]))
-    return out
+    return [[items[i] for i in g] for g in out]
 
 
 def _polish_group(ders, members, scale):
@@ -498,7 +508,7 @@ def relative_value(c, t) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.maximum(1.0, np.abs(t))
-        value, terms = np.zeros_like(t), np.zeros_like(r)
+        value, terms = np.zeros(t.shape, complex), np.zeros(r.shape)
         for ck in reversed(c):
             value = value * t + ck
             terms = terms * r + abs(ck)

@@ -243,7 +243,8 @@ def enumerate_diagonalizable(eq: MatrixEquation,
     lines = [d for d in data if d.space_dim == 1]
     z = np.array([(d.value, d.basis[0].x, d.basis[0].y) for d in lines],
                  complex).reshape(-1, 3)
-    i, j = np.triu_indices(len(lines), 1)
+    r = np.arange(len(lines))
+    i, j = np.nonzero(r[:, None] < r)
     # det2(va, vb) = va.x vb.y - va.y vb.x
     pr, pi = (mul_parts(_parts(z[i, 1]), _parts(z[j, 2]))
               - mul_parts(_parts(z[i, 2]), _parts(z[j, 1])))
@@ -260,7 +261,7 @@ def enumerate_diagonalizable(eq: MatrixEquation,
 
 
 def _parts(z: np.ndarray) -> np.ndarray:
-    return np.stack((z.real, z.imag))
+    return np.array((z.real, z.imag))
 
 
 def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -269,10 +270,10 @@ def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     # it, zero products included; the rows of a and b hold (value, vector x,
     # vector y), and inv is 1 / pairing by Python's complex division
     (la, ax, ay), (lb, bx, by) = a.T, b.T
-    zero = np.zeros_like(la)
+    zero = np.zeros(la.shape, la.dtype)
 
     def mats(*entries):
-        return split(np.stack(entries, axis=1))
+        return split(np.array(entries).T)
 
     x = matmul_parts(matmul_parts(mats(ax, bx, ay, by),
                                   mats(la, zero, zero, lb)),
@@ -314,7 +315,7 @@ def find_nondiagonalizable(eq: MatrixEquation,
         eigen_data.append(((lam, k),))
     x = pack(mats)
     res = residuals(eq, x)
-    ok = np.flatnonzero(accepted(eq, x, res)).tolist()
+    ok = accepted(eq, x, res).nonzero()[0].tolist()
     return Candidates(x, res, (NON_DIAGONALIZABLE,) * len(mats),
                       tuple(eigen_data)).take(ok)
 
@@ -423,7 +424,7 @@ def output_order(rows: Candidates) -> np.ndarray:
     lams = np.sort(np.array([(ed[0][0], ed[-1][0]) for ed in rows.eigen_data],
                             complex).reshape(-1, 2))
     parts = rows.matrices.view(float)
-    key = np.hstack((lams.view(float), parts))
+    key = np.concatenate((lams.view(float), parts), axis=1)
     single = np.array([len(ed) == 1 for ed in rows.eigen_data], bool)
     key[single, 2:10] = parts[single]
     key[single, 10:] = -np.inf

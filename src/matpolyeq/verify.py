@@ -245,8 +245,7 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
                         _scalar_candidates(eq, [d.value for d in data])])
     x = x[accepted(eq, x, residuals(eq, x))]
     # the greedy dedupe runs in order of the entries' parts, m11.real first
-    parts = np.stack([x.real, x.imag], axis=2).reshape(-1, 8)
-    x = x[np.lexsort(parts.T[::-1])]
+    x = x[np.lexsort(x.view(float).T[::-1])]
     return unpack(x[greedy_unique(x, keep_tol)])
 
 
@@ -326,7 +325,7 @@ def _offsets(mval: np.ndarray, mder: np.ndarray, tiny: np.ndarray,
     threshold ``tiny`` and unit direction ``k``: the rank-one nilpotent
     K = k k_perp^T, whether ||M'(lam) K||^2 <= tiny, and the offset c that
     minimises ||M(lam) + c M'(lam) K|| (0 where M'(lam) K is degenerate)."""
-    kmat = k[:, :, None] * np.stack([k[:, 1], -k[:, 0]], axis=1)[:, None, :]
+    kmat = k[:, :, None] * np.array((k[:, 1], -k[:, 0])).T[:, None, :]
     g = mder @ kmat
     gnorm2 = (g.real ** 2 + g.imag ** 2).sum(axis=(1, 2))
     degenerate = gnorm2 <= tiny

@@ -11,7 +11,9 @@ way.  The eigenvalue checks have their own references, further down.
 """
 
 import cmath
+import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matpolyeq import mat2, poly, solver, verify
 from matpolyeq.mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
                             eigenvalues, eval_batch, eval_equation, pack,
                             unpack)
@@ -332,3 +335,23 @@ def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
     assert report.verdict == "fail"
     assert (report.eigenvalues_ok, report.char_divisor_ok) == \
         ref_checks(eq_degree_one, [x]) == flags
+
+
+# sweep batches hold about 17 rows, where numpy's Python-level helpers cost
+# more per call than the arithmetic: np.stack about 6 us against np.array's
+# 1.4 us, np.triu_indices(7, 1) 23 us against a mask's nonzero() 5.3 us
+_SMALL_BATCH_KERNELS = [
+    mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.eigenvalues,
+    solver._parts, solver._assemble, solver.enumerate_diagonalizable,
+    solver.find_nondiagonalizable, solver.output_order,
+    verify._offsets, verify.brute_force_scan,
+    poly._aberth_roots, poly.relative_value,
+]
+_PY_HELPERS = re.compile(
+    r"\bnp\.(stack|hstack|triu_indices|flatnonzero|zeros_like|append)\(")
+
+
+@pytest.mark.parametrize("kernel", _SMALL_BATCH_KERNELS,
+                         ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_small_batch_kernels_call_no_python_level_helpers(kernel):
+    assert _PY_HELPERS.findall(inspect.getsource(kernel)) == []

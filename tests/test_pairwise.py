@@ -212,6 +212,36 @@ def test_non_finite_rows_are_never_paired():
     assert not match_in_order(pack([a, nan_row]), pack([a, a]), 1.0)
 
 
+def test_empty_sweep_window():
+    # a window that holds no pair: cut < 0, fewer than two finite rows, or
+    # rows farther apart along the sweep part than the cut
+    a, b, c = Mat2(1, 2, 3, 4), Mat2(1, 2, 3, 4 + 1e-9), Mat2(9, 2, 3, 4)
+    nan_row = Mat2(complex(math.nan, 0), 0, 0, 0)
+    inf_row = Mat2(0, complex(0, math.inf), 0, 0)
+    # m11.real has the widest range and steps by 10
+    far = [Mat2(10.0 * k, -3.0 * k, 1j * k, 2) for k in range(5)]
+    for x, cut in ((pack([a, b, c]), -1.0), (pack(far), 1.0),
+                   (pack([a, c]), 7.9), (pack([a]), 1.0), (pack([]), 1.0),
+                   (pack([nan_row, a, inf_row]), 1.0)):
+        i, j, d = _near_pairs(x, cut)
+        assert (i.dtype, j.dtype, d.dtype) == (np.intp, np.intp, np.float64)
+        assert i.shape == j.shape == d.shape == (0,)
+    for mats in ([a], far, [a, c]):
+        _check_kernel(mats, [0.0, 1e-9, 1.0])
+        for tol in (0.0, 1.0):
+            assert match_in_order(pack(mats), pack(mats[::-1]), tol) == \
+                ref_match_sets(mats, mats[::-1], tol)
+            assert match_in_order(pack(mats), pack(far[:len(mats)]), tol) \
+                == ref_match_sets(mats, far[:len(mats)], tol)
+    # non-finite rows are never paired, so a set of them has no finite pair
+    for mats in ([nan_row], [nan_row, inf_row], [inf_row, nan_row, inf_row]):
+        x = pack(mats)
+        assert close_pairs(x, 1.0) == ([], None if len(mats) < 2
+                                       else math.inf)
+        assert greedy_unique(x, 1.0) == list(range(len(mats)))
+        assert not match_in_order(x, x, 1.0)
+
+
 def test_exact_distances_and_bounds():
     # magnitudes from subnormal to 1e300, where hypot rounds differently
     # from numpy's complex abs

@@ -187,6 +187,61 @@ class TestRelativeValue:
         assert not np.isfinite(got).any()
 
 
+def ref_components(items, radius, value=lambda z: z):
+    """poly._components as it compared numpy complex128 scalars."""
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                if abs(np.complex128(value(items[i]))
+                       - np.complex128(value(items[j]))) <= radius:
+                    parent[find(i)] = find(j)
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(find(i), []).append(item)
+
+    def key(item):
+        return value(item).real, value(item).imag
+    out = [sorted(g, key=key) for g in groups.values()]
+    out.sort(key=lambda g: key(g[0]))
+    return out
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 2 ** -52, 1e-300,
+                          1.3e308, -1.3e308, 1.7e308, -1.7e308])
+
+
+class TestComponents:
+    # find_roots passes the raw roots as numpy scalars, under its errstate
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.tuples(_PARTS, _PARTS), max_size=7),
+           radius=st.sampled_from([0.0, 2 ** -52, 1.0, 1e308, np.inf]))
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_matches_numpy_scalars(self, parts, radius):
+        items = [np.complex128(complex(*p)) for p in parts]
+        assert poly._components(items, radius) == \
+            ref_components(items, radius)
+        # the items come back as they went in, compared through value
+        entries = [(z, k) for k, z in enumerate(items)]
+        assert poly._components(entries, radius, lambda e: e[0]) == \
+            ref_components(entries, radius, lambda e: e[0])
+
+    @np.errstate(over="ignore")
+    def test_overflowing_modulus_is_inf(self):
+        # a finite difference 1.5e308 (1 + 1j) whose modulus overflows:
+        # numpy gives inf, where Python's complex abs raises OverflowError
+        items = [np.complex128(1.5e308 + 1.5e308j), np.complex128(0)]
+        assert poly._components(items, np.inf) == [items[::-1]]
+        assert poly._components(items, 1e308) == [[items[1]], [items[0]]]
+
+
 class TestNewton:
     def test_polishes_to_the_nearest_double(self):
         # p = t^2 - 2 from a start 1e-6 away
