@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mat2 import (Mat2, MatrixEquation, Vec2, close_pairs, det2,
-                   eigenvalues, greedy_unique, match_in_order, pack, unpack)
+from .mat2 import (Mat2, MatrixEquation, close_pairs, eigenvalues,
+                   greedy_unique, match_in_order, pack, unpack)
 from .poly import CLUSTER_TOL, relative_value
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
                      dedupe_tol, rejection_reason, residuals,
@@ -195,18 +195,28 @@ def count_cross_check(eq: MatrixEquation) -> CrossCheck:
     return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
 
 
+# the sampled critical vectors of a two-dimensional critical space: enough
+# directions to push the distinct-solution count past C(2n,2)
+_PLANE_DIRECTIONS = ((1, 0), (0, 1)) + tuple((1, t) for t in range(1, 7))
+
+
 def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     """Independent enumeration of solution candidates for degree <= 3.
 
     Candidates are reassembled from critical data through a separate code
     path on top of the companion root backend, then filtered by residual:
-    least-squares eigenpair fits for pairs of critical values, the scalar
-    matrices lam I, and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.
+    eigenpair fits for pairs of critical values, the scalar matrices lam I,
+    and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.  Every pair of
+    sampled critical vectors (a line's own, a plane's ``_PLANE_DIRECTIONS``)
+    of distinct values is fitted by one batched LU solve, not the solver's
+    adjugate formula; see ``_fit_eigenpairs``.
     The offset directions never use the solver's rank rule: where lam I
     fails the residual test, k is the least right singular vector of
     M(lam), and where it passes, the least right singular vector of M'(lam)
     spans a line lam I + s K(k) of solutions if M'(lam) K(k) vanishes (to
     1e-12 of max(1, |M'(lam)|)); see ``_scalar_candidates``.
+    Candidate order is irrelevant: the survivors are sorted by their
+    entries' parts before the greedy dedupe at the solver's tolerance.
     Every actual solution arises from critical pairs, scalar matrices, or
     nilpotent offsets, so this candidate space is exhaustive; more distinct
     survivors than C(2n,2) signals an infinite family.
@@ -214,54 +224,38 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     if eq.n > 3:
         raise ValueError("the scan is limited to degree <= 3")
     data = critical_data(eq, backend="companion")
-    keep_tol = 10 * dedupe_tol(data)
-
-    samples = []
-    for d in data:
-        if d.space_dim == 1:
-            samples.append((d.value, [d.basis[0]]))
-        else:
-            # enough sampled directions to push the distinct-solution count
-            # past C(2n,2)
-            spread = [Vec2(1, t) for t in range(1, 7)]
-            samples.append((d.value, [Vec2(1, 0), Vec2(0, 1)] + spread))
-
-    fits: list[Mat2] = []
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            la, vas = samples[i]
-            lb, vbs = samples[j]
-            for va in vas:
-                for vb in vbs:
-                    # same parallelism rule as the solver: vectors closer
-                    # than the independence tolerance count as one direction
-                    if abs(det2(va.normalized(), vb.normalized())) \
-                            <= INDEPENDENCE_TOL:
-                        continue
-                    x = _fit_eigenpairs(la, va, lb, vb)
-                    if x is not None:
-                        fits.append(x)
-    x = np.concatenate([pack(fits),
-                        _scalar_candidates(eq, [d.value for d in data])])
+    samples = [_PLANE_DIRECTIONS if d.space_dim == 2
+               else ((d.basis[0].x, d.basis[0].y),) for d in data]
+    # the critical value each sampled vector belongs to
+    owner = np.repeat(np.arange(len(data)), [len(s) for s in samples])
+    vec = np.array([u for s in samples for u in s], complex).reshape(-1, 2)
+    lam = np.array([d.value for d in data], complex)
+    i, j = np.nonzero(owner[:, None] < owner)
+    x = np.concatenate([
+        _fit_eigenpairs(lam[owner[i]], vec[i], lam[owner[j]], vec[j]),
+        _scalar_candidates(eq, lam)])
     x = x[accepted(eq, x, residuals(eq, x))]
     # the greedy dedupe runs in order of the entries' parts, m11.real first
     x = x[np.lexsort(x.view(float).T[::-1])]
-    return unpack(x[greedy_unique(x, keep_tol)])
+    return unpack(x[greedy_unique(x, dedupe_tol(data))])
 
 
-def _fit_eigenpairs(la, va, lb, vb) -> Optional[Mat2]:
-    """Least-squares fit of X v = lam v for two prescribed eigenpairs."""
-    rows = np.array([
-        [va.x, va.y, 0, 0],
-        [0, 0, va.x, va.y],
-        [vb.x, vb.y, 0, 0],
-        [0, 0, vb.x, vb.y],
-    ], dtype=complex)
-    rhs = np.array([la * va.x, la * va.y, lb * vb.x, lb * vb.y], dtype=complex)
-    sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    if rank < 4:
-        return None
-    return Mat2(*sol)
+def _fit_eigenpairs(la: np.ndarray, va: np.ndarray, lb: np.ndarray,
+                    vb: np.ndarray) -> np.ndarray:
+    """The packed X with X va = la va and X vb = lb vb for each row of the
+    eigenvalues ``la``, ``lb`` and the (k, 2) vectors ``va``, ``vb``, from
+    one LU solve of [va vb]^T X^T = [la va, lb vb]^T.  Rows whose unit
+    vectors have |det| <= INDEPENDENCE_TOL, the solver's parallelism rule,
+    count as one direction and are dropped; |det| does not depend on the
+    vectors' phases."""
+    # rows [va, vb] of unit vectors
+    u = np.array((va, vb))
+    u = (u / np.linalg.norm(u, axis=2)[:, :, None]).transpose(1, 0, 2)
+    keep = np.abs(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]) \
+        > INDEPENDENCE_TOL
+    rows = u[keep]
+    rhs = rows * np.array((la, lb)).T[keep, :, None]
+    return np.linalg.solve(rows, rhs).transpose(0, 2, 1).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -340,11 +334,12 @@ def _least_right_singular(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a)[2][:, -1].conj()
 
 
-def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
+def _scalar_candidates(eq: MatrixEquation, lams: np.ndarray) -> np.ndarray:
     """Candidates lam I + c K(k), K(k) = k k_perp^T a rank-one nilpotent, for
-    every critical value lam, packed in value order: lam I if it passes the
-    residual test, then members of the family line through it, then the
-    offset.
+    every critical value lam of the array ``lams``, packed in three groups
+    chosen by masks: each lam I that passes the residual test, the members
+    of the family lines through them, and the offsets.  The order is
+    irrelevant, since the scan sorts its survivors before the dedupe.
 
     Since K^2 = 0, f(lam I + c K) = M(lam) + c M'(lam) K, and since K k = 0
     a solution needs M(lam) k = 0.  So where lam I fails the residual test,
@@ -360,28 +355,24 @@ def _scalar_candidates(eq: MatrixEquation, lams: list[complex]) -> np.ndarray:
     admit a line whose M'(lam) K is merely small, since its tolerance grows
     with s.
     """
-    scalars = pack([Mat2.identity().scale(lam) for lam in lams])
+    base = lams[:, None, None] * np.eye(2)
+    scalars = base.reshape(-1, 4)
     scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
-    mval = pack([eq.matrix.eval(lam) for lam in lams]).reshape(-1, 2, 2)
+    mval = pack([eq.matrix.eval(lam)
+                 for lam in lams.tolist()]).reshape(-1, 2, 2)
     mder = pack([eq.matrix_derivative.eval(lam)
-                 for lam in lams]).reshape(-1, 2, 2)
-    tiny = np.array([1e-24 * max(1.0, np.abs(d).max()) ** 2 for d in mder])
+                 for lam in lams.tolist()]).reshape(-1, 2, 2)
+    tiny = 1e-24 * np.maximum(1.0, np.abs(mder).max(axis=(1, 2))) ** 2
     # a larger offset cannot be residual-verified
-    cap = np.array([1e4 * (1.0 + abs(lam)) for lam in lams])
+    cap = 1e4 * (1.0 + np.abs(lams))
 
     kmat, degenerate, c = _offsets(mval, mder, tiny,
                                    _least_right_singular(mval))
     offset_ok = ~scalar_ok & ~degenerate & (np.abs(c) <= cap)
     line, flat, _ = _offsets(mval, mder, tiny, _least_right_singular(mder))
     line_ok = scalar_ok & flat
-    steps = np.arange(1.0, solution_bound(eq.n) + 2)
-    out = [scalars[:0]]
-    for v, lam in enumerate(lams):
-        base = lam * np.eye(2)
-        if scalar_ok[v]:
-            out.append(scalars[v:v + 1])
-        if line_ok[v]:
-            out.append((base + steps[:, None, None] * line[v]).reshape(-1, 4))
-        if offset_ok[v]:
-            out.append((base + c[v] * kmat[v]).reshape(1, 4))
-    return np.concatenate(out)
+    steps = np.arange(1.0, solution_bound(eq.n) + 2)[:, None, None]
+    members = base[line_ok, None] + steps * line[line_ok, None]
+    offsets = base[offset_ok] + c[offset_ok, None, None] * kmat[offset_ok]
+    return np.concatenate([scalars[scalar_ok], members.reshape(-1, 4),
+                           offsets.reshape(-1, 4)])

@@ -1,7 +1,8 @@
 """Test-only routines: exact-arithmetic references the package does not
 need, the per-solution sort key and document writer that the packed
-solution batch replaced, and the rank-pattern equations shared by the
-solver and scan tests."""
+solution batch replaced, the per-pair candidate scan that the batched one
+replaced, and the rank-pattern equations shared by the solver and scan
+tests."""
 
 import cmath
 import math
@@ -10,9 +11,13 @@ import numpy as np
 
 from matpolyeq import poly
 from matpolyeq.documents import FORMAT_VERSION
-from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2, outer
+from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, greedy_unique,
+                            outer, pack, unpack)
 from matpolyeq.poly import NonConvergence, Poly
-from matpolyeq.solver import RESIDUAL_COEF, Solution, SolutionSet
+from matpolyeq.solver import (INDEPENDENCE_TOL, RESIDUAL_COEF, Solution,
+                              SolutionSet, accepted, critical_data,
+                              residuals, solution_bound)
+from matpolyeq.verify import _least_right_singular, _offsets
 
 
 def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
@@ -146,6 +151,85 @@ def ref_aberth_roots(c: np.ndarray, sweeps=None) -> np.ndarray:
             return z
     raise NonConvergence(
         f"no convergence in {poly._ABERTH_SWEEPS} sweeps at degree {d}")
+
+
+def ref_brute_force_scan(eq: MatrixEquation, keep_tol: float) -> list[Mat2]:
+    """verify.brute_force_scan as it was when it fitted each pair of
+    sampled eigenpairs by its own least-squares solve and built the scalar
+    candidates value by value, verbatim apart from the dedupe tolerance
+    ``keep_tol``, which it took as ten times the solver's."""
+    data = critical_data(eq, backend="companion")
+
+    samples = []
+    for d in data:
+        if d.space_dim == 1:
+            samples.append((d.value, [d.basis[0]]))
+        else:
+            spread = [Vec2(1, t) for t in range(1, 7)]
+            samples.append((d.value, [Vec2(1, 0), Vec2(0, 1)] + spread))
+
+    fits: list[Mat2] = []
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            la, vas = samples[i]
+            lb, vbs = samples[j]
+            for va in vas:
+                for vb in vbs:
+                    if abs(det2(va.normalized(), vb.normalized())) \
+                            <= INDEPENDENCE_TOL:
+                        continue
+                    x = _ref_fit_eigenpairs(la, va, lb, vb)
+                    if x is not None:
+                        fits.append(x)
+    x = np.concatenate([pack(fits),
+                        _ref_scalar_candidates(eq, [d.value for d in data])])
+    x = x[accepted(eq, x, residuals(eq, x))]
+    x = x[np.lexsort(x.view(float).T[::-1])]
+    return unpack(x[greedy_unique(x, keep_tol)])
+
+
+def _ref_fit_eigenpairs(la, va, lb, vb):
+    """Least-squares fit of X v = lam v for two prescribed eigenpairs."""
+    rows = np.array([
+        [va.x, va.y, 0, 0],
+        [0, 0, va.x, va.y],
+        [vb.x, vb.y, 0, 0],
+        [0, 0, vb.x, vb.y],
+    ], dtype=complex)
+    rhs = np.array([la * va.x, la * va.y, lb * vb.x, lb * vb.y], dtype=complex)
+    sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    if rank < 4:
+        return None
+    return Mat2(*sol)
+
+
+def _ref_scalar_candidates(eq: MatrixEquation, lams) -> np.ndarray:
+    """verify._scalar_candidates one critical value at a time, packed in
+    value order: lam I, its family-line members, its offset."""
+    scalars = pack([Mat2.identity().scale(lam) for lam in lams])
+    scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
+    mval = pack([eq.matrix.eval(lam) for lam in lams]).reshape(-1, 2, 2)
+    mder = pack([eq.matrix_derivative.eval(lam)
+                 for lam in lams]).reshape(-1, 2, 2)
+    tiny = np.array([1e-24 * max(1.0, np.abs(d).max()) ** 2 for d in mder])
+    cap = np.array([1e4 * (1.0 + abs(lam)) for lam in lams])
+
+    kmat, degenerate, c = _offsets(mval, mder, tiny,
+                                   _least_right_singular(mval))
+    offset_ok = ~scalar_ok & ~degenerate & (np.abs(c) <= cap)
+    line, flat, _ = _offsets(mval, mder, tiny, _least_right_singular(mder))
+    line_ok = scalar_ok & flat
+    steps = np.arange(1.0, solution_bound(eq.n) + 2)
+    out = [scalars[:0]]
+    for v, lam in enumerate(lams):
+        base = lam * np.eye(2)
+        if scalar_ok[v]:
+            out.append(scalars[v:v + 1])
+        if line_ok[v]:
+            out.append((base + steps[:, None, None] * line[v]).reshape(-1, 4))
+        if offset_ok[v]:
+            out.append((base + c[v] * kmat[v]).reshape(1, 4))
+    return np.concatenate(out)
 
 
 def max_abs_coeff(p: Poly) -> float:

@@ -344,7 +344,8 @@ _SMALL_BATCH_KERNELS = [
     mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.eigenvalues,
     solver._parts, solver._assemble, solver.enumerate_diagonalizable,
     solver.find_nondiagonalizable, solver.output_order,
-    verify._offsets, verify.brute_force_scan,
+    verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
+    verify._scalar_candidates,
     poly._aberth_roots, poly.relative_value,
 ]
 _PY_HELPERS = re.compile(

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from matpolyeq import poly
 from matpolyeq.construct import construct, special_case
-from matpolyeq.mat2 import Mat2, MatrixEquation
+from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
                             _aberth_roots, _comp_horner, _err_bound_scale,
                             _horner_scalar, _newton, dense_solve, find_roots,
                             relative_value)
-from matpolyeq.solver import solution_bound
+from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
 from matpolyeq.verify import brute_force_scan
 
 from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
-                     max_abs_coeff, prescribed_equation, ref_aberth_roots)
+                     max_abs_coeff, prescribed_equation, ref_aberth_roots,
+                     ref_brute_force_scan)
 
 BACKENDS = ("aberth", "companion")
 
@@ -450,13 +451,13 @@ def test_root_bits_match_the_recorded_digest(request):
 # sha256 of brute_force_scan's output on the benchmark's scan_n3 equations
 # (construct(n, m) for every n <= 3, and the scan fixtures) and on every rank
 # pattern at n = 2, 3 with seeds 0 and 1: float.hex of each entry's parts.
-# Recorded from the scan whose offset and family directions are the least
-# right singular vectors of M(lam) and M'(lam).
+# Recorded from the scan that fits all its eigenpair samples by one batched
+# LU solve and dedupes at the solver's tolerance.
 SCAN_BITS_SHA256 = \
-    "d103e2f09fab779eca9b4d9a16c5e4f21afb3cb5463c7738220531044aec95f7"
+    "ed8dc49518378c5ef09410a816ae7412bfca0a90b1fc4043fe81d16ade169b71"
 
 
-def test_scan_bits_match_the_recorded_digest(request):
+def scan_equations(request) -> list[MatrixEquation]:
     equations = [construct(n, m, validate=False).equation
                  for n in range(1, 4)
                  for m in range(1, solution_bound(n) + 1)]
@@ -465,6 +466,11 @@ def test_scan_bits_match_the_recorded_digest(request):
                   for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY,
                                                   NEAR_FAMILY)
                   for n in (2, 3) for seed in (0, 1)]
+    return equations
+
+
+def test_scan_bits_match_the_recorded_digest(request):
+    equations = scan_equations(request)
     digest = hashlib.sha256()
     for eq in equations:
         out = [(z.real.hex(), z.imag.hex()) for x in brute_force_scan(eq)
@@ -472,6 +478,23 @@ def test_scan_bits_match_the_recorded_digest(request):
         digest.update(repr(out).encode())
     assert len(equations) == 69
     assert digest.hexdigest() == SCAN_BITS_SHA256
+
+
+def test_scan_matches_the_per_pair_reference(request, scaled_random_equation):
+    # the batched LU fit and the per-pair least-squares fit round
+    # differently, and candidates come in another order, so the outputs
+    # agree as sets to a few ulps of each row's largest entry
+    equations = scan_equations(request)
+    equations += [scaled_random_equation(seed, n, 1.0)
+                  for seed in range(40) for n in (1, 2, 3)]
+    for eq in equations:
+        got = pack(brute_force_scan(eq))
+        keep_tol = dedupe_tol(critical_data(eq, backend="companion"))
+        want = pack(ref_brute_force_scan(eq, keep_tol))
+        assert len(got) == len(want)
+        gap = np.abs(got[:, None] - want).max(axis=2).min(axis=1,
+                                                         initial=np.inf)
+        assert (gap <= 1e-14 * (1 + np.abs(got).max(axis=1))).all()
 
 
 class _Captured(Exception):

@@ -12,7 +12,8 @@ from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.solver import (Solution, SolutionSet, solution_bound,
                               solve_equation)
-from matpolyeq.verify import (brute_force_scan, count_cross_check, minimize,
+from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
+                              count_cross_check, minimize,
                               verify_solution_set)
 
 
@@ -193,6 +194,36 @@ class TestBruteForceScan:
         assert len(scan) == 2
         for want in (Mat2(1, 0.5, 0, 1), Mat2(-1, -0.5, 0, -1)):
             assert min(x.dist(want) for x in scan) < 1e-8
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_wide_critical_values_keep_close_solutions(
+            self, scaled_random_equation, seed):
+        # critical values from about 0.5 to 1e5; ten times the solver's
+        # dedupe tolerance merged solutions 0.88 apart
+        eq = scaled_random_equation(seed, 3, 1e5)
+        ss = solve_equation(eq)
+        scan = brute_force_scan(eq)
+        assert len(scan) == ss.count == 15
+        for sol in ss.solutions:
+            assert min(x.dist(sol.matrix) for x in scan) <= \
+                1e-9 * (1 + sol.matrix.max_norm())
+
+    def test_pair_independence_threshold(self):
+        # unit vectors |det| apart, one with a phase, which |det| ignores
+        def pair(det):
+            va = np.array([[1, 0]], complex)
+            vb = np.exp(0.3j) * np.array([[math.sqrt(1 - det ** 2), det]])
+            return _fit_eigenpairs(np.array([0.5 - 1j]), va,
+                                   np.array([2 + 0.25j]), vb), va, vb
+
+        x, va, vb = pair(2e-6)
+        assert x.shape == (1, 4)
+        x = x.reshape(2, 2)
+        for lam, v in ((0.5 - 1j, va[0]), (2 + 0.25j, vb[0])):
+            assert np.abs(x @ v - lam * v).max() <= 1e-9 * np.abs(x).max()
+        # below INDEPENDENCE_TOL the pair is one direction: no fit, so no
+        # singular system ever reaches the solve
+        assert pair(5e-7)[0].shape == (0, 4)
 
     def test_degree_cap(self):
         eq = MatrixEquation(tuple(Mat2.zero() for _ in range(4)))
