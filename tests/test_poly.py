@@ -435,6 +435,14 @@ def test_root_bits_match_the_recorded_digest(request):
                  for n in range(1, 6)
                  for m in range(1, solution_bound(n) + 1)]
     equations += [request.getfixturevalue(name) for name in SCAN_FIXTURES]
+    assert len(equations) == 102
+    assert root_bits_digest(equations) == ROOT_BITS_SHA256
+
+
+def root_bits_digest(equations) -> str:
+    """sha256 of find_roots' output on the equations' determinants, both
+    backends: float.hex of each root's parts and its multiplicity, or the
+    name of the exception."""
     digest = hashlib.sha256()
     for eq in equations:
         for backend in BACKENDS:
@@ -444,8 +452,25 @@ def test_root_bits_match_the_recorded_digest(request):
             except NonConvergence as exc:
                 out = type(exc).__name__
             digest.update(repr(out).encode())
-    assert len(equations) == 102
-    assert digest.hexdigest() == ROOT_BITS_SHA256
+    return digest.hexdigest()
+
+
+# The same digest on determinants whose multiplicity classes hold 12 to 32
+# centroids, so that both sides of the polish's batch threshold are pinned:
+# random equations at n = 6, 8, 12, 16 (seeds 0-4) and the constructed
+# cells (10, 128) and (16, 496).  Recorded from the one-root-at-a-time
+# polish (_newton on every centroid), before the batched kernel existed.
+LARGE_ROOT_BITS_SHA256 = \
+    "09976ae92f03f27e3d35f5174e22da37d9f302a167beafe7e9b8089caddbf00d"
+
+
+def test_large_degree_root_bits_match_the_recorded_digest():
+    equations = [_random_equation(seed, n, 1.0)
+                 for n in (6, 8, 12, 16) for seed in range(5)]
+    equations += [construct(n, m, validate=False).equation
+                  for n, m in ((10, 128), (16, 496))]
+    assert len(equations) == 22
+    assert root_bits_digest(equations) == LARGE_ROOT_BITS_SHA256
 
 
 # sha256 of brute_force_scan's output on the benchmark's scan_n3 equations
