@@ -24,6 +24,9 @@ _DEFLATE_TOL = 1e-13
 _ABERTH_SWEEPS = 200
 _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 80
+# A multiplicity class of at least this many centroids is polished as one
+# batch (_newton_batch); below it one at a time costs less (README).
+_BATCH_MIN = 16
 
 
 class NonConvergence(RuntimeError):
@@ -322,7 +325,7 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
         ders.append(prev[1:] * np.arange(1, len(prev)))
 
     groups = _components(list(raw), CLUSTER_TOL * scale)
-    entries = [_polish_group(ders, g, scale) for g in groups]
+    entries = _polish_groups(ders, groups, scale)
 
     # A k-fold root computed in double precision scatters into a ring of
     # radius ~eps^(1/k), which can exceed the cluster tolerance for k >= 3.
@@ -380,14 +383,31 @@ def _components(items, radius, value=lambda z: z):
     return [[items[i] for i in g] for g in out]
 
 
-def _polish_group(ders, members, scale):
-    k = len(members)
-    center = sum(members) / k
-    # a k-fold root of q is a simple root of the (k-1)-th derivative
-    polished = _newton(ders[k - 1], ders[k], center)
-    if abs(polished - center) > _MERGE_RADIUS * scale:
-        polished = center
-    return polished, k
+def _polish_groups(ders, groups, scale):
+    """(value, k) for each group of k raw roots: its centroid polished on
+    the (k-1)-th derivative, of which a k-fold root is a simple root, or
+    the centroid itself where the polish moved it more than
+    ``_MERGE_RADIUS``.  A class of at least ``_BATCH_MIN`` centroids of one
+    size is polished by ``_newton_batch``, smaller ones one at a time."""
+    centers = [sum(g) / len(g) for g in groups]
+    classes = {}
+    for i, g in enumerate(groups):
+        classes.setdefault(len(g), []).append(i)
+    polished = [None] * len(groups)
+    for k, members in classes.items():
+        starts = [centers[i] for i in members]
+        if len(members) >= _BATCH_MIN:
+            starts = _newton_batch(ders[k - 1], ders[k], np.array(starts))
+        else:
+            starts = [_newton(ders[k - 1], ders[k], z) for z in starts]
+        for i, z in zip(members, starts):
+            polished[i] = z
+    entries = []
+    for z, center, g in zip(polished, centers, groups):
+        if abs(z - center) > _MERGE_RADIUS * scale:
+            z = center
+        entries.append((z, len(g)))
+    return entries
 
 
 def _newton(c, dc, z) -> np.complex128:
@@ -429,6 +449,173 @@ def _newton(c, dc, z) -> np.complex128:
         if abs(complex(sr, si)) <= 4e-16 * (1.0 + abs(complex(zr, zi))):
             break
     return np.complex128(complex(zr, zi))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _newton_batch(c, dc, z) -> np.ndarray:
+    """``_newton(c, dc, z_i)`` for every start of the complex array ``z``
+    at once: the same bits member by member, and OverflowError where some
+    member's ``_newton`` raises it, at a modulus of finite parts that
+    overflows.  (``_newton``'s Smith division cannot divide by zero: a
+    Horner value with a NaN real part has an imaginary part inf or NaN.)
+
+    Each iteration is one ``_batch_values`` call at the candidates of all
+    starts; those that stopped are masked out.  A start stops, as in
+    ``_newton``, where the derivative is 0, where the candidate raises
+    |value|, or where the step is at most ``4e-16 (1 + |z|)``, after at
+    most ``_NEWTON_STEPS`` steps.  The step is numpy's complex division
+    (Smith's) on the parts, both branches computed and one picked, so the
+    warnings of the other are ignored; moduli are ``np.hypot``, libm's
+    ``hypot`` as CPython's complex ``abs`` is.
+    """
+    values = _batch_values(c, dc, len(z))
+    zr, zi = z.real.copy(), z.imag.copy()
+    vr, vi, dr, di = values(zr, zi)
+    size = _moduli(vr, vi, True)
+    moving = np.ones(len(z), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        moving &= (dr != 0) | (di != 0)
+        if not moving.any():
+            break
+        # p is the divisor's part of larger modulus and q the other; the
+        # branches differ in x, y and the sign of the imaginary numerator
+        big = np.abs(dr) >= np.abs(di)
+        p, q = np.where(big, dr, di), np.where(big, di, dr)
+        x, y = np.where(big, vr, vi), np.where(big, vi, vr)
+        rat = q / p
+        scl = 1.0 / (p + q * rat)
+        sr = (x + y * rat) * scl
+        u = x * rat
+        si = np.where(big, y - u, u - y) * scl
+        cr, ci = zr - sr, zi - si
+        vr, vi, dr, di = values(cr, ci)
+        candidate_size = _moduli(vr, vi, moving)
+        # a NaN modulus compares False, so it is accepted as in _newton
+        moving &= ~(candidate_size > size)
+        size = candidate_size
+        zr, zi = np.where(moving, cr, zr), np.where(moving, ci, zi)
+        moving &= ~(_moduli(sr, si, moving)
+                    <= 4e-16 * (1.0 + _moduli(zr, zi, moving)))
+    out = np.empty(len(z), dtype=complex)
+    out.real, out.imag = zr, zi
+    return out
+
+
+def _moduli(re, im, members) -> np.ndarray:
+    """``np.hypot(re, im)``, raising OverflowError where CPython's complex
+    ``abs`` would at one of the masked ``members``: where the modulus of
+    finite parts overflows."""
+    out = np.hypot(re, im)
+    if np.isinf(out).any() and (members & np.isinf(out) & np.isfinite(re)
+                                & np.isfinite(im)).any():
+        raise OverflowError("absolute value too large")
+    return out
+
+
+def _batch_values(c, dc, m):
+    """The function of m points (zr, zi) that gives ``_comp_horner``'s
+    value of ``c`` and ``_horner_scalar``'s value of ``dc`` at each, as
+    float arrays (vr, vi, dr, di), bit for bit.
+
+    A compensated value is a plain Horner pass plus a Horner pass over the
+    error terms, and each step's error terms depend only on the previous
+    plain value, z and the coefficient.  So it takes three passes:
+
+    1. the plain recurrence ``s_k = s_{k-1} z + c_k``, keeping every s_k,
+       with the derivative's Horner pass as a second row;
+    2. the error-free transformations of all steps at once, as
+       ``_comp_horner`` writes them out: Dekker's split products and
+       Knuth's TwoSum;
+    3. the error recurrence ``e_k = e_{k-1} z + T_k``, then ``s + e``.
+
+    Each product by z is ``(sr zr - si zi, sr zi + si zr)`` on the parts,
+    as a complex128 scalar forms it (numpy's array multiply can differ in
+    the last bit): part l of the product is the sum over j of part j times
+    ``zt[l, j]``, with ``zt = [[zr, -zi], [zi, zr]]``.  The loops of
+    passes 1 and 3 cost a few ufunc calls per step, so they write into
+    arrays made once.
+    """
+    c, dc = c[::-1], dc[::-1]
+    steps = len(c) - 1
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # coef[k] is added on step k + 1: row 0 is c's, row 1 dc's
+    coef = np.empty((steps, 2, 2, m))
+    coef[:, 0, 0] = c.real[1:, None]
+    coef[:, 0, 1] = c.imag[1:, None]
+    coef[:, 1, 0] = dc.real[:, None]
+    coef[:, 1, 1] = dc.imag[:, None]
+    rows = np.empty((steps + 1, 2, 2, m))
+    zt = np.empty((2, 2, m))
+    prods = np.empty((2, 2, 2, m))  # (row, l, j)
+    pa, pb = prods[:, :, 0], prods[:, :, 1]
+    horner = [(rows[k][:, None], rows[k + 1], coef[k]) for k in range(steps)]
+    s, s_next, ck = rows[:-1, 0], rows[1:, 0], coef[:, 0]
+    # products[k, l, j] is part j of s_k times zt[l, j]:
+    # (sr zr, -si zi) and (sr zi, si zr)
+    products, f, tmp = np.empty((3, steps, 2, 2, m))
+    a, b = products[:, :, 0], products[:, :, 1]
+    sh, sl, t, v, g, h, terms = np.empty((7, steps, 2, m))
+    err = np.empty((2, m))
+    eprods = np.empty((2, 2, m))
+    ea, eb = eprods[:, 0], eprods[:, 1]
+    err_row = err[None]
+    corrections = list(terms)
+
+    def values(zr, zi):
+        zt[0, 0] = zr
+        np.negative(zi, out=zt[0, 1])
+        zt[1, 0] = zi
+        zt[1, 1] = zr
+        rows[0, 0, 0] = c[0].real
+        rows[0, 0, 1] = c[0].imag
+        rows[0, 1] = 0.0
+        # pass 1: both plain Horner rows
+        for prev, cur, coef_k in horner:
+            mul(prev, zt, prods)
+            add(pa, pb, cur)
+            add(cur, coef_k, cur)
+        # pass 2: the error terms of every step
+        mul(s, _SPLITTER, t)
+        sub(t, s, sh)
+        sub(t, sh, sh)
+        sub(s, sh, sl)
+        zs = _SPLITTER * zt
+        zh = zs - (zs - zt)
+        zl = zt - zh
+        mul(s[:, None], zt, products)
+        mul(sh[:, None], zh, f)
+        sub(f, products, f)
+        mul(sh[:, None], zl, tmp)
+        add(f, tmp, f)
+        mul(sl[:, None], zh, tmp)
+        add(f, tmp, f)
+        mul(sl[:, None], zl, tmp)
+        add(f, tmp, f)
+        add(a, b, v)
+        sub(v, a, t)
+        sub(v, t, g)
+        sub(a, g, g)
+        sub(b, t, t)
+        add(g, t, g)
+        sub(s_next, v, t)
+        sub(s_next, t, h)
+        sub(v, h, h)
+        sub(ck, t, t)
+        add(h, t, h)
+        add(f[:, :, 0], f[:, :, 1], terms)
+        add(terms, g, terms)
+        add(terms, h, terms)
+        # pass 3: the Horner pass over the error terms
+        err[:] = 0.0
+        for term in corrections:
+            mul(err_row, zt, eprods)
+            add(ea, eb, err)
+            add(err, term, err)
+        vr, vi = s_next[-1] + err
+        dr, di = rows[-1, 1]
+        return vr, vi, dr.copy(), di.copy()
+
+    return values
 
 
 def _horner_scalar(c, zr: float, zi: float):

@@ -151,10 +151,11 @@ def residual_tols(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:
     Horner error growth; inf where it overflows.  The power is CPython's,
     one row at a time: numpy's differs in the last bit."""
     coef = RESIDUAL_COEF * (1.0 + eq.coeff_scale())
+    n = eq.n
     tols = []
     for norm in max_norms(x).tolist():
         try:
-            tols.append(coef * (1.0 + norm) ** eq.n)
+            tols.append(coef * (1.0 + norm) ** n)
         except OverflowError:  # no finite threshold, so nothing is accepted
             tols.append(math.inf)
     return np.array(tols, float)

@@ -11,8 +11,8 @@ from matpolyeq.construct import construct, special_case
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
                             _aberth_roots, _comp_horner, _err_bound_scale,
-                            _horner_scalar, _newton, dense_solve, find_roots,
-                            relative_value)
+                            _horner_scalar, _newton, _newton_batch,
+                            dense_solve, find_roots, relative_value)
 from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
 from matpolyeq.verify import brute_force_scan
 
@@ -399,23 +399,102 @@ def test_polish_matches_numpy_scalars_near_multiple_roots(case):
     assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
 
 
+def batch_outcome(c, dc, z):
+    """The bits of each member of _newton_batch's result, or the name of
+    what it raised."""
+    try:
+        got = _newton_batch(c, dc, z)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return [outcome(complex, zi) for zi in got]
+
+
+def assert_batch_matches_reference(c, dc, z):
+    """Each member as ref_newton gives it; where ref_newton raises for some
+    member, the batch raises one of those exceptions."""
+    want = [outcome(ref_newton, c, dc, zi) for zi in z.tolist()]
+    raised = {w for w in want if isinstance(w, str)}
+    got = batch_outcome(c, dc, z)
+    if raised:
+        assert got in raised
+    else:
+        assert got == want
+
+
+@st.composite
+def batch_cases(draw):
+    """Coefficients and 1 to 40 starts: arbitrary ones, or the derivative
+    of near_multiple_roots with starts near its root and elsewhere."""
+    starts = st.lists(st.one_of(_COMPLEX, _NEAR), min_size=1, max_size=40)
+    if draw(st.booleans()):
+        c = np.array(draw(st.lists(_COMPLEX, min_size=2, max_size=33)),
+                     dtype=complex)
+        return c, np.array(draw(starts), dtype=complex)
+    c, start = draw(near_multiple_roots())
+    near = st.builds(lambda d: start + d,
+                     st.builds(complex, st.floats(-1e-3, 1e-3),
+                               st.floats(-1e-3, 1e-3)))
+    more = draw(st.lists(st.one_of(near, _NEAR), max_size=39))
+    return c, np.array([start, *more], dtype=complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batch_polish_matches_numpy_scalars(case):
+    c, z = case
+    assert_batch_matches_reference(c, derivative(c), z)
+
+
+@pytest.mark.parametrize("c", [
+    # the modulus of the value at the start overflows
+    [1.5e308 + 1.5e308j, 1.0],
+    # the value's is 2.1e300, the step's 2.1e308
+    [1.5e300 + 1.5e300j, 1e-8],
+])
+def test_batch_raises_where_a_member_overflows(c):
+    c = np.array(c, dtype=complex)
+    dc = derivative(c)
+    for z in (0j, 3.0):
+        assert outcome(_newton, c, dc, z) == "OverflowError"
+    assert batch_outcome(c, dc, np.array([0j, 3.0])) == "OverflowError"
+
+
+def test_step_overflow_departs_from_the_numpy_scalars():
+    # ref_newton takes the step's modulus as a complex128, which gives inf
+    # where CPython's abs raises, and returns the candidate; the polish
+    # raises at the parent already, and the batch follows the polish
+    c = np.array([1.5e300 + 1.5e300j, 1e-8])
+    assert outcome(ref_newton, c, derivative(c), 0j) == \
+        outcome(complex, -1.5e308 - 1.5e308j)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n, m", [(8, 75), (10, 128)])
 def test_polish_matches_numpy_scalars_on_constructed_roots(n, m, backend,
                                                            monkeypatch):
     # companion roots such as 1 + 4.5e-16j, where a step's acceptance hangs
-    # on the last bit of a modulus (math.hypot rounds differently)
-    calls = []
+    # on the last bit of a modulus (math.hypot rounds differently); the
+    # 16 simple roots of (10, 128) are polished as one batch
+    calls, batches = [], []
 
     def recording(c, dc, z):
         calls.append((c, dc, z))
         return _newton(c, dc, z)
 
+    def recording_batch(c, dc, z):
+        batches.append((c, dc, z))
+        return _newton_batch(c, dc, z)
+
     monkeypatch.setattr(poly, "_newton", recording)
+    monkeypatch.setattr(poly, "_newton_batch", recording_batch)
     find_roots(construct(n, m, validate=False).equation.det_poly, backend)
-    assert len(calls) >= 12
+    assert len(calls) + sum(len(z) for _, _, z in batches) >= 12
+    assert len(batches) == (n == 10)
     for c, dc, z in calls:
         assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+    for c, dc, z in batches:
+        assert len(z) >= poly._BATCH_MIN
+        assert_batch_matches_reference(c, dc, z)
 
 
 # sha256 of find_roots' output, both backends, on the benchmark's sweep_n5
