@@ -161,10 +161,15 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
     derivative with compensated Horner values (Graillat, Langlois and Louvet
     2009), computed on Python floats operation for operation as numpy's
-    complex128 scalars compute them (see ``_newton``).  Nearby clusters
-    fuse when they look like one multiple root that scattered: the members
-    fail the derivative test (``relative_value``) for their claimed
-    multiplicities while the fused centroid passes it.
+    complex128 scalars compute them (see ``_newton``).  A class of at
+    least ``_BATCH_MIN`` centroids of one size, such as the 32 simple roots
+    at n = 16, is polished as one batch (``_newton_batch``: plain Horner
+    pass, all error-free transformations at once, error Horner pass), with
+    ``_newton``'s bits member by member; below about 12 centroids the
+    batch costs more than the loop.  Nearby clusters fuse when they look
+    like one multiple root that scattered: the members fail the derivative
+    test (``relative_value``) for their claimed multiplicities while the
+    fused centroid passes it.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -318,6 +323,12 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 # --- clustering -------------------------------------------------------------
 
 def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
+    """(value, multiplicity) of each root of q from the raw roots: their
+    clusters at ``CLUSTER_TOL``, polished by ``_polish_groups``, then fused
+    where a bunch of clusters is one scattered root.  The polish runs one
+    batch per class of at least ``_BATCH_MIN`` centroids, with ``_newton``'s
+    bits on each; the batch pays from about 12 centroids (32 simple roots:
+    0.7 ms batched against 2.7 ms one at a time)."""
     scale = max(1.0, float(np.abs(raw).max()))
     ders = [q]
     while len(ders) <= len(q):
@@ -574,7 +585,8 @@ def _batch_values(c, dc, m):
             mul(prev, zt, prods)
             add(pa, pb, cur)
             add(cur, coef_k, cur)
-        # pass 2: the error terms of every step
+        # pass 2: the error terms of every step.  Dekker's split of each
+        # s_{k-1} and of zt, and the error f of each product
         mul(s, _SPLITTER, t)
         sub(t, s, sh)
         sub(t, sh, sh)
@@ -591,6 +603,7 @@ def _batch_values(c, dc, m):
         add(f, tmp, f)
         mul(sl[:, None], zl, tmp)
         add(f, tmp, f)
+        # TwoSum errors: g of v = a + b, h of s_k = v + c_k
         add(a, b, v)
         sub(v, a, t)
         sub(v, t, g)
@@ -602,6 +615,7 @@ def _batch_values(c, dc, m):
         sub(v, h, h)
         sub(ck, t, t)
         add(h, t, h)
+        # T_k: ((f1 - f2) + g1) + h1 and ((f3 + f4) + g2) + h2
         add(f[:, :, 0], f[:, :, 1], terms)
         add(terms, g, terms)
         add(terms, h, terms)
