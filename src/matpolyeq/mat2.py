@@ -1,6 +1,7 @@
 """2x2 complex matrices, polynomial matrices, matrix equations, and array
-kernels over sets of matrices: one sort-and-sweep kernel for the pairs
-within a distance (the dedupe, the duplicate check and set matching), and
+kernels over sets of matrices: one pair kernel (all pairs of a small set,
+else a sort and sweep) for the pairs within a distance (the dedupe, the
+duplicate check and set matching), and
 f(X) and the eigenvalues for many candidates X at once."""
 
 from __future__ import annotations
@@ -212,29 +213,56 @@ def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag).max(axis=-1)
 
 
+# up to this many finite rows, the pair kernel's window is all pairs: on a
+# sweep cell's few dozen rows that takes fewer array calls than the sort
+_ALL_PAIRS_MAX = 32
+# parts the window is filtered on one at a time before the rest are tested
+# in one array step
+_ONE_AT_A_TIME = 2
+
+
 @np.errstate(over="ignore")
 def _near_pairs(x: np.ndarray, cut: float):
     """Index arrays i < j of the pairs of finite rows of a packed array whose
     real and imaginary parts all differ by at most cut (a lower bound on
     Mat2.dist, so this takes in every pair with Mat2.dist <= cut), and their
-    exact distances: a sort and sweep (Hinrichs, Nievergelt and Schorn 1988)
-    along the part u of widest range, each row against the later rows within
-    cut + a few ulps of |u| + cut along u, so that rounding drops no pair."""
+    exact distances.  The pairs are filtered from a window: all pairs for
+    at most _ALL_PAIRS_MAX rows, else a sort and sweep (Hinrichs,
+    Nievergelt and Schorn 1988) along the part u of widest range, each row
+    against the later rows within cut + a few ulps of |u| + cut along u, so
+    that rounding drops no pair.  The window is filtered on the first
+    _ONE_AT_A_TIME parts one at a time, then on the rest in one array step:
+    a step per part costs about six calls, while one step for all parts
+    gathers every part over the whole window, about 22k pairs in
+    close_pairs at n = 16.  At an infinite cut every pair is near."""
     rows = np.isfinite(x).all(axis=1).nonzero()[0]
     parts = x[rows].view(float)
-    widest = np.argmax(parts.max(axis=0, initial=-math.inf)
-                       - parts.min(axis=0, initial=math.inf))
-    order = np.argsort(parts[:, widest])
-    cols = parts.T[:, order]
-    u = cols[widest]
-    end = np.searchsorted(
-        u, u + cut + 4 * np.finfo(float).eps * (np.abs(u) + cut), "right")
-    first = np.arange(1, len(u) + 1)
-    count = np.maximum(end - first, 0)  # none when cut < 0
-    s = np.repeat(first - 1, count)
-    t = np.arange(len(s)) + np.repeat(first - np.cumsum(count) + count, count)
-    for col in cols:
-        near = np.abs(col[s] - col[t]) <= cut
+    if len(rows) <= _ALL_PAIRS_MAX:
+        order = np.arange(len(rows))
+        s, t = (order[:, None] < order).nonzero()
+    else:
+        widest = np.argmax(parts.max(axis=0, initial=-math.inf)
+                           - parts.min(axis=0, initial=math.inf))
+        order = np.argsort(parts[:, widest])
+        u = parts[order, widest]
+        end = np.searchsorted(
+            u, u + cut + 4 * np.finfo(float).eps * (np.abs(u) + cut),
+            "right")
+        first = np.arange(1, len(u) + 1)
+        count = np.maximum(end - first, 0)  # none when cut < 0
+        s = np.repeat(first - 1, count)
+        t = (np.arange(len(s))
+             + np.repeat(first - np.cumsum(count) + count, count))
+    if cut != math.inf:
+        # take, not [:, s], keeps each part's values contiguous, so that
+        # all() runs across parts along the outer axis
+        cols = parts.T.take(order, axis=1)
+        for col in cols[:_ONE_AT_A_TIME]:
+            near = np.abs(col[s] - col[t]) <= cut
+            s, t = s[near], t[near]
+        rest = cols[_ONE_AT_A_TIME:]
+        near = (np.abs(rest.take(s, axis=1) - rest.take(t, axis=1))
+                <= cut).all(axis=0)
         s, t = s[near], t[near]
     i, j = np.sort(rows[order[np.array((s, t))]], axis=0)
     return i, j, _exact_dists(x[i], x[j])
@@ -249,14 +277,23 @@ def close_pairs(x: np.ndarray, tol: float
     distance is over the other pairs, inf when there is none.  The sweep's
     cut is the larger of tol and a distance that occurs, an upper bound on
     the least: that of the neighbours in one of the 8 part orders whose
-    parts differ least."""
+    parts differ least, all 8 orders in one array step.  That cut makes the
+    sweep window large at n = 16 (about 22k pairs over 496 rows), which is
+    why _near_pairs filters its first parts one at a time.  Up to
+    _ALL_PAIRS_MAX finite rows the cut is infinite: every pair's exact
+    distance costs less than the bound."""
     y = x[np.isfinite(x).all(axis=1)]
-    cols = y.view(float).T
-    nb = np.argsort(cols, axis=1)
-    a, b = nb[:, :-1].ravel(), nb[:, 1:].ravel()
-    k = np.argsort(np.max([np.abs(c[a] - c[b]) for c in cols], axis=0))[:1]
-    bound = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
-    i, j, d = _near_pairs(x, max(tol, bound))
+    cut = math.inf
+    if len(y) > _ALL_PAIRS_MAX:
+        cols = y.view(float).T
+        nb = np.argsort(cols, axis=1)
+        a, b = nb[:, :-1].ravel(), nb[:, 1:].ravel()
+        # by take, for the reason given in _near_pairs
+        k = np.argsort(np.abs(cols.take(a, axis=1) - cols.take(b, axis=1))
+                       .max(axis=0))[:1]
+        bound = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
+        cut = max(tol, bound)
+    i, j, d = _near_pairs(x, cut)
     close = d <= tol
     return (sorted(zip(i[close].tolist(), j[close].tolist())),
             float(d.min(initial=math.inf)) if len(x) > 1 else None)

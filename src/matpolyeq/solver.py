@@ -246,9 +246,10 @@ def enumerate_diagonalizable(eq: MatrixEquation,
                  complex).reshape(-1, 3)
     r = np.arange(len(lines))
     i, j = np.nonzero(r[:, None] < r)
-    # det2(va, vb) = va.x vb.y - va.y vb.x
-    pr, pi = (mul_parts(_parts(z[i, 1]), _parts(z[j, 2]))
-              - mul_parts(_parts(z[i, 2]), _parts(z[j, 1])))
+    # det2(va, vb) = va.x vb.y - va.y vb.x, on the parts of every line's
+    # vector, taken once
+    vx, vy = _parts(z[:, 1:].T).swapaxes(0, 1)
+    pr, pi = mul_parts(vx[:, i], vy[:, j]) - mul_parts(vy[:, i], vx[:, j])
     keep = np.hypot(pr, pi) > INDEPENDENCE_TOL
     i, j = i[keep], j[keep]
     inv = [1.0 / complex(r, m)
@@ -314,6 +315,8 @@ def find_nondiagonalizable(eq: MatrixEquation,
         mats.append(Mat2.identity().scale(lam)
                     + outer(k, v).scale(1.0 / wnorm ** 2))
         eigen_data.append(((lam, k),))
+    if not mats:
+        return Candidates(np.zeros((0, 4), complex), np.zeros(0), (), ())
     x = pack(mats)
     res = residuals(eq, x)
     ok = accepted(eq, x, res).nonzero()[0].tolist()
@@ -386,7 +389,7 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     offsets) are held as one array batch (``Candidates``): their residuals
     come from one call of the batch kernel ``mat2.eval_batch`` for the pairs,
     the dedupe keeps a candidate unless it lies within the tolerance of an
-    earlier kept one (``mat2.greedy_unique``: its sorted-window pair kernel
+    earlier kept one (``mat2.greedy_unique``: its pair kernel
     computes distances only for the pairs whose entry parts all lie within
     the tolerance), and the kept ones are residual-verified and checked
     against the C(2n, 2) bound.  The set holds the kept rows as that batch,

@@ -339,9 +339,12 @@ def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
 
 # sweep batches hold about 17 rows, where numpy's Python-level helpers cost
 # more per call than the arithmetic: np.stack about 6 us against np.array's
-# 1.4 us, np.triu_indices(7, 1) 23 us against a mask's nonzero() 5.3 us
+# 1.4 us, np.triu_indices(7, 1) 23 us against a mask's nonzero() 5.3 us;
+# np.max or np.min over a list of arrays stacks the list first, where one
+# reduction along an axis of an array needs no list
 _SMALL_BATCH_KERNELS = [
-    mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.eigenvalues,
+    mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.close_pairs,
+    mat2.greedy_unique, mat2.match_in_order, mat2.eigenvalues,
     solver._parts, solver._assemble, solver.enumerate_diagonalizable,
     solver.find_nondiagonalizable, solver.output_order,
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
@@ -350,7 +353,8 @@ _SMALL_BATCH_KERNELS = [
     poly._moduli, poly._batch_values,
 ]
 _PY_HELPERS = re.compile(
-    r"\bnp\.(stack|hstack|triu_indices|flatnonzero|zeros_like|append)\(")
+    r"\bnp\.(stack|hstack|triu_indices|flatnonzero|zeros_like|append)\("
+    r"|\bnp\.(max|min)\(\[")
 
 
 @pytest.mark.parametrize("kernel", _SMALL_BATCH_KERNELS,

@@ -5,17 +5,26 @@ verify's set matching as they were written before the kernel; the kernel
 must reproduce their kept sets, verdicts and least distance exactly.  The
 loops read each distance from a table of Mat2.dist values, so that one set
 can be checked at several tolerances for the cost of one all-pairs pass.
+Every check runs under both windows of the kernel: all pairs, which it takes
+on small sets, and the sort and sweep, forced here on any set.
 """
 
 import math
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.mat2 import (Mat2, _exact_dists, _near_pairs, close_pairs,
-                            greedy_unique, match_in_order, pack)
+from matpolyeq import mat2
+from matpolyeq.mat2 import (_ONE_AT_A_TIME, Mat2, _exact_dists, _near_pairs,
+                            close_pairs, greedy_unique, match_in_order, pack)
+
+# the kernel's own window choice, and the sort and sweep on every set
+WINDOWS = (nullcontext,
+           lambda: mock.patch.object(mat2, "_ALL_PAIRS_MAX", -1))
 
 
 def dist_table(mats):
@@ -70,15 +79,25 @@ _TOLS = st.sampled_from([0.0, 1e-7, 2e-7, 1.5e-7, 1.0, 1e-6])
 def _check_kernel(mats, tols):
     dist = dist_table(mats)
     k = len(mats)
-    for tol in tols:
-        pairs, least = close_pairs(pack(mats), tol)
-        duplicates_ok, min_dist = ref_duplicate_scan(k, dist, tol)
-        assert (not pairs) == duplicates_ok
-        assert least == min_dist
-        assert pairs == [(i, j) for i in range(k) for j in range(i + 1, k)
-                         if dist(i, j) <= tol]
-        assert greedy_unique(pack(mats), tol) == ref_greedy_unique(k, dist,
-                                                                   tol)
+    for window in WINDOWS:
+        with window():
+            for tol in tols:
+                pairs, least = close_pairs(pack(mats), tol)
+                duplicates_ok, min_dist = ref_duplicate_scan(k, dist, tol)
+                assert (not pairs) == duplicates_ok
+                assert least == min_dist
+                assert pairs == [(i, j) for i in range(k)
+                                 for j in range(i + 1, k)
+                                 if dist(i, j) <= tol]
+                assert greedy_unique(pack(mats), tol) == \
+                    ref_greedy_unique(k, dist, tol)
+
+
+def _check_match(a, b, tol):
+    for window in WINDOWS:
+        with window():
+            assert match_in_order(pack(a), pack(b), tol) == \
+                ref_match_sets(a, b, tol)
 
 
 def _around(d):
@@ -223,16 +242,17 @@ def test_empty_sweep_window():
     for x, cut in ((pack([a, b, c]), -1.0), (pack(far), 1.0),
                    (pack([a, c]), 7.9), (pack([a]), 1.0), (pack([]), 1.0),
                    (pack([nan_row, a, inf_row]), 1.0)):
-        i, j, d = _near_pairs(x, cut)
-        assert (i.dtype, j.dtype, d.dtype) == (np.intp, np.intp, np.float64)
-        assert i.shape == j.shape == d.shape == (0,)
+        for window in WINDOWS:
+            with window():
+                i, j, d = _near_pairs(x, cut)
+            assert (i.dtype, j.dtype, d.dtype) == (np.intp, np.intp,
+                                                   np.float64)
+            assert i.shape == j.shape == d.shape == (0,)
     for mats in ([a], far, [a, c]):
         _check_kernel(mats, [0.0, 1e-9, 1.0])
         for tol in (0.0, 1.0):
-            assert match_in_order(pack(mats), pack(mats[::-1]), tol) == \
-                ref_match_sets(mats, mats[::-1], tol)
-            assert match_in_order(pack(mats), pack(far[:len(mats)]), tol) \
-                == ref_match_sets(mats, far[:len(mats)], tol)
+            _check_match(mats, mats[::-1], tol)
+            _check_match(mats, far[:len(mats)], tol)
     # non-finite rows are never paired, so a set of them has no finite pair
     for mats in ([nan_row], [nan_row, inf_row], [inf_row, nan_row, inf_row]):
         x = pack(mats)
@@ -264,12 +284,77 @@ def test_exact_distances_and_bounds():
     cuts = [0.0, 1e-300, 1.0, 1e300] + [
         t for c in np.sort(low[upper])[::97].tolist()
         for t in (c, math.nextafter(c, 0.0))]
-    for cut in cuts:
-        i, j, d = _near_pairs(x, cut)
+    for cut, window in ((cut, w) for cut in cuts for w in WINDOWS):
+        with window():
+            i, j, d = _near_pairs(x, cut)
         assert sorted(zip(i.tolist(), j.tolist())) == [
             (a, b) for a, b in zip(*upper) if low[a, b] <= cut]
         assert d.tolist() == [mats[a].dist(mats[b]) for a, b in zip(i, j)]
     _check_kernel(mats, [0.0, 1e-300, 1.0, 1e300])
+
+
+def _finite_dist_table(mats):
+    """dist_table over the finite matrices; inf for a pair with a
+    non-finite one, which the kernel never pairs."""
+    finite = [np.isfinite(pack([m])).all() for m in mats]
+    dist = dist_table(mats)
+    return lambda i, j: dist(i, j) if finite[i] and finite[j] else math.inf
+
+
+def _split_parts(seed):
+    """Rows equal on the parts the sweep filters one at a time, that differ
+    only in one part of its one-step filter each; two of them also differ in
+    a one-at-a-time part.  Rows with a NaN or an inf entry, in either kind
+    of part, are mixed in."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=8)
+    rows = []
+    for part in range(_ONE_AT_A_TIME, 8):
+        for offset in (0.0, 1e-7, -2e-7, 3e-7):
+            row = base.copy()
+            row[part] += offset
+            rows.append(row)
+    for part in (0, _ONE_AT_A_TIME - 1):
+        row = base.copy()
+        row[part] += 1e-7
+        row[7] -= 1e-7
+        rows.append(row)
+    for part, bad in ((0, math.nan), (_ONE_AT_A_TIME, math.inf),
+                      (7, math.nan), (_ONE_AT_A_TIME - 1, -math.inf)):
+        row = base.copy()
+        row[part] = bad
+        rows.append(row)
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    return [Mat2(*row) for row in rows.view(complex).tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairs_that_differ_only_in_the_one_step_parts(seed):
+    mats = _split_parts(seed)
+    k = len(mats)
+    dist = _finite_dist_table(mats)
+    x = pack(mats)
+    finite = [r for r in range(k) if np.isfinite(x[r]).all()]
+    parts = x.view(float)
+    with np.errstate(invalid="ignore"):
+        low = np.abs(parts[:, None, :] - parts[None, :, :]).max(axis=2)
+    occurring = sorted({dist(i, j) for i in finite for j in finite if i < j})
+    cuts = [-1.0, 0.0] + [t for d in occurring[:8] for t in _around(d)]
+    kept = [mats[r] for r in finite]
+    for cut, window in ((cut, w) for cut in cuts for w in WINDOWS):
+        with window():
+            i, j, d = _near_pairs(x, cut)
+            assert sorted(zip(i.tolist(), j.tolist(), d.tolist())) == [
+                (a, b, dist(a, b)) for a in finite for b in finite
+                if a < b and low[a, b] <= cut]
+            pairs, least = close_pairs(x, cut)
+            assert pairs == [(a, b) for a in range(k)
+                             for b in range(a + 1, k) if dist(a, b) <= cut]
+            assert least == ref_duplicate_scan(k, dist, cut)[1]
+            assert greedy_unique(x, cut) == ref_greedy_unique(k, dist, cut)
+            assert not match_in_order(x, x[::-1], cut)
+        for other in (kept[::-1], kept[1:] + kept[:1]):
+            _check_match(kept, other, cut)
 
 
 def _match_cases(seed):
@@ -296,8 +381,7 @@ def _match_cases(seed):
 def test_match_sets_matches_scalar_loop(seed):
     for a, b, tol in _match_cases(seed):
         for t in (tol, 0.0, 1.0):
-            assert match_in_order(pack(a), pack(b), t) == \
-                ref_match_sets(a, b, t)
+            _check_match(a, b, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,8 +389,7 @@ def test_match_sets_matches_scalar_loop(seed):
 def test_match_sets_property(a, data, tol):
     b = data.draw(st.permutations(a)) if data.draw(st.booleans()) \
         else data.draw(_MATS)
-    assert match_in_order(pack(a), pack(b), tol) == \
-        ref_match_sets(a, b, tol)
+    _check_match(a, b, tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,5 +405,4 @@ def test_match_at_an_actual_distance(a, data):
     d = a[data.draw(st.integers(0, len(a) - 1))].dist(
         b[data.draw(st.integers(0, len(b) - 1))])
     for tol in _around(d):
-        assert match_in_order(pack(a), pack(b), tol) == \
-        ref_match_sets(a, b, tol)
+        _check_match(a, b, tol)

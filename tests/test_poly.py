@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import poly
@@ -307,8 +308,18 @@ def ref_horner_scalar(c, z):
     return acc
 
 
+def ref_abs(z):
+    """abs(z), raising OverflowError where CPython's complex abs does:
+    where the modulus of finite parts overflows (a complex128's gives inf)."""
+    size = abs(z)
+    if math.isinf(size) and math.isfinite(z.real) and math.isfinite(z.imag):
+        raise OverflowError("absolute value too large")
+    return size
+
+
 def ref_newton(c, dc, z):
     value = ref_comp_horner(c, z)
+    size = ref_abs(value)
     for _ in range(80):
         dv = ref_horner_scalar(dc, z)
         if dv == 0:
@@ -316,10 +327,11 @@ def ref_newton(c, dc, z):
         step = value / dv
         candidate = z - step
         candidate_value = ref_comp_horner(c, candidate)
-        if abs(candidate_value) > abs(value):
+        candidate_size = ref_abs(candidate_value)
+        if candidate_size > size:
             break
-        z, value = candidate, candidate_value
-        if abs(step) <= 4e-16 * (1.0 + abs(z)):
+        z, value, size = candidate, candidate_value, candidate_size
+        if ref_abs(step) <= 4e-16 * (1.0 + ref_abs(z)):
             break
     return z
 
@@ -360,6 +372,8 @@ _NEAR = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 @settings(max_examples=150, deadline=None)
 @given(c=st.lists(_COMPLEX, min_size=2, max_size=33), z=_COMPLEX)
+# the step's modulus overflows with finite parts: both raise
+@example(c=[1.5e300 + 1.5e300j, 1e-8], z=0j)
 def test_polish_matches_numpy_scalars(c, z):
     c, z = np.array(c, dtype=complex), np.complex128(z)
     dc = derivative(c)
@@ -448,8 +462,7 @@ def test_batch_polish_matches_numpy_scalars(case):
 @pytest.mark.parametrize("c", [
     # the modulus of the value at the start overflows
     [1.5e308 + 1.5e308j, 1.0],
-    # the value's is 2.1e300, the step's 2.1e308 (ref_newton takes it as a
-    # complex128, which gives inf, and returns the candidate instead)
+    # the value's is 2.1e300, the step's 2.1e308
     [1.5e300 + 1.5e300j, 1e-8],
 ])
 def test_batch_raises_where_a_member_overflows(c):
@@ -457,7 +470,10 @@ def test_batch_raises_where_a_member_overflows(c):
     dc = derivative(c)
     for z in (0j, 3.0):
         assert outcome(_newton, c, dc, z) == "OverflowError"
-    assert batch_outcome(c, dc, np.array([0j, 3.0])) == "OverflowError"
+        assert outcome(ref_newton, c, dc, np.complex128(z)) == "OverflowError"
+    z = np.array([0j, 3.0])
+    assert batch_outcome(c, dc, z) == "OverflowError"
+    assert_batch_matches_reference(c, dc, z)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

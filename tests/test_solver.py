@@ -135,6 +135,20 @@ class TestFindNondiagonalizable:
         data = critical_data(eq_four_solutions)
         assert len(find_nondiagonalizable(eq_four_solutions, data)) == 0
 
+    @pytest.mark.parametrize("fixture", ["eq_four_solutions",
+                                         "eq_x_squared_zero",
+                                         "eq_x_squared_nilpotent"])
+    def test_empty_batch_has_the_packed_layout(self, request, fixture):
+        # no offset to check: the empty batch still has a packed (0, 4)
+        # complex array and (0,) float residuals, as a batch of rows has
+        eq = request.getfixturevalue(fixture)
+        found = find_nondiagonalizable(eq, critical_data(eq))
+        assert (found.matrices.dtype, found.matrices.shape) == \
+            (np.complex128, (0, 4))
+        assert (found.residuals.dtype, found.residuals.shape) == \
+            (np.float64, (0,))
+        assert (found.kinds, found.eigen_data) == ((), ())
+
 
 class TestRankPatterns:
     """Every rank pattern of (M(lam), M'(lam)) at a repeated critical value."""

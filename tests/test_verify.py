@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import matpolyeq
+from matpolyeq import verify
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation
+from matpolyeq.poly import relative_value
 from matpolyeq.solver import (Solution, SolutionSet, solution_bound,
                               solve_equation)
 from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
@@ -141,6 +143,59 @@ class TestCharacteristicDivisor:
             eq, _with_solutions(ss, (moved,) + ss.solutions[1:]))
         assert not report.char_divisor_ok
         assert report.verdict == "fail"
+
+    @staticmethod
+    def _recorded_points(monkeypatch, eq, sset):
+        # the points of each relative_value call the divisor test makes
+        calls = []
+
+        def recording(c, t):
+            calls.append(np.asarray(t).tolist())
+            return relative_value(c, t)
+
+        monkeypatch.setattr(verify, "relative_value", recording)
+        return verify_solution_set(eq, sset), calls
+
+    def test_repeated_eigenvalues_get_the_derivative_test(
+            self, monkeypatch, eq_x_squared_jordan):
+        # the two non-diagonalizable square roots: eigenvalues -1, -1 and
+        # 1, 1, each a double root of det M(t) = (t^2 - 1)^2
+        ss = solve_equation(eq_x_squared_jordan)
+        report, calls = self._recorded_points(monkeypatch,
+                                              eq_x_squared_jordan, ss)
+        assert report.char_divisor_ok and report.verdict == "pass"
+        assert len(calls) == 2
+        assert sorted(calls[1], key=lambda z: z.real) == [-1, 1]
+
+    def test_one_repeated_eigenvalue(self, monkeypatch):
+        # X - 2I = 0: det M(t) = (t - 2)^2, and 2I repeats its eigenvalue
+        eq = MatrixEquation((Mat2.identity().scale(-2),))
+        ss = solve_equation(eq)
+        report, calls = self._recorded_points(monkeypatch, eq, ss)
+        assert report.char_divisor_ok and report.verdict == "pass"
+        assert calls[1:] == [[2]]
+
+    def test_distinct_eigenvalues_skip_the_derivative_test(
+            self, monkeypatch, eq_four_solutions):
+        ss = solve_equation(eq_four_solutions)
+        report, calls = self._recorded_points(monkeypatch, eq_four_solutions,
+                                              ss)
+        assert report.char_divisor_ok and report.verdict == "pass"
+        assert len(calls) == 1
+
+    def test_repeated_eigenvalue_of_a_simple_root_fails(
+            self, monkeypatch, eq_four_solutions):
+        # {I} claimed for X^2 = diag(1, 4): 1 is a simple root of
+        # det M(t) = (t^2 - 1)(t^2 - 4), so the derivative test fails it
+        claimed = _with_solutions(
+            solve_equation(eq_four_solutions),
+            (Solution(Mat2.identity(), "scalar", None, 0.0),))
+        report, calls = self._recorded_points(monkeypatch, eq_four_solutions,
+                                              claimed)
+        assert report.eigenvalues_ok
+        assert not report.char_divisor_ok
+        assert report.verdict == "fail"
+        assert calls == [[[1, 1]], [1]]
 
 
 class TestCountCrossCheck:
