@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes are the only success/failure channel:
-  0 success, 1 unreadable, unwritable or malformed document, 2 domain error,
+  0 success, 1 unreadable, unwritable or malformed document (or an output
+  path that names an input or the other output), 2 domain error,
   3 construction validation failure, 4 root finding non-convergence,
   5 verification failure, 6 internal inconsistency (a solver self-check
   failed on this input).
@@ -98,7 +99,34 @@ def main(argv=None) -> int:
         return code
 
 
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Raise DocumentError, before any work, where an output path names an
+    input or another output; inputs and outputs are (flag, path) pairs,
+    with None for a path not given."""
+    seen = [(flag, path) for flag, path in inputs if path]
+    for flag, path in outputs:
+        if not path:
+            continue
+        for other_flag, other in seen:
+            if _same_file(path, other):
+                raise documents.DocumentError(
+                    f"{flag} {path} is the {other_flag} document; "
+                    "refusing to overwrite it")
+        seen.append((flag, path))
+
+
+def _same_file(a, b) -> bool:
+    """Whether two paths name one file: equal once resolved, or one file
+    on disk (a hard link, a case-insensitive name)."""
+    try:
+        return Path(a).resolve() == Path(b).resolve() or \
+            os.path.samefile(a, b)
+    except (OSError, RuntimeError):  # a missing file, or a symlink loop
+        return False
+
+
 def cmd_construct(args) -> int:
+    _refuse_overwrite([], [("--out", args.out), ("--plan", args.plan)])
     result = construct(args.n, args.m)
     documents.save_doc(documents.equation_to_doc(result.equation), args.out)
     if args.plan:
@@ -114,6 +142,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _refuse_overwrite([("--in", args.in_path)], [("--out", args.out)])
     eq = documents.equation_from_doc(documents.load_doc(args.in_path))
     sset = solve_equation(eq, backend=_BACKENDS[args.backend])
     documents.save_doc(documents.solution_set_to_doc(sset), args.out)
@@ -122,6 +151,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _refuse_overwrite([("--equation", args.equation),
+                       ("--solutions", args.solutions)],
+                      [("--report", args.report)])
     eq = documents.equation_from_doc(documents.load_doc(args.equation))
     sset = documents.solution_set_from_doc(documents.load_doc(args.solutions))
     cross = count_cross_check(eq)

@@ -160,16 +160,12 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
     and every cluster centroid of size k is Newton-polished on the (k-1)-th
     derivative with compensated Horner values (Graillat, Langlois and Louvet
-    2009), computed on Python floats operation for operation as numpy's
-    complex128 scalars compute them (see ``_newton``).  A class of at
-    least ``_BATCH_MIN`` centroids of one size, such as the 32 simple roots
-    at n = 16, is polished as one batch (``_newton_batch``: plain Horner
-    pass, all error-free transformations at once, error Horner pass), with
-    ``_newton``'s bits member by member; below about 12 centroids the
-    batch costs more than the loop.  Nearby clusters fuse when they look
-    like one multiple root that scattered: the members fail the derivative
-    test (``relative_value``) for their claimed multiplicities while the
-    fused centroid passes it.
+    2009), operation for operation as numpy's complex128 scalars compute
+    them, one kernel call per class of centroids of one size
+    (``_polish_groups``).  Nearby clusters fuse when they look like one
+    multiple root that scattered: the members fail the derivative test
+    (``relative_value``) for their claimed multiplicities while the fused
+    centroid passes it.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -325,10 +321,7 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     """(value, multiplicity) of each root of q from the raw roots: their
     clusters at ``CLUSTER_TOL``, polished by ``_polish_groups``, then fused
-    where a bunch of clusters is one scattered root.  The polish runs one
-    batch per class of at least ``_BATCH_MIN`` centroids, with ``_newton``'s
-    bits on each; the batch pays from about 12 centroids (32 simple roots:
-    0.7 ms batched against 2.7 ms one at a time)."""
+    where a bunch of clusters is one scattered root."""
     scale = max(1.0, float(np.abs(raw).max()))
     ders = [q]
     while len(ders) <= len(q):
@@ -350,7 +343,8 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
             continue
         total = sum(k for _, k in bunch)
         center = sum(v * k for v, k in bunch) / total
-        polished = _newton(ders[total - 1], ders[total], center)
+        polished = _newton(ders[total - 1], ders[total],
+                           np.array([center]))[0]
         if abs(polished - center) <= _MERGE_RADIUS * scale and \
                 _multiplicity_consistent(ders, polished, total):
             fused.append((polished, total))
@@ -398,20 +392,18 @@ def _polish_groups(ders, groups, scale):
     """(value, k) for each group of k raw roots: its centroid polished on
     the (k-1)-th derivative, of which a k-fold root is a simple root, or
     the centroid itself where the polish moved it more than
-    ``_MERGE_RADIUS``.  A class of at least ``_BATCH_MIN`` centroids of one
-    size is polished by ``_newton_batch``, smaller ones one at a time."""
+    ``_MERGE_RADIUS``.  Each class of centroids of one size takes one
+    kernel call: ``_newton_batch`` from ``_BATCH_MIN`` centroids on,
+    ``_newton`` below."""
     centers = [sum(g) / len(g) for g in groups]
     classes = {}
     for i, g in enumerate(groups):
         classes.setdefault(len(g), []).append(i)
     polished = [None] * len(groups)
     for k, members in classes.items():
-        starts = [centers[i] for i in members]
-        if len(members) >= _BATCH_MIN:
-            starts = _newton_batch(ders[k - 1], ders[k], np.array(starts))
-        else:
-            starts = [_newton(ders[k - 1], ders[k], z) for z in starts]
-        for i, z in zip(members, starts):
+        newton = _newton_batch if len(members) >= _BATCH_MIN else _newton
+        starts = np.array([centers[i] for i in members])
+        for i, z in zip(members, newton(ders[k - 1], ders[k], starts)):
             polished[i] = z
     entries = []
     for z, center, g in zip(polished, centers, groups):
@@ -421,54 +413,59 @@ def _polish_groups(ders, groups, scale):
     return entries
 
 
-def _newton(c, dc, z) -> np.complex128:
-    """Newton's method for a root of ``c`` (derivative ``dc``) from ``z``.
+def _newton(c, dc, z) -> np.ndarray:
+    """Newton's method for a root of ``c`` (derivative ``dc``) from each
+    start of the complex array ``z``, one at a time, with the contract of
+    ``_newton_batch``: the polished roots as a complex array, the same bits,
+    and OverflowError where a modulus of finite parts overflows.
 
     One loop on compensated values, which pin a clustered root to ulp
     level where plain Horner noise leaves a flat basin; a step that raises
-    |value| ends it.  The arithmetic is on Python floats, operation for
-    operation what numpy complex128 scalars compute: moduli are CPython's
-    complex ``abs`` (libm ``hypot``), the step is numpy's scalar division
-    and the result a complex128, so the fusion in ``_cluster_and_polish``
-    keeps numpy's arithmetic.
+    |value| ends it.  The coefficients become Python floats once per call,
+    and each point costs one ``_comp_values`` pass, value and derivative,
+    operation for operation as numpy complex128 scalars compute: moduli
+    are CPython's complex ``abs`` (libm ``hypot``), the step is numpy's
+    scalar division.
     """
-    c = [(ck.real, ck.imag) for ck in c[::-1].tolist()]
-    dc = [(ck.real, ck.imag) for ck in dc[::-1].tolist()]
-    z = complex(z)
-    zr, zi = z.real, z.imag
-    vr, vi = _comp_horner(c, zr, zi)
-    size = abs(complex(vr, vi))
-    for _ in range(_NEWTON_STEPS):
-        dr, di = _horner_scalar(dc, zr, zi)
-        if dr == 0 and di == 0:
-            break
-        # numpy's complex division (Smith's); CPython's rounds differently
-        if abs(dr) >= abs(di):
-            rat = di / dr
-            scl = 1.0 / (dr + di * rat)
-            sr, si = (vr + vi * rat) * scl, (vi - vr * rat) * scl
-        else:
-            rat = dr / di
-            scl = 1.0 / (di + dr * rat)
-            sr, si = (vr * rat + vi) * scl, (vi * rat - vr) * scl
-        cr, ci = zr - sr, zi - si
-        cvr, cvi = _comp_horner(c, cr, ci)
-        candidate_size = abs(complex(cvr, cvi))
-        if candidate_size > size:
-            break
-        zr, zi, vr, vi, size = cr, ci, cvr, cvi, candidate_size
-        if abs(complex(sr, si)) <= 4e-16 * (1.0 + abs(complex(zr, zi))):
-            break
-    return np.complex128(complex(zr, zi))
+    cs, ds = c[::-1].tolist(), dc[::-1].tolist()
+    top = cs[0].real, cs[0].imag
+    steps = [(a.real, a.imag, b.real, b.imag) for a, b in zip(cs[1:], ds)]
+    out = []
+    for start in z.tolist():
+        zr, zi = start.real, start.imag
+        vr, vi, dr, di = _comp_values(top, steps, zr, zi)
+        size = abs(complex(vr, vi))
+        for _ in range(_NEWTON_STEPS):
+            if dr == 0 and di == 0:
+                break
+            # numpy's complex division (Smith's); CPython's rounds differently
+            if abs(dr) >= abs(di):
+                rat = di / dr
+                scl = 1.0 / (dr + di * rat)
+                sr, si = (vr + vi * rat) * scl, (vi - vr * rat) * scl
+            else:
+                rat = dr / di
+                scl = 1.0 / (di + dr * rat)
+                sr, si = (vr * rat + vi) * scl, (vi * rat - vr) * scl
+            cr, ci = zr - sr, zi - si
+            cvr, cvi, cdr, cdi = _comp_values(top, steps, cr, ci)
+            candidate_size = abs(complex(cvr, cvi))
+            if candidate_size > size:
+                break
+            zr, zi, vr, vi, dr, di = cr, ci, cvr, cvi, cdr, cdi
+            size = candidate_size
+            if abs(complex(sr, si)) <= 4e-16 * (1.0 + abs(complex(zr, zi))):
+                break
+        out.append(complex(zr, zi))
+    return np.array(out, dtype=complex)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton_batch(c, dc, z) -> np.ndarray:
-    """``_newton(c, dc, z_i)`` for every start of the complex array ``z``
-    at once: the same bits member by member, and OverflowError where some
-    member's ``_newton`` raises it, at a modulus of finite parts that
-    overflows.  (``_newton``'s Smith division cannot divide by zero: a
-    Horner value with a NaN real part has an imaginary part inf or NaN.)
+    """``_newton(c, dc, z)`` for all starts at once: the same bits member
+    by member, and OverflowError where some member's ``_newton`` raises it.
+    (``_newton``'s Smith division cannot divide by zero: a Horner value
+    with a NaN real part has an imaginary part inf or NaN.)
 
     Each iteration is one ``_batch_values`` call at the candidates of all
     starts; those that stopped are masked out.  A start stops, as in
@@ -524,8 +521,8 @@ def _moduli(re, im, members) -> np.ndarray:
 
 
 def _batch_values(c, dc, m):
-    """The function of m points (zr, zi) that gives ``_comp_horner``'s
-    value of ``c`` and ``_horner_scalar``'s value of ``dc`` at each, as
+    """The function of m points (zr, zi) that gives ``_comp_values`` at
+    each: the compensated value of ``c`` and the plain value of ``dc``, as
     float arrays (vr, vi, dr, di), bit for bit.
 
     A compensated value is a plain Horner pass plus a Horner pass over the
@@ -535,7 +532,7 @@ def _batch_values(c, dc, m):
     1. the plain recurrence ``s_k = s_{k-1} z + c_k``, keeping every s_k,
        with the derivative's Horner pass as a second row;
     2. the error-free transformations of all steps at once, as
-       ``_comp_horner`` writes them out: Dekker's split products and
+       ``_comp_values`` writes them out: Dekker's split products and
        Knuth's TwoSum;
     3. the error recurrence ``e_k = e_{k-1} z + T_k``, then ``s + e``.
 
@@ -632,23 +629,15 @@ def _batch_values(c, dc, m):
     return values
 
 
-def _horner_scalar(c, zr: float, zi: float):
-    """Horner value at zr + i zi of the (re, im) pairs ``c``, highest
-    degree first, with each product formed as a complex128 scalar forms it
-    (numpy's array multiply can differ in the last bit)."""
-    ar = ai = 0.0
-    for cr, ci in c:
-        ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
-    return ar, ai
-
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _comp_horner(c, zr: float, zi: float):
-    """Horner value at zr + i zi of the (re, im) pairs ``c``, highest
-    degree first, with a compensation term, roughly doubling the working
-    precision for ill-conditioned arguments.
+def _comp_values(top, steps, zr: float, zi: float):
+    """``_batch_values`` at the one point zr + i zi on Python floats, in
+    one pass: ``top`` holds the parts of the leading coefficient, each step
+    those of the next coefficient and derivative coefficient.  Products
+    are formed as complex128 scalars form them (numpy's array multiply can
+    differ in the last bit).
 
     The error-free transformations are written out: each product ``p`` of
     two parts gets its rounding error ``f`` from Dekker's split into hi/lo
@@ -661,9 +650,9 @@ def _comp_horner(c, zr: float, zi: float):
     t = _SPLITTER * zi
     zih = t - (t - zi)
     zil = zi - zih
-    sr, si = c[0]
-    er = ei = 0.0
-    for cr, ci in c[1:]:
+    sr, si = top
+    er = ei = dr = di = 0.0
+    for cr, ci, pr, pi in steps:
         t = _SPLITTER * sr
         srh = t - (t - sr)
         srl = sr - srh
@@ -692,7 +681,8 @@ def _comp_horner(c, zr: float, zi: float):
         h2 = (vi - (si - t)) + (ci - t)
         er, ei = (er * zr - ei * zi + (f1 - f2 + g1 + h1),
                   er * zi + ei * zr + (f3 + f4 + g2 + h2))
-    return sr + er, si + ei
+        dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+    return sr + er, si + ei, dr, di
 
 
 def _multiplicity_consistent(ders, value, mult):

@@ -470,6 +470,57 @@ def test_unwritable_output_exits_1(tmp_path, capsys, eq_four_solutions,
         assert not (tmp_path / "e.json").exists()
 
 
+def _refused(capsys, args, inputs, flag):
+    """The command exits 1 with one stderr line naming flag, before it
+    changes any of the input files."""
+    before = {path: path.read_bytes() for path in inputs}
+    capsys.readouterr()
+    assert run(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"bad input: {flag} ")
+    assert "refusing to overwrite" in captured.err
+    assert {path: path.read_bytes() for path in inputs} == before
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "hard_link"])
+def test_solve_refuses_to_overwrite_its_input(tmp_path, capsys,
+                                              eq_four_solutions, spelling):
+    eq_path = tmp_path / "eq.json"
+    save_doc(equation_to_doc(eq_four_solutions), eq_path)
+    (tmp_path / "sub").mkdir()
+    out = {"same": eq_path,
+           "dotdot": tmp_path / "sub" / ".." / "eq.json",
+           "hard_link": tmp_path / "link.json"}[spelling]
+    if spelling == "hard_link":
+        os.link(eq_path, out)
+    _refused(capsys, ("solve", "--in", eq_path, "--out", out), [eq_path],
+             "--out")
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_construct_refuses_one_path_for_both_outputs(tmp_path, capsys,
+                                                     exists):
+    doc = tmp_path / "x.json"
+    if exists:
+        assert run("construct", "--n", 2, "--m", 4, "--out", doc) == 0
+    (tmp_path / "sub").mkdir()
+    _refused(capsys, ("construct", "--n", 2, "--m", 5, "--out", doc,
+                      "--plan", tmp_path / "sub" / ".." / "x.json"),
+             [doc] if exists else [], "--plan")
+    assert doc.exists() == exists
+
+
+def test_verify_refuses_to_overwrite_its_solutions(tmp_path, capsys,
+                                                   eq_four_solutions):
+    eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+    save_doc(equation_to_doc(eq_four_solutions), eq_path)
+    assert run("solve", "--in", eq_path, "--out", sol) == 0
+    _refused(capsys, ("verify", "--equation", eq_path, "--solutions", sol,
+                      "--report", sol), [eq_path, sol], "--report")
+
+
 # documents that are no JSON object: bytes that are no UTF-8, nesting
 # deeper than the parser's recursion limit, nothing, and a JSON array
 MALFORMED = {

@@ -11,9 +11,9 @@ from matpolyeq import poly
 from matpolyeq.construct import construct, special_case
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _comp_horner, _err_bound_scale,
-                            _horner_scalar, _newton, _newton_batch,
-                            dense_solve, find_roots, relative_value)
+                            _aberth_roots, _comp_values, _err_bound_scale,
+                            _newton, _newton_batch, dense_solve, find_roots,
+                            relative_value)
 from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
 from matpolyeq.verify import brute_force_scan
 
@@ -245,15 +245,27 @@ class TestComponents:
 
 
 class TestNewton:
+    KERNELS = (_newton, _newton_batch)
+
     def test_polishes_to_the_nearest_double(self):
-        # p = t^2 - 2 from a start 1e-6 away
+        # p = t^2 - 2 from starts 1e-6 away
         c = np.array([-2, 0, 1], dtype=complex)
-        z = _newton(c, c[1:] * np.arange(1, 3), 1.4142146 + 1e-7j)
-        assert abs(z - 2 ** 0.5) <= 2.3e-16
+        for kernel in self.KERNELS:
+            z = kernel(c, c[1:] * np.arange(1, 3),
+                       np.array([1.4142146 + 1e-7j, -1.4142146]))
+            assert np.abs(z - [2 ** 0.5, -2 ** 0.5]).max() <= 2.3e-16
 
     def test_stops_where_the_derivative_vanishes(self):
         c = np.array([1, 0, 1], dtype=complex)
-        assert _newton(c, c[1:] * np.arange(1, 3), 0j) == 0j
+        for kernel in self.KERNELS:
+            assert kernel(c, c[1:] * np.arange(1, 3),
+                          np.zeros(1, complex)) == 0j
+
+    def test_no_starts(self):
+        c = np.array([1, 0, 1], dtype=complex)
+        for kernel in self.KERNELS:
+            got = kernel(c, c[1:] * np.arange(1, 3), np.zeros(0, complex))
+            assert got.dtype == complex and got.shape == (0,)
 
 
 # --- the polish against the numpy-scalar code it replaced --------------------
@@ -337,22 +349,42 @@ def ref_newton(c, dc, z):
 
 
 def outcome(f, *args):
-    """The bits of f's result, a complex or an (re, im) pair, or the name
-    of what it raised."""
+    """The bits of f's complex result, or the name of what it raised."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            got = f(*args)
+            got = complex(f(*args))
     except ArithmeticError as exc:
         return type(exc).__name__
-    got = complex(*got) if isinstance(got, tuple) else complex(got)
     parts = np.array([got.real, got.imag])
     parts[np.isnan(parts)] = np.nan
     return parts.view(np.uint64).tolist()
 
 
-def pairs(c):
-    """Coefficients as the polish holds them: (re, im), highest first."""
-    return [(ck.real, ck.imag) for ck in c[::-1].tolist()]
+def comp_values(c, dc, z):
+    """_comp_values at z as _newton calls it: the compensated value of c
+    and the plain value of dc, as two complexes."""
+    cs, ds, z = c[::-1].tolist(), dc[::-1].tolist(), complex(z)
+    steps = [(a.real, a.imag, b.real, b.imag) for a, b in zip(cs[1:], ds)]
+    vr, vi, dr, di = _comp_values((cs[0].real, cs[0].imag), steps,
+                                  z.real, z.imag)
+    return complex(vr, vi), complex(dr, di)
+
+
+def polish_outcome(kernel, c, dc, z):
+    """The bits of each member of the kernel's result, a complex array as
+    long as z, or the name of what it raised."""
+    try:
+        got = kernel(c, dc, z)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    return [outcome(complex, zi) for zi in got]
+
+
+def newton_outcome(c, dc, z):
+    """_newton from the one start z, as outcome gives ref_newton's."""
+    got = polish_outcome(_newton, c, dc, np.array([z]))
+    return got if isinstance(got, str) else got[0]
 
 
 def derivative(c):
@@ -377,11 +409,10 @@ _NEAR = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_polish_matches_numpy_scalars(c, z):
     c, z = np.array(c, dtype=complex), np.complex128(z)
     dc = derivative(c)
-    assert outcome(_comp_horner, pairs(c), z.real, z.imag) == \
-        outcome(ref_comp_horner, c, z)
-    assert outcome(_horner_scalar, pairs(dc), z.real, z.imag) == \
-        outcome(ref_horner_scalar, dc, z)
-    assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+    value, slope = comp_values(c, dc, z)
+    assert outcome(complex, value) == outcome(ref_comp_horner, c, z)
+    assert outcome(complex, slope) == outcome(ref_horner_scalar, dc, z)
+    assert newton_outcome(c, dc, z) == outcome(ref_newton, c, dc, z)
 
 
 @st.composite
@@ -408,27 +439,15 @@ def near_multiple_roots(draw):
 def test_polish_matches_numpy_scalars_near_multiple_roots(case):
     c, z = case
     dc = derivative(c)
-    got = _newton(c, dc, z)
-    assert type(got) is np.complex128
-    assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
+    assert newton_outcome(c, dc, z) == outcome(ref_newton, c, dc, z)
 
 
-def batch_outcome(c, dc, z):
-    """The bits of each member of _newton_batch's result, or the name of
-    what it raised."""
-    try:
-        got = _newton_batch(c, dc, z)
-    except ArithmeticError as exc:
-        return type(exc).__name__
-    return [outcome(complex, zi) for zi in got]
-
-
-def assert_batch_matches_reference(c, dc, z):
+def assert_kernel_matches_reference(kernel, c, dc, z):
     """Each member as ref_newton gives it; where ref_newton raises for some
-    member, the batch raises one of those exceptions."""
+    member, the kernel raises one of those exceptions."""
     want = [outcome(ref_newton, c, dc, zi) for zi in z.tolist()]
     raised = {w for w in want if isinstance(w, str)}
-    got = batch_outcome(c, dc, z)
+    got = polish_outcome(kernel, c, dc, z)
     if raised:
         assert got in raised
     else:
@@ -456,7 +475,19 @@ def batch_cases(draw):
 @given(batch_cases())
 def test_batch_polish_matches_numpy_scalars(case):
     c, z = case
-    assert_batch_matches_reference(c, derivative(c), z)
+    assert_kernel_matches_reference(_newton_batch, c, derivative(c), z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+@example(case=(np.array([1.5e300 + 1.5e300j, 1e-8]), np.array([0j, 3.0])))
+def test_kernels_give_the_same_bits(case):
+    # the one contract of both polish kernels: the same starts give the
+    # same bits, or both raise the same exception
+    c, z = case
+    dc = derivative(c)
+    assert polish_outcome(_newton, c, dc, z) == \
+        polish_outcome(_newton_batch, c, dc, z)
 
 
 @pytest.mark.parametrize("c", [
@@ -469,11 +500,12 @@ def test_batch_raises_where_a_member_overflows(c):
     c = np.array(c, dtype=complex)
     dc = derivative(c)
     for z in (0j, 3.0):
-        assert outcome(_newton, c, dc, z) == "OverflowError"
+        assert newton_outcome(c, dc, np.complex128(z)) == "OverflowError"
         assert outcome(ref_newton, c, dc, np.complex128(z)) == "OverflowError"
     z = np.array([0j, 3.0])
-    assert batch_outcome(c, dc, z) == "OverflowError"
-    assert_batch_matches_reference(c, dc, z)
+    for kernel in (_newton, _newton_batch):
+        assert polish_outcome(kernel, c, dc, z) == "OverflowError"
+        assert_kernel_matches_reference(kernel, c, dc, z)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -481,28 +513,25 @@ def test_batch_raises_where_a_member_overflows(c):
 def test_polish_matches_numpy_scalars_on_constructed_roots(n, m, backend,
                                                            monkeypatch):
     # companion roots such as 1 + 4.5e-16j, where a step's acceptance hangs
-    # on the last bit of a modulus (math.hypot rounds differently); the
-    # 16 simple roots of (10, 128) are polished as one batch
-    calls, batches = [], []
+    # on the last bit of a modulus (math.hypot rounds differently); each
+    # class is one kernel call, and the 16 simple roots of (10, 128) take
+    # the batch
+    calls = []
 
-    def recording(c, dc, z):
-        calls.append((c, dc, z))
-        return _newton(c, dc, z)
+    def recording(kernel):
+        def record(c, dc, z):
+            calls.append((kernel, c, dc, z))
+            return kernel(c, dc, z)
+        return record
 
-    def recording_batch(c, dc, z):
-        batches.append((c, dc, z))
-        return _newton_batch(c, dc, z)
-
-    monkeypatch.setattr(poly, "_newton", recording)
-    monkeypatch.setattr(poly, "_newton_batch", recording_batch)
+    monkeypatch.setattr(poly, "_newton", recording(_newton))
+    monkeypatch.setattr(poly, "_newton_batch", recording(_newton_batch))
     find_roots(construct(n, m, validate=False).equation.det_poly, backend)
-    assert len(calls) + sum(len(z) for _, _, z in batches) >= 12
-    assert len(batches) == (n == 10)
-    for c, dc, z in calls:
-        assert outcome(_newton, c, dc, z) == outcome(ref_newton, c, dc, z)
-    for c, dc, z in batches:
-        assert len(z) >= poly._BATCH_MIN
-        assert_batch_matches_reference(c, dc, z)
+    assert sum(len(z) for *_, z in calls) >= 12
+    assert [kernel for kernel, *_ in calls].count(_newton_batch) == (n == 10)
+    for kernel, c, dc, z in calls:
+        assert (kernel is _newton_batch) == (len(z) >= poly._BATCH_MIN)
+        assert_kernel_matches_reference(kernel, c, dc, z)
 
 
 # sha256 of find_roots' output, both backends, on the benchmark's sweep_n5

@@ -2,9 +2,11 @@
 listed once, and ``__all__`` is exactly the public names imported into the
 package, so a removed export cannot leave a stale string behind.  The
 README's library example runs as written, and its table of key entry points
-names only exported names."""
+names only exported names.  The helpers kept only for the benchmark tracer
+are named by no module but their own."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -66,3 +68,30 @@ def test_readme_entry_points_are_exported():
              for name in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert len(names) >= 10
     assert [name for name in names if name not in matpolyeq.__all__] == []
+
+
+# kept only because the benchmark tracer binds them by module and name: no
+# other module of the package may reach them
+TRACER_ONLY = {"dense_solve": "poly", "SingularSystem": "poly",
+               "minimize": "verify", "SearchResult": "verify",
+               "eval_equation": "mat2", "eigen2": "mat2", "Eigen2": "mat2"}
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+
+
+def test_tracer_only_helpers_stay_in_their_modules():
+    for name, home in TRACER_ONLY.items():
+        assert hasattr(importlib.import_module(f"matpolyeq.{home}"), name)
+    for path in sorted(INIT.parent.glob("*.py")):
+        names = set(_identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+        assert [name for name, home in TRACER_ONLY.items()
+                if name in names and home != path.stem] == [], path.name
