@@ -155,6 +155,9 @@ def solution_set_from_doc(doc) -> SolutionSet:
 
     certificate = None
     if classification == "infinite":
+        if raw_solutions:
+            raise DocumentError("infinite classification cannot carry "
+                                "solutions")
         raw = doc.get("certificate")
         if not isinstance(raw, dict):
             raise DocumentError("infinite classification needs a certificate")

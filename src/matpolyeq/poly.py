@@ -23,6 +23,7 @@ _MERGE_RADIUS = 5e-3
 _DEFLATE_TOL = 1e-13
 _ABERTH_SWEEPS = 200
 _EPS = float(np.finfo(float).eps)
+_SPLITTER = 134217729.0  # 2**27 + 1
 _NEWTON_STEPS = 80
 # A multiplicity class of at least this many centroids is polished as one
 # batch (_newton_batch); below it one at a time costs less (README).
@@ -531,8 +532,8 @@ def _batch_values(c, dc, m):
 
     1. the plain recurrence ``s_k = s_{k-1} z + c_k``, keeping every s_k,
        with the derivative's Horner pass as a second row;
-    2. the error-free transformations of all steps at once, as
-       ``_comp_values`` writes them out: Dekker's split products and
+    2. ``_comp_values``' step body on all steps at once, in its own
+       formulas: the error terms T_k from Dekker's split products and
        Knuth's TwoSum;
     3. the error recurrence ``e_k = e_{k-1} z + T_k``, then ``s + e``.
 
@@ -540,34 +541,29 @@ def _batch_values(c, dc, m):
     as a complex128 scalar forms it (numpy's array multiply can differ in
     the last bit): part l of the product is the sum over j of part j times
     ``zt[l, j]``, with ``zt = [[zr, -zi], [zi, zr]]``.  The loops of
-    passes 1 and 3 cost a few ufunc calls per step, so they write into
-    arrays made once.
+    passes 1 and 3 cost a few ufunc calls per step, so they alone write
+    into arrays made once (without them a 32-root class took 25% longer,
+    README); pass 2 runs once per call and allocates.
     """
     c, dc = c[::-1], dc[::-1]
     steps = len(c) - 1
-    mul, add, sub = np.multiply, np.add, np.subtract
+    mul, add = np.multiply, np.add
     # coef[k] is added on step k + 1: row 0 is c's, row 1 dc's
     coef = np.empty((steps, 2, 2, m))
     coef[:, 0, 0] = c.real[1:, None]
     coef[:, 0, 1] = c.imag[1:, None]
     coef[:, 1, 0] = dc.real[:, None]
     coef[:, 1, 1] = dc.imag[:, None]
+    cr, ci = coef[:, 0, 0], coef[:, 0, 1]
     rows = np.empty((steps + 1, 2, 2, m))
     zt = np.empty((2, 2, m))
     prods = np.empty((2, 2, 2, m))  # (row, l, j)
     pa, pb = prods[:, :, 0], prods[:, :, 1]
     horner = [(rows[k][:, None], rows[k + 1], coef[k]) for k in range(steps)]
-    s, s_next, ck = rows[:-1, 0], rows[1:, 0], coef[:, 0]
-    # products[k, l, j] is part j of s_k times zt[l, j]:
-    # (sr zr, -si zi) and (sr zi, si zr)
-    products, f, tmp = np.empty((3, steps, 2, 2, m))
-    a, b = products[:, :, 0], products[:, :, 1]
-    sh, sl, t, v, g, h, terms = np.empty((7, steps, 2, m))
     err = np.empty((2, m))
     eprods = np.empty((2, 2, m))
     ea, eb = eprods[:, 0], eprods[:, 1]
     err_row = err[None]
-    corrections = list(terms)
 
     def values(zr, zi):
         zt[0, 0] = zr
@@ -582,54 +578,48 @@ def _batch_values(c, dc, m):
             mul(prev, zt, prods)
             add(pa, pb, cur)
             add(cur, coef_k, cur)
-        # pass 2: the error terms of every step.  Dekker's split of each
-        # s_{k-1} and of zt, and the error f of each product
-        mul(s, _SPLITTER, t)
-        sub(t, s, sh)
-        sub(t, sh, sh)
-        sub(s, sh, sl)
-        zs = _SPLITTER * zt
-        zh = zs - (zs - zt)
-        zl = zt - zh
-        mul(s[:, None], zt, products)
-        mul(sh[:, None], zh, f)
-        sub(f, products, f)
-        mul(sh[:, None], zl, tmp)
-        add(f, tmp, f)
-        mul(sl[:, None], zh, tmp)
-        add(f, tmp, f)
-        mul(sl[:, None], zl, tmp)
-        add(f, tmp, f)
-        # TwoSum errors: g of v = a + b, h of s_k = v + c_k
-        add(a, b, v)
-        sub(v, a, t)
-        sub(v, t, g)
-        sub(a, g, g)
-        sub(b, t, t)
-        add(g, t, g)
-        sub(s_next, v, t)
-        sub(s_next, t, h)
-        sub(v, h, h)
-        sub(ck, t, t)
-        add(h, t, h)
-        # T_k: ((f1 - f2) + g1) + h1 and ((f3 + f4) + g2) + h2
-        add(f[:, :, 0], f[:, :, 1], terms)
-        add(terms, g, terms)
-        add(terms, h, terms)
+        # pass 2: the error terms of all steps, s_{k-1} = sr + i si
+        sr, si = rows[:-1, 0, 0], rows[:-1, 0, 1]
+        (zrh, zrl), (zih, zil) = _split(zr), _split(zi)
+        (srh, srl), (sih, sil) = _split(sr), _split(si)
+        p1 = sr * zr
+        f1 = ((srh * zrh - p1) + srh * zrl + srl * zrh) + srl * zrl
+        p2 = si * zi
+        f2 = ((sih * zih - p2) + sih * zil + sil * zih) + sil * zil
+        p3 = sr * zi
+        f3 = ((srh * zih - p3) + srh * zil + srl * zih) + srl * zil
+        p4 = si * zr
+        f4 = ((sih * zrh - p4) + sih * zrl + sil * zrh) + sil * zrl
+        vr = p1 - p2
+        t = vr - p1
+        g1 = (p1 - (vr - t)) + (-p2 - t)
+        vi = p3 + p4
+        t = vi - p3
+        g2 = (p3 - (vi - t)) + (p4 - t)
+        sr, si = rows[1:, 0, 0], rows[1:, 0, 1]  # s_k = v + c_k, pass 1's
+        t = sr - vr
+        h1 = (vr - (sr - t)) + (cr - t)
+        t = si - vi
+        h2 = (vi - (si - t)) + (ci - t)
+        terms = np.array((f1 - f2 + g1 + h1, f3 + f4 + g2 + h2))
         # pass 3: the Horner pass over the error terms
         err[:] = 0.0
-        for term in corrections:
+        for term in terms.swapaxes(0, 1):
             mul(err_row, zt, eprods)
             add(ea, eb, err)
             add(err, term, err)
-        vr, vi = s_next[-1] + err
+        vr, vi = rows[-1, 0] + err
         dr, di = rows[-1, 1]
         return vr, vi, dr.copy(), di.copy()
 
     return values
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1
+def _split(x):
+    """Dekker's split of x into 26-bit halves hi and lo, hi + lo = x."""
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
 
 
 def _comp_values(top, steps, zr: float, zi: float):
@@ -644,12 +634,7 @@ def _comp_values(top, steps, zr: float, zi: float):
     halves (z is split once), each sum its error ``g`` or ``h`` from
     Knuth's TwoSum.  Doubles must stay well inside the overflow margin.
     """
-    t = _SPLITTER * zr
-    zrh = t - (t - zr)
-    zrl = zr - zrh
-    t = _SPLITTER * zi
-    zih = t - (t - zi)
-    zil = zi - zih
+    (zrh, zrl), (zih, zil) = _split(zr), _split(zi)
     sr, si = top
     er = ei = dr = di = 0.0
     for cr, ci, pr, pi in steps:

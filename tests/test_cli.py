@@ -236,6 +236,23 @@ class TestVerifyCommand:
         assert isinstance(doc["min_pair_distance"], float)
         assert doc["checks"]["residuals"] is False
 
+    def test_infinite_set_with_a_solution_exits_1(self, tmp_path, capsys,
+                                                   eq_x_squared_identity):
+        # X^2 = I is infinite; one appended row must not pass as a count
+        eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
+        doc = load_doc(sol)
+        doc["solutions"].append({"matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [1.0, 0.0]]],
+                                 "kind": "scalar", "residual": 0.0})
+        save_doc(doc, sol)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 1
+        assert capsys.readouterr().err == \
+            "bad input: infinite classification cannot carry solutions\n"
+        assert not report.exists()
+
     def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
                                             monkeypatch, eq_four_solutions):
         eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)

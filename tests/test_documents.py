@@ -114,6 +114,12 @@ class TestSolutionDocuments:
         del infinite["certificate"]
         with pytest.raises(DocumentError):
             solution_set_from_doc(infinite)
+        # an infinite set has no solution rows, so a document that claims
+        # some next to its certificate is refused
+        infinite = solution_set_to_doc(solve_equation(eq_x_squared_identity))
+        infinite["solutions"] = finite["solutions"][:1]
+        with pytest.raises(DocumentError, match="cannot carry solutions"):
+            solution_set_from_doc(infinite)
 
     def test_unknown_kind_rejected(self, eq_four_solutions):
         doc = solution_set_to_doc(solve_equation(eq_four_solutions))

@@ -11,9 +11,9 @@ from matpolyeq import poly
 from matpolyeq.construct import construct, special_case
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _comp_values, _err_bound_scale,
-                            _newton, _newton_batch, dense_solve, find_roots,
-                            relative_value)
+                            _aberth_roots, _batch_values, _comp_values,
+                            _err_bound_scale, _newton, _newton_batch,
+                            dense_solve, find_roots, relative_value)
 from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
 from matpolyeq.verify import brute_force_scan
 
@@ -413,6 +413,26 @@ def test_polish_matches_numpy_scalars(c, z):
     assert outcome(complex, value) == outcome(ref_comp_horner, c, z)
     assert outcome(complex, slope) == outcome(ref_horner_scalar, dc, z)
     assert newton_outcome(c, dc, z) == outcome(ref_newton, c, dc, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.lists(_COMPLEX, min_size=2, max_size=34),
+       z=st.lists(_COMPLEX, min_size=1, max_size=8))
+@example(c=[1.5e300 + 1.5e300j, 1e-8], z=[0j, 3.0])
+def test_batch_values_match_the_scalar_pass(c, z):
+    # point by point, so a difference that Newton's stopping rule absorbs
+    # still shows; _batch_values runs under _newton_batch's errstate
+    c, z = np.array(c, dtype=complex), np.array(z, dtype=complex)
+    dc = derivative(c)
+    with np.errstate(all="ignore"):
+        vr, vi, dr, di = _batch_values(c, dc, len(z))(z.real.copy(),
+                                                      z.imag.copy())
+    for k, zk in enumerate(z):
+        value, slope = comp_values(c, dc, zk)
+        assert outcome(complex, complex(vr[k], vi[k])) == \
+            outcome(complex, value)
+        assert outcome(complex, complex(dr[k], di[k])) == \
+            outcome(complex, slope)
 
 
 @st.composite
