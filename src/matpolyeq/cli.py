@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import documents
@@ -23,7 +24,7 @@ from .construct import DomainError, ValidationFailure, construct
 from .mat2 import MAX_DEGREE
 from .poly import NonConvergence
 from .solver import InternalInconsistency, solution_bound, solve_equation
-from .verify import count_cross_check, verify_solution_set
+from .verify import count_cross_check, sets_agree, verify_solution_set
 
 _BACKENDS = {"a": "aberth", "b": "companion",
              "aberth": "aberth", "companion": "companion"}
@@ -158,6 +159,13 @@ def cmd_verify(args) -> int:
     sset = documents.solution_set_from_doc(documents.load_doc(args.solutions))
     cross = count_cross_check(eq)
     report = verify_solution_set(eq, sset, backend_agreement=cross.agree)
+    # the backends agreeing with each other says nothing of the claim
+    if not sets_agree(cross.set_a, sset):
+        claimed, solved = ["infinite" if s.count is None else s.count
+                           for s in (sset, cross.set_a)]
+        report = replace(report, backend_agreement=False, reasons=(
+            *report.reasons, f"the claimed set does not match the solve "
+            f"({claimed} claimed, {solved} solved)"))
     if args.report:
         documents.save_doc(documents.report_to_doc(report), args.report)
         print(args.report)

@@ -532,9 +532,8 @@ def _batch_values(c, dc, m):
 
     1. the plain recurrence ``s_k = s_{k-1} z + c_k``, keeping every s_k,
        with the derivative's Horner pass as a second row;
-    2. ``_comp_values``' step body on all steps at once, in its own
-       formulas: the error terms T_k from Dekker's split products and
-       Knuth's TwoSum;
+    2. one ``_comp_step`` on the s_{k-1} of all steps at once, keeping
+       only its error terms T_k (its new s is pass 1's s_k, bit for bit);
     3. the error recurrence ``e_k = e_{k-1} z + T_k``, then ``s + e``.
 
     Each product by z is ``(sr zr - si zi, sr zi + si zr)`` on the parts,
@@ -578,30 +577,10 @@ def _batch_values(c, dc, m):
             mul(prev, zt, prods)
             add(pa, pb, cur)
             add(cur, coef_k, cur)
-        # pass 2: the error terms of all steps, s_{k-1} = sr + i si
-        sr, si = rows[:-1, 0, 0], rows[:-1, 0, 1]
+        # pass 2: the error terms of all steps
         (zrh, zrl), (zih, zil) = _split(zr), _split(zi)
-        (srh, srl), (sih, sil) = _split(sr), _split(si)
-        p1 = sr * zr
-        f1 = ((srh * zrh - p1) + srh * zrl + srl * zrh) + srl * zrl
-        p2 = si * zi
-        f2 = ((sih * zih - p2) + sih * zil + sil * zih) + sil * zil
-        p3 = sr * zi
-        f3 = ((srh * zih - p3) + srh * zil + srl * zih) + srl * zil
-        p4 = si * zr
-        f4 = ((sih * zrh - p4) + sih * zrl + sil * zrh) + sil * zrl
-        vr = p1 - p2
-        t = vr - p1
-        g1 = (p1 - (vr - t)) + (-p2 - t)
-        vi = p3 + p4
-        t = vi - p3
-        g2 = (p3 - (vi - t)) + (p4 - t)
-        sr, si = rows[1:, 0, 0], rows[1:, 0, 1]  # s_k = v + c_k, pass 1's
-        t = sr - vr
-        h1 = (vr - (sr - t)) + (cr - t)
-        t = si - vi
-        h2 = (vi - (si - t)) + (ci - t)
-        terms = np.array((f1 - f2 + g1 + h1, f3 + f4 + g2 + h2))
+        terms = np.array(_comp_step(rows[:-1, 0, 0], rows[:-1, 0, 1], zr, zi,
+                                    zrh, zrl, zih, zil, cr, ci)[2:])
         # pass 3: the Horner pass over the error terms
         err[:] = 0.0
         for term in terms.swapaxes(0, 1):
@@ -622,50 +601,57 @@ def _split(x):
     return hi, x - hi
 
 
-def _comp_values(top, steps, zr: float, zi: float):
-    """``_batch_values`` at the one point zr + i zi on Python floats, in
-    one pass: ``top`` holds the parts of the leading coefficient, each step
-    those of the next coefficient and derivative coefficient.  Products
-    are formed as complex128 scalars form them (numpy's array multiply can
-    differ in the last bit).
+def _comp_step(sr, si, zr, zi, zrh, zrl, zih, zil, cr, ci):
+    """One compensated Horner step ``s z + c`` on the parts, the same
+    operations on Python floats and on float64 arrays: the new s and its
+    error term T, as (sr, si, tr, ti); ``zrh, zrl`` and ``zih, zil`` are
+    ``_split`` of zr and zi.  Each product ``p`` of two parts gets its
+    rounding error ``f`` from Dekker's split into hi/lo halves, each sum
+    its error ``g`` or ``h`` from Knuth's TwoSum (Graillat, Langlois and
+    Louvet 2009).  Products are formed as complex128 scalars form them
+    (numpy's array multiply can differ in the last bit).  Doubles must
+    stay well inside the overflow margin."""
+    t = _SPLITTER * sr
+    srh = t - (t - sr)
+    srl = sr - srh
+    t = _SPLITTER * si
+    sih = t - (t - si)
+    sil = si - sih
+    p1 = sr * zr
+    f1 = ((srh * zrh - p1) + srh * zrl + srl * zrh) + srl * zrl
+    p2 = si * zi
+    f2 = ((sih * zih - p2) + sih * zil + sil * zih) + sil * zil
+    p3 = sr * zi
+    f3 = ((srh * zih - p3) + srh * zil + srl * zih) + srl * zil
+    p4 = si * zr
+    f4 = ((sih * zrh - p4) + sih * zrl + sil * zrh) + sil * zrl
+    vr = p1 - p2
+    t = vr - p1
+    g1 = (p1 - (vr - t)) + (-p2 - t)
+    vi = p3 + p4
+    t = vi - p3
+    g2 = (p3 - (vi - t)) + (p4 - t)
+    sr = vr + cr
+    t = sr - vr
+    h1 = (vr - (sr - t)) + (cr - t)
+    si = vi + ci
+    t = si - vi
+    h2 = (vi - (si - t)) + (ci - t)
+    return sr, si, f1 - f2 + g1 + h1, f3 + f4 + g2 + h2
 
-    The error-free transformations are written out: each product ``p`` of
-    two parts gets its rounding error ``f`` from Dekker's split into hi/lo
-    halves (z is split once), each sum its error ``g`` or ``h`` from
-    Knuth's TwoSum.  Doubles must stay well inside the overflow margin.
-    """
+
+def _comp_values(top, steps, zr: float, zi: float):
+    """``_batch_values`` at the one point zr + i zi on Python floats, one
+    ``_comp_step`` per step: ``top`` holds the parts of the leading
+    coefficient, each step those of the next coefficient and derivative
+    coefficient."""
     (zrh, zrl), (zih, zil) = _split(zr), _split(zi)
     sr, si = top
     er = ei = dr = di = 0.0
     for cr, ci, pr, pi in steps:
-        t = _SPLITTER * sr
-        srh = t - (t - sr)
-        srl = sr - srh
-        t = _SPLITTER * si
-        sih = t - (t - si)
-        sil = si - sih
-        p1 = sr * zr
-        f1 = ((srh * zrh - p1) + srh * zrl + srl * zrh) + srl * zrl
-        p2 = si * zi
-        f2 = ((sih * zih - p2) + sih * zil + sil * zih) + sil * zil
-        p3 = sr * zi
-        f3 = ((srh * zih - p3) + srh * zil + srl * zih) + srl * zil
-        p4 = si * zr
-        f4 = ((sih * zrh - p4) + sih * zrl + sil * zrh) + sil * zrl
-        vr = p1 - p2
-        t = vr - p1
-        g1 = (p1 - (vr - t)) + (-p2 - t)
-        vi = p3 + p4
-        t = vi - p3
-        g2 = (p3 - (vi - t)) + (p4 - t)
-        sr = vr + cr
-        t = sr - vr
-        h1 = (vr - (sr - t)) + (cr - t)
-        si = vi + ci
-        t = si - vi
-        h2 = (vi - (si - t)) + (ci - t)
-        er, ei = (er * zr - ei * zi + (f1 - f2 + g1 + h1),
-                  er * zi + ei * zr + (f3 + f4 + g2 + h2))
+        sr, si, tr, ti = _comp_step(sr, si, zr, zi, zrh, zrl, zih, zil,
+                                    cr, ci)
+        er, ei = er * zr - ei * zi + tr, er * zi + ei * zr + ti
         dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
     return sr + er, si + ei, dr, di
 

@@ -182,20 +182,23 @@ class CrossCheck:
 
 
 def count_cross_check(eq: MatrixEquation) -> CrossCheck:
-    """Solve with both root backends and compare the outcomes.
-
-    Agreement means identical classification and, for finite sets, packed
-    solution batches that match one to one within ten times the dedupe
-    tolerance.
-    """
+    """Solve with both root backends and compare the outcomes with
+    ``sets_agree``."""
     set_a = solve_equation(eq, backend="aberth")
     set_b = solve_equation(eq, backend="companion")
-    agree = set_a.is_finite == set_b.is_finite
-    if agree and set_a.is_finite:
-        tol = 10 * dedupe_tol(set_a.critical_data)
-        agree = match_in_order(set_a.batch.matrices,
-                               set_b.batch.matrices, tol)
-    return CrossCheck(set_a, set_b, set_a.count, set_b.count, agree)
+    return CrossCheck(set_a, set_b, set_a.count, set_b.count,
+                      sets_agree(set_a, set_b))
+
+
+def sets_agree(a: SolutionSet, b: SolutionSet) -> bool:
+    """Whether two solution sets of one equation agree: identical
+    classification and, for finite sets, packed solution batches that match
+    one to one within ten times the dedupe tolerance of a's critical
+    data."""
+    if a.is_finite != b.is_finite:
+        return False
+    return not a.is_finite or match_in_order(
+        a.batch.matrices, b.batch.matrices, 10 * dedupe_tol(a.critical_data))
 
 
 # the sampled critical vectors of a two-dimensional critical space: enough

@@ -350,7 +350,7 @@ _SMALL_BATCH_KERNELS = [
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
     verify._scalar_candidates,
     poly._aberth_roots, poly.relative_value, poly._newton_batch,
-    poly._moduli, poly._batch_values,
+    poly._moduli, poly._batch_values, poly._comp_step,
 ]
 _PY_HELPERS = re.compile(
     r"\bnp\.(stack|hstack|triu_indices|flatnonzero|zeros_like|append)\("

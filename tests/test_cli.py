@@ -253,6 +253,54 @@ class TestVerifyCommand:
             "bad input: infinite classification cannot carry solutions\n"
         assert not report.exists()
 
+    def _claim_fails(self, capsys, eq_path, sol, reason):
+        """verify exits 5 on the claimed set with one reason, the claim's
+        own, although the backends agree with each other."""
+        report = sol.parent / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 5
+        err = capsys.readouterr().err
+        assert "backend agreement: FAIL" in err
+        assert err.endswith(f"verdict: fail\n  - {reason}\n")
+        doc = load_doc(report)
+        assert doc["checks"]["backend_agreement"] is False
+        assert doc["reasons"] == [reason]
+
+    def test_finite_claim_of_an_infinite_set_exits_5(
+            self, tmp_path, capsys, eq_x_squared_identity):
+        # X^2 = I is infinite; I and -I alone pass every other check
+        eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
+        doc = load_doc(sol)
+        del doc["certificate"]
+        doc["classification"] = "finite"
+        doc["solutions"] = [
+            {"matrix": [[[s, 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]],
+             "kind": "scalar", "residual": 0.0} for s in (1.0, -1.0)]
+        save_doc(doc, sol)
+        self._claim_fails(capsys, eq_path, sol, "the claimed set does not "
+                          "match the solve (2 claimed, infinite solved)")
+
+    def test_truncated_claim_exits_5(self, tmp_path, capsys):
+        eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+        assert run("construct", "--n", 3, "--m", 11, "--out", eq_path) == 0
+        assert run("solve", "--in", eq_path, "--out", sol) == 0
+        doc = load_doc(sol)
+        del doc["solutions"][-3:]
+        save_doc(doc, sol)
+        self._claim_fails(capsys, eq_path, sol, "the claimed set does not "
+                          "match the solve (8 claimed, 11 solved)")
+
+    def test_companion_backend_document_passes(self, tmp_path):
+        eq_path, sol = tmp_path / "eq.json", tmp_path / "sol.json"
+        assert run("construct", "--n", 3, "--m", 11, "--out", eq_path) == 0
+        assert run("solve", "--in", eq_path, "--out", sol,
+                   "--backend", "b") == 0
+        report = tmp_path / "report.json"
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 0
+        assert load_doc(report)["checks"]["backend_agreement"] is True
+
     def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
                                             monkeypatch, eq_four_solutions):
         eq_path, sol = self._pipeline(tmp_path, eq_four_solutions)

@@ -11,9 +11,10 @@ from matpolyeq import poly
 from matpolyeq.construct import construct, special_case
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _batch_values, _comp_values,
-                            _err_bound_scale, _newton, _newton_batch,
-                            dense_solve, find_roots, relative_value)
+                            _aberth_roots, _batch_values, _comp_step,
+                            _comp_values, _err_bound_scale, _newton,
+                            _newton_batch, _split, dense_solve, find_roots,
+                            relative_value)
 from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
 from matpolyeq.verify import brute_force_scan
 
@@ -433,6 +434,25 @@ def test_batch_values_match_the_scalar_pass(c, z):
             outcome(complex, value)
         assert outcome(complex, complex(dr[k], di[k])) == \
             outcome(complex, slope)
+
+
+# the ordinary draws and the extremes, where the split overflows to NaN
+_STEP_PARTS = st.one_of(_PARTS, st.sampled_from([5e-324, 1e-300, 1.3e308,
+                                                 -1.7e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[_STEP_PARTS] * 6), min_size=1, max_size=8))
+def test_comp_step_gives_the_same_bits_on_floats_and_arrays(rows):
+    # the one step of both polish kernels, element by element; the arrays
+    # run under _newton_batch's errstate
+    def step(sr, si, zr, zi, cr, ci):
+        return _comp_step(sr, si, zr, zi, *_split(zr), *_split(zi), cr, ci)
+    with np.errstate(all="ignore"):
+        got = step(*map(np.array, zip(*rows)))
+    for k, row in enumerate(rows):
+        assert [outcome(float, part) for part in step(*row)] == \
+            [outcome(float, part[k]) for part in got]
 
 
 @st.composite
