@@ -1,8 +1,7 @@
 """2x2 complex matrices, polynomial matrices, matrix equations, and array
-kernels over sets of matrices: one pair kernel (all pairs of a small set,
-else a sort and sweep) for the pairs within a distance (the dedupe, the
-duplicate check and set matching), and
-f(X) and the eigenvalues for many candidates X at once."""
+kernels over sets of matrices: one pair kernel for the pairs within a
+distance (the dedupe, the least distance and set matching), and f(X) and
+the eigenvalues for many candidates X at once."""
 
 from __future__ import annotations
 
@@ -213,7 +212,7 @@ def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(diff.real, diff.imag).max(axis=-1)
 
 
-# up to this many finite rows, the pair kernel's window is all pairs: on a
+# up to this many finite rows, the pair kernel measures every pair: on a
 # sweep cell's few dozen rows that takes fewer array calls than the sort
 _ALL_PAIRS_MAX = 32
 # parts the window is filtered on one at a time before the rest are tested
@@ -223,24 +222,23 @@ _ONE_AT_A_TIME = 2
 
 @np.errstate(over="ignore")
 def _near_pairs(x: np.ndarray, cut: float):
-    """Index arrays i < j of the pairs of finite rows of a packed array whose
-    real and imaginary parts all differ by at most cut (a lower bound on
-    Mat2.dist, so this takes in every pair with Mat2.dist <= cut), and their
-    exact distances.  The pairs are filtered from a window: all pairs for
-    at most _ALL_PAIRS_MAX rows, else a sort and sweep (Hinrichs,
-    Nievergelt and Schorn 1988) along the part u of widest range, each row
-    against the later rows within cut + a few ulps of |u| + cut along u, so
-    that rounding drops no pair.  The window is filtered on the first
-    _ONE_AT_A_TIME parts one at a time, then on the rest in one array step:
-    a step per part costs about six calls, while one step for all parts
-    gathers every part over the whole window, about 22k pairs in
-    close_pairs at n = 16.  At an infinite cut every pair is near."""
+    """Index arrays i < j of exactly the pairs of finite rows of a packed
+    array whose Mat2.dist is at most cut, and those distances.  Up to
+    _ALL_PAIRS_MAX finite rows every pair is measured.  Above that, a sort
+    and sweep (Hinrichs, Nievergelt and Schorn 1988) along the part u of
+    widest range pairs each row with the later rows within cut + a few
+    ulps of |u| + cut along u, so that rounding drops no pair, and keeps
+    those whose real and imaginary parts all differ by at most cut (a
+    lower bound on Mat2.dist): on the first _ONE_AT_A_TIME parts one at a
+    time, then on the rest in one array step.  A step per part costs about
+    six calls, while one step for all parts gathers every part over the
+    whole window, about 22k pairs in least_distance at n = 16."""
     rows = np.isfinite(x).all(axis=1).nonzero()[0]
-    parts = x[rows].view(float)
     if len(rows) <= _ALL_PAIRS_MAX:
-        order = np.arange(len(rows))
-        s, t = (order[:, None] < order).nonzero()
+        s, t = (rows[:, None] < rows).nonzero()
+        i, j = rows[s], rows[t]
     else:
+        parts = x[rows].view(float)
         widest = np.argmax(parts.max(axis=0, initial=-math.inf)
                            - parts.min(axis=0, initial=math.inf))
         order = np.argsort(parts[:, widest])
@@ -253,7 +251,6 @@ def _near_pairs(x: np.ndarray, cut: float):
         s = np.repeat(first - 1, count)
         t = (np.arange(len(s))
              + np.repeat(first - np.cumsum(count) + count, count))
-    if cut != math.inf:
         # take, not [:, s], keeps each part's values contiguous, so that
         # all() runs across parts along the outer axis
         cols = parts.T.take(order, axis=1)
@@ -263,25 +260,24 @@ def _near_pairs(x: np.ndarray, cut: float):
         rest = cols[_ONE_AT_A_TIME:]
         near = (np.abs(rest.take(s, axis=1) - rest.take(t, axis=1))
                 <= cut).all(axis=0)
-        s, t = s[near], t[near]
-    i, j = np.sort(rows[order[np.array((s, t))]], axis=0)
-    return i, j, _exact_dists(x[i], x[j])
+        i, j = np.sort(rows[order[np.array((s[near], t[near]))]], axis=0)
+    d = _exact_dists(x[i], x[j])
+    near = d <= cut
+    return i[near], j[near], d[near]
 
 
 @np.errstate(over="ignore")
-def close_pairs(x: np.ndarray, tol: float
-                ) -> tuple[list[tuple[int, int]], Optional[float]]:
-    """Index pairs i < j of rows of a packed array with Mat2.dist <= tol, in
-    (i, j) order, and the exact least pairwise distance (None for fewer than
-    two matrices).  Rows with a non-finite entry are in no pair; the least
-    distance is over the other pairs, inf when there is none.  The sweep's
-    cut is the larger of tol and a distance that occurs, an upper bound on
-    the least: that of the neighbours in one of the 8 part orders whose
-    parts differ least, all 8 orders in one array step.  That cut makes the
-    sweep window large at n = 16 (about 22k pairs over 496 rows), which is
-    why _near_pairs filters its first parts one at a time.  Up to
-    _ALL_PAIRS_MAX finite rows the cut is infinite: every pair's exact
-    distance costs less than the bound."""
+def least_distance(x: np.ndarray) -> Optional[float]:
+    """The exact least Mat2.dist between two rows of a packed array, None
+    for fewer than two rows; rows with a non-finite entry are in no pair,
+    so it is inf for fewer than two finite rows.  Above _ALL_PAIRS_MAX
+    finite rows the cut is a distance that occurs, an upper bound on the
+    least: that of the neighbours in the one of the 8 part orders whose
+    parts differ least (all 8 orders in one array step).  That cut makes
+    the sweep window large at n = 16 (about 22k pairs over 496 rows),
+    hence the one-at-a-time filters of _near_pairs."""
+    if len(x) < 2:
+        return None
     y = x[np.isfinite(x).all(axis=1)]
     cut = math.inf
     if len(y) > _ALL_PAIRS_MAX:
@@ -291,12 +287,8 @@ def close_pairs(x: np.ndarray, tol: float
         # by take, for the reason given in _near_pairs
         k = np.argsort(np.abs(cols.take(a, axis=1) - cols.take(b, axis=1))
                        .max(axis=0))[:1]
-        bound = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
-        cut = max(tol, bound)
-    i, j, d = _near_pairs(x, cut)
-    close = d <= tol
-    return (sorted(zip(i[close].tolist(), j[close].tolist())),
-            float(d.min(initial=math.inf)) if len(x) > 1 else None)
+        cut = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
+    return float(_near_pairs(x, cut)[2].min(initial=math.inf))
 
 
 def match_in_order(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -309,7 +301,7 @@ def match_in_order(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     i, j, d = _near_pairs(np.concatenate((a, b)), tol)
     # a's rows come first, so a pair across the sets has i in a, j in b;
     # by row, distance and partner, each row takes the first one still free
-    near = (i < len(a)) & (j >= len(a)) & (d <= tol)
+    near = (i < len(a)) & (j >= len(a))
     used: set[int] = set()
     for r, _, c in sorted(zip(i[near].tolist(), d[near].tolist(),
                               j[near].tolist())):
@@ -321,11 +313,10 @@ def match_in_order(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 def greedy_unique(x: np.ndarray, tol: float) -> list[int]:
     """Indices of the rows of a packed array kept by a greedy pass in row
     order: one is kept unless it lies within tol of an earlier kept one."""
-    i, j, d = _near_pairs(x, tol)
-    close = d <= tol
+    i, j, _ = _near_pairs(x, tol)
     dropped: set[int] = set()
     # by later index, so that every i < j is settled before j is
-    for later, earlier in sorted(zip(j[close].tolist(), i[close].tolist())):
+    for later, earlier in sorted(zip(j.tolist(), i.tolist())):
         if earlier not in dropped:
             dropped.add(later)
     return [r for r in range(len(x)) if r not in dropped]

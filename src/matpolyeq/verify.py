@@ -8,8 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .mat2 import (Mat2, MatrixEquation, close_pairs, eigenvalues,
-                   greedy_unique, match_in_order, pack, unpack)
+from .mat2 import (RANK_TOL, Mat2, MatrixEquation, eigenvalues,
+                   greedy_unique, least_distance, match_in_order, max_norms,
+                   pack, unpack)
 from .poly import CLUSTER_TOL, relative_value
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
                      dedupe_tol, rejection_reason, residuals,
@@ -82,17 +83,22 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     containment in the critical values, and divisibility of det M(t) by each
     solution's characteristic polynomial (det M(t) vanishing at its
     eigenvalues, relative to the term bound) are all recomputed here;
-    nothing is taken from the input set but the matrices (the critical
-    values are the equation's own, shared with an earlier solve), read from
-    the set's packed batch without building Solution objects.  The
-    solutions' residuals come from one call of the batch kernel
-    ``mat2.eval_batch``, the certificate samples' from another; the pairwise
-    distinctness check and the exact ``min_pair_distance`` come from the
-    pair kernel (``mat2.close_pairs``), which leaves out
-    matrices with non-finite entries; the eigenvalues of all the finite
-    matrices come from one call of ``mat2.eigenvalues``, and the divisor
-    test from one call of ``poly.relative_value``, and one more on the
-    derivative of det M(t) where an eigenvalue repeats.  Failures are
+    nothing is taken from the input set but the matrices, read from the
+    set's packed batch without building Solution objects, and a family's
+    base and direction (the critical values are the equation's own, shared
+    with an earlier solve).  The solutions' residuals come from one call of
+    the batch kernel ``mat2.eval_batch``.  A family is sampled, in another
+    call, at parameters chosen here: k / count for k = 1..count with
+    count = max(3, n + 1).  f(base + mu D) is a polynomial of degree at
+    most n in mu, so one that vanishes at n + 1 parameters vanishes at
+    all; a direction whose largest entry is at most
+    RANK_TOL * max(1, |base|) fails.  The exact ``min_pair_distance``
+    comes from the pair kernel (``mat2.least_distance``, which leaves out
+    matrices with non-finite entries), and the set is pairwise distinct
+    when it exceeds the dedupe tolerance.  The eigenvalues of all the
+    finite matrices come from one call of ``mat2.eigenvalues``, and the
+    divisor test from one call of ``poly.relative_value``, and one more on
+    the derivative of det M(t) where an eigenvalue repeats.  Failures are
     reported, not raised.
     """
     reasons = []
@@ -111,8 +117,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     finite = np.isfinite(res)
 
     dedupe = dedupe_tol(data)
-    duplicates, min_dist = close_pairs(x[finite], dedupe)
-    duplicates_ok = not duplicates
+    min_dist = least_distance(x[finite])
+    duplicates_ok = min_dist is None or min_dist > dedupe
     if not duplicates_ok:
         reasons.append(f"duplicate solutions within {dedupe:.3e}")
 
@@ -142,10 +148,16 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     certificate_ok = None
     if sset.certificate is not None:
         cert = sset.certificate
-        samples = pack([cert.member(mu) for mu in cert.samples])
+        count = max(3, eq.n + 1)
+        params = [k / count for k in range(1, count + 1)]
+        samples = pack([cert.member(mu) for mu in params])
         sample_ok = accepted(eq, samples, residuals(eq, samples)).tolist()
-        certificate_ok = all(sample_ok)
-        for mu, good in zip(cert.samples, sample_ok):
+        base, step = max_norms(pack([cert.base, cert.direction])).tolist()
+        flat = RANK_TOL * max(1.0, base)
+        certificate_ok = step > flat and all(sample_ok)
+        if not step > flat:
+            reasons.append(f"certificate direction is zero within {flat:.3e}")
+        for mu, good in zip(params, sample_ok):
             if not good:
                 reasons.append(f"certificate sample mu={mu} fails its residual")
 

@@ -343,7 +343,7 @@ def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
 # np.max or np.min over a list of arrays stacks the list first, where one
 # reduction along an axis of an array needs no list
 _SMALL_BATCH_KERNELS = [
-    mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.close_pairs,
+    mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.least_distance,
     mat2.greedy_unique, mat2.match_in_order, mat2.eigenvalues,
     solver._parts, solver._assemble, solver.enumerate_diagonalizable,
     solver.find_nondiagonalizable, solver.output_order,

@@ -5,13 +5,16 @@ import subprocess
 import sys
 from dataclasses import replace
 
+from pathlib import Path
+
 import pytest
 
+import matpolyeq
 from matpolyeq import cli
 from matpolyeq.cli import main
-from matpolyeq.construct import ValidationFailure
-from matpolyeq.documents import (equation_to_doc, load_doc, save_doc,
-                                 solution_set_from_doc)
+from matpolyeq.construct import ValidationFailure, construct
+from matpolyeq.documents import (equation_from_doc, equation_to_doc,
+                                 load_doc, save_doc, solution_set_from_doc)
 from matpolyeq.mat2 import MAX_DEGREE
 from matpolyeq.poly import NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
@@ -252,6 +255,26 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == \
             "bad input: infinite classification cannot carry solutions\n"
         assert not report.exists()
+
+    def test_moved_certificate_direction_exits_5(self, tmp_path, capsys,
+                                                 eq_x_squared_identity):
+        # X^2 = I is infinite; its family with one direction entry moved
+        # leaves the solution set at every sample parameter
+        eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
+        doc = load_doc(sol)
+        doc["certificate"]["direction"][0][0][0] += 0.5
+        save_doc(doc, sol)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 5
+        err = capsys.readouterr().err
+        assert "certificate samples: FAIL" in err
+        assert "backend agreement: ok" in err
+        assert "  - certificate sample mu=1.0 fails its residual\n" in err
+        doc = load_doc(report)
+        assert doc["verdict"] == "fail"
+        assert doc["checks"]["certificate"] is False
 
     def _claim_fails(self, capsys, eq_path, sol, reason):
         """verify exits 5 on the claimed set with one reason, the claim's
@@ -625,11 +648,15 @@ def test_malformed_document_exits_1_without_traceback(tmp_path, capsys,
 
 
 def test_module_entry_point(tmp_path):
+    # python -m matpolyeq runs __main__.py on the package imported here
     out = tmp_path / "eq.json"
+    src = str(Path(matpolyeq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "matpolyeq", "construct",
-         "--n", "1", "--m", "1", "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+         "--n", "2", "--m", "3", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(out)
-    assert json.loads(out.read_text())["n"] == 1
+    assert equation_from_doc(load_doc(out)) == construct(2, 3).equation

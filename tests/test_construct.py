@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from matpolyeq.construct import (SPECIAL_COUNTS, DomainError,
                                  ValidationFailure, build_partition,
                                  choose_p, choose_values, construct,
                                  solve_coefficients, special_case)
+from matpolyeq.cli import main
 from matpolyeq.documents import equation_to_doc, plan_to_doc
-from matpolyeq.mat2 import Mat2, Vec2
+from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2
 from matpolyeq.poly import Poly
-from matpolyeq.solver import solution_bound, solve_equation
+from matpolyeq.solver import (SECOND_VALUE_FAMILY, InfiniteCertificate,
+                              SolutionSet, solution_bound, solve_equation)
 
 
 class TestChooseP:
@@ -240,3 +243,50 @@ def test_construction_matches_the_recorded_digest():
             cells += 1
     assert cells == 2856
     assert digest.hexdigest() == CONSTRUCTION_SHA256
+
+
+class TestValidation:
+    """construct's own check of the solve of what it built; the solve is
+    patched in the construct module (matpolyeq.construct is the function)."""
+
+    @staticmethod
+    def _solved_as(monkeypatch, sset):
+        monkeypatch.setattr(sys.modules["matpolyeq.construct"],
+                            "solve_equation", lambda eq: sset)
+
+    @staticmethod
+    def _infinite():
+        cert = InfiniteCertificate(SECOND_VALUE_FAMILY, Mat2.identity(),
+                                   Mat2(0, 1, 0, 0), (0.25, 0.5, 0.75),
+                                   (0.0,) * 3)
+        return SolutionSet.of((), cert, ())
+
+    def test_infinite_solve_fails(self, monkeypatch):
+        self._solved_as(monkeypatch, self._infinite())
+        with pytest.raises(ValidationFailure) as raised:
+            construct(2, 5)
+        assert str(raised.value) == ("construction came out infinite "
+                                     "(two_dim_space_with_second_value)")
+
+    def test_wrong_count_fails(self, monkeypatch):
+        # X^2 = diag(1, 4): 4 solutions where 5 were built
+        self._solved_as(monkeypatch, solve_equation(
+            MatrixEquation((Mat2.diag(-1, -4), Mat2.zero()))))
+        with pytest.raises(ValidationFailure) as raised:
+            construct(2, 5)
+        assert str(raised.value) == \
+            "construction yielded 4 solutions, wanted 5"
+
+    def test_cli_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                            monkeypatch):
+        self._solved_as(monkeypatch, self._infinite())
+        out = tmp_path / "eq.json"
+        capsys.readouterr()
+        assert main(["construct", "--n", "2", "--m", "5",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation failure (ValidationFailure): construction came out"
+            " infinite (two_dim_space_with_second_value)\n")
+        assert not out.exists()

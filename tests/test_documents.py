@@ -147,6 +147,33 @@ class TestSolutionDocuments:
             solution_set_from_doc(doc)
         assert str(raised.value) == "critical value 0 has bad multiplicity/dim"
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(classification="empty"),
+         "classification must be 'finite' or 'infinite'"),
+        (lambda d: d.pop("classification"),
+         "classification must be 'finite' or 'infinite'"),
+        (lambda d: d.update(solutions={}), "solutions must be a list"),
+        (lambda d: d.pop("solutions"), "solutions must be a list"),
+        (lambda d: d["metadata"].pop("critical_values"),
+         "metadata.critical_values must be a list"),
+        (lambda d: d["metadata"].update(critical_values={}),
+         "metadata.critical_values must be a list"),
+        (lambda d: d.update(metadata=[]),
+         "metadata.critical_values must be a list"),
+        (lambda d: d["metadata"]["critical_values"].__setitem__(
+            1, [1.0, 0.0]), "critical value 1 must be an object"),
+    ], ids=["unknown classification", "no classification",
+            "object solutions", "no solutions", "no critical values",
+            "object critical values", "list metadata",
+            "list critical value"])
+    def test_malformed_document_message(self, eq_four_solutions, mutate,
+                                        message):
+        doc = solution_set_to_doc(solve_equation(eq_four_solutions))
+        mutate(doc)
+        with pytest.raises(DocumentError) as raised:
+            solution_set_from_doc(doc)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("reason", ["scalar_plus_two_dim", "mystery",
                                         pytest.param([], id="list"),
                                         pytest.param({}, id="object")])

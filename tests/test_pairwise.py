@@ -2,11 +2,12 @@
 
 The reference loops below are the solver dedupe, verify's duplicate scan and
 verify's set matching as they were written before the kernel; the kernel
-must reproduce their kept sets, verdicts and least distance exactly.  The
-loops read each distance from a table of Mat2.dist values, so that one set
-can be checked at several tolerances for the cost of one all-pairs pass.
-Every check runs under both windows of the kernel: all pairs, which it takes
-on small sets, and the sort and sweep, forced here on any set.
+must reproduce their kept sets, verdicts and least distance exactly, and
+return exactly the pairs whose Mat2.dist is within the cut.  The loops read
+each distance from a table of Mat2.dist values, so that one set can be
+checked at several tolerances for the cost of one all-pairs pass.  Every
+check runs under both windows of the kernel: all pairs, which it takes on
+small sets, and the sort and sweep, forced here on any set.
 """
 
 import math
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from matpolyeq import mat2
 from matpolyeq.mat2 import (_ONE_AT_A_TIME, Mat2, _exact_dists, _near_pairs,
-                            close_pairs, greedy_unique, match_in_order, pack)
+                            greedy_unique, least_distance, match_in_order,
+                            pack)
 
 # the kernel's own window choice, and the sort and sweep on every set
 WINDOWS = (nullcontext,
@@ -76,19 +78,25 @@ _MATS = st.lists(st.builds(Mat2, _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES),
 _TOLS = st.sampled_from([0.0, 1e-7, 2e-7, 1.5e-7, 1.0, 1e-6])
 
 
+def _pairs(x, cut):
+    """The kernel's pairs as sorted (i, j, distance) triples."""
+    i, j, d = _near_pairs(x, cut)
+    return sorted(zip(i.tolist(), j.tolist(), d.tolist()))
+
+
 def _check_kernel(mats, tols):
     dist = dist_table(mats)
     k = len(mats)
     for window in WINDOWS:
         with window():
+            least = least_distance(pack(mats))
             for tol in tols:
-                pairs, least = close_pairs(pack(mats), tol)
                 duplicates_ok, min_dist = ref_duplicate_scan(k, dist, tol)
-                assert (not pairs) == duplicates_ok
+                assert (least is None or least > tol) == duplicates_ok
                 assert least == min_dist
-                assert pairs == [(i, j) for i in range(k)
-                                 for j in range(i + 1, k)
-                                 if dist(i, j) <= tol]
+                assert _pairs(pack(mats), tol) == [
+                    (i, j, dist(i, j)) for i in range(k)
+                    for j in range(i + 1, k) if dist(i, j) <= tol]
                 assert greedy_unique(pack(mats), tol) == \
                     ref_greedy_unique(k, dist, tol)
 
@@ -195,10 +203,11 @@ def test_heavy_ties_on_the_widest_part(seed):
 
 def test_small_sets():
     a, b = Mat2(1, 2, 3, 4), Mat2(1, 2, 3, 4 + 1e-9)
-    assert close_pairs(pack([]), 1.0) == ([], None)
-    assert close_pairs(pack([a]), 1.0) == ([], None)
-    assert close_pairs(pack([a, b]), 1e-8) == ([(0, 1)], a.dist(b))
-    assert close_pairs(pack([a, b]), 1e-10) == ([], a.dist(b))
+    assert least_distance(pack([])) is None
+    assert least_distance(pack([a])) is None
+    assert least_distance(pack([a, b])) == a.dist(b)
+    assert _pairs(pack([a, b]), 1e-8) == [(0, 1, a.dist(b))]
+    assert _pairs(pack([a, b]), 1e-10) == []
     assert greedy_unique(pack([]), 1.0) == []
     assert greedy_unique(pack([a]), 1.0) == [0]
     assert greedy_unique(pack([a, b]), 1e-8) == [0]
@@ -213,20 +222,21 @@ def test_non_finite_rows_are_never_paired():
     a, c = Mat2(1, 2, 3, 4), Mat2(1, 2, 3, 5)
     for rows in ([nan_row, a, c], [a, inf_row, c, nan_row]):
         x = pack(rows)
-        assert close_pairs(x, 1e-6) == ([], a.dist(c))
+        assert least_distance(x) == a.dist(c)
+        assert _pairs(x, 1e-6) == []
         assert greedy_unique(x, 1e-6) == list(range(len(rows)))
     x = pack([nan_row, a, inf_row, a])
-    assert close_pairs(x, 1e-6) == ([(1, 3)], 0.0)
+    assert least_distance(x) == 0.0
+    assert _pairs(x, 1e-6) == [(1, 3, 0.0)]
     assert greedy_unique(x, 1e-6) == [0, 1, 2]
-    # at an infinite tolerance every part difference passes, inf - 1 too
-    assert close_pairs(pack([a, inf_row, c]), math.inf) == ([(0, 2)],
-                                                            a.dist(c))
+    # at an infinite tolerance every finite pair is within it
+    assert _pairs(pack([a, inf_row, c]), math.inf) == [(0, 2, a.dist(c))]
     assert greedy_unique(pack([a, inf_row, c]), math.inf) == [0, 1]
     assert not match_in_order(pack([a, inf_row]), pack([inf_row, c]),
                               math.inf)
     # no finite pair: no least distance over finite pairs
-    assert close_pairs(pack([nan_row, a]), 1.0) == ([], math.inf)
-    assert close_pairs(pack([nan_row, inf_row]), 1.0) == ([], math.inf)
+    assert least_distance(pack([nan_row, a])) == math.inf
+    assert least_distance(pack([nan_row, inf_row])) == math.inf
     assert not match_in_order(pack([nan_row]), pack([nan_row]), 1.0)
     assert not match_in_order(pack([a, nan_row]), pack([a, a]), 1.0)
 
@@ -256,8 +266,8 @@ def test_empty_sweep_window():
     # non-finite rows are never paired, so a set of them has no finite pair
     for mats in ([nan_row], [nan_row, inf_row], [inf_row, nan_row, inf_row]):
         x = pack(mats)
-        assert close_pairs(x, 1.0) == ([], None if len(mats) < 2
-                                       else math.inf)
+        assert least_distance(x) == (None if len(mats) < 2 else math.inf)
+        assert _pairs(x, 1.0) == []
         assert greedy_unique(x, 1.0) == list(range(len(mats)))
         assert not match_in_order(x, x, 1.0)
 
@@ -272,24 +282,24 @@ def test_exact_distances_and_bounds():
     mats += [Mat2(0.5, 0, 0, 0), Mat2(0, 0, 0, 3j), Mat2(5e-324, 0, 0, 0)]
     x = pack(mats)
     parts = x.view(float)
-    # the kernel's bound: the largest |real or imaginary part| difference
+    # the sweep's filter bound: the largest |real or imaginary part|
+    # difference
     low = np.abs(parts[:, None, :] - parts[None, :, :]).max(axis=2)
+    exact = np.array([_exact_dists(x[i], x) for i in range(len(mats))])
     for i, m in enumerate(mats):
-        exact = _exact_dists(x[i], x)
-        assert exact.tolist() == [m.dist(o) for o in mats]
-        assert np.all(low[i] <= exact)
-    # the sweep keeps exactly the pairs whose bound is within the cut, each
-    # with its exact distance; cuts at occurring bounds and an ulp below
+        assert exact[i].tolist() == [m.dist(o) for o in mats]
+        assert np.all(low[i] <= exact[i])
+    # the kernel keeps exactly the pairs whose exact distance is within the
+    # cut, each with that distance; cuts at occurring distances and an ulp
+    # either side of them
     upper = np.triu_indices(len(mats), 1)
     cuts = [0.0, 1e-300, 1.0, 1e300] + [
-        t for c in np.sort(low[upper])[::97].tolist()
-        for t in (c, math.nextafter(c, 0.0))]
+        t for c in np.sort(exact[upper])[::97].tolist() for t in _around(c)]
     for cut, window in ((cut, w) for cut in cuts for w in WINDOWS):
         with window():
-            i, j, d = _near_pairs(x, cut)
-        assert sorted(zip(i.tolist(), j.tolist())) == [
-            (a, b) for a, b in zip(*upper) if low[a, b] <= cut]
-        assert d.tolist() == [mats[a].dist(mats[b]) for a, b in zip(i, j)]
+            assert _pairs(x, cut) == [(a, b, exact[a, b])
+                                      for a, b in zip(*upper)
+                                      if exact[a, b] <= cut]
     _check_kernel(mats, [0.0, 1e-300, 1.0, 1e300])
 
 
@@ -335,22 +345,15 @@ def test_pairs_that_differ_only_in_the_one_step_parts(seed):
     dist = _finite_dist_table(mats)
     x = pack(mats)
     finite = [r for r in range(k) if np.isfinite(x[r]).all()]
-    parts = x.view(float)
-    with np.errstate(invalid="ignore"):
-        low = np.abs(parts[:, None, :] - parts[None, :, :]).max(axis=2)
     occurring = sorted({dist(i, j) for i in finite for j in finite if i < j})
     cuts = [-1.0, 0.0] + [t for d in occurring[:8] for t in _around(d)]
     kept = [mats[r] for r in finite]
     for cut, window in ((cut, w) for cut in cuts for w in WINDOWS):
         with window():
-            i, j, d = _near_pairs(x, cut)
-            assert sorted(zip(i.tolist(), j.tolist(), d.tolist())) == [
+            assert _pairs(x, cut) == [
                 (a, b, dist(a, b)) for a in finite for b in finite
-                if a < b and low[a, b] <= cut]
-            pairs, least = close_pairs(x, cut)
-            assert pairs == [(a, b) for a in range(k)
-                             for b in range(a + 1, k) if dist(a, b) <= cut]
-            assert least == ref_duplicate_scan(k, dist, cut)[1]
+                if a < b and dist(a, b) <= cut]
+            assert least_distance(x) == ref_duplicate_scan(k, dist, cut)[1]
             assert greedy_unique(x, cut) == ref_greedy_unique(k, dist, cut)
             assert not match_in_order(x, x[::-1], cut)
         for other in (kept[::-1], kept[1:] + kept[:1]):

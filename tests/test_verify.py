@@ -10,10 +10,11 @@ import pytest
 import matpolyeq
 from matpolyeq import verify
 from matpolyeq.construct import construct
-from matpolyeq.mat2 import Mat2, MatrixEquation
+from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import relative_value
-from matpolyeq.solver import (Solution, SolutionSet, solution_bound,
-                              solve_equation)
+from matpolyeq.solver import (SECOND_VALUE_FAMILY, InfiniteCertificate,
+                              Solution, SolutionSet, accepted, residuals,
+                              solution_bound, solve_equation)
 from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
                               count_cross_check, minimize,
                               verify_solution_set)
@@ -93,6 +94,42 @@ class TestVerifySolutionSet:
         assert report.verdict == "pass"
         assert report.certificate_ok is True
         assert report.classification == "infinite"
+
+    @staticmethod
+    def _claimed_family(eq, base, direction):
+        """verify_solution_set on a claim of the family base + mu direction,
+        written as the solver writes one: samples 0.25, 0.5 and 0.75, each
+        a true solution here."""
+        mus = (0.25 + 0j, 0.5 + 0j, 0.75 + 0j)
+        members = pack([base + direction.scale(mu) for mu in mus])
+        assert accepted(eq, members, residuals(eq, members)).all()
+        cert = InfiniteCertificate(SECOND_VALUE_FAMILY, base, direction, mus,
+                                   (0.0,) * 3)
+        return verify_solution_set(eq, SolutionSet.of((), cert, ()))
+
+    def test_zero_direction_fails(self, eq_four_solutions):
+        # X^2 = diag(1, 4) has 4 solutions; a "family" that never moves
+        # from one of them is no family
+        report = self._claimed_family(eq_four_solutions, Mat2.diag(1, 2),
+                                      Mat2.zero())
+        assert report.verdict == "fail"
+        assert report.certificate_ok is False
+        assert report.reasons == ("certificate direction is zero within "
+                                  "2.000e-08",)
+
+    def test_three_collinear_solutions_fail(self):
+        # A_k = diag(p_k, q_k) with p = (t - .25)(t - .5)(t - .75) and
+        # q = t (t - 2)(t - 3): 9 solutions, three of them diag(mu, 0) at
+        # the solver's sample parameters, so a cubic needs a fourth
+        p = (-0.09375, 0.6875, -1.5)
+        q = (0.0, 6.0, -5.0)
+        eq = MatrixEquation(tuple(Mat2.diag(a, b) for a, b in zip(p, q)))
+        assert solve_equation(eq).count == 9
+        report = self._claimed_family(eq, Mat2.zero(), Mat2.diag(1, 0))
+        assert report.verdict == "fail"
+        assert report.certificate_ok is False
+        assert report.reasons == ("certificate sample mu=1.0 fails its "
+                                  "residual",)
 
     def test_backend_disagreement_reported(self, eq_four_solutions):
         ss = solve_equation(eq_four_solutions)
