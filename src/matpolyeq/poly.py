@@ -159,14 +159,16 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     (``_aberth_roots``, which forms its roundoff bound only on the sweeps
     where that bound can stop the iteration, or ``_companion_roots``), are
     clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
-    and every cluster centroid of size k is Newton-polished on the (k-1)-th
-    derivative with compensated Horner values (Graillat, Langlois and Louvet
-    2009), operation for operation as numpy's complex128 scalars compute
-    them, one kernel call per class of centroids of one size
-    (``_polish_groups``).  Nearby clusters fuse when they look like one
-    multiple root that scattered: the members fail the derivative test
-    (``relative_value``) for their claimed multiplicities while the fused
-    centroid passes it.
+    and the clusters' raw centroids are bunched at ``_MERGE_RADIUS``.  A
+    bunch fuses into one start of the total multiplicity when it looks like
+    one multiple root that scattered: some centroid fails the derivative
+    test (``relative_value``) for its claimed multiplicity.  Every start of
+    multiplicity k is Newton-polished once, on the (k-1)-th derivative,
+    with compensated Horner values (Graillat, Langlois and Louvet 2009),
+    operation for operation as numpy's complex128 scalars compute them, one
+    kernel call per class of starts of one k (``_polish_groups``).  A fused
+    root is kept where its polished value passes the derivative test;
+    otherwise its clusters are polished and kept one by one.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -321,8 +323,17 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 
 def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     """(value, multiplicity) of each root of q from the raw roots: their
-    clusters at ``CLUSTER_TOL``, polished by ``_polish_groups``, then fused
-    where a bunch of clusters is one scattered root."""
+    clusters at ``CLUSTER_TOL``, bunched where a few clusters are one
+    scattered root, each start polished once by ``_polish_groups``.
+
+    A k-fold root computed in double precision scatters into a ring of
+    radius ~eps^(1/k), which can exceed the cluster tolerance for k >= 3.
+    So the clusters' raw centroids are bunched at ``_MERGE_RADIUS``.  A
+    bunch of one, or one whose centroids all pass the derivative test
+    (``_multiplicity_consistent``) for their claimed multiplicities, gives
+    each centroid as a start; any other bunch gives one start, its
+    multiplicity-weighted centroid with the total multiplicity, and keeps
+    its centroids for ``_polish_groups``' fallback."""
     scale = max(1.0, float(np.abs(raw).max()))
     ders = [q]
     while len(ders) <= len(q):
@@ -330,28 +341,17 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
         ders.append(prev[1:] * np.arange(1, len(prev)))
 
     groups = _components(list(raw), CLUSTER_TOL * scale)
-    entries = _polish_groups(ders, groups, scale)
-
-    # A k-fold root computed in double precision scatters into a ring of
-    # radius ~eps^(1/k), which can exceed the cluster tolerance for k >= 3.
-    # Ring members fail the derivative test for their claimed multiplicity
-    # while the fused centroid validates, so fuse exactly in that case.
-    fused = []
-    for bunch in _components(entries, _MERGE_RADIUS * scale, lambda e: e[0]):
+    centroids = [(sum(g) / len(g), len(g)) for g in groups]
+    starts = []
+    for bunch in _components(centroids, _MERGE_RADIUS * scale,
+                             lambda e: e[0]):
         if len(bunch) == 1 or all(
                 _multiplicity_consistent(ders, v, k) for v, k in bunch):
-            fused.extend(bunch)
+            starts.extend((v, k, ()) for v, k in bunch)
             continue
         total = sum(k for _, k in bunch)
-        center = sum(v * k for v, k in bunch) / total
-        polished = _newton(ders[total - 1], ders[total],
-                           np.array([center]))[0]
-        if abs(polished - center) <= _MERGE_RADIUS * scale and \
-                _multiplicity_consistent(ders, polished, total):
-            fused.append((polished, total))
-        else:
-            fused.extend(bunch)
-    return fused
+        starts.append((sum(v * k for v, k in bunch) / total, total, bunch))
+    return _polish_groups(ders, starts, scale)
 
 
 def _components(items, radius, value=lambda z: z):
@@ -389,28 +389,40 @@ def _components(items, radius, value=lambda z: z):
     return [[items[i] for i in g] for g in out]
 
 
-def _polish_groups(ders, groups, scale):
-    """(value, k) for each group of k raw roots: its centroid polished on
-    the (k-1)-th derivative, of which a k-fold root is a simple root, or
-    the centroid itself where the polish moved it more than
-    ``_MERGE_RADIUS``.  Each class of centroids of one size takes one
-    kernel call: ``_newton_batch`` from ``_BATCH_MIN`` centroids on,
-    ``_newton`` below."""
-    centers = [sum(g) / len(g) for g in groups]
+def _polish_groups(ders, starts, scale):
+    """(value, k) for each start ``(start, k, members)``: the start
+    polished once on the (k-1)-th derivative, of which a k-fold root is a
+    simple root, or the start itself where the polish moved it more than
+    ``_MERGE_RADIUS``.  Each class of starts of one k takes one kernel
+    call: ``_newton_batch`` from ``_BATCH_MIN`` starts on, ``_newton``
+    below.
+
+    A fused start (one with ``members``, the (centroid, k) pairs it
+    stands for) is kept where its polish moved it at most
+    ``_MERGE_RADIUS`` and the polished value passes the derivative test
+    for k; otherwise its members are polished as starts of their own,
+    in one more pass."""
+    radius = _MERGE_RADIUS * scale
     classes = {}
-    for i, g in enumerate(groups):
-        classes.setdefault(len(g), []).append(i)
-    polished = [None] * len(groups)
-    for k, members in classes.items():
-        newton = _newton_batch if len(members) >= _BATCH_MIN else _newton
-        starts = np.array([centers[i] for i in members])
-        for i, z in zip(members, newton(ders[k - 1], ders[k], starts)):
+    for i, (_, k, _) in enumerate(starts):
+        classes.setdefault(k, []).append(i)
+    polished = [None] * len(starts)
+    for k, indices in classes.items():
+        newton = _newton_batch if len(indices) >= _BATCH_MIN else _newton
+        zs = np.array([starts[i][0] for i in indices])
+        for i, z in zip(indices, newton(ders[k - 1], ders[k], zs)):
             polished[i] = z
-    entries = []
-    for z, center, g in zip(polished, centers, groups):
-        if abs(z - center) > _MERGE_RADIUS * scale:
-            z = center
-        entries.append((z, len(g)))
+    entries, fallback = [], []
+    for z, (start, k, members) in zip(polished, starts):
+        moved = abs(z - start)
+        if not members:
+            entries.append((start if moved > radius else z, k))
+        elif moved <= radius and _multiplicity_consistent(ders, z, k):
+            entries.append((z, k))
+        else:
+            fallback.extend((v, j, ()) for v, j in members)
+    if fallback:
+        entries += _polish_groups(ders, fallback, scale)
     return entries
 
 

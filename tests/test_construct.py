@@ -18,6 +18,7 @@ from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2
 from matpolyeq.poly import Poly
 from matpolyeq.solver import (SECOND_VALUE_FAMILY, InfiniteCertificate,
                               SolutionSet, solution_bound, solve_equation)
+from matpolyeq.verify import count_cross_check, verify_solution_set
 
 
 class TestChooseP:
@@ -174,6 +175,19 @@ class TestSpecialCase:
             special_case(16, 3)
         with pytest.raises(DomainError):
             special_case(5, 3)
+
+    # every explicit diagonal equation that counts right: from n = 4 on,
+    # det M(t) has 3- to 5-fold roots that find_roots must fuse; (n, 4)
+    # from n = 7 and (n, 16) from n = 9 still miscount or fail to converge
+    @pytest.mark.parametrize("n, m", [(n, 4) for n in range(2, 7)]
+                             + [(n, 16) for n in range(4, 9)])
+    def test_counts_and_verifies(self, n, m):
+        eq = construct(n, m, validate=False).equation
+        cross = count_cross_check(eq)
+        assert cross.count_a == cross.count_b == m
+        assert cross.agree
+        report = verify_solution_set(eq, cross.set_a, cross.agree)
+        assert report.verdict == "pass", report
 
 
 class TestConstruct:

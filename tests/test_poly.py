@@ -574,13 +574,90 @@ def test_polish_matches_numpy_scalars_on_constructed_roots(n, m, backend,
         assert_kernel_matches_reference(kernel, c, dc, z)
 
 
+# the explicit diagonal equations whose 3- to 6-fold roots scatter past
+# CLUSTER_TOL, so that find_roots fuses them
+FUSED_CELLS = ((4, 4), (5, 4), (6, 4), (6, 16))
+
+
+def record_polish(monkeypatch) -> list:
+    """Record (c, starts, polished) of every polish kernel call."""
+    calls = []
+
+    def recording(kernel):
+        def record(c, dc, z):
+            out = kernel(c, dc, z)
+            calls.append((c, z.copy(), out))
+            return out
+        return record
+
+    monkeypatch.setattr(poly, "_newton", recording(_newton))
+    monkeypatch.setattr(poly, "_newton_batch", recording(_newton_batch))
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, m", FUSED_CELLS)
+def test_each_root_is_polished_once(n, m, backend, monkeypatch):
+    # the fusion is decided on the raw centroids, so a scattered k-fold
+    # root takes one start, on the (k-1)-th derivative, and no member of
+    # its ring is polished as a simple root first
+    calls = record_polish(monkeypatch)
+    p = construct(n, m, validate=False).equation.det_poly
+    roots = find_roots(p, backend)
+    assert max(r.multiplicity for r in roots) >= 3
+    # no zero root is deflated here, so the k-th class polishes on the
+    # derivative of degree p.degree - k + 1
+    polished = sorted(((complex(z), p.degree + 2 - len(c))
+                       for c, _, out in calls for z in out),
+                      key=lambda e: (e[0].real, e[0].imag))
+    assert sum(len(starts) for _, starts, _ in calls) == len(roots)
+    assert polished == [(r.value, r.multiplicity) for r in roots]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, m", FUSED_CELLS)
+def test_failed_fusion_keeps_the_clusters(n, m, backend, monkeypatch):
+    # no real input has reached this fallback: where the fused value fails
+    # the derivative test, each cluster of the bunch comes back on its own,
+    # its centroid polished by _newton on its own class
+    p = construct(n, m, validate=False).equation.det_poly
+    fused = find_roots(p, backend)
+    raw = []
+    backend_roots = getattr(poly, f"_{backend}_roots")
+
+    def capture(c):
+        raw.extend(backend_roots(c))
+        return np.array(raw)
+
+    monkeypatch.setattr(poly, f"_{backend}_roots", capture)
+    monkeypatch.setattr(poly, "_multiplicity_consistent",
+                        lambda ders, value, mult: False)
+    roots = find_roots(p, backend)
+    ders = [np.array(p.coeffs) / p.coeffs[-1]]
+    while len(ders[-1]) > 1:
+        ders.append(ders[-1][1:] * np.arange(1, len(ders[-1])))
+    scale = max(1.0, float(np.abs(raw).max()))
+    want = []
+    for g in poly._components(raw, CLUSTER_TOL * scale):
+        k = len(g)
+        z = _newton(ders[k - 1], ders[k], np.array([sum(g) / k]))[0]
+        want.append((complex(z), k))
+    want.sort(key=lambda e: (e[0].real, e[0].imag))
+    assert len(roots) > len(fused)
+    assert [(r.value, r.multiplicity) for r in roots] == want
+
+
 # sha256 of find_roots' output, both backends, on the benchmark's sweep_n5
 # cells (construct(n, m) for every n <= 5) and its scan fixtures: float.hex
 # of each root's parts and its multiplicity, or the name of the exception.
-# Recorded from the numpy-scalar polish; the random_n16 document digests see
-# simple roots only, this sees the multiple-root path too.
+# Recorded from the one-pass polish, which fuses a scattered multiple root
+# on the raw centroids and polishes it once; the random_n16 document digests
+# see simple roots only, this sees the multiple-root path too.  Against the
+# polish that fused after polishing every member, only the triple root -2
+# of (4, 4) moved: its imaginary part went from -+2.96e-31 to 0 on both
+# backends.
 ROOT_BITS_SHA256 = \
-    "4774aaff7f0f1cdf355b98d2c5a86df55132282bc3492eae97bc1b6c826303c7"
+    "2dd8d4172aa4858baa569a7ca8188fb36823c3df91ed71cc0ddec5b4e27a3519"
 SCAN_FIXTURES = ("eq_four_solutions", "eq_x_squared_zero",
                  "eq_x_squared_identity", "eq_x_squared_nilpotent",
                  "eq_x_squared_jordan", "eq_shifted_square", "eq_degree_one")
