@@ -166,9 +166,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     multiplicity k is Newton-polished once, on the (k-1)-th derivative,
     with compensated Horner values (Graillat, Langlois and Louvet 2009),
     operation for operation as numpy's complex128 scalars compute them, one
-    kernel call per class of starts of one k (``_polish_groups``).  A fused
-    root is kept where its polished value passes the derivative test;
-    otherwise its clusters are polished and kept one by one.
+    kernel call per class of starts of one k (``_polish_groups``).  So the
+    multiplicities are decided once, by the bunching; the polish only
+    sharpens the values.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -332,8 +332,7 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     bunch of one, or one whose centroids all pass the derivative test
     (``_multiplicity_consistent``) for their claimed multiplicities, gives
     each centroid as a start; any other bunch gives one start, its
-    multiplicity-weighted centroid with the total multiplicity, and keeps
-    its centroids for ``_polish_groups``' fallback."""
+    multiplicity-weighted centroid with the total multiplicity."""
     scale = max(1.0, float(np.abs(raw).max()))
     ders = [q]
     while len(ders) <= len(q):
@@ -347,10 +346,10 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
                              lambda e: e[0]):
         if len(bunch) == 1 or all(
                 _multiplicity_consistent(ders, v, k) for v, k in bunch):
-            starts.extend((v, k, ()) for v, k in bunch)
+            starts.extend(bunch)
             continue
         total = sum(k for _, k in bunch)
-        starts.append((sum(v * k for v, k in bunch) / total, total, bunch))
+        starts.append((sum(v * k for v, k in bunch) / total, total))
     return _polish_groups(ders, starts, scale)
 
 
@@ -390,39 +389,23 @@ def _components(items, radius, value=lambda z: z):
 
 
 def _polish_groups(ders, starts, scale):
-    """(value, k) for each start ``(start, k, members)``: the start
+    """(value, k) for each start ``(start, k)``, fused or not: the start
     polished once on the (k-1)-th derivative, of which a k-fold root is a
     simple root, or the start itself where the polish moved it more than
     ``_MERGE_RADIUS``.  Each class of starts of one k takes one kernel
     call: ``_newton_batch`` from ``_BATCH_MIN`` starts on, ``_newton``
-    below.
-
-    A fused start (one with ``members``, the (centroid, k) pairs it
-    stands for) is kept where its polish moved it at most
-    ``_MERGE_RADIUS`` and the polished value passes the derivative test
-    for k; otherwise its members are polished as starts of their own,
-    in one more pass."""
+    below."""
     radius = _MERGE_RADIUS * scale
     classes = {}
-    for i, (_, k, _) in enumerate(starts):
+    for i, (_, k) in enumerate(starts):
         classes.setdefault(k, []).append(i)
-    polished = [None] * len(starts)
+    entries = [None] * len(starts)
     for k, indices in classes.items():
         newton = _newton_batch if len(indices) >= _BATCH_MIN else _newton
         zs = np.array([starts[i][0] for i in indices])
         for i, z in zip(indices, newton(ders[k - 1], ders[k], zs)):
-            polished[i] = z
-    entries, fallback = [], []
-    for z, (start, k, members) in zip(polished, starts):
-        moved = abs(z - start)
-        if not members:
-            entries.append((start if moved > radius else z, k))
-        elif moved <= radius and _multiplicity_consistent(ders, z, k):
-            entries.append((z, k))
-        else:
-            fallback.extend((v, j, ()) for v, j in members)
-    if fallback:
-        entries += _polish_groups(ders, fallback, scale)
+            start = starts[i][0]
+            entries[i] = (start if abs(z - start) > radius else z, k)
     return entries
 
 

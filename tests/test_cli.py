@@ -418,6 +418,12 @@ class TestSweepCommand:
         assert run("sweep", "--n-max", 5, "--report", report) == 0
         assert "cells: 95, failures: 0" in report.read_text()
 
+    def test_sixteen_at_degree_nine_fails_on_the_backends_alone(self):
+        # aberth counts 16 and verifies; the companion backend still reads
+        # the 6-fold roots as 36 solutions.  Mending that must change this
+        # reason on purpose
+        assert cli._sweep_cell((9, 16))["error"] == "backends"
+
     def test_crashed_cell_shows_error_type(self, tmp_path, monkeypatch):
         real_construct = cli.construct
 

@@ -616,12 +616,11 @@ def test_each_root_is_polished_once(n, m, backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n, m", FUSED_CELLS)
-def test_failed_fusion_keeps_the_clusters(n, m, backend, monkeypatch):
-    # no real input has reached this fallback: where the fused value fails
-    # the derivative test, each cluster of the bunch comes back on its own,
-    # its centroid polished by _newton on its own class
+def test_each_bunch_is_decided_before_the_polish(n, m, backend, monkeypatch):
+    # where every derivative test fails, every bunch of raw centroids fuses:
+    # it comes back as one root of its total multiplicity, whatever its
+    # polished value, and each start is polished exactly once
     p = construct(n, m, validate=False).equation.det_poly
-    fused = find_roots(p, backend)
     raw = []
     backend_roots = getattr(poly, f"_{backend}_roots")
 
@@ -632,19 +631,29 @@ def test_failed_fusion_keeps_the_clusters(n, m, backend, monkeypatch):
     monkeypatch.setattr(poly, f"_{backend}_roots", capture)
     monkeypatch.setattr(poly, "_multiplicity_consistent",
                         lambda ders, value, mult: False)
+    calls = record_polish(monkeypatch)
     roots = find_roots(p, backend)
-    ders = [np.array(p.coeffs) / p.coeffs[-1]]
-    while len(ders[-1]) > 1:
-        ders.append(ders[-1][1:] * np.arange(1, len(ders[-1])))
     scale = max(1.0, float(np.abs(raw).max()))
-    want = []
-    for g in poly._components(raw, CLUSTER_TOL * scale):
-        k = len(g)
-        z = _newton(ders[k - 1], ders[k], np.array([sum(g) / k]))[0]
-        want.append((complex(z), k))
-    want.sort(key=lambda e: (e[0].real, e[0].imag))
-    assert len(roots) > len(fused)
-    assert [(r.value, r.multiplicity) for r in roots] == want
+    centroids = [(sum(g) / len(g), len(g))
+                 for g in poly._components(raw, CLUSTER_TOL * scale)]
+    starts = []
+    for bunch in poly._components(centroids, poly._MERGE_RADIUS * scale,
+                                  lambda e: e[0]):
+        total = sum(k for _, k in bunch)
+        starts.append(bunch[0] if len(bunch) == 1 else
+                      (sum(v * k for v, k in bunch) / total, total))
+    assert len(starts) < len(centroids)
+    assert sorted(r.multiplicity for r in roots) == \
+        sorted(k for _, k in starts)
+    # no zero root is deflated here, so the k-th class polishes on the
+    # derivative of degree p.degree - k + 1
+    polished = [(complex(z), p.degree + 2 - len(c))
+                for c, zs, _ in calls for z in zs]
+
+    def key(e):
+        return e[0].real, e[0].imag, e[1]
+    assert sorted(polished, key=key) == \
+        sorted(((complex(v), k) for v, k in starts), key=key)
 
 
 # sha256 of find_roots' output, both backends, on the benchmark's sweep_n5

@@ -216,6 +216,45 @@ class TestRankPatterns:
             assert min(x.dist(jordan) for x in scan) <= \
                 1e-13 * (1 + jordan.max_norm()), seed
 
+    # M(lam) = 0 exactly makes each of these infinite (a two-dimensional
+    # critical value with another value beside it), but the doubles break
+    # the family: find_roots keeps lam as one 4-fold root, which has no
+    # critical space, so the solve raises on both backends.  The first four
+    # were silent wrong answers once: finite, verify passing and the
+    # backends agreeing.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("pattern, n, seed", [
+        (NILPOTENT_FAMILY, 5, 31), (NILPOTENT_FAMILY, 8, 25),
+        (NEAR_FAMILY, 7, 34), ("zero_rank_one", 8, 10),
+        *(("zero_invertible", n, seed) for n, seed in (
+            (6, 34), (7, 31), (7, 34), (8, 17), (8, 25), (8, 28), (8, 31),
+            (8, 34)))])
+    def test_exact_zero_value_fails_loudly(self, pattern, n, seed, backend):
+        eq, _, _ = prescribed_equation(pattern, n, seed)
+        with pytest.raises(NonConvergence):
+            solve_equation(eq, backend=backend)
+
+    # A ratchet on silent wrong answers: every one of these equations is
+    # infinite, so each finite set that verify passes is a wrong count with
+    # exit code 0.  The bounds are the counts over n = 3..8, seeds 0-37
+    # when the ratchet was set; they may only go down.
+    @pytest.mark.parametrize("pattern, most", [
+        (NILPOTENT_FAMILY, 3), (NEAR_FAMILY, 3), ("zero_rank_one", 1),
+        ("zero_invertible", 0), ("zero_zero", 0)])
+    def test_silent_finite_answers_do_not_grow(self, pattern, most):
+        silent = []
+        for n in range(3, 9):
+            for seed in range(38):
+                eq, _, _ = prescribed_equation(pattern, n, seed)
+                try:
+                    ss = solve_equation(eq)
+                except (NonConvergence, InternalInconsistency):
+                    continue
+                if ss.is_finite and \
+                        verify_solution_set(eq, ss).verdict == "pass":
+                    silent.append((n, seed, ss.count))
+        assert len(silent) <= most, silent
+
 
 def _assert_scan_agrees(pattern, n, seeds):
     """The scan and the solver agree on the classification, the count and
