@@ -146,7 +146,10 @@ def unpack(x: np.ndarray) -> list[Mat2]:
 
 def max_norms(x: np.ndarray) -> np.ndarray:
     """Mat2.max_norm of each row of a packed array, inf where an entry is
-    not finite or its modulus overflows (abs() would raise)."""
+    not finite or its modulus overflows (abs() would raise).  Bit for bit:
+    Python's complex abs is hypot (numpy's complex abs uses another
+    algorithm that can differ in the last bit), and complex subtraction is
+    part-wise, so max_norms(a - b) is Mat2.dist between matching rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.hypot(x.real, x.imag).max(axis=1)
     norms[np.isnan(norms)] = np.inf
@@ -204,14 +207,6 @@ def _times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return t[:, :, 0] + t[:, :, 1]
 
 
-def _exact_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Mat2.dist between matching rows, bit for bit: complex subtraction is
-    # part-wise, and Python's complex abs is hypot (numpy's complex abs uses
-    # another algorithm that can differ in the last bit)
-    diff = a - b
-    return np.hypot(diff.real, diff.imag).max(axis=-1)
-
-
 # up to this many finite rows, the pair kernel measures every pair: on a
 # sweep cell's few dozen rows that takes fewer array calls than the sort
 _ALL_PAIRS_MAX = 32
@@ -261,7 +256,7 @@ def _near_pairs(x: np.ndarray, cut: float):
         near = (np.abs(rest.take(s, axis=1) - rest.take(t, axis=1))
                 <= cut).all(axis=0)
         i, j = np.sort(rows[order[np.array((s[near], t[near]))]], axis=0)
-    d = _exact_dists(x[i], x[j])
+    d = max_norms(x[i] - x[j])
     near = d <= cut
     return i[near], j[near], d[near]
 
@@ -287,7 +282,7 @@ def least_distance(x: np.ndarray) -> Optional[float]:
         # by take, for the reason given in _near_pairs
         k = np.argsort(np.abs(cols.take(a, axis=1) - cols.take(b, axis=1))
                        .max(axis=0))[:1]
-        cut = _exact_dists(y[a[k]], y[b[k]]).min(initial=math.inf)
+        cut = max_norms(y[a[k]] - y[b[k]]).min(initial=math.inf)
     return float(_near_pairs(x, cut)[2].min(initial=math.inf))
 
 

@@ -158,8 +158,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     deflated first.  The remaining roots come from the chosen backend
     (``_aberth_roots``, which forms its roundoff bound only on the sweeps
     where that bound can stop the iteration, or ``_companion_roots``), are
-    clustered at ``CLUSTER_TOL`` (relative to the largest root magnitude),
-    and the clusters' raw centroids are bunched at ``_MERGE_RADIUS``.  A
+    clustered at ``CLUSTER_TOL`` relative to the root scale, ``max(1,
+    max|raw|)`` computed once here, and the clusters' raw centroids are
+    bunched at ``_MERGE_RADIUS`` on the same scale.  A
     bunch fuses into one start of the total multiplicity when it looks like
     one multiple root that scattered: some centroid fails the derivative
     test (``relative_value``) for its claimed multiplicity.  Every start of
@@ -196,11 +197,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     if not np.all(np.isfinite(raw)):
         raise NonConvergence(f"{backend} roots overflow at degree {len(q) - 1}")
 
-    clusters = _cluster_and_polish(q, raw)
-
-    roots = []
     scale = max(1.0, float(np.abs(raw).max()))
-    for value, mult in clusters:
+    roots = []
+    for value, mult in _cluster_and_polish(q, raw, scale):
         if zero_mult and abs(value) <= CLUSTER_TOL * scale:
             zero_mult += mult
             continue
@@ -321,10 +320,13 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
 
 # --- clustering -------------------------------------------------------------
 
-def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
+def _cluster_and_polish(q: np.ndarray, raw: np.ndarray, scale: float):
     """(value, multiplicity) of each root of q from the raw roots: their
     clusters at ``CLUSTER_TOL``, bunched where a few clusters are one
-    scattered root, each start polished once by ``_polish_groups``.
+    scattered root, each start polished once by ``_polish_groups``; both
+    radii are relative to ``find_roots``' root ``scale``.  The derivative
+    ladder of q ends at the largest bunch multiplicity, the highest order
+    the derivative test and the polish read.
 
     A k-fold root computed in double precision scatters into a ring of
     radius ~eps^(1/k), which can exceed the cluster tolerance for k >= 3.
@@ -333,17 +335,17 @@ def _cluster_and_polish(q: np.ndarray, raw: np.ndarray):
     (``_multiplicity_consistent``) for their claimed multiplicities, gives
     each centroid as a start; any other bunch gives one start, its
     multiplicity-weighted centroid with the total multiplicity."""
-    scale = max(1.0, float(np.abs(raw).max()))
+    groups = _components(list(raw), CLUSTER_TOL * scale)
+    centroids = [(sum(g) / len(g), len(g)) for g in groups]
+    bunches = _components(centroids, _MERGE_RADIUS * scale, lambda e: e[0])
+    top = max(sum(k for _, k in b) for b in bunches)
     ders = [q]
-    while len(ders) <= len(q):
+    while len(ders) <= top:
         prev = ders[-1]
         ders.append(prev[1:] * np.arange(1, len(prev)))
 
-    groups = _components(list(raw), CLUSTER_TOL * scale)
-    centroids = [(sum(g) / len(g), len(g)) for g in groups]
     starts = []
-    for bunch in _components(centroids, _MERGE_RADIUS * scale,
-                             lambda e: e[0]):
+    for bunch in bunches:
         if len(bunch) == 1 or all(
                 _multiplicity_consistent(ders, v, k) for v, k in bunch):
             starts.extend(bunch)

@@ -241,10 +241,10 @@ def enumerate_diagonalizable(eq: MatrixEquation,
     """One candidate per pair of distinct critical values with linearly
     independent critical vectors, in (i, j) order; the pairs are assembled
     and residual-checked as one batch."""
-    lines = [d for d in data if d.space_dim == 1]
-    z = np.array([(d.value, d.basis[0].x, d.basis[0].y) for d in lines],
+    pairs = [(d.value, d.basis[0]) for d in data if d.space_dim == 1]
+    z = np.array([(value, v.x, v.y) for value, v in pairs],
                  complex).reshape(-1, 3)
-    r = np.arange(len(lines))
+    r = np.arange(len(pairs))
     i, j = np.nonzero(r[:, None] < r)
     # det2(va, vb) = va.x vb.y - va.y vb.x, on the parts of every line's
     # vector, taken once
@@ -257,9 +257,8 @@ def enumerate_diagonalizable(eq: MatrixEquation,
     x = _assemble(z[i], z[j], np.array(inv, complex))
     return Candidates(
         x, residuals(eq, x), (DIAGONALIZABLE,) * len(i),
-        tuple(((lines[p].value, lines[p].basis[0]),
-               (lines[q].value, lines[q].basis[0]))
-              for p, q in zip(i.tolist(), j.tolist())))
+        tuple(zip([pairs[p] for p in i.tolist()],
+                  [pairs[q] for q in j.tolist()])))
 
 
 def _parts(z: np.ndarray) -> np.ndarray:

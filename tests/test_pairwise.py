@@ -20,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import mat2
-from matpolyeq.mat2 import (_ONE_AT_A_TIME, Mat2, _exact_dists, _near_pairs,
-                            greedy_unique, least_distance, match_in_order,
-                            pack)
+from matpolyeq.mat2 import (_ONE_AT_A_TIME, Mat2, _near_pairs, greedy_unique,
+                            least_distance, match_in_order, max_norms, pack)
 
 # the kernel's own window choice, and the sort and sweep on every set
 WINDOWS = (nullcontext,
@@ -285,7 +284,7 @@ def test_exact_distances_and_bounds():
     # the sweep's filter bound: the largest |real or imaginary part|
     # difference
     low = np.abs(parts[:, None, :] - parts[None, :, :]).max(axis=2)
-    exact = np.array([_exact_dists(x[i], x) for i in range(len(mats))])
+    exact = np.array([max_norms(x[i] - x) for i in range(len(mats))])
     for i, m in enumerate(mats):
         assert exact[i].tolist() == [m.dist(o) for o in mats]
         assert np.all(low[i] <= exact[i])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,9 +13,10 @@ from matpolyeq import verify
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import relative_value
-from matpolyeq.solver import (SECOND_VALUE_FAMILY, InfiniteCertificate,
-                              Solution, SolutionSet, accepted, residuals,
-                              solution_bound, solve_equation)
+from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
+                              InfiniteCertificate, Solution, SolutionSet,
+                              accepted, residuals, solution_bound,
+                              solve_equation)
 from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
                               count_cross_check, minimize,
                               verify_solution_set)
@@ -51,6 +53,35 @@ class TestVerifySolutionSet:
         ss = solve_equation(eq, backend="aberth")
         truncated = _with_solutions(ss, ss.solutions[:-1])
         assert verify_solution_set(eq, truncated).verdict == "fail"
+
+    # A ratchet on silent wrong answers: the matrix with eigenpairs
+    # (la, va) and (lb, vc), where vc is the critical vector of a third
+    # value c, is no solution, yet in place of a true one it can pass
+    # verify.  The triples run over the first 8 one-dimensional critical
+    # data.  The bounds are the counts of passing sets when the ratchet
+    # was set; they may only go down.
+    @pytest.mark.parametrize("n, most", [(4, 0), (8, 0), (16, 52)])
+    def test_silent_wrong_vectors_do_not_grow(self, scaled_random_equation,
+                                              n, most):
+        eq = scaled_random_equation(n, n, 1.0)
+        ss = solve_equation(eq, backend="aberth")
+        lines = [d for d in ss.critical_data if d.space_dim == 1][:8]
+        batch = ss.batch
+        silent = []
+        for a, b, c in itertools.permutations(lines, 3):
+            va, vc = a.basis[0], c.basis[0]
+            p = Mat2(va.x, vc.x, va.y, vc.y)
+            wrong = (p @ Mat2.diag(a.value, b.value)
+                     @ p.adjugate()).scale(1.0 / p.det())
+            x = batch.matrices.copy()
+            x[0] = pack([wrong])[0]
+            claimed = SolutionSet(
+                Candidates(x, batch.residuals, batch.kinds,
+                           batch.eigen_data),
+                ss.certificate, ss.critical_data)
+            if verify_solution_set(eq, claimed).verdict == "pass":
+                silent.append((a.value, b.value, c.value))
+        assert len(silent) <= most, silent
 
     def test_bound_violation_detected(self, eq_four_solutions):
         ss = solve_equation(eq_four_solutions)
