@@ -19,8 +19,6 @@ CLUSTER_TOL = 1e-6
 # Clusters closer than this (relative) are fusion candidates; genuine
 # distinct roots in this artifact are separated by >= ~3e-2.
 _MERGE_RADIUS = 5e-3
-# Low-order coefficients below this (relative) are exact zero roots.
-_DEFLATE_TOL = 1e-13
 _ABERTH_SWEEPS = 200
 _EPS = float(np.finfo(float).eps)
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -181,8 +179,7 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     coeffs /= coeffs[-1]
 
     zero_mult = 0
-    deflate = _DEFLATE_TOL * float(np.abs(coeffs).max())
-    while zero_mult < p.degree and abs(coeffs[zero_mult]) <= deflate:
+    while coeffs[zero_mult] == 0:
         zero_mult += 1
     q = coeffs[zero_mult:]
     if len(q) == 1:
@@ -198,12 +195,8 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
         raise NonConvergence(f"{backend} roots overflow at degree {len(q) - 1}")
 
     scale = max(1.0, float(np.abs(raw).max()))
-    roots = []
-    for value, mult in _cluster_and_polish(q, raw, scale):
-        if zero_mult and abs(value) <= CLUSTER_TOL * scale:
-            zero_mult += mult
-            continue
-        roots.append(Root(complex(value), mult))
+    roots = [Root(complex(value), mult)
+             for value, mult in _cluster_and_polish(q, raw, scale)]
     if zero_mult:
         roots.append(Root(0j, zero_mult))
     roots.sort(key=lambda r: (r.value.real, r.value.imag))

@@ -25,7 +25,7 @@ from .mat2 import (E1, E2, RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
                    eval_batch, greedy_unique, join, matmul_parts, max_norms,
                    mul_parts, outer, pack, rank_and_nullspace, split,
                    unpack)
-from .poly import NonConvergence, Poly, find_roots
+from .poly import NonConvergence, find_roots
 
 RESIDUAL_COEF = 1e-7
 # unit critical vectors are parallel below this pairing determinant
@@ -201,8 +201,8 @@ def _critical_data(eq, backend):
         if not _finite(evaluated):
             raise NonConvergence(
                 f"M(t) overflows at critical value {root.value:.6g}")
-        rank, basis = rank_and_nullspace(evaluated,
-                                         _eval_scale(eq.norm_poly, root.value))
+        rank, basis = rank_and_nullspace(
+            evaluated, eq.norm_poly(abs(root.value)).real)
         if rank == 2:  # the backend returned a value that is no root
             raise NonConvergence(
                 f"no critical space at critical value {root.value:.6g}")
@@ -213,11 +213,6 @@ def _critical_data(eq, backend):
 
 def _finite(m: Mat2) -> bool:
     return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
-
-
-def _eval_scale(norm_poly: Poly, lam: complex) -> float:
-    # magnitude reference for M(lam), or for M'(lam) given the derivative
-    return max(1.0, norm_poly(abs(lam)).real)
 
 
 def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
@@ -305,7 +300,7 @@ def find_nondiagonalizable(eq: MatrixEquation,
         col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
                   key=Vec2.norm)
         wnorm = w.norm()
-        if (wnorm <= RANK_TOL * _eval_scale(eq.norm_poly.derivative(), lam)
+        if (wnorm <= RANK_TOL * eq.norm_poly.derivative()(abs(lam)).real
                 or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
             continue
         # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
@@ -351,7 +346,7 @@ def detect_infinite(eq: MatrixEquation,
         lam = d.value
         rank, kernel = rank_and_nullspace(
             eq.matrix_derivative.eval(lam),
-            _eval_scale(eq.norm_poly.derivative(), lam))
+            eq.norm_poly.derivative()(abs(lam)).real)
         if rank == 2:
             return None
         k = kernel[0]

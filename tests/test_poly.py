@@ -92,6 +92,15 @@ class TestFindRoots:
         assert roots[0].value == 0
         assert roots[0].multiplicity == 4
 
+    # only an exactly-zero low coefficient is a zero root: a tiny one
+    # carries a tiny simple root, which X = 2^j Y scales like any other
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tiny_constant_is_no_zero_root(self, backend):
+        roots = find_roots(Poly([1e-14, 1, 1]), backend=backend)
+        small = min(roots, key=lambda r: abs(r.value))
+        assert small.multiplicity == 1
+        assert abs(small.value + 1e-14) <= 1e-12 * 1e-14
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_two_quadratics(self, backend):
         p = Poly.from_roots([(1, 1), (-1, 1), (2, 1), (-2, 1)])
