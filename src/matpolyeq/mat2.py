@@ -447,14 +447,14 @@ def rank_and_nullspace(a: Mat2, scale: float) -> tuple[int, list[Vec2]]:
 
     ``scale`` is the magnitude reference supplied by the caller; entries are
     negligible below RANK_TOL*scale and determinants below
-    (RANK_TOL*scale)^2.  Kernel vectors come from the orthogonal complement
+    _DET_FLOOR*scale^2.  Kernel vectors come from the orthogonal complement
     of the larger-norm row and are normalized (unit norm, first nonzero
     component positive real).
     """
     ref = RANK_TOL * max(scale, 1e-300)
     if a.max_norm() <= ref:
         return 0, [E1, E2]
-    if abs(a.det()) <= max(ref * ref, _DET_FLOOR * scale * scale):
+    if abs(a.det()) <= _DET_FLOOR * scale * scale:
         r1, r2 = (a.m11, a.m12), (a.m21, a.m22)
         row = r1 if abs(r1[0]) ** 2 + abs(r1[1]) ** 2 >= abs(r2[0]) ** 2 + abs(r2[1]) ** 2 else r2
         v = Vec2(-row[1], row[0]).normalized()

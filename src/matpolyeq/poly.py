@@ -16,6 +16,8 @@ import numpy as np
 
 # Roots closer than CLUSTER_TOL * max(1, max|root|) are the same root.
 CLUSTER_TOL = 1e-6
+# p vanishes at t where relative_value(p's coefficients, t) is at most this
+VANISH_TOL = 1e-6
 # Clusters closer than this (relative) are fusion candidates; genuine
 # distinct roots in this artifact are separated by >= ~3e-2.
 _MERGE_RADIUS = 5e-3
@@ -648,9 +650,9 @@ def _comp_values(top, steps, zr: float, zi: float):
 
 def _multiplicity_consistent(ders, value, mult):
     for j in range(mult):
-        if relative_value(ders[j], value) > 1e-6:
+        if relative_value(ders[j], value) > VANISH_TOL:
             return False
-    return relative_value(ders[mult], value) > 1e-6
+    return relative_value(ders[mult], value) > VANISH_TOL
 
 
 def relative_value(c, t) -> np.ndarray:

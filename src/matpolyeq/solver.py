@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mat2 import (E1, E2, RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
-                   eval_batch, greedy_unique, join, matmul_parts, max_norms,
-                   mul_parts, outer, pack, rank_and_nullspace, split,
-                   unpack)
+                   eval_batch, join, matmul_parts, max_norms, mul_parts,
+                   outer, pack, rank_and_nullspace, split, unpack)
 from .poly import NonConvergence, find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -32,7 +31,6 @@ RESIDUAL_COEF = 1e-7
 INDEPENDENCE_TOL = 1e-6
 DEDUPE_TOL = 1e-6
 _NILPOTENT_TOL = 1e-8
-_SAMPLE_PARAMS = (0.25 + 0j, 0.5 + 0j, 0.75 + 0j)
 # solution kinds and family reasons, spelled as documents carry them
 DIAGONALIZABLE, SCALAR, NON_DIAGONALIZABLE = KINDS = (
     "diagonalizable_distinct", "scalar", "non_diagonalizable")
@@ -41,8 +39,8 @@ SECOND_VALUE_FAMILY, NILPOTENT_FAMILY = REASONS = (
 
 
 class InternalInconsistency(RuntimeError):
-    """A candidate passed its structural checks but failed the residual
-    check; tolerances are misconfigured for this input."""
+    """A candidate or a family passed its structural checks but failed the
+    residual check; tolerances are misconfigured for this input."""
 
 
 @dataclass(frozen=True)
@@ -280,8 +278,8 @@ def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
 def find_nondiagonalizable(eq: MatrixEquation,
                            data: Sequence[CriticalDatum]) -> Candidates:
     """lam*I + N with N nonzero nilpotent at each repeated critical value lam
-    with a one-dimensional critical space, in data order; the offsets are
-    residual-checked as one batch and the failing ones dropped.
+    with a one-dimensional critical space, in data order, with their
+    residuals from one batch; ``solve_equation`` accepts them.
 
     For nilpotent N, X^k = lam^k I + k lam^(k-1) N collapses the residual
     to M(lam) + M'(lam) N, and a nonzero nilpotent is N = k v^T with
@@ -309,34 +307,49 @@ def find_nondiagonalizable(eq: MatrixEquation,
         mats.append(Mat2.identity().scale(lam)
                     + outer(k, v).scale(1.0 / wnorm ** 2))
         eigen_data.append(((lam, k),))
-    if not mats:
-        return Candidates(np.zeros((0, 4), complex), np.zeros(0), (), ())
     x = pack(mats)
-    res = residuals(eq, x)
-    ok = accepted(eq, x, res).nonzero()[0].tolist()
-    return Candidates(x, res, (NON_DIAGONALIZABLE,) * len(mats),
-                      tuple(eigen_data)).take(ok)
+    return Candidates(x, residuals(eq, x), (NON_DIAGONALIZABLE,) * len(mats),
+                      tuple(eigen_data))
 
 
-def _certify_family(eq, reason, base, direction
-                    ) -> Optional[InfiniteCertificate]:
-    x = pack([base + direction.scale(mu) for mu in _SAMPLE_PARAMS])
+def family_samples(eq: MatrixEquation, base: Mat2, direction: Mat2):
+    """The one check of a family X(mu) = base + mu * direction, shared by
+    the solver and the verifier: the parameters k / count, k = 1..count,
+    count = max(3, n + 1), the residuals of those members from one batch
+    with their ``accepted`` mask, whether the direction's largest entry
+    exceeds RANK_TOL * max(1, |base|), and that floor.  f(X(mu)) is a
+    polynomial of degree at most n in mu, so one that vanishes at n + 1
+    parameters vanishes at all."""
+    count = max(3, eq.n + 1)
+    params = tuple(complex(k / count) for k in range(1, count + 1))
+    x = pack([base + direction.scale(mu) for mu in params])
     res = residuals(eq, x)
-    if not accepted(eq, x, res).all():
-        return None
-    return InfiniteCertificate(reason, base, direction,
-                               _SAMPLE_PARAMS, tuple(res.tolist()))
+    base_norm, step = max_norms(pack([base, direction])).tolist()
+    flat = RANK_TOL * max(1.0, base_norm)
+    return params, res, accepted(eq, x, res), step > flat, flat
+
+
+def _certify_family(eq, reason, base, direction) -> InfiniteCertificate:
+    params, res, ok, moves, _ = family_samples(eq, base, direction)
+    if not (moves and ok.all()):
+        raise InternalInconsistency(f"family {reason} failed verification")
+    return InfiniteCertificate(reason, base, direction, params,
+                               tuple(res.tolist()))
 
 
 def detect_infinite(eq: MatrixEquation,
                     data: Sequence[CriticalDatum]) -> Optional[InfiniteCertificate]:
-    """Certificate of an infinite solution family, or None.
+    """Certificate of an infinite solution family, or None; a family that
+    one of the rules guarantees but that fails ``family_samples`` raises
+    InternalInconsistency.
 
     Rule (a): a two-dimensional critical space combined with any second
     distinct critical value yields a family by rotating the direction paired
     with the other value's vector.  Rule (b): a lone critical value with a
     two-dimensional space admits the nilpotent offsets mu k k_perp^T for a
-    kernel vector k of a singular M'(lam).  A one-dimensional space admits
+    kernel vector k of a singular M'(lam), since M'(lam) k = 0 makes
+    f(lam I + mu k k_perp^T) = M(lam) = 0; the direction is scaled by
+    max(1, |lam|), the size of the base.  A one-dimensional space admits
     at most one offset, so no other family exists.
     """
     d = next((d for d in data if d.space_dim == 2), None)
@@ -350,18 +363,14 @@ def detect_infinite(eq: MatrixEquation,
         if rank == 2:
             return None
         k = kernel[0]
-        return _certify_family(eq, NILPOTENT_FAMILY,
-                               Mat2.identity().scale(lam),
-                               outer(k, Vec2(-k.y, k.x).normalized()))
+        return _certify_family(
+            eq, NILPOTENT_FAMILY, Mat2.identity().scale(lam),
+            outer(k, Vec2(-k.y, k.x).normalized()).scale(max(1.0, abs(lam))))
     other = next(o for o in data if o is not d)
-    cert = _two_dim_family(eq, d.value, other.value, other.basis[0])
-    if cert is None:
-        raise InternalInconsistency(
-            "two-dimensional critical space family failed verification")
-    return cert
+    return _two_dim_family(eq, d.value, other.value, other.basis[0])
 
 
-def _two_dim_family(eq, lam, lam2, vprime) -> Optional[InfiniteCertificate]:
+def _two_dim_family(eq, lam, lam2, vprime) -> InfiniteCertificate:
     # X(mu) keeps the eigenpair (lam2, v') while its lam-eigenvector rotates
     # through the whole critical plane:
     # X(mu) = lam I + (lam2 - lam) v' (z0 + mu z1)^T / (z0^T v')
@@ -381,12 +390,10 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
     critical spaces never reach the pair assembly.  The finite candidates
     (scalar matrices, then the pairs of critical values, then nilpotent
     offsets) are held as one array batch (``Candidates``): their residuals
-    come from one call of the batch kernel ``mat2.eval_batch`` for the pairs,
-    the dedupe keeps a candidate unless it lies within the tolerance of an
-    earlier kept one (``mat2.greedy_unique``: its pair kernel
-    computes distances only for the pairs whose entry parts all lie within
-    the tolerance), and the kept ones are residual-verified and checked
-    against the C(2n, 2) bound.  The set holds the kept rows as that batch,
+    come from one call of the batch kernel ``mat2.eval_batch`` for the pairs.
+    Every candidate is a solution: the batch is accepted whole, and checked
+    against the C(2n, 2) bound, or the solve raises InternalInconsistency;
+    nothing is dropped or merged.  The set holds the rows as that batch,
     sorted by eigenvalues and then entries with one ``np.lexsort``
     (``output_order``); Solution objects are built only if
     ``SolutionSet.solutions`` is read.
@@ -400,16 +407,15 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
              + enumerate_diagonalizable(eq, data)
              + find_nondiagonalizable(eq, data))
 
-    kept = found.take(greedy_unique(found.matrices, dedupe_tol(data)))
-    ok = accepted(eq, kept.matrices, kept.residuals)
+    ok = accepted(eq, found.matrices, found.residuals)
     if not ok.all():
         raise InternalInconsistency("candidate " + rejection_reason(
-            eq, kept.matrices, kept.residuals, ok))
-    if len(kept) > solution_bound(eq.n):
+            eq, found.matrices, found.residuals, ok))
+    if len(found) > solution_bound(eq.n):
         raise InternalInconsistency(
-            f"{len(kept)} solutions exceed the C(2n,2) bound")
+            f"{len(found)} solutions exceed the C(2n,2) bound")
 
-    return SolutionSet(kept.take(output_order(kept).tolist()), None, data)
+    return SolutionSet(found.take(output_order(found).tolist()), None, data)
 
 
 def output_order(rows: Candidates) -> np.ndarray:

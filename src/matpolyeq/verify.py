@@ -8,15 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from .mat2 import (RANK_TOL, Mat2, MatrixEquation, eigenvalues,
-                   greedy_unique, least_distance, match_in_order, max_norms,
-                   pack, unpack)
-from .poly import CLUSTER_TOL, relative_value
+from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
+                   least_distance, match_in_order, pack, unpack)
+from .poly import CLUSTER_TOL, VANISH_TOL, relative_value
 from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
-                     dedupe_tol, rejection_reason, residuals,
+                     dedupe_tol, family_samples, rejection_reason, residuals,
                      solution_bound, solve_equation)
-
-_CHAR_DIVISOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,19 +84,18 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     set's packed batch without building Solution objects, and a family's
     base and direction (the critical values are the equation's own, shared
     with an earlier solve).  The solutions' residuals come from one call of
-    the batch kernel ``mat2.eval_batch``.  A family is sampled, in another
-    call, at parameters chosen here: k / count for k = 1..count with
-    count = max(3, n + 1).  f(base + mu D) is a polynomial of degree at
-    most n in mu, so one that vanishes at n + 1 parameters vanishes at
-    all; a direction whose largest entry is at most
-    RANK_TOL * max(1, |base|) fails.  The exact ``min_pair_distance``
-    comes from the pair kernel (``mat2.least_distance``, which leaves out
-    matrices with non-finite entries), and the set is pairwise distinct
-    when it exceeds the dedupe tolerance.  The eigenvalues of all the
-    finite matrices come from one call of ``mat2.eigenvalues``, and the
-    divisor test from one call of ``poly.relative_value``, and one more on
-    the derivative of det M(t) where an eigenvalue repeats.  Failures are
-    reported, not raised.
+    the batch kernel ``mat2.eval_batch``.  A family gets the solver's own
+    check, ``solver.family_samples``, at parameters it chooses (k / count
+    for k = 1..count, count = max(3, n + 1)), not at the claim's samples:
+    it fails where a member fails its residual or where its direction's
+    largest entry is at most RANK_TOL * max(1, |base|).  The exact
+    ``min_pair_distance`` comes from the pair kernel
+    (``mat2.least_distance``, which leaves out matrices with non-finite
+    entries), and the set is pairwise distinct when it exceeds the dedupe
+    tolerance.  The eigenvalues of all the finite matrices come from one
+    call of ``mat2.eigenvalues``, and the divisor test from one call of
+    ``poly.relative_value``, and one more on the derivative of det M(t)
+    where an eigenvalue repeats.  Failures are reported, not raised.
     """
     reasons = []
     data = critical_data(eq)
@@ -135,11 +131,11 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     eigenvalues_ok = bool((gaps <= eig_tol).any(axis=2).all())
     repeated = lam[:, 0] == lam[:, 1]
     char_divisor_ok = bool(
-        (relative_value(eq.det_poly.coeffs, lam) <= _CHAR_DIVISOR_TOL).all())
+        (relative_value(eq.det_poly.coeffs, lam) <= VANISH_TOL).all())
     if char_divisor_ok and repeated.any():
         char_divisor_ok = bool(
             (relative_value(eq.det_poly.derivative().coeffs,
-                            lam[repeated, 0]) <= _CHAR_DIVISOR_TOL).all())
+                            lam[repeated, 0]) <= VANISH_TOL).all())
     if not eigenvalues_ok:
         reasons.append("an eigenvalue strays from every critical value")
     if not char_divisor_ok:
@@ -147,19 +143,15 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
 
     certificate_ok = None
     if sset.certificate is not None:
-        cert = sset.certificate
-        count = max(3, eq.n + 1)
-        params = [k / count for k in range(1, count + 1)]
-        samples = pack([cert.member(mu) for mu in params])
-        sample_ok = accepted(eq, samples, residuals(eq, samples)).tolist()
-        base, step = max_norms(pack([cert.base, cert.direction])).tolist()
-        flat = RANK_TOL * max(1.0, base)
-        certificate_ok = step > flat and all(sample_ok)
-        if not step > flat:
+        params, _, sample_ok, moves, flat = family_samples(
+            eq, sset.certificate.base, sset.certificate.direction)
+        certificate_ok = moves and bool(sample_ok.all())
+        if not moves:
             reasons.append(f"certificate direction is zero within {flat:.3e}")
-        for mu, good in zip(params, sample_ok):
+        for mu, good in zip(params, sample_ok.tolist()):
             if not good:
-                reasons.append(f"certificate sample mu={mu} fails its residual")
+                reasons.append(
+                    f"certificate sample mu={mu.real} fails its residual")
 
     if backend_agreement is False:
         reasons.append("backends disagree")

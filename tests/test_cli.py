@@ -418,6 +418,23 @@ class TestSweepCommand:
         assert run("sweep", "--n-max", 5, "--report", report) == 0
         assert "cells: 95, failures: 0" in report.read_text()
 
+    def test_small_cells_match_the_ledger(self):
+        # sweep_ledger.txt holds the n, m, count and error columns of
+        # `matpolyeq sweep --n-max 16`, one row per cell; CI compares the
+        # full sweep with it, and this the 161 cells with n <= 6
+        ledger = Path(__file__).with_name("sweep_ledger.txt")
+        header, *rows = [line.split()
+                         for line in ledger.read_text().splitlines()]
+        assert header == ["n", "m", "count", "error"]
+        assert len(rows) == 2856
+        small = [r for r in rows if int(r[0]) <= 6]
+        assert len(small) == 161
+        got = []
+        for n, m, _, _ in small:
+            row = cli._sweep_cell((int(n), int(m)))
+            got.append([n, m, str(row["count"]), row["error"] or "-"])
+        assert got == small
+
     def test_sixteen_at_degree_nine_fails_on_the_backends_alone(self):
         # aberth counts 16 and verifies; the companion backend still reads
         # the 6-fold roots as 36 solutions.  Mending that must change this

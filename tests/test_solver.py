@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matpolyeq import solver
 from matpolyeq.construct import construct, special_case
+from matpolyeq.documents import solution_set_from_doc, solution_set_to_doc
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
                             eval_equation, pack, poly_matrix, unpack)
 from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
@@ -134,6 +137,15 @@ class TestFindNondiagonalizable:
     def test_simple_roots_skipped(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
         assert len(find_nondiagonalizable(eq_four_solutions, data)) == 0
+
+    def test_failing_offset_raises(self, monkeypatch, eq_x_squared_jordan):
+        # both offsets of X^2 = [[1, 1], [0, 1]] made to fail their
+        # residual: the solve must raise, not answer the empty set
+        monkeypatch.setattr(solver, "residuals",
+                            lambda eq, x: np.full(len(x), math.inf))
+        with pytest.raises(InternalInconsistency,
+                           match="candidate residual inf exceeds"):
+            solve_equation(eq_x_squared_jordan)
 
     @pytest.mark.parametrize("fixture", ["eq_four_solutions",
                                          "eq_x_squared_zero",
@@ -289,6 +301,33 @@ class TestDetectInfinite:
         data = critical_data(eq_four_solutions)
         assert detect_infinite(eq_four_solutions, data) is None
 
+    def test_failing_family_raises(self, monkeypatch, eq_x_squared_zero):
+        # X^2 = 0: M'(0) = 0 guarantees the family 0 + mu E12, so samples
+        # that fail their residual must raise, not answer the finite {0}.
+        # The family's sample batch is the only one of more than one row.
+        real = solver.residuals
+
+        def failing(eq, x):
+            return np.full(len(x), math.inf) if len(x) > 1 else real(eq, x)
+
+        monkeypatch.setattr(solver, "residuals", failing)
+        with pytest.raises(InternalInconsistency, match="family"):
+            solve_equation(eq_x_squared_zero)
+
+    def test_samples_survive_the_document(self):
+        # f(X(mu)) has degree 4 in mu at n = 4, so 5 parameters decide it
+        eq, _, _ = prescribed_equation(NILPOTENT_FAMILY, 4, 0)
+        ss = solve_equation(eq)
+        cert = ss.certificate
+        assert cert.samples == (0.2, 0.4, 0.6, 0.8, 1.0)
+        _assert_accepted(eq, [cert.member(mu) for mu in cert.samples],
+                         cert.sample_residuals)
+        back = solution_set_from_doc(
+            json.loads(json.dumps(solution_set_to_doc(ss)))).certificate
+        assert back.samples == cert.samples
+        assert [r.hex() for r in back.sample_residuals] == \
+            [r.hex() for r in cert.sample_residuals]
+
 
 class TestSolveEquation:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -318,6 +357,23 @@ class TestSolveEquation:
         eq = MatrixEquation((Mat2.diag(-c, -c), Mat2.zero()))
         ss = solve_equation(eq, backend=backend)
         assert not ss.is_finite
+
+    def test_duplicate_candidate_reaches_the_set(self, monkeypatch,
+                                                 eq_four_solutions):
+        # a pair assembled twice must reach the set, where verify's
+        # duplicate check fails it, not be merged where nothing reports it
+        real = solver.enumerate_diagonalizable
+
+        def twice(eq, data):
+            found = real(eq, data)
+            return found + found.take([0])
+
+        monkeypatch.setattr(solver, "enumerate_diagonalizable", twice)
+        ss = solve_equation(eq_four_solutions)
+        assert ss.count == 5
+        report = verify_solution_set(eq_four_solutions, ss)
+        assert not report.duplicates_ok
+        assert report.verdict == "fail"
 
     def test_jordan_pair(self, eq_x_squared_jordan):
         ss = solve_equation(eq_x_squared_jordan)
@@ -404,7 +460,7 @@ def test_output_order_matches_the_sort_key(rows):
 # are the non-diagonalizable solutions and the families that the document
 # digests, all of random diagonalizable sets, do not reach.
 SOLVE_BITS_SHA256 = \
-    "c282342ccec8540b0515254e77f9374abfd6d6304d35d94d314c07c89018e189"
+    "1352923211ea4e2c85f218340cce34cb831da7d688c4fce60733159b641aa329"
 
 _FIXTURES = ("eq_four_solutions", "eq_x_squared_zero", "eq_x_squared_identity",
              "eq_x_squared_nilpotent", "eq_x_squared_jordan",

@@ -139,11 +139,25 @@ class TestVerifySolutionSet:
         assert report.certificate_ok is True
         assert report.classification == "infinite"
 
+    # (X - sI)^2 = 0: M'(s) = 0, so s I + mu k k_perp^T solves it for every
+    # mu.  A direction of norm 1 is below the floor RANK_TOL * s from
+    # s = 1e8 on, so the family's direction must grow with s
+    @pytest.mark.parametrize("backend", ["aberth", "companion"])
+    @pytest.mark.parametrize("s", [1e8, 1e9])
+    def test_large_nilpotent_family_passes(self, s, backend):
+        eq = MatrixEquation((Mat2.identity().scale(s * s),
+                             Mat2.identity().scale(-2 * s)))
+        ss = solve_equation(eq, backend=backend)
+        assert ss.certificate.reason == "nilpotent_affine_family"
+        report = verify_solution_set(eq, ss)
+        assert report.verdict == "pass"
+        assert report.certificate_ok is True
+
     @staticmethod
     def _claimed_family(eq, base, direction):
-        """verify_solution_set on a claim of the family base + mu direction,
-        written as the solver writes one: samples 0.25, 0.5 and 0.75, each
-        a true solution here."""
+        """verify_solution_set on a claim of the family base + mu direction
+        that stores the samples 0.25, 0.5 and 0.75, each a true solution
+        here; verify samples the family at its own parameters."""
         mus = (0.25 + 0j, 0.5 + 0j, 0.75 + 0j)
         members = pack([base + direction.scale(mu) for mu in mus])
         assert accepted(eq, members, residuals(eq, members)).all()
@@ -164,7 +178,7 @@ class TestVerifySolutionSet:
     def test_three_collinear_solutions_fail(self):
         # A_k = diag(p_k, q_k) with p = (t - .25)(t - .5)(t - .75) and
         # q = t (t - 2)(t - 3): 9 solutions, three of them diag(mu, 0) at
-        # the solver's sample parameters, so a cubic needs a fourth
+        # mu = 0.25, 0.5 and 0.75, so a cubic needs a fourth parameter
         p = (-0.09375, 0.6875, -1.5)
         q = (0.0, 6.0, -5.0)
         eq = MatrixEquation(tuple(Mat2.diag(a, b) for a, b in zip(p, q)))
