@@ -18,8 +18,9 @@ import numpy as np
 CLUSTER_TOL = 1e-6
 # p vanishes at t where relative_value(p's coefficients, t) is at most this
 VANISH_TOL = 1e-6
-# Clusters closer than this (relative) are fusion candidates; genuine
-# distinct roots in this artifact are separated by >= ~3e-2.
+# Clusters closer than this (relative) are fusion candidates, and a polish
+# that moves its start farther fails; genuine distinct roots in this
+# artifact are separated by >= ~3e-2.
 _MERGE_RADIUS = 5e-3
 _ABERTH_SWEEPS = 200
 _EPS = float(np.finfo(float).eps)
@@ -31,8 +32,9 @@ _BATCH_MIN = 16
 
 
 class NonConvergence(RuntimeError):
-    """Root iteration exhausted its budget or overflowed on an
-    ill-conditioned input; the caller may retry with scaled coefficients."""
+    """Root iteration exhausted its budget, overflowed, or polished a root
+    out of its bunch on an ill-conditioned input; the caller may retry with
+    scaled coefficients."""
 
 
 class SingularSystem(RuntimeError):
@@ -169,7 +171,8 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     operation for operation as numpy's complex128 scalars compute them, one
     kernel call per class of starts of one k (``_polish_groups``).  So the
     multiplicities are decided once, by the bunching; the polish only
-    sharpens the values.
+    sharpens the values, and a polish that moves a start more than the
+    bunch radius raises NonConvergence.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -388,10 +391,11 @@ def _components(items, radius, value=lambda z: z):
 def _polish_groups(ders, starts, scale):
     """(value, k) for each start ``(start, k)``, fused or not: the start
     polished once on the (k-1)-th derivative, of which a k-fold root is a
-    simple root, or the start itself where the polish moved it more than
-    ``_MERGE_RADIUS``.  Each class of starts of one k takes one kernel
-    call: ``_newton_batch`` from ``_BATCH_MIN`` starts on, ``_newton``
-    below."""
+    simple root.  A polish that moves its start more than the bunch radius,
+    ``_MERGE_RADIUS`` relative to ``scale``, has left the root the bunching
+    decided, so it raises NonConvergence.  Each class of starts of one k
+    takes one kernel call: ``_newton_batch`` from ``_BATCH_MIN`` starts on,
+    ``_newton`` below."""
     radius = _MERGE_RADIUS * scale
     classes = {}
     for i, (_, k) in enumerate(starts):
@@ -402,7 +406,10 @@ def _polish_groups(ders, starts, scale):
         zs = np.array([starts[i][0] for i in indices])
         for i, z in zip(indices, newton(ders[k - 1], ders[k], zs)):
             start = starts[i][0]
-            entries[i] = (start if abs(z - start) > radius else z, k)
+            if abs(z - start) > radius:
+                raise NonConvergence(f"the polish of a {k}-fold root left "
+                                     f"its bunch at {start:.6g}")
+            entries[i] = (z, k)
     return entries
 
 

@@ -29,7 +29,6 @@ from .poly import NonConvergence, find_roots
 RESIDUAL_COEF = 1e-7
 # unit critical vectors are parallel below this pairing determinant
 INDEPENDENCE_TOL = 1e-6
-DEDUPE_TOL = 1e-6
 _NILPOTENT_TOL = 1e-8
 # solution kinds and family reasons, spelled as documents carry them
 DIAGONALIZABLE, SCALAR, NON_DIAGONALIZABLE = KINDS = (
@@ -211,11 +210,6 @@ def _critical_data(eq, backend):
 
 def _finite(m: Mat2) -> bool:
     return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
-
-
-def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
-    """Distance within which two solutions count as one."""
-    return DEDUPE_TOL * (1.0 + max((abs(d.value) for d in data), default=0.0))
 
 
 def scalar_solutions(eq: MatrixEquation,

@@ -4,16 +4,23 @@ agreement, and a candidate-space scan for small degrees."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
                    least_distance, match_in_order, pack, unpack)
 from .poly import CLUSTER_TOL, VANISH_TOL, relative_value
-from .solver import (INDEPENDENCE_TOL, SolutionSet, accepted, critical_data,
-                     dedupe_tol, family_samples, rejection_reason, residuals,
-                     solution_bound, solve_equation)
+from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet, accepted,
+                     critical_data, family_samples, rejection_reason,
+                     residuals, solution_bound, solve_equation)
+
+DEDUPE_TOL = 1e-6
+
+
+def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
+    """Distance within which two solutions count as one."""
+    return DEDUPE_TOL * (1.0 + max((abs(d.value) for d in data), default=0.0))
 
 
 @dataclass(frozen=True)

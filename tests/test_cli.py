@@ -73,6 +73,14 @@ class TestConstructCommand:
         assert doc["classification"] == "finite"
         assert len(doc["solutions"]) == 66
 
+    def test_polish_that_leaves_its_bunch_exits_4(self, tmp_path, capsys):
+        # the polish of a simple root of (7, 4) leaves its bunch, so the
+        # self-validating solve raises NonConvergence before any count
+        out = tmp_path / "eq.json"
+        assert run("construct", "--n", 7, "--m", 4, "--out", out) == 4
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("exc,code", [
         (ValidationFailure("construction yielded 3 solutions, wanted 5"), 3),
         (NonConvergence("no convergence"), 4),
@@ -113,6 +121,19 @@ class TestSolveCommand:
         doc = load_doc(out)
         assert doc["classification"] == "finite"
         assert doc["solutions"] == []
+
+    @pytest.mark.parametrize("backend", ["a", "b"])
+    def test_polish_that_leaves_its_bunch_exits_4(self, tmp_path, capsys,
+                                                  backend):
+        # on both backends the polish of a simple root of (7, 4) leaves its
+        # bunch; keeping its start gives 49 solutions
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        eq = construct(7, 4, validate=False).equation
+        save_doc(equation_to_doc(eq), eq_path)
+        assert run("solve", "--in", eq_path, "--out", out,
+                   "--backend", backend) == 4
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_backend_selection(self, tmp_path, eq_four_solutions):
         eq_path = tmp_path / "eq.json"
@@ -435,11 +456,10 @@ class TestSweepCommand:
             got.append([n, m, str(row["count"]), row["error"] or "-"])
         assert got == small
 
-    def test_sixteen_at_degree_nine_fails_on_the_backends_alone(self):
-        # aberth counts 16 and verifies; the companion backend still reads
-        # the 6-fold roots as 36 solutions.  Mending that must change this
-        # reason on purpose
-        assert cli._sweep_cell((9, 16))["error"] == "backends"
+    def test_sixteen_at_degree_nine_fails_on_the_companion_polish(self):
+        # aberth counts 16 and verifies; on the companion backend the polish
+        # of a simple root leaves its bunch
+        assert cli._sweep_cell((9, 16))["error"] == "NonConvergence"
 
     def test_crashed_cell_shows_error_type(self, tmp_path, monkeypatch):
         real_construct = cli.construct

@@ -15,8 +15,8 @@ from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
                             _comp_values, _err_bound_scale, _newton,
                             _newton_batch, _split, dense_solve, find_roots,
                             relative_value)
-from matpolyeq.solver import critical_data, dedupe_tol, solution_bound
-from matpolyeq.verify import brute_force_scan
+from matpolyeq.solver import critical_data, solution_bound
+from matpolyeq.verify import brute_force_scan, dedupe_tol
 
 from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
                      max_abs_coeff, prescribed_equation, ref_aberth_roots,

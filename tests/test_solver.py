@@ -358,6 +358,20 @@ class TestSolveEquation:
         ss = solve_equation(eq, backend=backend)
         assert not ss.is_finite
 
+    # On these diagonal cells the polish of a simple root leaves its bunch.
+    # Keeping the start gives a wrong finite count (49 at (7, 4)) that
+    # verify passes on its own with aberth, so the solve must raise.
+    # Aberth's polish stays in its bunches at (9, 16).
+    @pytest.mark.parametrize("n, m, backend", [
+        (n, m, backend)
+        for n, m in ((7, 4), (8, 4), (9, 4), (10, 4), (11, 4), (9, 16),
+                     (10, 16), (11, 16))
+        for backend in BACKENDS if (n, m, backend) != (9, 16, "aberth")])
+    def test_polish_that_leaves_its_bunch_raises(self, n, m, backend):
+        eq = construct(n, m, validate=False).equation
+        with pytest.raises(NonConvergence, match="left its bunch"):
+            solve_equation(eq, backend=backend)
+
     def test_duplicate_candidate_reaches_the_set(self, monkeypatch,
                                                  eq_four_solutions):
         # a pair assembled twice must reach the set, where verify's
@@ -663,13 +677,9 @@ def _silent_change(eq, count) -> bool:
 
 @pytest.fixture(scope="module")
 def small_cells():
-    """Every construct cell with n <= 8, its equation and its count."""
-    cells = []
-    for n in range(1, 9):
-        for m in range(1, solution_bound(n) + 1):
-            eq = construct(n, m, validate=False).equation
-            cells.append(((n, m), eq, solve_equation(eq).count))
-    return cells
+    """Every construct cell with n <= 8, its equation and its count m."""
+    return [((n, m), construct(n, m, validate=False).equation, m)
+            for n in range(1, 9) for m in range(1, solution_bound(n) + 1)]
 
 
 class TestScaleCovariance:
@@ -699,10 +709,10 @@ class TestScaleCovariance:
                   if _silent_change(_rescaled(eq, j), solve_equation(eq).count)]
         assert silent == []
 
-    # Known defect: at j = 2 these special cells come back infinite, and
-    # verify passes the family on both backends; at j = 0 they raise
-    # NonConvergence.  A loud failure or the right count of 16 passes.
-    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    # At j = 2 the polish of a simple root leaves its bunch on these special
+    # cells; keeping its start gives an infinite set whose family verify
+    # passes on both backends.  A loud failure or the right count of 16
+    # passes.
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [15, 16])
     def test_rescaled_special_cell_is_not_infinite(self, n, backend):
