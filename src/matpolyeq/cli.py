@@ -23,7 +23,8 @@ from . import documents
 from .construct import DomainError, ValidationFailure, construct
 from .mat2 import MAX_DEGREE
 from .poly import NonConvergence
-from .solver import InternalInconsistency, solution_bound, solve_equation
+from .solver import (InternalInconsistency, critical_data, solution_bound,
+                     solve_equation)
 from .verify import count_cross_check, sets_agree, verify_solution_set
 
 _BACKENDS = {"a": "aberth", "b": "companion",
@@ -215,13 +216,20 @@ def _sweep_cell(cell) -> dict:
     n, m = cell
     start = time.perf_counter()
     # "-" where a cell has no value; a failed cell names every failed
-    # condition, or its crash, in one whitespace-free error token
+    # condition, or its crash and the stage that raised it, in one
+    # whitespace-free error token
     row = {"n": n, "m": m, "p": "-", "pbar": "-", "count": "-",
            "max_residual": 0.0, "ms": 0.0, "error": None}
+    stage = "construct"
     try:
         result = construct(n, m, validate=False)
         if result.plan is not None:
             row["p"], row["pbar"] = result.plan.p, result.plan.pbar
+        # each backend's roots under its own stage; both are cached on the
+        # equation, so the cross-check finds no root twice
+        for stage in ("aberth", "companion"):
+            critical_data(result.equation, stage)
+        stage = "verify"
         cross = count_cross_check(result.equation)
         report = verify_solution_set(result.equation, cross.set_a,
                                      backend_agreement=cross.agree)
@@ -236,7 +244,7 @@ def _sweep_cell(cell) -> dict:
             failed.append("verify:" + "+".join(checks))
         row["error"] = ",".join(failed) or None
     except Exception as exc:  # a failing cell must not kill the sweep
-        row["error"] = type(exc).__name__
+        row["error"] = f"{stage}:{type(exc).__name__}"
     row["ms"] = (time.perf_counter() - start) * 1e3
     return row
 

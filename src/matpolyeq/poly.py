@@ -158,8 +158,8 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
 
     Zero roots carried by exactly-vanishing low-order coefficients are
     deflated first.  The remaining roots come from the chosen backend
-    (``_aberth_roots``, which forms its roundoff bound only on the sweeps
-    where that bound can stop the iteration, or ``_companion_roots``), are
+    (``_aberth_roots``, which evaluates p, p' and the rounding bound of p
+    from one matrix of powers per sweep, or ``_companion_roots``), are
     clustered at ``CLUSTER_TOL`` relative to the root scale, ``max(1,
     max|raw|)`` computed once here, and the clusters' raw centroids are
     bunched at ``_MERGE_RADIUS`` on the same scale.  A
@@ -211,35 +211,15 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
 
 # --- backends ---------------------------------------------------------------
 
-def _err_bound_scale(c: np.ndarray) -> float:
-    """The factor of the closed-form bound ``ub = scale * max(1, |z|)^d``
-    on ``_aberth_roots``' running roundoff bound ``err`` at z.
-
-    With p's Horner values ``b_k = sum_{j >= k} c_j z^(j-k)`` (``b_d = 1``),
-    ``err = |z|^d / 2 + sum_{k < d} |b_k| |z|^k``.  Each of its d + 1 terms
-    is at most ``sum_j |c_j| |z|^j <= (d+1) max|c| max(1, |z|)^d``, so
-    ``err <= (d+1)^2 max|c| max(1, |z|)^d``; the factor 2 in the scale
-    covers the rounding of the computed ``b_k`` and ``err``, which is
-    O(d eps) relative.
-    """
-    d = len(c) - 1
-    return 2.0 * (d + 1) ** 2 * float(np.abs(c).max())
-
-
 def _aberth_roots(c: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration on a monic polynomial with c[0] != 0.
 
-    The iteration stops when every ``|p(z_i)| <= 8 noise_i``, with ``noise
-    = 2 eps err`` from a running roundoff bound ``err`` of p's Horner
-    values (Bini 1996), or when every correction is below 1e-15 relative.
-    The ``err`` row costs three array calls per Horner step, so a sweep
-    forms it only where that test can pass.  Where the closed-form bound
-    ``ub`` (``_err_bound_scale``) is finite and some ``|p(z_i)| > 16 eps
-    ub_i >= 8 noise_i``, the test fails at i and ``err`` is not needed;
-    ``ub`` finite also keeps ``err`` finite, so no overflow goes unseen.
-    Every value the iteration uses is computed operation for operation as
-    when ``err`` was formed on every sweep, so the roots, the number of
-    sweeps and the exceptions are the same bit for bit.
+    Each sweep forms the powers ``z_i^j``, j = 0..d, of the iterates as one
+    ``(d, d+1)`` matrix by ``np.cumprod``.  Its products with p's
+    coefficients, with p''s and with ``|c|`` give ``p(z_i)``, ``p'(z_i)``
+    and the rounding bound ``2 (d+1) eps sum_j |c_j| |z_i^j|`` of that
+    ``p(z_i)`` (README).  The iteration stops when every ``|p(z_i)|`` is
+    within its bound, or when every correction is below 1e-15 relative.
     """
     d = len(c) - 1
     if d == 1:
@@ -249,45 +229,22 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray:
     # deterministic, slightly perturbed circle of starting points
     z = radius * (1.0 + 0.05 * np.sin(7.0 * k + 1.0)) \
         * np.exp(1j * (2 * np.pi * k / d + 0.4))
-    # p and p' as the rows of one Horner pass; p' gets a zero top
-    # coefficient, whose first step 0 * z + dc[-1] is exact
-    coef = np.array((c, np.concatenate((c[1:] * np.arange(1, d + 1), [0]))))
-    # rows[j] holds both Horner rows after j steps; rows[d] = p(z), p'(z).
-    # Every operand is a full (2, d) array: broadcasting costs more per
-    # call than these small arrays take to compute.
-    rows = np.empty((d + 1, 2, d), dtype=complex)
-    rows[0] = coef[:, -1:]
-    zz = np.empty((2, d), dtype=complex)
-    steps = list(zip(rows[:-1], rows[1:],
-                     np.repeat(coef[:, -2::-1].T[:, :, None], d, axis=2)))
-    pv, dv = rows[d]
-    ub_scale = _err_bound_scale(c)
+    dc = c[1:] * np.arange(1, d + 1)
+    ac = np.abs(c)
+    powers = np.empty((d, d + 1), dtype=complex)
     diff = np.empty((d, d), dtype=complex)
-    az = np.abs(z)
     for _ in range(_ABERTH_SWEEPS):
-        zz[:] = z
-        for prev, cur, ck in steps:
-            np.multiply(prev, zz, out=cur)
-            np.add(cur, ck, out=cur)
-        if not np.isfinite(pv).all():
+        powers[:, 0] = 1.0
+        powers[:, 1:] = z[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        pv = powers @ c
+        noise = (2.0 * (d + 1) * _EPS) * (np.abs(powers) @ ac)
+        # an overflowed value or bound would pass the test vacuously
+        if not (np.isfinite(pv).all() and np.isfinite(noise).all()):
             raise NonConvergence(f"polynomial values overflow at degree {d}")
-        apv = np.abs(pv)
-        ub = ub_scale * np.maximum(az, 1.0) ** d
-        # a finite ub keeps err finite, and |p(z_i)| above 16 eps ub_i
-        # fails the stopping test at i: this sweep cannot return
-        if not (np.isfinite(ub).all() and (apv > 16.0 * _EPS * ub).any()):
-            # running roundoff bound of p's Horner values
-            err = np.abs(rows[0, 0]) * 0.5
-            for row in rows[1:, 0]:
-                err *= az
-                err += np.abs(row)
-            noise = 2.0 * err * _EPS
-            # an overflowed bound would pass the test below vacuously
-            if not np.isfinite(noise).all():
-                raise NonConvergence(
-                    f"polynomial values overflow at degree {d}")
-            if (apv <= 8.0 * noise).all():
-                return z
+        if (np.abs(pv) <= noise).all():
+            return z
+        dv = powers[:, :-1] @ dc
         w = pv / np.where(dv == 0, 1e-30, dv)
         np.subtract(z[:, None], z, out=diff)
         diff.flat[::d + 1] = 1.0
@@ -295,8 +252,7 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray:
         corr = w / (1.0 - w * s)
         corr = np.where(np.isfinite(corr), corr, w)
         z = z - corr
-        az = np.abs(z)
-        if (np.abs(corr) <= 1e-15 * (1.0 + az)).all():
+        if (np.abs(corr) <= 1e-15 * (1.0 + np.abs(z))).all():
             return z
     raise NonConvergence(
         f"no convergence in {_ABERTH_SWEEPS} sweeps at degree {d}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
                    least_distance, match_in_order, pack, unpack)
-from .poly import CLUSTER_TOL, VANISH_TOL, relative_value
+from .poly import CLUSTER_TOL, VANISH_TOL, NonConvergence, relative_value
 from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet, accepted,
                      critical_data, family_samples, rejection_reason,
                      residuals, solution_bound, solve_equation)
@@ -90,8 +90,10 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     nothing is taken from the input set but the matrices, read from the
     set's packed batch without building Solution objects, and a family's
     base and direction (the critical values are the equation's own, shared
-    with an earlier solve).  The solutions' residuals come from one call of
-    the batch kernel ``mat2.eval_batch``.  A family gets the solver's own
+    with an earlier solve: the aberth backend's, or the companion backend's
+    where aberth raises NonConvergence, so only a failure of both raises).
+    The solutions' residuals come from one call of the batch kernel
+    ``mat2.eval_batch``.  A family gets the solver's own
     check, ``solver.family_samples``, at parameters it chooses (k / count
     for k = 1..count, count = max(3, n + 1)), not at the claim's samples:
     it fails where a member fails its residual or where its direction's
@@ -105,7 +107,10 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     where an eigenvalue repeats.  Failures are reported, not raised.
     """
     reasons = []
-    data = critical_data(eq)
+    try:
+        data = critical_data(eq)
+    except NonConvergence:
+        data = critical_data(eq, backend="companion")
     values = np.array([d.value for d in data], dtype=complex)
     eig_tol = CLUSTER_TOL * max(1.0, np.abs(values).max(initial=0.0))
     bound = solution_bound(eq.n)

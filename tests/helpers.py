@@ -9,11 +9,10 @@ import math
 
 import numpy as np
 
-from matpolyeq import poly
 from matpolyeq.documents import FORMAT_VERSION
 from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, greedy_unique,
                             outer, pack, unpack)
-from matpolyeq.poly import NonConvergence, Poly
+from matpolyeq.poly import Poly
 from matpolyeq.solver import (INDEPENDENCE_TOL, RESIDUAL_COEF, Solution,
                               SolutionSet, accepted, critical_data,
                               residuals, solution_bound)
@@ -103,54 +102,6 @@ def ref_solution_set_to_doc(sset: SolutionSet) -> dict:
             "sample_residuals": [float(r) for r in cert.sample_residuals],
         }
     return doc
-
-
-def ref_aberth_roots(c: np.ndarray, sweeps=None) -> np.ndarray:
-    """poly._aberth_roots as it was when it formed its running roundoff
-    bound on every sweep, verbatim apart from ``sweeps``: a list that, when
-    given, receives (|z|, err) of every sweep."""
-    d = len(c) - 1
-    if d == 1:
-        return np.array([-c[0]])
-    radius = 1.0 + float(np.abs(c[:-1]).max())
-    k = np.arange(d)
-    # deterministic, slightly perturbed circle of starting points
-    z = radius * (1.0 + 0.05 * np.sin(7.0 * k + 1.0)) \
-        * np.exp(1j * (2 * np.pi * k / d + 0.4))
-    # p and p' as the rows of one Horner pass; p' gets a zero top
-    # coefficient, whose first step 0 * z + dc[-1] is exact
-    coef = np.stack((c, np.append(c[1:] * np.arange(1, d + 1), 0)))
-    for _ in range(poly._ABERTH_SWEEPS):
-        acc = np.repeat(coef[:, -1:], d, axis=1)
-        # running roundoff bound of p's Horner values
-        err = np.abs(acc[0]) * 0.5
-        az = np.abs(z)
-        for ck in coef[:, -2::-1].T:
-            acc *= z
-            acc += ck[:, None]
-            err *= az
-            err += np.abs(acc[0])
-        if sweeps is not None:
-            sweeps.append((az, err))
-        pv, dv = acc
-        noise = 2.0 * err * np.finfo(float).eps
-        # an overflowed value or bound would pass the test below vacuously
-        if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(noise))):
-            raise NonConvergence(f"polynomial values overflow at degree {d}")
-        if np.all(np.abs(pv) <= 8.0 * noise):
-            return z
-        dv = np.where(dv == 0, 1e-30, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = (1.0 / diff).sum(axis=1) - 1.0
-        corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, w)
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-15 * (1.0 + np.abs(z))):
-            return z
-    raise NonConvergence(
-        f"no convergence in {poly._ABERTH_SWEEPS} sweeps at degree {d}")
 
 
 def ref_brute_force_scan(eq: MatrixEquation, keep_tol: float) -> list[Mat2]:

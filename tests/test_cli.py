@@ -458,8 +458,9 @@ class TestSweepCommand:
 
     def test_sixteen_at_degree_nine_fails_on_the_companion_polish(self):
         # aberth counts 16 and verifies; on the companion backend the polish
-        # of a simple root leaves its bunch
-        assert cli._sweep_cell((9, 16))["error"] == "NonConvergence"
+        # of a simple root leaves its bunch, and the error names the stage
+        assert cli._sweep_cell((9, 16))["error"] == \
+            "companion:NonConvergence"
 
     def test_crashed_cell_shows_error_type(self, tmp_path, monkeypatch):
         real_construct = cli.construct
@@ -478,7 +479,7 @@ class TestSweepCommand:
         # n, m, p, pbar, count, max_residual, ms, status, error
         crashed = rows[("2", "5")]
         assert crashed[4] == "-"
-        assert crashed[7:] == ["FAIL", "SingularSystem"]
+        assert crashed[7:] == ["FAIL", "construct:SingularSystem"]
         assert rows[("2", "6")][4] == "6"
         assert rows[("2", "6")][7:] == ["pass", "-"]
         assert "failing cells: (2, 5)" in lines[-1]

@@ -372,6 +372,24 @@ class TestSolveEquation:
         with pytest.raises(NonConvergence, match="left its bunch"):
             solve_equation(eq, backend=backend)
 
+    # The aberth backend alone on all 28 explicit diagonal cells.  The
+    # sweep stops a cell at its first failing backend, so at (9, 16) the
+    # companion backend's failure hides aberth's count; this table shows
+    # any change to the root stage.
+    def test_aberth_outcomes_on_the_explicit_diagonal_cells(self):
+        cells = [(n, 4) for n in range(2, 17)] + \
+            [(n, 16) for n in range(4, 17)]
+        want = {(n, m): m if n <= (6 if m == 4 else 9) else "NonConvergence"
+                for n, m in cells}
+        got = {}
+        for n, m in cells:
+            try:
+                got[n, m] = solve_equation(special_case(m, n),
+                                           backend="aberth").count
+            except NonConvergence:
+                got[n, m] = "NonConvergence"
+        assert got == want
+
     def test_duplicate_candidate_reaches_the_set(self, monkeypatch,
                                                  eq_four_solutions):
         # a pair assembled twice must reach the set, where verify's

@@ -12,7 +12,7 @@ import matpolyeq
 from matpolyeq import verify
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
-from matpolyeq.poly import relative_value
+from matpolyeq.poly import NonConvergence, relative_value
 from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
                               InfiniteCertificate, Solution, SolutionSet,
                               accepted, residuals, solution_bound,
@@ -20,6 +20,8 @@ from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
 from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
                               count_cross_check, minimize,
                               verify_solution_set)
+
+from helpers import prescribed_equation
 
 
 def _with_solutions(sset, solutions):
@@ -152,6 +154,18 @@ class TestVerifySolutionSet:
         report = verify_solution_set(eq, ss)
         assert report.verdict == "pass"
         assert report.certificate_ok is True
+
+    def test_companion_data_where_aberth_fails(self):
+        # X = Y / 256 makes an equation aberth cannot root in its sweep
+        # budget; the companion backend's set is judged on its own data
+        eq = prescribed_equation("jordan_invertible", 4, 28)[0]
+        eq = MatrixEquation(tuple(a.scale(2.0 ** (8 * (eq.n - k)))
+                                  for k, a in enumerate(eq.coeffs)))
+        with pytest.raises(NonConvergence, match="200 sweeps"):
+            solve_equation(eq, backend="aberth")
+        ss = solve_equation(eq, backend="companion")
+        assert ss.count == 22
+        assert verify_solution_set(eq, ss).verdict == "pass"
 
     @staticmethod
     def _claimed_family(eq, base, direction):
