@@ -196,12 +196,16 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
         raw = _companion_roots(q)
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    overflow = f"{backend} roots overflow at degree {len(q) - 1}"
     if not np.all(np.isfinite(raw)):
-        raise NonConvergence(f"{backend} roots overflow at degree {len(q) - 1}")
+        raise NonConvergence(overflow)
 
     scale = max(1.0, float(np.abs(raw).max()))
     roots = [Root(complex(value), mult)
              for value, mult in _cluster_and_polish(q, raw, scale)]
+    # the polish's Dekker split overflows for parts above about 1.3e300
+    if not all(cmath.isfinite(r.value) for r in roots):
+        raise NonConvergence(overflow)
     if zero_mult:
         roots.append(Root(0j, zero_mult))
     roots.sort(key=lambda r: (r.value.real, r.value.imag))

@@ -413,17 +413,11 @@ def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
 
 
 def output_order(rows: Candidates) -> np.ndarray:
-    """The stable order of the rows by their key: the eigenvalues of the
-    eigen data ordered by (real, imag), as numpy sorts complex numbers, then
-    the matrix entries, each as its (real, imag) parts.  Tuple comparison
-    orders a one-eigenvalue key before a longer one it is a prefix of; its
-    -inf padding does the same in one ``np.lexsort`` over rows of equal
-    length."""
+    """The stable order of the rows by their key: the two eigenvalues of the
+    eigen data (a non-diagonalizable row's one eigenvalue twice), ordered by
+    (real, imag) as numpy sorts complex numbers, then the matrix entries,
+    each as its (real, imag) parts, in one ``np.lexsort``."""
     lams = np.sort(np.array([(ed[0][0], ed[-1][0]) for ed in rows.eigen_data],
                             complex).reshape(-1, 2))
-    parts = rows.matrices.view(float)
-    key = np.concatenate((lams.view(float), parts), axis=1)
-    single = np.array([len(ed) == 1 for ed in rows.eigen_data], bool)
-    key[single, 2:10] = parts[single]
-    key[single, 10:] = -np.inf
+    key = np.concatenate((lams.view(float), rows.matrices.view(float)), axis=1)
     return np.lexsort(key.T[::-1])

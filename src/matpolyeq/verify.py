@@ -217,11 +217,6 @@ def sets_agree(a: SolutionSet, b: SolutionSet) -> bool:
         a.batch.matrices, b.batch.matrices, 10 * dedupe_tol(a.critical_data))
 
 
-# the sampled critical vectors of a two-dimensional critical space: enough
-# directions to push the distinct-solution count past C(2n,2)
-_PLANE_DIRECTIONS = ((1, 0), (0, 1)) + tuple((1, t) for t in range(1, 7))
-
-
 def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     """Independent enumeration of solution candidates for degree <= 3.
 
@@ -229,9 +224,12 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     path on top of the companion root backend, then filtered by residual:
     eigenpair fits for pairs of critical values, the scalar matrices lam I,
     and nilpotent offsets lam I + c K(k), K(k) = k k_perp^T.  Every pair of
-    sampled critical vectors (a line's own, a plane's ``_PLANE_DIRECTIONS``)
-    of distinct values is fitted by one batched LU solve, not the solver's
-    adjugate formula; see ``_fit_eigenpairs``.
+    sampled critical vectors of distinct values is fitted by one batched LU
+    solve, not the solver's adjugate formula; see ``_fit_eigenpairs``.  A
+    line gives its own vector, a plane the C(2n,2) + 2 pairwise independent
+    directions (0, 1) and (1, t), t = 0..C(2n,2): at most one of them is
+    parallel to any partner vector, so even a single partner gives a plane
+    C(2n,2) + 1 fits, as a family line gives C(2n,2) + 1 members.
     The offset directions never use the solver's rank rule: where lam I
     fails the residual test, k is the least right singular vector of
     M(lam), and where it passes, the least right singular vector of M'(lam)
@@ -246,7 +244,8 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     if eq.n > 3:
         raise ValueError("the scan is limited to degree <= 3")
     data = critical_data(eq, backend="companion")
-    samples = [_PLANE_DIRECTIONS if d.space_dim == 2
+    plane = ((0, 1),) + tuple((1, t) for t in range(solution_bound(eq.n) + 1))
+    samples = [plane if d.space_dim == 2
                else ((d.basis[0].x, d.basis[0].y),) for d in data]
     # the critical value each sampled vector belongs to
     owner = np.repeat(np.arange(len(data)), [len(s) for s in samples])

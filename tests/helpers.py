@@ -50,18 +50,14 @@ def ref_residual_tol(eq: MatrixEquation, x: Mat2) -> float:
 
 
 def ref_sort_key(sol: Solution):
-    """The solver's output order, one Solution at a time: the eigenvalues
-    of the eigen data by (real, imag), then the entries' parts."""
-    if sol.eigen_data:
-        lams = sorted((p[0] for p in sol.eigen_data),
-                      key=lambda z: (z.real, z.imag))
-    else:
-        lams = []
-    flat = [c for lam in lams for c in (lam.real, lam.imag)]
+    """The solver's output order, one Solution at a time: the two
+    eigenvalues of the eigen data (a non-diagonalizable row's one eigenvalue
+    twice) by (real, imag), then the entries' parts."""
+    lams = sorted((sol.eigen_data[0][0], sol.eigen_data[-1][0]),
+                  key=lambda z: (z.real, z.imag))
     m = sol.matrix
-    flat += [m.m11.real, m.m11.imag, m.m12.real, m.m12.imag,
-             m.m21.real, m.m21.imag, m.m22.real, m.m22.imag]
-    return tuple(flat)
+    return tuple(part for z in (*lams, m.m11, m.m12, m.m21, m.m22)
+                 for part in (z.real, z.imag))
 
 
 def _ref_pair(z: complex) -> list[float]:
@@ -108,7 +104,8 @@ def ref_brute_force_scan(eq: MatrixEquation, keep_tol: float) -> list[Mat2]:
     """verify.brute_force_scan as it was when it fitted each pair of
     sampled eigenpairs by its own least-squares solve and built the scalar
     candidates value by value, verbatim apart from the dedupe tolerance
-    ``keep_tol``, which it took as ten times the solver's."""
+    ``keep_tol``, which it took as ten times the solver's, and a plane's
+    directions, which were eight fixed ones."""
     data = critical_data(eq, backend="companion")
 
     samples = []
@@ -116,8 +113,8 @@ def ref_brute_force_scan(eq: MatrixEquation, keep_tol: float) -> list[Mat2]:
         if d.space_dim == 1:
             samples.append((d.value, [d.basis[0]]))
         else:
-            spread = [Vec2(1, t) for t in range(1, 7)]
-            samples.append((d.value, [Vec2(1, 0), Vec2(0, 1)] + spread))
+            spread = [Vec2(1, t) for t in range(solution_bound(eq.n) + 1)]
+            samples.append((d.value, [Vec2(0, 1)] + spread))
 
     fits: list[Mat2] = []
     for i in range(len(samples)):

@@ -131,6 +131,15 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(Poly([-1, 0, 1]), backend="secant")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("root", [2e300, -1.3e308 - 1.3e308j])
+    def test_polish_overflow_raises(self, backend, root):
+        # the raw root is finite, but the polish's Dekker split of its
+        # parts overflows
+        with pytest.raises(NonConvergence,
+                           match=f"{backend} roots overflow at degree 1"):
+            find_roots(Poly([-root, 1]), backend=backend)
+
     def test_iteration_budget_exhaustion(self, monkeypatch):
         coeffs = np.array(Poly.from_roots([(1, 1), (2, 1), (3, 1)]).coeffs)
         monkeypatch.setattr(poly, "_ABERTH_SWEEPS", 1)
@@ -741,9 +750,10 @@ def test_large_degree_root_bits_match_the_recorded_digest():
 # (construct(n, m) for every n <= 3, and the scan fixtures) and on every rank
 # pattern at n = 2, 3 with seeds 0 and 1: float.hex of each entry's parts.
 # Recorded from the scan that fits all its eigenpair samples by one batched
-# LU solve and dedupes at the solver's tolerance.
+# LU solve, samples C(2n,2) + 2 directions of a plane and dedupes at the
+# solver's tolerance.
 SCAN_BITS_SHA256 = \
-    "ed8dc49518378c5ef09410a816ae7412bfca0a90b1fc4043fe81d16ade169b71"
+    "067f601da5d36f83f89f08ae74b2fd4395fb7169cd821ca665f1c0c8cc4a5d2e"
 
 
 def scan_equations(request) -> list[MatrixEquation]:

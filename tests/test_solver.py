@@ -436,6 +436,12 @@ class TestSolveEquation:
         equations += [construct(n, m, validate=False).equation
                       for n in (1, 2, 3)
                       for m in range(1, solution_bound(n) + 1)]
+        # the patterns' non-diagonalizable rows share an eigenvalue with
+        # pair rows
+        equations += [prescribed_equation(pattern, n, seed)[0]
+                      for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY,
+                                                      NEAR_FAMILY)
+                      for n in (2, 3) for seed in range(10)]
         for eq in equations:
             keys = [ref_sort_key(s)
                     for s in solve_equation(eq, backend=backend).solutions]
@@ -462,11 +468,10 @@ def _solver_rows(draw):
         if kind == "non_diagonalizable":
             rows.append((m, kind, ((la, E1),)))
             if draw(st.booleans()):
-                # a two-eigenvalue key that the one-eigenvalue key is a
-                # prefix of: its second eigenvalue is m11, then m12 .. m22
-                rows.append((Mat2(m.m12, m.m21, m.m22, draw(_VALUES)),
+                # a pair row that shares the lone eigenvalue
+                rows.append((Mat2(*(draw(_VALUES) for _ in range(4))),
                              "diagonalizable_distinct",
-                             ((la, E1), (m.m11, E2))))
+                             ((la, E1), (draw(_VALUES), E2))))
         else:
             rows.append((m, kind, ((la, E1), (lb, E2))))
     if rows:
@@ -492,7 +497,7 @@ def test_output_order_matches_the_sort_key(rows):
 # are the non-diagonalizable solutions and the families that the document
 # digests, all of random diagonalizable sets, do not reach.
 SOLVE_BITS_SHA256 = \
-    "1352923211ea4e2c85f218340cce34cb831da7d688c4fce60733159b641aa329"
+    "09e68d2c53b438447506031814e522c3c8ffe61e854e599225177c011c82bde7"
 
 _FIXTURES = ("eq_four_solutions", "eq_x_squared_zero", "eq_x_squared_identity",
              "eq_x_squared_nilpotent", "eq_x_squared_jordan",

@@ -353,6 +353,15 @@ class TestBruteForceScan:
         for eq in (eq_x_squared_identity, eq_x_squared_zero):
             assert len(brute_force_scan(eq)) > solution_bound(eq.n)
 
+    def test_plane_with_one_partner_overflows_bound(self):
+        # X^3 - 2X^2 + (I + E)X = 0, E = [[0, 1], [0, 0]]: det M(t) =
+        # t^2 (t - 1)^4, M(0) = 0 and the space at 1 is a line, so each
+        # direction of the plane at 0 pairs with that one vector only
+        eq = MatrixEquation((Mat2.zero(), Mat2(1, 1, 0, 1),
+                             Mat2.identity().scale(-2)))
+        assert not solve_equation(eq).is_finite
+        assert len(brute_force_scan(eq)) > solution_bound(eq.n)
+
     def test_jordan_roots_found(self, eq_x_squared_jordan):
         scan = brute_force_scan(eq_x_squared_jordan)
         assert len(scan) == 2
