@@ -223,8 +223,7 @@ def _sweep_cell(cell) -> dict:
     stage = "construct"
     try:
         result = construct(n, m, validate=False)
-        if result.plan is not None:
-            row["p"], row["pbar"] = result.plan.p, result.plan.pbar
+        row["p"], row["pbar"] = result.plan.p, result.plan.pbar
         # each backend's roots under its own stage; both are cached on the
         # equation, so the cross-check finds no root twice
         for stage in ("aberth", "companion"):

@@ -8,9 +8,12 @@ distinct n-th roots of y.  With the first row of M(t) fixed to [t^n, -1],
 the critical vectors come out [1, 0] for the value 0 and [1, y_i]
 elsewhere, and the second row is read off one polynomial expansion,
 det M(t) = t^pbar prod_i (t - lambda_i).  Vectors agree inside a block and
-are independent across blocks, so the equation has exactly m
-diagonalizable solutions and nothing else.  m = 4 and m = 16 escape the
-partition counting and use explicit diagonal equations instead.
+are independent across blocks, so each cross-block pair gives one
+diagonalizable solution and nothing else does.  Only m = 4 and m = 16 have
+no such block layout; there p drops by one, every block is a singleton,
+and lambda_1 is a double root of det M(t).  That adds exactly one
+non-diagonalizable solution lambda_1 I + c v v_perp^T, so the count is
+C(p, 2) + 1 = m.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
 from .solver import SolutionSet, solution_bound, solve_equation
-
-SPECIAL_COUNTS = (4, 16)
 
 
 class DomainError(ValueError):
@@ -44,6 +45,7 @@ class ConstructionPlan:
     p: int
     pbar: int
     partition: tuple[tuple[int, ...], ...]
+    doubled: tuple[int, ...]       # double roots of det M(t), empty mostly
     lambdas: tuple[complex, ...]   # index 0 is the distinguished zero
     ys: tuple[complex, ...]        # ys[0] unused, kept index-aligned
     vectors: tuple[Vec2, ...]
@@ -52,8 +54,7 @@ class ConstructionPlan:
 @dataclass(frozen=True)
 class ConstructionResult:
     equation: MatrixEquation
-    plan: Optional[ConstructionPlan]   # None for the m = 4, 16 diagonals
-    special_case: Optional[int]
+    plan: ConstructionPlan
     expected_count: int
 
 
@@ -69,38 +70,46 @@ def choose_p(m: int) -> tuple[int, int, int]:
     return p, gap // 3, gap % 3
 
 
-def build_partition(m: int) -> tuple[tuple[int, ...], ...]:
-    """Blocks over 0..p-1 leaving exactly m cross-block index pairs.
+def build_partition(m: int) -> tuple[tuple[tuple[int, ...], ...],
+                                     tuple[int, ...]]:
+    """Blocks over 0..p-1 and the doubled indices, leaving exactly m pairs.
 
     0 always sits alone.  The equivalent-pair budget C(p, 2) - m = 3a + b
     is spent on a triples (3 pairs each) and b pairs (1 each), in index
     order; when those do not fit in p indices, two triples and the two
     pairs become one quadruple and two pairs (6 + 2 = 3 * 2 + 2 pairs).
+    With fewer than two triples to merge (m = 4 and 16 alone) p drops by
+    one, every block is a singleton and index 1 is doubled: its
+    non-diagonalizable solution makes C(p, 2) + 1 = m.
     """
-    if m in SPECIAL_COUNTS:
-        raise DomainError(f"m = {m} is handled by the explicit special case")
     p, a, b = choose_p(m)
     sizes = [3] * a + [2] * b
+    doubled: tuple[int, ...] = ()
     if 1 + sum(sizes) > p:
-        sizes = [3] * (a - 2) + [4, 2, 2]
+        if a >= 2:
+            sizes = [3] * (a - 2) + [4, 2, 2]
+        else:
+            p, sizes, doubled = p - 1, [], (1,)
     blocks: list[tuple[int, ...]] = [(0,)]
     nxt = 1
     for size in sizes:
         blocks.append(tuple(range(nxt, nxt + size)))
         nxt += size
     blocks.extend((i,) for i in range(nxt, p))
-    _check_partition(blocks, m, p)
-    return tuple(blocks)
+    _check_partition(blocks, doubled, m, p)
+    return tuple(blocks), doubled
 
 
-def _check_partition(blocks, m, p):
+def _check_partition(blocks, doubled, m, p):
     flat = sorted(i for b in blocks for i in b)
     assert flat == list(range(p)), "blocks must partition 0..p-1"
     assert blocks[0] == (0,), "0 must sit in a singleton block"
-    equivalent = sum(math.comb(len(b), 2) for b in blocks)
-    if math.comb(p, 2) - equivalent != m:
-        raise ValidationFailure(
-            f"partition leaves {math.comb(p, 2) - equivalent} pairs, wanted {m}")
+    assert all((i,) in blocks[1:] for i in doubled), \
+        "a doubled value must sit in a nonzero singleton block"
+    pairs = math.comb(p, 2) - sum(math.comb(len(b), 2) for b in blocks) \
+        + len(doubled)
+    if pairs != m:
+        raise ValidationFailure(f"partition leaves {pairs} pairs, wanted {m}")
     assert max(len(b) for b in blocks) <= -(-p // 2), "block too large"
 
 
@@ -141,33 +150,17 @@ def solve_coefficients(plan: ConstructionPlan) -> MatrixEquation:
 
     Row 1 of M(t) is [t^n, -1], so M(lambda_i) annihilates [1, lambda_i^n] =
     [1, y_i] and det M(t) = m21(t) + t^n m22(t).  Row 2 makes that
-    determinant t^pbar prod_i (t - lambda_i): its coefficients of t^0 ..
-    t^(n-1) are a21 and those of t^n .. t^(2n-1) are a22.  The value 0 then
-    has multiplicity pbar = 2n - p + 1 and critical vector [1, 0].
+    determinant t^pbar prod_i (t - lambda_i), each doubled lambda_i twice:
+    its coefficients of t^0 .. t^(n-1) are a21 and those of t^n .. t^(2n-1)
+    are a22.  The value 0 then has multiplicity
+    pbar = 2n - p + 1 - len(doubled) and critical vector [1, 0].
     """
     n = plan.n
-    row2 = Poly.from_roots([(0, plan.pbar)]
-                           + [(lam, 1) for lam in plan.lambdas[1:]]).coeffs
+    row2 = Poly.from_roots(
+        [(0, plan.pbar)] + [(lam, 1 + (i in plan.doubled))
+                            for i, lam in enumerate(plan.lambdas) if i]).coeffs
     return MatrixEquation(tuple(
         Mat2(0, -1 if k == 0 else 0, row2[k], row2[n + k]) for k in range(n)))
-
-
-def special_case(m: int, n: int) -> MatrixEquation:
-    """Explicit diagonal equations for m = 4 (n >= 2) and m = 16 (n >= 4)."""
-    if m == 4:
-        if n < 2:
-            raise DomainError("m = 4 requires n >= 2")
-        top = Poly.from_roots([(1, 1), (-1, n - 1)])
-        bottom = Poly.from_roots([(2, 1), (-2, n - 1)])
-    elif m == 16:
-        if n < 4:
-            raise DomainError("m = 16 requires n >= 4")
-        top = Poly.from_roots([(3, 1), (-3, 1), (1, 1), (-1, n - 3)])
-        bottom = Poly.from_roots([(4, 1), (-4, 1), (2, 1), (-2, n - 3)])
-    else:
-        raise DomainError(f"no special case for m = {m}")
-    coeffs = tuple(Mat2.diag(top.coeffs[i], bottom.coeffs[i]) for i in range(n))
-    return MatrixEquation(coeffs)
 
 
 def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
@@ -184,16 +177,12 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
         raise DomainError(
             f"m must lie in 1..{solution_bound(n)} for n = {n}, got {m}")
 
-    if m in SPECIAL_COUNTS:
-        eq = special_case(m, n)
-        result = ConstructionResult(eq, None, m, m)
-    else:
-        partition = build_partition(m)
-        lambdas, ys, vectors = choose_values(partition, n)
-        p = len(lambdas)
-        plan = ConstructionPlan(n, m, p, 2 * n - p + 1, partition,
-                                lambdas, ys, vectors)
-        result = ConstructionResult(solve_coefficients(plan), plan, None, m)
+    partition, doubled = build_partition(m)
+    lambdas, ys, vectors = choose_values(partition, n)
+    p = len(lambdas)
+    plan = ConstructionPlan(n, m, p, 2 * n - p + 1 - len(doubled), partition,
+                            doubled, lambdas, ys, vectors)
+    result = ConstructionResult(solve_coefficients(plan), plan, m)
 
     if validate:
         solved = solve_equation(result.equation)

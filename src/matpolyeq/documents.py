@@ -277,24 +277,19 @@ def _doubles(values: list):
 
 
 def plan_to_doc(result: ConstructionResult) -> dict:
-    doc = {
+    plan = result.plan
+    return {
         "format_version": FORMAT_VERSION,
         "n": result.equation.n,
         "m": result.expected_count,
-    }
-    if result.special_case is not None:
-        doc["special_case"] = result.special_case
-        return doc
-    plan = result.plan
-    doc.update({
         "p": plan.p,
         "pbar": plan.pbar,
         "partition": [list(block) for block in plan.partition],
+        "doubled": list(plan.doubled),
         "lambdas": [_pair(lam) for lam in plan.lambdas],
         "ys": [_pair(y) for y in plan.ys],
         "vectors": [[_pair(v.x), _pair(v.y)] for v in plan.vectors],
-    })
-    return doc
+    }
 
 
 def report_to_doc(report: VerificationReport) -> dict:

@@ -1,14 +1,15 @@
 """Test-only routines: exact-arithmetic references the package does not
 need, the per-solution sort key and document writer that the packed
 solution batch replaced, the per-pair candidate scan that the batched one
-replaced, and the rank-pattern equations shared by the solver and scan
-tests."""
+replaced, and the rank-pattern and diagonal equations shared by the solver
+and scan tests."""
 
 import cmath
 import math
 
 import numpy as np
 
+from matpolyeq.construct import DomainError
 from matpolyeq.documents import FORMAT_VERSION
 from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, greedy_unique,
                             outer, pack, unpack)
@@ -254,3 +255,25 @@ def prescribed_equation(pattern, n, seed):
     a0 = a0 - a1.scale(lam)
     jordan = Mat2.identity().scale(lam) - outer(k, b).scale(1 / alpha)
     return MatrixEquation((a0, a1, *high)), lam, jordan
+
+
+def diagonal_equation(m: int, n: int) -> MatrixEquation:
+    """Explicit diagonal equations with exactly m = 4 (n >= 2) or m = 16
+    (n >= 4) solutions: diag(a, b) with a in {+-1}, b in {+-2}, or a in
+    {+-1, +-3}, b in {+-2, +-4}.  det M(t) has roots of multiplicity n - 1
+    (n - 3 for 16) at -1 and -2, so they stress the root stage at high
+    multiplicity."""
+    if m == 4:
+        if n < 2:
+            raise DomainError("m = 4 requires n >= 2")
+        top = Poly.from_roots([(1, 1), (-1, n - 1)])
+        bottom = Poly.from_roots([(2, 1), (-2, n - 1)])
+    elif m == 16:
+        if n < 4:
+            raise DomainError("m = 16 requires n >= 4")
+        top = Poly.from_roots([(3, 1), (-3, 1), (1, 1), (-1, n - 3)])
+        bottom = Poly.from_roots([(4, 1), (-4, 1), (2, 1), (-2, n - 3)])
+    else:
+        raise DomainError(f"no diagonal equation for m = {m}")
+    coeffs = tuple(Mat2.diag(top.coeffs[i], bottom.coeffs[i]) for i in range(n))
+    return MatrixEquation(coeffs)

@@ -1,12 +1,15 @@
 """Acceptance suite: every release criterion, one test each, with a
 printed pass line per criterion."""
 
+import collections
+import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
-from matpolyeq.construct import SPECIAL_COUNTS, construct
+from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, eigen2, pack, poly_matrix
 from matpolyeq.poly import Poly
 from matpolyeq.solver import (accepted, residuals, solution_bound,
@@ -58,36 +61,38 @@ def test_criterion_1_exact_counts_across_sweep(sweep):
 
 
 def test_criterion_2_explicit_special_cases(sweep):
+    # m = 4 and 16 take p - 1 singleton values with lambda_1 doubled: one
+    # diagonalizable solution per pair of plan values, and lambda_1 I + K
+    # with K a nonzero nilpotent
     cells, _ = sweep
-    by_key = {(n, m): cross for n, m, _, cross, _ in cells}
+    by_key = {(n, m): (result, cross) for n, m, result, cross, _ in cells}
+    for key in ((2, 4), (4, 16)):
+        result, cross = by_key[key]
+        plan, sset = result.plan, cross.set_a
+        assert sset.count == key[1]
 
-    four = by_key[(2, 4)].set_a
-    assert four.count == 4
-    targets = [Mat2.diag(sa, sb) for sa in (1, -1) for sb in (2, -2)]
-    for want in targets:
-        assert min(s.matrix.dist(want) for s in four.solutions) <= 1e-8
+        def nearest(z):
+            i = min(range(plan.p), key=lambda i: abs(z - plan.lambdas[i]))
+            assert abs(z - plan.lambdas[i]) <= 1e-8, (key, z)
+            return i
 
-    sixteen = by_key[(4, 16)].set_a
-    assert sixteen.count == 16
-    first = {1, -1, 3, -3}
-    second = {2, -2, 4, -4}
-    seen = set()
-    for sol in sixteen.solutions:
-        assert sol.kind == "diagonalizable_distinct"
-        eig = eigen2(sol.matrix)
-        assert not eig.defective
-        pair = []
-        for lam in eig.values:
-            assert abs(lam.imag) <= 1e-8
-            nearest = round(lam.real)
-            assert abs(lam - nearest) <= 1e-8
-            pair.append(nearest)
-        odd = [v for v in pair if v in first]
-        even = [v for v in pair if v in second]
-        assert len(odd) == 1 and len(even) == 1, pair
-        seen.add((odd[0], even[0]))
-    assert len(seen) == 16
-    _ok(2, "m=4 matches diag(+-1,+-2); m=16 covers {+-1,+-3}x{+-2,+-4}")
+        pairs, jordan = [], []
+        for sol in sset.solutions:
+            if sol.kind == "non_diagonalizable":
+                jordan.append(sol.matrix)
+                continue
+            assert sol.kind == "diagonalizable_distinct"
+            eig = eigen2(sol.matrix)
+            assert not eig.defective
+            pairs.append(tuple(sorted(map(nearest, eig.values))))
+        assert sorted(pairs) == list(itertools.combinations(range(plan.p), 2))
+        assert len(jordan) == 1
+        lam = jordan[0].trace() / 2
+        assert abs(lam - plan.lambdas[1]) <= 1e-8, key
+        k = jordan[0] - Mat2.identity().scale(lam)
+        assert k.max_norm() > 0.1 and (k @ k).max_norm() <= 1e-8, key
+    _ok(2, "m=4 and m=16 give every plan pair plus one Jordan solution "
+           "at the doubled value")
 
 
 def test_criterion_3_bound_and_generic_count(sweep):
@@ -178,8 +183,8 @@ def test_criterion_7_oracle_equivalence(sweep, eq_four_solutions,
                 eq_x_squared_nilpotent, eq_x_squared_jordan,
                 eq_shifted_square, eq_degree_one, eq_nilpotent_family]
     fixtures += [construct(n, m, validate=False).equation
-                 for n, m in [(1, 1), (2, 1), (2, 3), (2, 5), (2, 6),
-                              (3, 1), (3, 8), (3, 15)]]
+                 for n, m in [(1, 1), (2, 1), (2, 3), (2, 4), (2, 5),
+                              (2, 6), (3, 1), (3, 4), (3, 8), (3, 15)]]
     scanned = 0
     for eq in fixtures:
         sset = solve_equation(eq)
@@ -204,32 +209,43 @@ def test_criterion_8_zero_value_structure(sweep):
     cells, _ = sweep
     checked = 0
     for n, m, result, cross, _ in cells:
-        if result.plan is None:   # m = 4, 16 use the explicit diagonals
-            continue
-        pbar = result.plan.pbar
+        plan = result.plan
+        pbar = plan.pbar
+        assert pbar == 2 * n - plan.p + 1 - len(plan.doubled), (n, m)
         zero = [d for d in cross.set_a.critical_data if abs(d.value) <= 1e-6]
         assert len(zero) == 1, (n, m)
         assert zero[0].multiplicity == pbar, (n, m)
         assert zero[0].space_dim == 1, (n, m)
         assert abs(zero[0].basis[0].x) >= 1 - 1e-8, (n, m)
         checked += 1
-    _ok(8, f"zero keeps multiplicity 2n-p+1 with direction [1,0] "
-           f"on {checked} cells")
+    assert checked == len(cells)
+    _ok(8, f"zero keeps multiplicity 2n-p+1-len(doubled) with direction "
+           f"[1,0] on {checked} cells")
 
 
 def test_criterion_10_construction_beyond_the_sweep():
-    # every partition cell of n = 6..8, and at n = 9..16 the top two counts
-    # plus every 25th; m = 4 and 16 are the explicit diagonal equations,
-    # whose high-multiplicity roots are not resolved yet above n = 6
+    # every cell of n = 6..8, and at n = 9..16 the top two counts, every
+    # 25th, and the special counts 4 and 16
     cells = [(n, m) for n in range(6, 9)
              for m in range(1, solution_bound(n) + 1)]
     for n in range(9, 17):
         top = solution_bound(n)
-        cells += [(n, m) for m in sorted({top, top - 1,
+        cells += [(n, m) for m in sorted({4, 16, top, top - 1,
                                           *range(1, top + 1, 25)})]
-    cells = [(n, m) for n, m in cells if m not in SPECIAL_COUNTS]
     start = time.perf_counter()
     for n, m in cells:
         assert construct(n, m).expected_count == m   # raises on a miscount
-    _ok(10, f"{len(cells)} cells with 6 <= n <= 16 self-validated in "
-            f"{time.perf_counter() - start:.1f}s")
+    # m = 4 and 16 at every n, on both backends: C(p, 2) diagonalizable
+    # solutions and one non-diagonalizable at the doubled value
+    special = [(n, 4) for n in range(2, 17)] + [(n, 16) for n in range(4, 17)]
+    for n, m in special:
+        result = construct(n, m, validate=False)
+        cross = count_cross_check(result.equation)
+        want = {"diagonalizable_distinct": math.comb(result.plan.p, 2),
+                "non_diagonalizable": 1}
+        for sset in (cross.set_a, cross.set_b):
+            assert collections.Counter(s.kind for s in sset.solutions) \
+                == want, (n, m)
+    _ok(10, f"{len(cells)} cells with 6 <= n <= 16 self-validated and "
+            f"{len(special)} cells with m = 4, 16 checked on both backends "
+            f"in {time.perf_counter() - start:.1f}s")

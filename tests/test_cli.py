@@ -19,6 +19,8 @@ from matpolyeq.mat2 import MAX_DEGREE
 from matpolyeq.poly import NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
+from helpers import diagonal_equation
+
 
 def run(*args):
     return main([str(a) for a in args])
@@ -37,8 +39,11 @@ class TestConstructCommand:
         out = tmp_path / "eq.json"
         assert run("construct", "--n", 2, "--m", 4, "--out", out) == 0
         doc = load_doc(out)
-        assert doc["coefficients"][0] == [[[-1.0, 0.0], [0.0, 0.0]],
-                                          [[0.0, 0.0], [-4.0, 0.0]]]
+        # A_0 = [[0, -1], [0, 1 - 2i]]: det M(t) = t (t - 1)^2 (t + i)
+        top, bottom = doc["coefficients"][0]
+        assert top == [[0.0, 0.0], [-1.0, 0.0]]
+        assert bottom[0] == [0.0, 0.0]
+        assert bottom[1] == pytest.approx([1.0, -2.0], abs=1e-15)
 
     def test_degree_one_document(self, tmp_path):
         out = tmp_path / "eq.json"
@@ -73,9 +78,14 @@ class TestConstructCommand:
         assert doc["classification"] == "finite"
         assert len(doc["solutions"]) == 66
 
-    def test_polish_that_leaves_its_bunch_exits_4(self, tmp_path, capsys):
-        # the polish of a simple root of (7, 4) leaves its bunch, so the
-        # self-validating solve raises NonConvergence before any count
+    def test_polish_that_leaves_its_bunch_exits_4(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # built as the diagonal equation of (7, 4), where the polish of a
+        # simple root leaves its bunch, the self-validating solve raises
+        # NonConvergence before any count
+        monkeypatch.setattr(sys.modules["matpolyeq.construct"],
+                            "solve_coefficients",
+                            lambda plan: diagonal_equation(plan.m, plan.n))
         out = tmp_path / "eq.json"
         assert run("construct", "--n", 7, "--m", 4, "--out", out) == 4
         assert not out.exists()
@@ -125,10 +135,11 @@ class TestSolveCommand:
     @pytest.mark.parametrize("backend", ["a", "b"])
     def test_polish_that_leaves_its_bunch_exits_4(self, tmp_path, capsys,
                                                   backend):
-        # on both backends the polish of a simple root of (7, 4) leaves its
-        # bunch; keeping its start gives 49 solutions
+        # on both backends the polish of a simple root of the diagonal
+        # (7, 4) equation leaves its bunch; keeping its start gives 49
+        # solutions
         eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
-        eq = construct(7, 4, validate=False).equation
+        eq = diagonal_equation(4, 7)
         save_doc(equation_to_doc(eq), eq_path)
         assert run("solve", "--in", eq_path, "--out", out,
                    "--backend", backend) == 4
@@ -456,9 +467,15 @@ class TestSweepCommand:
             got.append([n, m, str(row["count"]), row["error"] or "-"])
         assert got == small
 
-    def test_sixteen_at_degree_nine_fails_on_the_companion_polish(self):
-        # aberth counts 16 and verifies; on the companion backend the polish
-        # of a simple root leaves its bunch, and the error names the stage
+    def test_sixteen_at_degree_nine_fails_on_the_companion_polish(
+            self, monkeypatch):
+        # the constructed cell counts 16; its diagonal equation counts 16
+        # with aberth, but on the companion backend the polish of a simple
+        # root leaves its bunch, and the error names the stage
+        assert cli._sweep_cell((9, 16))["error"] is None
+        real = cli.construct
+        monkeypatch.setattr(cli, "construct", lambda n, m, **kwargs: replace(
+            real(n, m, **kwargs), equation=diagonal_equation(m, n)))
         assert cli._sweep_cell((9, 16))["error"] == \
             "companion:NonConvergence"
 

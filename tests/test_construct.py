@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.construct import (SPECIAL_COUNTS, DomainError,
-                                 ValidationFailure, build_partition,
-                                 choose_p, choose_values, construct,
-                                 solve_coefficients, special_case)
+from matpolyeq.construct import (DomainError, ValidationFailure,
+                                 build_partition, choose_p, choose_values,
+                                 construct, solve_coefficients)
 from matpolyeq.cli import main
 from matpolyeq.documents import equation_to_doc, plan_to_doc
 from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2
@@ -47,26 +46,27 @@ class TestChooseP:
 
 class TestBuildPartition:
     def test_single_pair_block(self):
-        assert build_partition(5) == ((0,), (1, 2), (3,))
+        assert build_partition(5) == (((0,), (1, 2), (3,)), ())
 
     def test_all_singletons(self):
-        assert build_partition(3) == ((0,), (1,), (2,))
+        assert build_partition(3) == (((0,), (1,), (2,)), ())
 
     def test_quadruple_case(self):
         got = build_partition(37)
-        assert got == ((0,), (1, 2, 3, 4), (5, 6), (7, 8), (9,))
+        assert got == (((0,), (1, 2, 3, 4), (5, 6), (7, 8), (9,)), ())
 
     def test_two_pair_case_preferred(self):
         # b=2 with room for two pairs instead of the quadruple layout
         assert choose_p(8) == (5, 0, 2)   # p > 3a + 4
         got = build_partition(8)
-        assert got == ((0,), (1, 2), (3, 4))
+        assert got == (((0,), (1, 2), (3, 4)), ())
 
-    def test_special_counts_rejected(self):
-        with pytest.raises(DomainError):
-            build_partition(4)
-        with pytest.raises(DomainError):
-            build_partition(16)
+    def test_special_counts_double_one_value(self):
+        # b = 2 with fewer than two triples to merge: C(p - 1, 2) + 1 = m
+        assert choose_p(4) == (4, 0, 2)
+        assert choose_p(16) == (7, 1, 2)
+        assert build_partition(4) == (((0,), (1,), (2,)), (1,))
+        assert build_partition(16) == (tuple((i,) for i in range(6)), (1,))
 
     def test_miscounted_partition_fails_validation(self, monkeypatch):
         # a budget one pair short of C(5, 2) - 8 leaves 9 pairs, not 8
@@ -78,16 +78,19 @@ class TestBuildPartition:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300))
     def test_partition_conditions(self, m):
-        if m in (4, 16):
-            return
         p = choose_p(m)[0]
-        blocks = build_partition(m)
+        blocks, doubled = build_partition(m)
+        if m in (4, 16):
+            p -= 1
+            assert doubled == (1,)
+        else:
+            assert doubled == ()
         flat = sorted(i for blk in blocks for i in blk)
         assert flat == list(range(p))
         assert blocks[0] == (0,)
         independent = math.comb(p, 2) - sum(
             math.comb(len(blk), 2) for blk in blocks)
-        assert independent == m
+        assert independent + len(doubled) == m
         assert max(len(blk) for blk in blocks) <= math.ceil(p / 2)
 
 
@@ -150,36 +153,53 @@ class TestSolveCoefficients:
 
 
 class TestSpecialCase:
+    """m = 4 and m = 16: p - 1 singleton values with the one at index 1
+    doubled, C(p - 1, 2) diagonalizable solutions and one
+    non-diagonalizable."""
+
     def test_four_at_degree_two(self):
-        eq = special_case(4, 2)
-        assert eq.coeffs[0].dist(Mat2.diag(-1, -4)) == 0
-        assert eq.coeffs[1].dist(Mat2.zero()) == 0
+        # det M(t) = t (t - 1)^2 (t + i)
+        result = construct(2, 4)
+        plan = result.plan
+        assert (plan.p, plan.pbar, plan.partition, plan.doubled) == \
+            (3, 1, ((0,), (1,), (2,)), (1,))
+        assert plan.lambdas[1] == 1 and abs(plan.lambdas[2] + 1j) < 1e-15
+        a0, a1 = result.equation.coeffs
+        assert a0.dist(Mat2(0, -1, 0, 1 - 2j)) < 1e-15
+        assert a1.dist(Mat2(0, 0, 1j, -2 + 1j)) < 1e-15
 
     def test_four_at_degree_three(self):
-        eq = special_case(4, 3)
-        assert eq.coeffs[2].dist(Mat2.diag(1, 2)) < 1e-12
-        assert eq.coeffs[1].dist(Mat2.diag(-1, -4)) < 1e-12
-        assert eq.coeffs[0].dist(Mat2.diag(-1, -8)) < 1e-12
+        result = construct(3, 4)
+        plan = result.plan
+        assert (plan.p, plan.pbar, plan.doubled) == (3, 3, (1,))
+        want = Poly.from_roots([(0, 3), (plan.lambdas[1], 2),
+                                (plan.lambdas[2], 1)])
+        assert result.equation.det_poly.coeffs == want.coeffs
 
     def test_sixteen_at_degree_four(self):
-        eq = special_case(16, 4)
-        assert eq.coeffs[0].dist(Mat2.diag(9, 64)) < 1e-12
-        assert eq.coeffs[2].dist(Mat2.diag(-10, -20)) < 1e-12
-        assert eq.coeffs[1].dist(Mat2.zero()) == 0
-        assert eq.coeffs[3].dist(Mat2.zero()) == 0
+        # the one non-diagonalizable solution is lambda_1 I + K, K a nonzero
+        # nilpotent that kills the critical vector v_1
+        result = construct(4, 16)
+        plan = result.plan
+        assert (plan.p, plan.pbar, plan.doubled) == (6, 2, (1,))
+        assert plan.partition == tuple((i,) for i in range(6))
+        ss = solve_equation(result.equation)
+        jordan = [s for s in ss.solutions if s.kind == "non_diagonalizable"]
+        assert len(jordan) == 1
+        k = jordan[0].matrix - Mat2.identity().scale(plan.lambdas[1])
+        assert k.max_norm() > 0.1
+        assert (k @ k).max_norm() < 1e-10
+        assert k.apply(plan.vectors[1]).norm() < 1e-10
 
     def test_degree_floors(self):
+        # C(2n, 2) >= 4 needs n >= 2, and C(2n, 2) >= 16 needs n >= 4
         with pytest.raises(DomainError):
-            special_case(4, 1)
+            construct(1, 4)
         with pytest.raises(DomainError):
-            special_case(16, 3)
-        with pytest.raises(DomainError):
-            special_case(5, 3)
+            construct(3, 16)
 
-    # every explicit diagonal equation that counts right: from n = 4 on,
-    # det M(t) has 3- to 5-fold roots that find_roots must fuse; (n, 4)
-    # from n = 7 and (n, 16) from n = 9 still miscount on some backend or
-    # fail to converge
+    # both backends agree and verify passes; acceptance criterion 10
+    # checks every n up to 16
     @pytest.mark.parametrize("n, m", [(n, 4) for n in range(2, 7)]
                              + [(n, 16) for n in range(4, 9)])
     def test_counts_and_verifies(self, n, m):
@@ -190,8 +210,8 @@ class TestSpecialCase:
         report = verify_solution_set(eq, cross.set_a, cross.agree)
         assert report.verdict == "pass", report
 
-    # each 6-fold root of (9, 16) bunches into one start, which aberth
-    # keeps whole; the companion backend still miscounts (test_cli)
+    # every multiple root of det M(t) but the double lambda_1 sits at the
+    # exact zero, which find_roots deflates exactly
     def test_sixteen_at_degree_nine_validates(self):
         eq = construct(9, 16).equation
         ss = solve_equation(eq, backend="aberth")
@@ -201,12 +221,24 @@ class TestSpecialCase:
 
 class TestConstruct:
     def test_four_solutions(self):
+        # one diagonalizable solution per pair of the values 0, 1, -i, and
+        # one non-diagonalizable at the doubled value 1
         result = construct(2, 4)
         ss = solve_equation(result.equation)
-        expected = [Mat2.diag(sa, sb) for sa in (1, -1) for sb in (2, -2)]
-        assert ss.count == 4
-        for want in expected:
-            assert min(s.matrix.dist(want) for s in ss.solutions) < 1e-8
+        lams = result.plan.lambdas
+
+        def nearest(z):
+            i = min(range(3), key=lambda i: abs(z - lams[i]))
+            assert abs(z - lams[i]) < 1e-8
+            return i
+
+        pairs = sorted((tuple(sorted(nearest(s.eigen_data[k][0])
+                                     for k in (0, -1))), s.kind)
+                       for s in ss.solutions)
+        assert pairs == [((0, 1), "diagonalizable_distinct"),
+                         ((0, 2), "diagonalizable_distinct"),
+                         ((1, 1), "non_diagonalizable"),
+                         ((1, 2), "diagonalizable_distinct")]
 
     def test_degree_one(self):
         result = construct(1, 1)
@@ -225,33 +257,35 @@ class TestConstruct:
             construct(17, 1)
 
     def test_special_flag(self):
-        assert construct(2, 4).special_case == 4
-        assert construct(4, 16).special_case == 16
-        assert construct(2, 5).special_case is None
+        assert construct(2, 4).plan.doubled == (1,)
+        assert construct(4, 16).plan.doubled == (1,)
+        assert construct(2, 5).plan.doubled == ()
 
     def test_expected_count_recorded(self):
         assert construct(3, 11).expected_count == 11
 
     def test_zero_value_keeps_claimed_multiplicity(self):
         # det M(t) is t^pbar prod (t - lambda_i) to the last bit on every
-        # partition cell, so the zero root is deflated exactly pbar times
+        # cell, each doubled lambda_i twice, so the zero root is deflated
+        # exactly pbar times
         for n in range(1, 17):
             for m in range(1, solution_bound(n) + 1):
-                if m in SPECIAL_COUNTS:
-                    continue
                 result = construct(n, m, validate=False)
                 plan = result.plan
-                roots = [(lam, 1) for lam in plan.lambdas[1:]]
+                roots = [(lam, 1 + (i in plan.doubled))
+                         for i, lam in enumerate(plan.lambdas) if i]
                 want = Poly.from_roots([(0, plan.pbar)] + roots)
                 assert result.equation.det_poly.coeffs == want.coeffs, (n, m)
 
 
 # sha256 of the plan and equation documents of every cell with n <= 16
-# (construct(n, m, validate=False), the special counts included), each pair
-# as json.dumps writes it, so every number as its repr.  Recorded before
-# build_partition derived its block sizes from m alone.
+# (construct(n, m, validate=False)), each pair as json.dumps writes it, so
+# every number as its repr.  Recorded when m = 4 and 16 took their one
+# doubled value; against the explicit diagonal equations they replaced,
+# the other 2,828 cells kept their equation documents byte for byte, and
+# their plan documents only gained "doubled": [].
 CONSTRUCTION_SHA256 = \
-    "8f27b9f395ff8bdada58f45bd53ee202707d563b3254bf3eb067ce739d8a1e1d"
+    "9619e7d7a19af032355bac0574d09d62dc73d85f9885ea3ce017f19c56194ca0"
 
 
 def test_construction_matches_the_recorded_digest():

@@ -409,12 +409,15 @@ class TestPlanAndReportDocuments:
         assert doc["p"] == 4
         assert doc["pbar"] == 1
         assert doc["partition"] == [[0], [1, 2], [3]]
+        assert doc["doubled"] == []
         assert len(doc["lambdas"]) == 4
 
     def test_special_plan_document(self):
         doc = plan_to_doc(construct(2, 4, validate=False))
-        assert doc["special_case"] == 4
-        assert "partition" not in doc
+        assert (doc["m"], doc["p"], doc["pbar"]) == (4, 3, 1)
+        assert doc["partition"] == [[0], [1], [2]]
+        assert doc["doubled"] == [1]
+        assert "special_case" not in doc
 
     def test_report_document(self, eq_four_solutions):
         ss = solve_equation(eq_four_solutions)

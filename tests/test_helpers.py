@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from matpolyeq.construct import DomainError
 from matpolyeq.mat2 import Mat2
 from matpolyeq.poly import Poly
 
-from helpers import inverse, poly_divmod
+from helpers import diagonal_equation, inverse, poly_divmod
 
 
 def test_divmod():
@@ -29,3 +30,33 @@ def test_inverse():
     assert (m @ inverse(m)).dist(Mat2.identity()) <= 1e-12
     with pytest.raises(ZeroDivisionError):
         inverse(Mat2(1, 1, 1, 1))
+
+
+def test_diagonal_four_at_degree_two():
+    eq = diagonal_equation(4, 2)
+    assert eq.coeffs[0].dist(Mat2.diag(-1, -4)) == 0
+    assert eq.coeffs[1].dist(Mat2.zero()) == 0
+
+
+def test_diagonal_four_at_degree_three():
+    eq = diagonal_equation(4, 3)
+    assert eq.coeffs[2].dist(Mat2.diag(1, 2)) < 1e-12
+    assert eq.coeffs[1].dist(Mat2.diag(-1, -4)) < 1e-12
+    assert eq.coeffs[0].dist(Mat2.diag(-1, -8)) < 1e-12
+
+
+def test_diagonal_sixteen_at_degree_four():
+    eq = diagonal_equation(16, 4)
+    assert eq.coeffs[0].dist(Mat2.diag(9, 64)) < 1e-12
+    assert eq.coeffs[2].dist(Mat2.diag(-10, -20)) < 1e-12
+    assert eq.coeffs[1].dist(Mat2.zero()) == 0
+    assert eq.coeffs[3].dist(Mat2.zero()) == 0
+
+
+def test_diagonal_degree_floors():
+    with pytest.raises(DomainError):
+        diagonal_equation(4, 1)
+    with pytest.raises(DomainError):
+        diagonal_equation(16, 3)
+    with pytest.raises(DomainError):
+        diagonal_equation(5, 3)

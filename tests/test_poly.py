@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import poly
-from matpolyeq.construct import construct, special_case
+from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
                             _aberth_roots, _batch_values, _comp_step,
@@ -19,7 +19,8 @@ from matpolyeq.solver import critical_data, solution_bound
 from matpolyeq.verify import brute_force_scan, dedupe_tol
 
 from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
-                     max_abs_coeff, prescribed_equation, ref_brute_force_scan)
+                     diagonal_equation, max_abs_coeff, prescribed_equation,
+                     ref_brute_force_scan)
 
 BACKENDS = ("aberth", "companion")
 
@@ -591,8 +592,8 @@ def test_polish_matches_numpy_scalars_on_constructed_roots(n, m, backend,
         assert_kernel_matches_reference(kernel, c, dc, z)
 
 
-# the explicit diagonal equations whose 3- to 6-fold roots scatter past
-# CLUSTER_TOL, so that find_roots fuses them
+# the diagonal equations (helpers.diagonal_equation) whose 3- to 6-fold
+# roots scatter past CLUSTER_TOL, so that find_roots fuses them
 FUSED_CELLS = ((4, 4), (5, 4), (6, 4), (6, 16))
 
 
@@ -619,7 +620,7 @@ def test_each_root_is_polished_once(n, m, backend, monkeypatch):
     # root takes one start, on the (k-1)-th derivative, and no member of
     # its ring is polished as a simple root first
     calls = record_polish(monkeypatch)
-    p = construct(n, m, validate=False).equation.det_poly
+    p = diagonal_equation(m, n).det_poly
     roots = find_roots(p, backend)
     assert max(r.multiplicity for r in roots) >= 3
     # no zero root is deflated here, so the k-th class polishes on the
@@ -637,7 +638,7 @@ def test_each_bunch_is_decided_before_the_polish(n, m, backend, monkeypatch):
     # where every derivative test fails, every bunch of raw centroids fuses:
     # it comes back as one root of its total multiplicity, whatever its
     # polished value, and each start is polished exactly once
-    p = construct(n, m, validate=False).equation.det_poly
+    p = diagonal_equation(m, n).det_poly
     raw = []
     backend_roots = getattr(poly, f"_{backend}_roots")
 
@@ -686,17 +687,21 @@ def test_a_large_root_leaves_the_small_ones_simple():
 
 
 # sha256 of find_roots' output, both backends, on the benchmark's sweep_n5
-# cells (construct(n, m) for every n <= 5) and its scan fixtures: float.hex
-# of each root's parts and its multiplicity, or the name of the exception.
+# cells (construct(n, m) for every n <= 5), its scan fixtures and the six
+# diagonal equations with n <= 5, whose (n - 1)-fold roots keep the
+# multiple-root path pinned: float.hex of each root's parts and its
+# multiplicity, or the name of the exception.
 # Recorded from the Aberth kernel that evaluates p, p' and the rounding
 # bound from one matrix of powers per sweep, with the one-pass polish; the
 # random_n16 document digests see simple roots only, this sees the
 # multiple-root path too.  Against the kernel with Bini's running Horner
 # bound, the aberth roots of 58 of the 102 equations moved in their last
 # bits (the polish takes them from its raw start), and no multiplicity did.
-# The pins also depend on the BLAS kernel numpy uses for ``@``.
+# When m = 4 and 16 took their one doubled value, only those six cells
+# moved, and the six diagonal equations they replaced kept the bits those
+# cells had.  The pins also depend on the BLAS kernel numpy uses for ``@``.
 ROOT_BITS_SHA256 = \
-    "68ffd31b24bac2e8c494abe90e6f04130e6ed7e4035279e082c77ac9fea70f92"
+    "066aa8d2de8b5df41a3b2ff3a6b050afcb6772cbb9893c21ed8c7240ec3dbda3"
 SCAN_FIXTURES = ("eq_four_solutions", "eq_x_squared_zero",
                  "eq_x_squared_identity", "eq_x_squared_nilpotent",
                  "eq_x_squared_jordan", "eq_shifted_square", "eq_degree_one")
@@ -707,7 +712,9 @@ def test_root_bits_match_the_recorded_digest(request):
                  for n in range(1, 6)
                  for m in range(1, solution_bound(n) + 1)]
     equations += [request.getfixturevalue(name) for name in SCAN_FIXTURES]
-    assert len(equations) == 102
+    equations += [diagonal_equation(m, n) for m, n_min in ((4, 2), (16, 4))
+                  for n in range(n_min, 6)]
+    assert len(equations) == 108
     assert root_bits_digest(equations) == ROOT_BITS_SHA256
 
 
@@ -751,9 +758,10 @@ def test_large_degree_root_bits_match_the_recorded_digest():
 # pattern at n = 2, 3 with seeds 0 and 1: float.hex of each entry's parts.
 # Recorded from the scan that fits all its eigenpair samples by one batched
 # LU solve, samples C(2n,2) + 2 directions of a plane and dedupes at the
-# solver's tolerance.
+# solver's tolerance; re-recorded when (2, 4) and (3, 4) took their doubled
+# value, and no other equation's scan moved.
 SCAN_BITS_SHA256 = \
-    "067f601da5d36f83f89f08ae74b2fd4395fb7169cd821ca665f1c0c8cc4a5d2e"
+    "5cd849fff278f23faa891f68d265f4ac8a2b29d8ae3cd6326445bcdcf5aba1a5"
 
 
 def scan_equations(request) -> list[MatrixEquation]:
@@ -836,7 +844,7 @@ def aberth_corpus():
     equations += [_random_equation(seed, n, scale)
                   for scale in (1.0, 1e10, 1e30, 1e60)
                   for seed in range(3) for n in range(1, 17)]
-    equations += [special_case(m, n) for m, n_min in ((4, 2), (16, 4))
+    equations += [diagonal_equation(m, n) for m, n_min in ((4, 2), (16, 4))
                   for n in range(n_min, 17)]
     inputs = [aberth_input(eq.det_poly) for eq in equations]
     return [c for c in inputs if c is not None]

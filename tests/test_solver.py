@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import solver
-from matpolyeq.construct import construct, special_case
+from matpolyeq.construct import construct
 from matpolyeq.documents import solution_set_from_doc, solution_set_to_doc
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
                             eval_equation, pack, poly_matrix, unpack)
@@ -24,8 +24,8 @@ from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
 
 from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
-                     RANK_PATTERNS, max_abs_coeff, poly_divmod,
-                     prescribed_equation, ref_sort_key)
+                     RANK_PATTERNS, diagonal_equation, max_abs_coeff,
+                     poly_divmod, prescribed_equation, ref_sort_key)
 
 BACKENDS = ("aberth", "companion")
 
@@ -358,9 +358,9 @@ class TestSolveEquation:
         ss = solve_equation(eq, backend=backend)
         assert not ss.is_finite
 
-    # On these diagonal cells the polish of a simple root leaves its bunch.
-    # Keeping the start gives a wrong finite count (49 at (7, 4)) that
-    # verify passes on its own with aberth, so the solve must raise.
+    # On these diagonal equations the polish of a simple root leaves its
+    # bunch.  Keeping the start gives a wrong finite count (49 at (7, 4))
+    # that verify passes on its own with aberth, so the solve must raise.
     # Aberth's polish stays in its bunches at (9, 16).
     @pytest.mark.parametrize("n, m, backend", [
         (n, m, backend)
@@ -368,14 +368,13 @@ class TestSolveEquation:
                      (10, 16), (11, 16))
         for backend in BACKENDS if (n, m, backend) != (9, 16, "aberth")])
     def test_polish_that_leaves_its_bunch_raises(self, n, m, backend):
-        eq = construct(n, m, validate=False).equation
+        eq = diagonal_equation(m, n)
         with pytest.raises(NonConvergence, match="left its bunch"):
             solve_equation(eq, backend=backend)
 
-    # The aberth backend alone on all 28 explicit diagonal cells.  The
-    # sweep stops a cell at its first failing backend, so at (9, 16) the
-    # companion backend's failure hides aberth's count; this table shows
-    # any change to the root stage.
+    # The aberth backend alone on all 28 explicit diagonal equations, the
+    # yardstick for roots of high multiplicity; this table shows any
+    # change to the root stage.
     def test_aberth_outcomes_on_the_explicit_diagonal_cells(self):
         cells = [(n, 4) for n in range(2, 17)] + \
             [(n, 16) for n in range(4, 17)]
@@ -384,7 +383,7 @@ class TestSolveEquation:
         got = {}
         for n, m in cells:
             try:
-                got[n, m] = solve_equation(special_case(m, n),
+                got[n, m] = solve_equation(diagonal_equation(m, n),
                                            backend="aberth").count
             except NonConvergence:
                 got[n, m] = "NonConvergence"
@@ -732,14 +731,14 @@ class TestScaleCovariance:
                   if _silent_change(_rescaled(eq, j), solve_equation(eq).count)]
         assert silent == []
 
-    # At j = 2 the polish of a simple root leaves its bunch on these special
-    # cells; keeping its start gives an infinite set whose family verify
-    # passes on both backends.  A loud failure or the right count of 16
-    # passes.
+    # At j = 2 the polish of a simple root leaves its bunch on these
+    # diagonal equations; keeping its start gives an infinite set whose
+    # family verify passes on both backends.  A loud failure or the right
+    # count of 16 passes.
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [15, 16])
     def test_rescaled_special_cell_is_not_infinite(self, n, backend):
-        eq = _rescaled(special_case(16, n), 2)
+        eq = _rescaled(diagonal_equation(16, n), 2)
         try:
             ss = solve_equation(eq, backend=backend)
         except NonConvergence:
