@@ -55,7 +55,6 @@ class ConstructionPlan:
 class ConstructionResult:
     equation: MatrixEquation
     plan: ConstructionPlan
-    expected_count: int
 
 
 def choose_p(m: int) -> tuple[int, int, int]:
@@ -182,7 +181,7 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     p = len(lambdas)
     plan = ConstructionPlan(n, m, p, 2 * n - p + 1 - len(doubled), partition,
                             doubled, lambdas, ys, vectors)
-    result = ConstructionResult(solve_coefficients(plan), plan, m)
+    result = ConstructionResult(solve_coefficients(plan), plan)
 
     if validate:
         solved = solve_equation(result.equation)

@@ -281,7 +281,7 @@ def plan_to_doc(result: ConstructionResult) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "n": result.equation.n,
-        "m": result.expected_count,
+        "m": plan.m,
         "p": plan.p,
         "pbar": plan.pbar,
         "partition": [list(block) for block in plan.partition],

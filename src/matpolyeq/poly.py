@@ -25,10 +25,14 @@ _MERGE_RADIUS = 5e-3
 _ABERTH_SWEEPS = 200
 _EPS = float(np.finfo(float).eps)
 _SPLITTER = 134217729.0  # 2**27 + 1
+_NAN = complex(math.nan, math.nan)
 _NEWTON_STEPS = 80
 # A multiplicity class of at least this many centroids is polished as one
 # batch (_newton_batch); below it one at a time costs less (README).
 _BATCH_MIN = 16
+# Aberth sweeps run on Python complex scalars up to this degree and on one
+# numpy matrix of powers above it (README).
+_SCALAR_MAX = 10
 
 
 class NonConvergence(RuntimeError):
@@ -218,21 +222,35 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
 def _aberth_roots(c: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration on a monic polynomial with c[0] != 0.
 
-    Each sweep forms the powers ``z_i^j``, j = 0..d, of the iterates as one
-    ``(d, d+1)`` matrix by ``np.cumprod``.  Its products with p's
-    coefficients, with p''s and with ``|c|`` give ``p(z_i)``, ``p'(z_i)``
-    and the rounding bound ``2 (d+1) eps sum_j |c_j| |z_i^j|`` of that
-    ``p(z_i)`` (README).  The iteration stops when every ``|p(z_i)|`` is
-    within its bound, or when every correction is below 1e-15 relative.
+    The ``d`` iterates start on one slightly perturbed circle whose radius
+    is the outermost radius of the Newton polygon of ``|c|``, ``max_j
+    |c_j|^(1/(d-j))``: every root lies within twice it, and it scales with
+    the roots (README).  Each sweep takes ``p(z_i)``, ``p'(z_i)`` and the
+    rounding bound ``2 (d+1) eps sum_j |c_j| |z_i|^j`` of that ``p(z_i)``,
+    and gives every iterate its Aberth correction.  The iteration stops
+    when every ``|p(z_i)|`` is within its bound, or when every correction
+    is below 1e-15 relative.  Up to degree ``_SCALAR_MAX`` the sweeps run
+    on Python complex scalars (``_aberth_scalars``), above it on one
+    matrix of powers (``_aberth_powers``).
     """
     d = len(c) - 1
     if d == 1:
         return np.array([-c[0]])
-    radius = 1.0 + float(np.abs(c[:-1]).max())
+    radius = float((np.abs(c[:-1]) ** (1.0 / np.arange(d, 0, -1))).max())
     k = np.arange(d)
     # deterministic, slightly perturbed circle of starting points
     z = radius * (1.0 + 0.05 * np.sin(7.0 * k + 1.0)) \
         * np.exp(1j * (2 * np.pi * k / d + 0.4))
+    kernel = _aberth_scalars if d <= _SCALAR_MAX else _aberth_powers
+    return kernel(c, z)
+
+
+def _aberth_powers(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Aberth sweeps of ``_aberth_roots`` from the starts ``z``, each
+    on one ``(d, d+1)`` matrix of the powers ``z_i^j``, j = 0..d, formed by
+    ``np.cumprod``: its products with p's coefficients, with p''s and with
+    ``|c|`` give ``p(z_i)``, ``p'(z_i)`` and the rounding bound."""
+    d = len(c) - 1
     dc = c[1:] * np.arange(1, d + 1)
     ac = np.abs(c)
     powers = np.empty((d, d + 1), dtype=complex)
@@ -258,6 +276,70 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray:
         z = z - corr
         if (np.abs(corr) <= 1e-15 * (1.0 + np.abs(z))).all():
             return z
+    raise NonConvergence(
+        f"no convergence in {_ABERTH_SWEEPS} sweeps at degree {d}")
+
+
+def _aberth_scalars(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``_aberth_powers`` on Python complex scalars, for small degrees
+    where numpy's per-call cost outweighs the arithmetic: the same starts,
+    stop rules and failure messages.  One Horner pass per iterate gives
+    ``p`` and ``p'``, and one on ``|z_i|`` the bound; each pair of iterates
+    takes one division for both Aberth sums.  Where CPython's ``abs``
+    overflows, numpy's gives inf, so the overflow message is raised.  Where
+    two iterates coincide or a correction is not finite, the correction is
+    the Newton step, and a p' of 0 is 1e-30, as in ``_aberth_powers``."""
+    d = len(c) - 1
+    top, *rest = c[::-1].tolist()
+    ac = np.abs(c[-2::-1]).tolist()
+    bound = 2.0 * (d + 1) * _EPS
+    z = z.tolist()
+    isfinite = cmath.isfinite
+    try:
+        for _ in range(_ABERTH_SWEEPS):
+            newton = []
+            done = True
+            for x in z:
+                p, dp = top, 0j
+                for a in rest:
+                    dp = dp * x + p
+                    p = p * x + a
+                r, b = abs(x), 1.0
+                for a in ac:
+                    b = b * r + a
+                noise = bound * b
+                # an overflowed value or bound would pass the test vacuously
+                if not (isfinite(p) and noise < math.inf):
+                    raise OverflowError
+                if done and abs(p) > noise:
+                    done = False
+                newton.append(p / (dp if dp else 1e-30))
+            if done:
+                return np.array(z)
+            sums = [0j] * d
+            for i in range(d - 1):
+                x = z[i]
+                for j in range(i + 1, d):
+                    try:
+                        t = 1.0 / (x - z[j])
+                    except ZeroDivisionError:
+                        t = _NAN
+                    sums[i] += t
+                    sums[j] -= t
+            small = True
+            for i, (w, s) in enumerate(zip(newton, sums)):
+                den = 1.0 - w * s
+                corr = w / den if den else w
+                if not isfinite(corr):
+                    corr = w
+                z[i] = x = z[i] - corr
+                if small and abs(corr) > 1e-15 * (1.0 + abs(x)):
+                    small = False
+            if small:
+                return np.array(z)
+    except OverflowError:
+        raise NonConvergence(
+            f"polynomial values overflow at degree {d}") from None
     raise NonConvergence(
         f"no convergence in {_ABERTH_SWEEPS} sweeps at degree {d}")
 

@@ -234,7 +234,7 @@ def test_criterion_10_construction_beyond_the_sweep():
                                           *range(1, top + 1, 25)})]
     start = time.perf_counter()
     for n, m in cells:
-        assert construct(n, m).expected_count == m   # raises on a miscount
+        assert construct(n, m).plan.m == m   # raises on a miscount
     # m = 4 and 16 at every n, on both backends: C(p, 2) diagonalizable
     # solutions and one non-diagonalizable at the doubled value
     special = [(n, 4) for n in range(2, 17)] + [(n, 16) for n in range(4, 17)]

@@ -349,8 +349,8 @@ _SMALL_BATCH_KERNELS = [
     solver.find_nondiagonalizable, solver.output_order,
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
     verify._scalar_candidates,
-    poly._aberth_roots, poly.relative_value, poly._newton_batch,
-    poly._moduli, poly._batch_values, poly._comp_step,
+    poly._aberth_roots, poly._aberth_powers, poly.relative_value,
+    poly._newton_batch, poly._moduli, poly._batch_values, poly._comp_step,
 ]
 _PY_HELPERS = re.compile(
     r"\bnp\.(stack|hstack|triu_indices|flatnonzero|zeros_like|append)\("

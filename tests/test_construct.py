@@ -262,7 +262,7 @@ class TestConstruct:
         assert construct(2, 5).plan.doubled == ()
 
     def test_expected_count_recorded(self):
-        assert construct(3, 11).expected_count == 11
+        assert construct(3, 11).plan.m == 11
 
     def test_zero_value_keeps_claimed_multiplicity(self):
         # det M(t) is t^pbar prod (t - lambda_i) to the last bit on every

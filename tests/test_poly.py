@@ -11,7 +11,8 @@ from matpolyeq import poly
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (CLUSTER_TOL, NonConvergence, Poly, SingularSystem,
-                            _aberth_roots, _batch_values, _comp_step,
+                            _aberth_powers, _aberth_roots,
+                            _aberth_scalars, _batch_values, _comp_step,
                             _comp_values, _companion_roots, _newton,
                             _newton_batch, _split, dense_solve, find_roots,
                             relative_value)
@@ -691,17 +692,15 @@ def test_a_large_root_leaves_the_small_ones_simple():
 # diagonal equations with n <= 5, whose (n - 1)-fold roots keep the
 # multiple-root path pinned: float.hex of each root's parts and its
 # multiplicity, or the name of the exception.
-# Recorded from the Aberth kernel that evaluates p, p' and the rounding
-# bound from one matrix of powers per sweep, with the one-pass polish; the
-# random_n16 document digests see simple roots only, this sees the
-# multiple-root path too.  Against the kernel with Bini's running Horner
-# bound, the aberth roots of 58 of the 102 equations moved in their last
-# bits (the polish takes them from its raw start), and no multiplicity did.
-# When m = 4 and 16 took their one doubled value, only those six cells
-# moved, and the six diagonal equations they replaced kept the bits those
-# cells had.  The pins also depend on the BLAS kernel numpy uses for ``@``.
+# Recorded from the Aberth iteration that starts on the Newton-polygon
+# radius and runs on Python scalars up to degree poly._SCALAR_MAX, which
+# all these inputs are, with the one-pass polish; the random_n16 document
+# digests see simple roots only, this sees the multiple-root path too.
+# Against the matrix-of-powers kernel started on 1 + max|c|, the aberth
+# roots of 62 of the 108 equations moved in their last bits (the polish
+# takes them from its raw start), and no multiplicity or outcome did.
 ROOT_BITS_SHA256 = \
-    "066aa8d2de8b5df41a3b2ff3a6b050afcb6772cbb9893c21ed8c7240ec3dbda3"
+    "29ee25e5ea52f79d7e955ba577429f1140658c3d6b6a2e154afa6af2b5caefe4"
 SCAN_FIXTURES = ("eq_four_solutions", "eq_x_squared_zero",
                  "eq_x_squared_identity", "eq_x_squared_nilpotent",
                  "eq_x_squared_jordan", "eq_shifted_square", "eq_degree_one")
@@ -738,10 +737,12 @@ def root_bits_digest(equations) -> str:
 # centroids, so that both sides of the polish's batch threshold are pinned:
 # random equations at n = 6, 8, 12, 16 (seeds 0-4) and the constructed
 # cells (10, 128) and (16, 496).  Recorded from the matrix-of-powers
-# Aberth kernel; against the running-bound kernel, the aberth roots of 1 of
-# the 22 equations moved in their last bits, and no multiplicity did.
+# Aberth kernel started on the Newton-polygon radius; against the start
+# radius 1 + max|c|, the aberth roots of 1 of the 22 equations moved in
+# their last bits, and no multiplicity did.  This pin also depends on the
+# BLAS kernel numpy uses for ``@``.
 LARGE_ROOT_BITS_SHA256 = \
-    "ef9bf4451ad4a780822bd102009b737f3af43eab8b03be51d417e686864a25e2"
+    "affc33954e8a7ff4cacc16f40d8f19baa1123a89bf0fb15bb70792c76a83ec60"
 
 
 def test_large_degree_root_bits_match_the_recorded_digest():
@@ -859,9 +860,19 @@ def kernel_outcome(kernel, c):
         return type(exc), str(exc)
 
 
+def find_outcome(p: Poly):
+    """find_roots' roots of p with the aberth backend, or the text of its
+    NonConvergence."""
+    try:
+        return find_roots(p)
+    except NonConvergence as exc:
+        return str(exc)
+
+
 class TestAberthKernel:
-    """_aberth_roots takes p, p' and the rounding bound of p from one matrix
-    of powers per sweep."""
+    """_aberth_roots starts on the Newton-polygon radius and sweeps on
+    Python scalars up to degree _SCALAR_MAX, on one matrix of powers above
+    it."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -884,7 +895,54 @@ class TestAberthKernel:
         assert len(corpus) == 315
         # roots, values that overflow, and a spent sweep budget
         assert [kinds.count(k) for k in ("roots", "polynomial", "no")] == \
-            [178, 116, 21]
+            [213, 79, 23]
+
+    def test_kernels_agree_below_the_crossover(self, corpus, monkeypatch):
+        # each input that both kernels can take, rooted by find_roots with
+        # the scalar kernel and then with the matrix of powers
+        small = [c for c in corpus if len(c) - 1 <= poly._SCALAR_MAX]
+        outcomes = []
+        for cap in (poly._SCALAR_MAX, 0):
+            monkeypatch.setattr(poly, "_SCALAR_MAX", cap)
+            outcomes.append([find_outcome(Poly(c)) for c in small])
+        both = 0
+        for c, scalar, powers in zip(small, *outcomes):
+            d = len(c) - 1
+            for o in (scalar, powers):
+                assert isinstance(o, list) or o in (
+                    f"polynomial values overflow at degree {d}",
+                    f"no convergence in 200 sweeps at degree {d}")
+            if isinstance(scalar, list) and isinstance(powers, list):
+                both += 1
+                assert [r.multiplicity for r in scalar] == \
+                    [r.multiplicity for r in powers]
+                got = np.array([r.value for r in scalar])
+                want = np.array([r.value for r in powers])
+                scale = max(1.0, np.abs(want).max())
+                assert (np.abs(got - want) <= CLUSTER_TOL * scale).all()
+        assert (len(small), both) == (161, 145)
+
+    @pytest.mark.parametrize("starts", [[0.5, 0.5], [0, 0], [0, 2j]])
+    def test_zero_divisors_take_the_newton_step(self, starts):
+        # coinciding iterates and p'(0) = 0 on t^2 - 1: the scalar kernel
+        # raises nothing and ends where the matrix of powers does
+        c = np.array([-1, 0, 1], dtype=complex)
+        z = np.array(starts, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.sort_complex(_aberth_powers(c, z))
+        got = np.sort_complex(_aberth_scalars(c, z))
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_an_overflowing_modulus_is_a_value_overflow(self):
+        # the modulus of an iterate of finite parts overflows CPython's
+        # abs, where numpy's powers of it overflow
+        c = np.array([-1, 0, 1], dtype=complex)
+        z = np.array([1.5e308 + 1.5e308j, 0.5])
+        for kernel in (_aberth_scalars, _aberth_powers):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonConvergence,
+                                  match="polynomial values overflow"):
+                kernel(c, z)
 
     def test_roots_lie_near_the_companion_roots(self):
         for seed in range(3):

@@ -731,6 +731,25 @@ class TestScaleCovariance:
                   if _silent_change(_rescaled(eq, j), solve_equation(eq).count)]
         assert silent == []
 
+    # Aberth starts on the Newton-polygon radius of det M(t), which scales
+    # with the roots; from the circle 1 + max|c| it spent its 200 sweeps on
+    # these top cells at X = Y / 2 and on these random equations.
+    @pytest.mark.parametrize("n, m", [(15, 435), (16, 496)])
+    def test_halved_top_cells_root_on_aberth(self, n, m):
+        eq = _rescaled(construct(n, m, validate=False).equation, -1)
+        ss = solve_equation(eq, backend="aberth")
+        assert ss.count == m
+        assert verify_solution_set(eq, ss).verdict == "pass"
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_random_equations_root_on_aberth(
+            self, scaled_random_equation, seed, scale):
+        eq = scaled_random_equation(seed, 16, scale)
+        ss = solve_equation(eq, backend="aberth")
+        assert ss.count == 496
+        assert verify_solution_set(eq, ss).verdict == "pass"
+
     # At j = 2 the polish of a simple root leaves its bunch on these
     # diagonal equations; keeping its start gives an infinite set whose
     # family verify passes on both backends.  A loud failure or the right

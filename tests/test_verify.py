@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matpolyeq
-from matpolyeq import verify
+from matpolyeq import poly, verify
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import NonConvergence, relative_value
@@ -155,9 +155,16 @@ class TestVerifySolutionSet:
         assert report.verdict == "pass"
         assert report.certificate_ok is True
 
-    def test_companion_data_where_aberth_fails(self):
-        # X = Y / 256 makes an equation aberth cannot root in its sweep
-        # budget; the companion backend's set is judged on its own data
+    def test_companion_data_where_aberth_fails(self, monkeypatch):
+        # where aberth cannot root det M(t) in its sweep budget, the
+        # companion backend's set is judged on its own data; aberth roots
+        # this X = Y / 256 equation since it starts on the Newton-polygon
+        # radius, so its failure is forced
+        def spent(c):
+            raise NonConvergence(
+                f"no convergence in 200 sweeps at degree {len(c) - 1}")
+
+        monkeypatch.setattr(poly, "_aberth_roots", spent)
         eq = prescribed_equation("jordan_invertible", 4, 28)[0]
         eq = MatrixEquation(tuple(a.scale(2.0 ** (8 * (eq.n - k)))
                                   for k, a in enumerate(eq.coeffs)))
