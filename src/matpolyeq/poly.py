@@ -163,7 +163,8 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     Zero roots carried by exactly-vanishing low-order coefficients are
     deflated first.  The remaining roots come from the chosen backend
     (``_aberth_roots``, which evaluates p, p' and the rounding bound of p
-    from one matrix of powers per sweep, or ``_companion_roots``), are
+    each sweep, on Python scalars up to degree ``_SCALAR_MAX`` and from
+    one matrix of powers above it, or ``_companion_roots``), are
     clustered at ``CLUSTER_TOL`` relative to the root scale, ``max(1,
     max|raw|)`` computed once here, and the clusters' raw centroids are
     bunched at ``_MERGE_RADIUS`` on the same scale.  A
@@ -513,12 +514,13 @@ def _newton_batch(c, dc, z) -> np.ndarray:
     starts; those that stopped are masked out.  A start stops, as in
     ``_newton``, where the derivative is 0, where the candidate raises
     |value|, or where the step is at most ``4e-16 (1 + |z|)``, after at
-    most ``_NEWTON_STEPS`` steps.  The step is numpy's complex division
-    (Smith's) on the parts, both branches computed and one picked, so the
-    warnings of the other are ignored; moduli are ``np.hypot``, libm's
+    most ``_NEWTON_STEPS`` steps.  The step is numpy's complex division,
+    the routine of its scalar division (Smith's), on complexes built from
+    the parts by assignment (``re + 1j * im`` would turn an infinite
+    imaginary part into a NaN real part); moduli are ``np.hypot``, libm's
     ``hypot`` as CPython's complex ``abs`` is.
     """
-    values = _batch_values(c, dc, len(z))
+    values = _batch_values(c, dc)
     zr, zi = z.real.copy(), z.imag.copy()
     vr, vi, dr, di = values(zr, zi)
     size = _moduli(vr, vi, True)
@@ -527,16 +529,8 @@ def _newton_batch(c, dc, z) -> np.ndarray:
         moving &= (dr != 0) | (di != 0)
         if not moving.any():
             break
-        # p is the divisor's part of larger modulus and q the other; the
-        # branches differ in x, y and the sign of the imaginary numerator
-        big = np.abs(dr) >= np.abs(di)
-        p, q = np.where(big, dr, di), np.where(big, di, dr)
-        x, y = np.where(big, vr, vi), np.where(big, vi, vr)
-        rat = q / p
-        scl = 1.0 / (p + q * rat)
-        sr = (x + y * rat) * scl
-        u = x * rat
-        si = np.where(big, y - u, u - y) * scl
+        step = _complex(vr, vi) / _complex(dr, di)
+        sr, si = step.real, step.imag
         cr, ci = zr - sr, zi - si
         vr, vi, dr, di = values(cr, ci)
         candidate_size = _moduli(vr, vi, moving)
@@ -546,8 +540,14 @@ def _newton_batch(c, dc, z) -> np.ndarray:
         zr, zi = np.where(moving, cr, zr), np.where(moving, ci, zi)
         moving &= ~(_moduli(sr, si, moving)
                     <= 4e-16 * (1.0 + _moduli(zr, zi, moving)))
-    out = np.empty(len(z), dtype=complex)
-    out.real, out.imag = zr, zi
+    return _complex(zr, zi)
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array of parts ``re`` and ``im``, signed zeros, infs
+    and NaNs as they are."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -562,8 +562,8 @@ def _moduli(re, im, members) -> np.ndarray:
     return out
 
 
-def _batch_values(c, dc, m):
-    """The function of m points (zr, zi) that gives ``_comp_values`` at
+def _batch_values(c, dc):
+    """The function of the points (zr, zi) that gives ``_comp_values`` at
     each: the compensated value of ``c`` and the plain value of ``dc``, as
     float arrays (vr, vi, dr, di), bit for bit.
 
@@ -580,57 +580,36 @@ def _batch_values(c, dc, m):
     Each product by z is ``(sr zr - si zi, sr zi + si zr)`` on the parts,
     as a complex128 scalar forms it (numpy's array multiply can differ in
     the last bit): part l of the product is the sum over j of part j times
-    ``zt[l, j]``, with ``zt = [[zr, -zi], [zi, zr]]``.  The loops of
-    passes 1 and 3 cost a few ufunc calls per step, so they alone write
-    into arrays made once (without them a 32-root class took 25% longer,
-    README); pass 2 runs once per call and allocates.
+    ``zt[l, j]``, with ``zt = [[zr, -zi], [zi, zr]]``.
     """
     c, dc = c[::-1], dc[::-1]
-    steps = len(c) - 1
-    mul, add = np.multiply, np.add
     # coef[k] is added on step k + 1: row 0 is c's, row 1 dc's
-    coef = np.empty((steps, 2, 2, m))
-    coef[:, 0, 0] = c.real[1:, None]
-    coef[:, 0, 1] = c.imag[1:, None]
-    coef[:, 1, 0] = dc.real[:, None]
-    coef[:, 1, 1] = dc.imag[:, None]
-    cr, ci = coef[:, 0, 0], coef[:, 0, 1]
-    rows = np.empty((steps + 1, 2, 2, m))
-    zt = np.empty((2, 2, m))
-    prods = np.empty((2, 2, 2, m))  # (row, l, j)
-    pa, pb = prods[:, :, 0], prods[:, :, 1]
-    horner = [(rows[k][:, None], rows[k + 1], coef[k]) for k in range(steps)]
-    err = np.empty((2, m))
-    eprods = np.empty((2, 2, m))
-    ea, eb = eprods[:, 0], eprods[:, 1]
-    err_row = err[None]
+    coef = np.empty((len(c) - 1, 2, 2, 1))
+    coef[:, 0, 0, 0], coef[:, 0, 1, 0] = c.real[1:], c.imag[1:]
+    coef[:, 1, 0, 0], coef[:, 1, 1, 0] = dc.real, dc.imag
 
     def values(zr, zi):
-        zt[0, 0] = zr
-        np.negative(zi, out=zt[0, 1])
-        zt[1, 0] = zi
-        zt[1, 1] = zr
-        rows[0, 0, 0] = c[0].real
-        rows[0, 0, 1] = c[0].imag
-        rows[0, 1] = 0.0
-        # pass 1: both plain Horner rows
-        for prev, cur, coef_k in horner:
-            mul(prev, zt, prods)
-            add(pa, pb, cur)
-            add(cur, coef_k, cur)
+        zt = np.array([[zr, -zi], [zi, zr]])
+        s = np.zeros((2, 2, len(zr)))
+        s[0, 0], s[0, 1] = c[0].real, c[0].imag
+        # pass 1: both plain Horner rows, keeping the value row's s_{k-1}
+        prev = []
+        for coef_k in coef:
+            prev.append(s[0])
+            prods = s[:, None] * zt
+            s = prods[:, :, 0] + prods[:, :, 1] + coef_k
         # pass 2: the error terms of all steps
-        (zrh, zrl), (zih, zil) = _split(zr), _split(zi)
-        terms = np.array(_comp_step(rows[:-1, 0, 0], rows[:-1, 0, 1], zr, zi,
-                                    zrh, zrl, zih, zil, cr, ci)[2:])
+        sr, si = np.array(prev).swapaxes(0, 1)
+        terms = _comp_step(sr, si, zr, zi, *_split(zr), *_split(zi),
+                           coef[:, 0, 0], coef[:, 0, 1])[2:]
         # pass 3: the Horner pass over the error terms
-        err[:] = 0.0
-        for term in terms.swapaxes(0, 1):
-            mul(err_row, zt, eprods)
-            add(ea, eb, err)
-            add(err, term, err)
-        vr, vi = rows[-1, 0] + err
-        dr, di = rows[-1, 1]
-        return vr, vi, dr.copy(), di.copy()
+        err = np.zeros((2, len(zr)))
+        for term in np.array(terms).swapaxes(0, 1):
+            prods = err * zt
+            err = prods[:, 0] + prods[:, 1] + term
+        vr, vi = s[0] + err
+        dr, di = s[1]
+        return vr, vi, dr, di
 
     return values
 

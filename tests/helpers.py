@@ -1,8 +1,8 @@
 """Test-only routines: exact-arithmetic references the package does not
 need, the per-solution sort key and document writer that the packed
 solution batch replaced, the per-pair candidate scan that the batched one
-replaced, and the rank-pattern and diagonal equations shared by the solver
-and scan tests."""
+replaced, the rank-pattern and diagonal equations shared by the solver
+and scan tests, and the rescaled equation of X = 2^j Y."""
 
 import cmath
 import math
@@ -277,3 +277,10 @@ def diagonal_equation(m: int, n: int) -> MatrixEquation:
         raise DomainError(f"no diagonal equation for m = {m}")
     coeffs = tuple(Mat2.diag(top.coeffs[i], bottom.coeffs[i]) for i in range(n))
     return MatrixEquation(coeffs)
+
+
+def rescaled(eq: MatrixEquation, j: int) -> MatrixEquation:
+    """The equation of Y = 2^-j X: B_k = 2^(-j (n - k)) A_k, exact in
+    doubles, whose solutions are 2^-j times those of eq."""
+    return MatrixEquation(tuple(a.scale(2.0 ** (-j * (eq.n - k)))
+                                for k, a in enumerate(eq.coeffs)))

@@ -445,8 +445,7 @@ def test_batch_values_match_the_scalar_pass(c, z):
     c, z = np.array(c, dtype=complex), np.array(z, dtype=complex)
     dc = derivative(c)
     with np.errstate(all="ignore"):
-        vr, vi, dr, di = _batch_values(c, dc, len(z))(z.real.copy(),
-                                                      z.imag.copy())
+        vr, vi, dr, di = _batch_values(c, dc)(z.real.copy(), z.imag.copy())
     for k, zk in enumerate(z):
         value, slope = comp_values(c, dc, zk)
         assert outcome(complex, complex(vr[k], vi[k])) == \
@@ -540,6 +539,13 @@ def test_batch_polish_matches_numpy_scalars(case):
 @settings(max_examples=150, deadline=None)
 @given(batch_cases())
 @example(case=(np.array([1.5e300 + 1.5e300j, 1e-8]), np.array([0j, 3.0])))
+# the batch builds its complexes from the parts: re + 1j * im would lose
+# the sign of a zero imaginary part, and give a NaN real part where the
+# value's imaginary part is infinite
+@example(case=(np.array([-0j, complex(-0.0, 1e-300), 1e300 - 1j]),
+               np.array([complex(-0.0, -0.0)])))
+@example(case=(np.array([-1e300 + 1e-300j, -1j, 1e-300 + 1j, 1e-300j]),
+               np.array([-1e300 + 0.5j])))
 def test_kernels_give_the_same_bits(case):
     # the one contract of both polish kernels: the same starts give the
     # same bits, or both raise the same exception
@@ -547,6 +553,38 @@ def test_kernels_give_the_same_bits(case):
     dc = derivative(c)
     assert polish_outcome(_newton, c, dc, z) == \
         polish_outcome(_newton_batch, c, dc, z)
+
+
+def smith_division(vr, vi, dr, di):
+    """_newton's step v / d on the parts, as _newton writes it."""
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        return (vr + vi * rat) * scl, (vi - vr * rat) * scl
+    rat = dr / di
+    scl = 1.0 / (di + dr * rat)
+    return (vr * rat + vi) * scl, (vi * rat - vr) * scl
+
+
+def test_array_division_is_the_smith_division_of_newton():
+    # _newton_batch divides with numpy's complex array division, which
+    # must give _newton's Smith formula part for part: on every value and
+    # divisor drawn from the special parts, the divisor not 0 (the kernels
+    # stop there); the formula runs on np.float64, where _newton's floats
+    # would raise ZeroDivisionError on a divisor of NaN real part and 0
+    # imaginary part (Horner values do not take those)
+    special = [0.0, -0.0, 1.0, -1.0, 3.5, 1e-310, 5e-324, 1e-200, 1e300,
+               1.3e308, -1.7e308, math.inf, -math.inf, math.nan]
+    grid = np.array(np.meshgrid(*[special] * 4)).reshape(4, -1)
+    grid = grid[:, (grid[2] != 0) | (grid[3] != 0)]
+    assert grid.shape[1] == 37632
+    vr, vi, dr, di = grid
+    with np.errstate(all="ignore"):
+        step = poly._complex(vr, vi) / poly._complex(dr, di)
+        want = np.array([smith_division(*parts) for parts in grid.T])
+    got = np.array([step.real, step.imag]).T
+    got[np.isnan(got)] = want[np.isnan(want)] = np.nan
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("c", [

@@ -25,7 +25,8 @@ from matpolyeq.verify import (brute_force_scan, count_cross_check,
 
 from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
                      RANK_PATTERNS, diagonal_equation, max_abs_coeff,
-                     poly_divmod, prescribed_equation, ref_sort_key)
+                     poly_divmod, prescribed_equation, ref_sort_key,
+                     rescaled)
 
 BACKENDS = ("aberth", "companion")
 
@@ -667,13 +668,6 @@ class TestOverflow:
         assert verify_solution_set(eq, ss).verdict == "pass"
 
 
-def _rescaled(eq, j):
-    """The equation of Y = 2^-j X: B_k = 2^(-j (n - k)) A_k, exact in
-    doubles, whose solutions are 2^-j times those of eq."""
-    return MatrixEquation(tuple(a.scale(2.0 ** (-j * (eq.n - k)))
-                                for k, a in enumerate(eq.coeffs)))
-
-
 def _swapped(eq):
     # similarity by P = [[0, 1], [1, 0]]: P A P
     return MatrixEquation(tuple(Mat2(a.m22, a.m21, a.m12, a.m11)
@@ -710,9 +704,9 @@ class TestScaleCovariance:
     change a count.  A change that the backends agree on and verify passes
     is a silent wrong answer, and none is allowed."""
 
-    TRANSFORMS = {"j=-1": (lambda eq: _rescaled(eq, -1), 8),
-                  "j=2": (lambda eq: _rescaled(eq, 2), 8),
-                  "j=4": (lambda eq: _rescaled(eq, 4), 8),
+    TRANSFORMS = {"j=-1": (lambda eq: rescaled(eq, -1), 8),
+                  "j=2": (lambda eq: rescaled(eq, 2), 8),
+                  "j=4": (lambda eq: rescaled(eq, 4), 8),
                   "swap": (_swapped, 6),
                   "conjugate": (_conjugated, 6)}
 
@@ -728,7 +722,7 @@ class TestScaleCovariance:
                                                j):
         equations = [scaled_random_equation(s, 8, 1.0) for s in range(5)]
         silent = [s for s, eq in enumerate(equations)
-                  if _silent_change(_rescaled(eq, j), solve_equation(eq).count)]
+                  if _silent_change(rescaled(eq, j), solve_equation(eq).count)]
         assert silent == []
 
     # Aberth starts on the Newton-polygon radius of det M(t), which scales
@@ -736,7 +730,7 @@ class TestScaleCovariance:
     # these top cells at X = Y / 2 and on these random equations.
     @pytest.mark.parametrize("n, m", [(15, 435), (16, 496)])
     def test_halved_top_cells_root_on_aberth(self, n, m):
-        eq = _rescaled(construct(n, m, validate=False).equation, -1)
+        eq = rescaled(construct(n, m, validate=False).equation, -1)
         ss = solve_equation(eq, backend="aberth")
         assert ss.count == m
         assert verify_solution_set(eq, ss).verdict == "pass"
@@ -757,7 +751,7 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [15, 16])
     def test_rescaled_special_cell_is_not_infinite(self, n, backend):
-        eq = _rescaled(diagonal_equation(16, n), 2)
+        eq = rescaled(diagonal_equation(16, n), 2)
         try:
             ss = solve_equation(eq, backend=backend)
         except NonConvergence:
