@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -73,12 +74,6 @@ class Candidates:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __add__(self, other: "Candidates") -> "Candidates":
-        return Candidates(np.concatenate((self.matrices, other.matrices)),
-                          np.concatenate((self.residuals, other.residuals)),
-                          self.kinds + other.kinds,
-                          self.eigen_data + other.eigen_data)
 
     def take(self, rows: Sequence[int]) -> "Candidates":
         return Candidates(self.matrices[rows], self.residuals[rows],
@@ -186,66 +181,127 @@ def rejection_reason(eq: MatrixEquation, x: np.ndarray, res: np.ndarray,
 def critical_data(eq: MatrixEquation,
                   backend: str = "aberth") -> tuple[CriticalDatum, ...]:
     """Critical values of the equation paired with their critical spaces,
-    found once per equation object and backend."""
+    found once per equation object and backend.  The critical space at a
+    value (M(lam), its finiteness check and ``rank_and_nullspace``) is
+    computed once per equation and value, so the two backends share it
+    wherever their roots are the same double."""
     return eq.derived(("critical_data", backend),
                       lambda: _critical_data(eq, backend))
 
 
 def _critical_data(eq, backend):
-    data = []
-    for root in find_roots(eq.det_poly, backend=backend):
-        evaluated = eq.matrix.eval(root.value)
+    return tuple(CriticalDatum(root.value, root.multiplicity,
+                               *_critical_space(eq, root.value))
+                 for root in find_roots(eq.det_poly, backend=backend))
+
+
+def _bits(*zs: complex) -> bytes:
+    """The exact doubles of complex numbers, as a key of ``eq.derived``:
+    == would take -0.0 for 0.0, whose results can differ in a sign."""
+    return struct.pack(f"{2 * len(zs)}d",
+                       *(part for z in zs for part in (z.real, z.imag)))
+
+
+def _critical_space(eq, lam) -> tuple[int, tuple[Vec2, ...]]:
+    """Dimension and basis of the nullspace of M(lam), once per equation and
+    value; NonConvergence where M(lam) overflows or has full rank."""
+    def compute():
+        evaluated = eq.matrix.eval(lam)
         if not _finite(evaluated):
             raise NonConvergence(
-                f"M(t) overflows at critical value {root.value:.6g}")
-        rank, basis = rank_and_nullspace(
-            evaluated, eq.norm_poly(abs(root.value)).real)
+                f"M(t) overflows at critical value {lam:.6g}")
+        rank, basis = rank_and_nullspace(evaluated,
+                                         eq.norm_poly(abs(lam)).real)
         if rank == 2:  # the backend returned a value that is no root
             raise NonConvergence(
-                f"no critical space at critical value {root.value:.6g}")
-        data.append(CriticalDatum(root.value, root.multiplicity,
-                                  2 - rank, tuple(basis)))
-    return tuple(data)
+                f"no critical space at critical value {lam:.6g}")
+        return 2 - rank, tuple(basis)
+    return eq.derived(("critical_space", _bits(lam)), compute)
 
 
 def _finite(m: Mat2) -> bool:
     return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
 
 
-def scalar_solutions(eq: MatrixEquation,
-                     data: Sequence[CriticalDatum]) -> Candidates:
-    """lam * I for every critical value whose critical space is the whole
-    plane (rank M(lam) = 0), residual-checked as one batch."""
-    planes = [d for d in data if d.space_dim == 2]
-    x = pack([Mat2.identity().scale(d.value) for d in planes])
-    return Candidates(x, residuals(eq, x),
-                      (SCALAR,) * len(planes),
-                      tuple(((d.value, E1), (d.value, E2)) for d in planes))
+def finite_candidates(eq: MatrixEquation,
+                      sets: Sequence[Sequence[CriticalDatum]]
+                      ) -> tuple[Candidates, np.ndarray]:
+    """The finite candidates of every critical-data set in ``sets`` as one
+    batch, with the index of each row's set.
 
+    The rows are the scalar matrices lam*I of every two-dimensional critical
+    space, then one row per pair of distinct critical values of one set
+    with linearly independent critical vectors, in (i, j) order, then the
+    nilpotent offsets (see ``find_nondiagonalizable``); each group holds
+    its rows set by set, each set's in data order.  All pairs come from one
+    pairing-determinant pass and one ``_assemble``, and all residuals from
+    one ``residuals`` call: every step acts row by row, so a set's rows are
+    bit for bit those of a batch of its own.
+    """
+    planes, lines, offsets = [], [], []
+    for s, data in enumerate(sets):
+        for d in data:
+            lam = d.value
+            if d.space_dim == 2:
+                planes.append((s, lam))
+            elif d.space_dim == 1:
+                k = d.basis[0]
+                lines.append((s, lam, k))
+                if d.multiplicity >= 2 and \
+                        (offset := _offset(eq, lam, k)) is not None:
+                    offsets.append((s, lam, k, offset))
 
-def enumerate_diagonalizable(eq: MatrixEquation,
-                             data: Sequence[CriticalDatum]) -> Candidates:
-    """One candidate per pair of distinct critical values with linearly
-    independent critical vectors, in (i, j) order; the pairs are assembled
-    and residual-checked as one batch."""
-    pairs = [(d.value, d.basis[0]) for d in data if d.space_dim == 1]
-    z = np.array([(value, v.x, v.y) for value, v in pairs],
+    owner = np.array([s for s, _, _ in lines], int)
+    z = np.array([(lam, k.x, k.y) for _, lam, k in lines],
                  complex).reshape(-1, 3)
-    r = np.arange(len(pairs))
-    i, j = np.nonzero(r[:, None] < r)
+    r = np.arange(len(lines))
+    i, j = ((r[:, None] < r) & (owner[:, None] == owner)).nonzero()
     # det2(va, vb) = va.x vb.y - va.y vb.x, on the parts of every line's
     # vector, taken once
     vx, vy = _parts(z[:, 1:].T).swapaxes(0, 1)
     pr, pi = mul_parts(vx[:, i], vy[:, j]) - mul_parts(vy[:, i], vx[:, j])
     keep = np.hypot(pr, pi) > INDEPENDENCE_TOL
     i, j = i[keep], j[keep]
-    inv = [1.0 / complex(r, m)
-           for r, m in zip(pr[keep].tolist(), pi[keep].tolist())]
-    x = _assemble(z[i], z[j], np.array(inv, complex))
-    return Candidates(
-        x, residuals(eq, x), (DIAGONALIZABLE,) * len(i),
-        tuple(zip([pairs[p] for p in i.tolist()],
-                  [pairs[q] for q in j.tolist()])))
+    inv = [1.0 / complex(re, im)
+           for re, im in zip(pr[keep].tolist(), pi[keep].tolist())]
+    pairs = [(lam, k) for _, lam, k in lines]
+
+    x = np.concatenate((
+        pack([Mat2.identity().scale(lam) for _, lam in planes]),
+        _assemble(z[i], z[j], np.array(inv, complex)),
+        pack([offset for _, _, _, offset in offsets])))
+    found = Candidates(
+        x, residuals(eq, x),
+        (SCALAR,) * len(planes) + (DIAGONALIZABLE,) * len(i)
+        + (NON_DIAGONALIZABLE,) * len(offsets),
+        tuple(((lam, E1), (lam, E2)) for _, lam in planes)
+        + tuple(zip([pairs[p] for p in i.tolist()],
+                    [pairs[q] for q in j.tolist()]))
+        + tuple(((lam, k),) for _, lam, k, _ in offsets))
+    return found, np.concatenate((
+        np.array([s for s, _ in planes], int), owner[i],
+        np.array([s for s, _, _, _ in offsets], int)))
+
+
+def _of_kind(eq, data, kind) -> Candidates:
+    found, _ = finite_candidates(eq, (data,))
+    return found.take([r for r, k in enumerate(found.kinds) if k == kind])
+
+
+def scalar_solutions(eq: MatrixEquation,
+                     data: Sequence[CriticalDatum]) -> Candidates:
+    """lam * I for every critical value whose critical space is the whole
+    plane (rank M(lam) = 0), with their residuals: the scalar rows of
+    ``finite_candidates`` for one set."""
+    return _of_kind(eq, data, SCALAR)
+
+
+def enumerate_diagonalizable(eq: MatrixEquation,
+                             data: Sequence[CriticalDatum]) -> Candidates:
+    """One candidate per pair of distinct critical values with linearly
+    independent critical vectors, in (i, j) order, with their residuals:
+    the pair rows of ``finite_candidates`` for one set."""
+    return _of_kind(eq, data, DIAGONALIZABLE)
 
 
 def _parts(z: np.ndarray) -> np.ndarray:
@@ -273,7 +329,7 @@ def find_nondiagonalizable(eq: MatrixEquation,
                            data: Sequence[CriticalDatum]) -> Candidates:
     """lam*I + N with N nonzero nilpotent at each repeated critical value lam
     with a one-dimensional critical space, in data order, with their
-    residuals from one batch; ``solve_equation`` accepts them.
+    residuals: the offset rows of ``finite_candidates`` for one set.
 
     For nilpotent N, X^k = lam^k I + k lam^(k-1) N collapses the residual
     to M(lam) + M'(lam) N, and a nonzero nilpotent is N = k v^T with
@@ -282,11 +338,13 @@ def find_nondiagonalizable(eq: MatrixEquation,
     and only when M'(lam) k is parallel to a.  Two-dimensional spaces are
     ``detect_infinite``'s.
     """
-    mats, eigen_data = [], []
-    for d in data:
-        if d.multiplicity < 2 or d.space_dim != 1:
-            continue
-        lam, k = d.value, d.basis[0]
+    return _of_kind(eq, data, NON_DIAGONALIZABLE)
+
+
+def _offset(eq, lam, k) -> Optional[Mat2]:
+    """The offset lam*I + N at the critical vector k of lam, or None, once
+    per equation, value and vector (see ``find_nondiagonalizable``)."""
+    def compute():
         mval = eq.matrix.eval(lam)
         w = eq.matrix_derivative.eval(lam).apply(k)
         col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
@@ -294,16 +352,13 @@ def find_nondiagonalizable(eq: MatrixEquation,
         wnorm = w.norm()
         if (wnorm <= RANK_TOL * eq.norm_poly.derivative()(abs(lam)).real
                 or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
-            continue
+            return None
         # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
         v = Vec2(-(w.x.conjugate() * mval.m11 + w.y.conjugate() * mval.m21),
                  -(w.x.conjugate() * mval.m12 + w.y.conjugate() * mval.m22))
-        mats.append(Mat2.identity().scale(lam)
-                    + outer(k, v).scale(1.0 / wnorm ** 2))
-        eigen_data.append(((lam, k),))
-    x = pack(mats)
-    return Candidates(x, residuals(eq, x), (NON_DIAGONALIZABLE,) * len(mats),
-                      tuple(eigen_data))
+        return (Mat2.identity().scale(lam)
+                + outer(k, v).scale(1.0 / wnorm ** 2))
+    return eq.derived(("offset", _bits(lam, k.x, k.y)), compute)
 
 
 def family_samples(eq: MatrixEquation, base: Mat2, direction: Mat2):
@@ -378,46 +433,62 @@ def _two_dim_family(eq, lam, lam2, vprime) -> InfiniteCertificate:
 
 
 def solve_equation(eq: MatrixEquation, backend: str = "aberth") -> SolutionSet:
-    """Classify the full solution set of a matrix polynomial equation.
+    """Classify the full solution set of a matrix polynomial equation: the
+    one-backend case of ``solve_sets``."""
+    return solve_sets(eq, (backend,))[0]
 
-    Infinite detection runs before finite enumeration so two-dimensional
-    critical spaces never reach the pair assembly.  The finite candidates
-    (scalar matrices, then the pairs of critical values, then nilpotent
-    offsets) are held as one array batch (``Candidates``): their residuals
-    come from one call of the batch kernel ``mat2.eval_batch`` for the pairs.
-    Every candidate is a solution: the batch is accepted whole, and checked
-    against the C(2n, 2) bound, or the solve raises InternalInconsistency;
-    nothing is dropped or merged.  The set holds the rows as that batch,
-    sorted by eigenvalues and then entries with one ``np.lexsort``
-    (``output_order``); Solution objects are built only if
-    ``SolutionSet.solutions`` is read.
+
+def solve_sets(eq: MatrixEquation,
+               backends: Sequence[str]) -> tuple[SolutionSet, ...]:
+    """The solution set of the equation on each root backend, from one pass.
+
+    Every backend's critical data comes first, in order, so the first
+    backend that fails to root the equation raises before any later work.
+    Infinite detection then runs set by set, before finite enumeration, so
+    two-dimensional critical spaces never reach the pair assembly.  The
+    finite candidates of all the finite sets are one array batch
+    (``finite_candidates``): one residual call, one ``accepted`` call and
+    one ``np.lexsort`` (``output_order``, with the set index as the leading
+    key).  Each set is then judged alone, in backend order: every one of
+    its candidates must be accepted and their count stay within the
+    C(2n, 2) bound, or the solve raises InternalInconsistency naming the
+    set's first refused row in scalar, pair, offset order; nothing is
+    dropped or merged.  A set holds its rows as one batch in output order,
+    bit for bit the batch a solve on that backend alone gives; Solution
+    objects are built only if ``SolutionSet.solutions`` is read.
     """
-    data = critical_data(eq, backend=backend)
-    cert = detect_infinite(eq, data)
-    if cert is not None:
-        return SolutionSet.of((), cert, data)
-
-    found = (scalar_solutions(eq, data)
-             + enumerate_diagonalizable(eq, data)
-             + find_nondiagonalizable(eq, data))
-
+    sets = [critical_data(eq, backend=backend) for backend in backends]
+    certs = [detect_infinite(eq, data) for data in sets]
+    out = [None if cert is None else SolutionSet.of((), cert, data)
+           for cert, data in zip(certs, sets)]
+    finite = [s for s, cert in enumerate(certs) if cert is None]
+    if not finite:
+        return tuple(out)
+    found, owner = finite_candidates(eq, [sets[s] for s in finite])
     ok = accepted(eq, found.matrices, found.residuals)
-    if not ok.all():
-        raise InternalInconsistency("candidate " + rejection_reason(
-            eq, found.matrices, found.residuals, ok))
-    if len(found) > solution_bound(eq.n):
-        raise InternalInconsistency(
-            f"{len(found)} solutions exceed the C(2n,2) bound")
+    order = output_order(found, owner)
+    for k, s in enumerate(finite):
+        rows = (owner == k).nonzero()[0]
+        if not ok[rows].all():
+            raise InternalInconsistency("candidate " + rejection_reason(
+                eq, found.matrices[rows], found.residuals[rows], ok[rows]))
+        if len(rows) > solution_bound(eq.n):
+            raise InternalInconsistency(
+                f"{len(rows)} solutions exceed the C(2n,2) bound")
+        out[s] = SolutionSet(found.take(order[owner[order] == k].tolist()),
+                             None, sets[s])
+    return tuple(out)
 
-    return SolutionSet(found.take(output_order(found).tolist()), None, data)
 
-
-def output_order(rows: Candidates) -> np.ndarray:
-    """The stable order of the rows by their key: the two eigenvalues of the
-    eigen data (a non-diagonalizable row's one eigenvalue twice), ordered by
-    (real, imag) as numpy sorts complex numbers, then the matrix entries,
-    each as its (real, imag) parts, in one ``np.lexsort``."""
+def output_order(rows: Candidates, owner: np.ndarray) -> np.ndarray:
+    """The stable order of the rows by their key: the index of the row's
+    set (``owner``), then the two eigenvalues of the eigen data (a
+    non-diagonalizable row's one eigenvalue twice), ordered by (real, imag)
+    as numpy sorts complex numbers, then the matrix entries, each as its
+    (real, imag) parts, in one ``np.lexsort``.  So each set's rows come out
+    together, in the order they have alone."""
     lams = np.sort(np.array([(ed[0][0], ed[-1][0]) for ed in rows.eigen_data],
                             complex).reshape(-1, 2))
-    key = np.concatenate((lams.view(float), rows.matrices.view(float)), axis=1)
+    key = np.concatenate((owner[:, None], lams.view(float),
+                          rows.matrices.view(float)), axis=1)
     return np.lexsort(key.T[::-1])

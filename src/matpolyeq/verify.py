@@ -13,7 +13,7 @@ from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
 from .poly import CLUSTER_TOL, VANISH_TOL, NonConvergence, relative_value
 from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet, accepted,
                      critical_data, family_samples, rejection_reason,
-                     residuals, solution_bound, solve_equation)
+                     residuals, solution_bound, solve_sets)
 
 DEDUPE_TOL = 1e-6
 
@@ -198,10 +198,20 @@ class CrossCheck:
 
 
 def count_cross_check(eq: MatrixEquation) -> CrossCheck:
-    """Solve with both root backends and compare the outcomes with
-    ``sets_agree``."""
-    set_a = solve_equation(eq, backend="aberth")
-    set_b = solve_equation(eq, backend="companion")
+    """Solve with both root backends in one pass (``solver.solve_sets``)
+    and compare the outcomes with ``sets_agree``.
+
+    Both backends' critical data come first, aberth's then the companion
+    backend's, and share each critical space whose value the two roots
+    agree on to the bit.  The finite candidates of both sets are then one
+    array batch: one pairing pass, one assembly, one residual and one
+    acceptance call, one sort.  Each set is still checked on its own and
+    is bit for bit what ``solve_equation`` returns on its backend.  The
+    first failure raises, in this order: aberth's critical data, the
+    companion backend's, each set's family check, then each set's
+    candidate and bound checks, aberth's first.
+    """
+    set_a, set_b = solve_sets(eq, ("aberth", "companion"))
     return CrossCheck(set_a, set_b, set_a.count, set_b.count,
                       sets_agree(set_a, set_b))
 

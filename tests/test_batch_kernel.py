@@ -345,7 +345,8 @@ def test_huge_finite_residual_fails_without_warning(eq_degree_one, x, flags):
 _SMALL_BATCH_KERNELS = [
     mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.least_distance,
     mat2.greedy_unique, mat2.match_in_order, mat2.eigenvalues,
-    solver._parts, solver._assemble, solver.enumerate_diagonalizable,
+    solver._parts, solver._assemble, solver.finite_candidates,
+    solver.solve_sets, solver.enumerate_diagonalizable,
     solver.find_nondiagonalizable, solver.output_order,
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
     verify._scalar_candidates,

@@ -19,7 +19,7 @@ from matpolyeq.mat2 import MAX_DEGREE
 from matpolyeq.poly import NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
-from helpers import diagonal_equation
+from helpers import diagonal_equation, rescaled
 
 
 def run(*args):
@@ -466,6 +466,37 @@ class TestSweepCommand:
             row = cli._sweep_cell((int(n), int(m)))
             got.append([n, m, str(row["count"]), row["error"] or "-"])
         assert got == small
+
+    def test_rescaled_ledger_keeps_the_cells_it_does_not_fail(
+            self, monkeypatch):
+        # sweep_ledger_j4.txt holds the same columns of the sweep at
+        # X = 16 Y (tests/rescaled_sweep.py 4): every cell keeps its j = 0
+        # row but 304 loud ones at n = 13..16, where the companion polish
+        # leaves its bunch (294) or both backends fail and aberth raises
+        # first (10); CI compares the full sweep with it, and this the
+        # first failing cell of each kind
+        def rows(name):
+            text = Path(__file__).with_name(name).read_text()
+            return [line.split() for line in text.splitlines()]
+
+        plain, rescaled_rows = rows("sweep_ledger.txt"), \
+            rows("sweep_ledger_j4.txt")
+        assert [r[:2] for r in rescaled_rows] == [r[:2] for r in plain]
+        loud = [r for r, want in zip(rescaled_rows, plain) if r != want]
+        assert {(r[2], r[3]) for r in loud} == {
+            ("-", "aberth:NonConvergence"), ("-", "companion:NonConvergence")}
+        assert len(loud) == 304
+        assert min(int(r[0]) for r in loud) == 13
+        real = cli.construct
+
+        def construct_rescaled(n, m, **kwargs):
+            result = real(n, m, **kwargs)
+            return replace(result, equation=rescaled(result.equation, 4))
+
+        monkeypatch.setattr(cli, "construct", construct_rescaled)
+        first_aberth = next(r for r in loud if r[3].startswith("aberth"))
+        for n, m, _, error in (loud[0], first_aberth):
+            assert cli._sweep_cell((int(n), int(m)))["error"] == error
 
     def test_sixteen_at_degree_nine_fails_on_the_companion_polish(
             self, monkeypatch):

@@ -1,16 +1,24 @@
 """What an equation derives from its coefficients alone (M(t), det M(t),
-the coefficient scale and the critical data per backend) is computed once
-per equation object and shared by solve, cross-check and verify."""
+the coefficient scale, the critical data per backend and the critical
+space per value) is computed once per equation object and shared by solve,
+cross-check and verify."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from matpolyeq import solver
+from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.poly import NonConvergence
-from matpolyeq.solver import critical_data, solve_equation
+from matpolyeq.solver import (InternalInconsistency, critical_data,
+                              solution_bound, solve_equation)
 from matpolyeq.verify import count_cross_check, verify_solution_set
+
+from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
+                     diagonal_equation, prescribed_equation)
 
 BACKENDS = ("aberth", "companion")
 
@@ -101,3 +109,141 @@ def test_derived_polynomials(eq_four_solutions):
     assert eq.matrix_derivative.e22.coeffs == (0, 2)
     assert eq.norm_poly.coeffs == (4, 0, 1)
     assert eq.coeff_scale() == 4.0
+
+
+FIXTURES = ("eq_four_solutions", "eq_x_squared_zero", "eq_x_squared_identity",
+            "eq_x_squared_nilpotent", "eq_x_squared_jordan",
+            "eq_shifted_square", "eq_nilpotent_family", "eq_degree_one")
+
+
+def _outcome(solve):
+    """What a solve gives, exactly: per set the matrices and residuals as
+    uint64 bits, and the reprs (exact for doubles and signed zeros) of the
+    kinds, eigen data, certificate and critical data; or the raised type
+    and message."""
+    try:
+        sets = solve()
+    except (NonConvergence, InternalInconsistency) as exc:
+        return type(exc), str(exc)
+    return [(ss.batch.matrices.view(np.uint64).tolist(),
+             ss.batch.residuals.view(np.uint64).tolist(),
+             repr((ss.batch.kinds, ss.batch.eigen_data, ss.certificate,
+                   ss.critical_data)))
+            for ss in sets]
+
+
+def _one_pass(eq):
+    cross = count_cross_check(eq)
+    return cross.set_a, cross.set_b
+
+
+def _two_solves(eq):
+    # each backend on an equation of its own, its roots before any solve,
+    # as the one pass orders its work
+    fresh = {backend: _fresh(eq) for backend in BACKENDS}
+    for backend in BACKENDS:
+        critical_data(fresh[backend], backend=backend)
+    return tuple(solve_equation(fresh[backend], backend=backend)
+                 for backend in BACKENDS)
+
+
+def _assert_same_sets(equations):
+    differ = [label for label, eq in equations
+              if _outcome(lambda: _one_pass(eq))
+              != _outcome(lambda: _two_solves(eq))]
+    assert differ == []
+
+
+def test_one_pass_matches_two_solves_on_the_cells():
+    _assert_same_sets(
+        ((n, m), construct(n, m, validate=False).equation)
+        for n in range(1, 7) for m in range(1, solution_bound(n) + 1))
+
+
+def test_one_pass_matches_two_solves_on_the_fixtures(request):
+    _assert_same_sets((name, request.getfixturevalue(name))
+                      for name in FIXTURES)
+
+
+def test_one_pass_matches_two_solves_on_the_patterns():
+    _assert_same_sets(
+        ((pattern, n, seed), prescribed_equation(pattern, n, seed)[0])
+        for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY, NEAR_FAMILY)
+        for n in (2, 3, 4) for seed in range(10))
+
+
+def test_one_pass_matches_two_solves_on_random_equations(
+        scaled_random_equation):
+    _assert_same_sets(((n, seed), scaled_random_equation(seed, n, 1.0))
+                      for n in (2, 4, 8, 16) for seed in range(3))
+
+
+# the polish leaves its bunch on the companion backend alone at (9, 16),
+# on both at (7, 4)
+@pytest.mark.parametrize("m, n", [(16, 9), (4, 7)])
+def test_one_pass_raises_as_two_solves(m, n):
+    eq = diagonal_equation(m, n)
+    outcome = _outcome(lambda: _one_pass(eq))
+    assert outcome[0] is NonConvergence
+    assert outcome == _outcome(lambda: _two_solves(eq))
+
+
+def test_companion_roots_fail_before_aberth_candidates(monkeypatch):
+    # every candidate row fails its residual: aberth's solve alone raises
+    # InternalInconsistency, but the cross-check roots both backends first,
+    # so the companion backend's NonConvergence comes out
+    eq = diagonal_equation(16, 9)
+    monkeypatch.setattr(solver, "residuals",
+                        lambda eq, x: np.full(len(x), math.inf))
+    with pytest.raises(InternalInconsistency, match="candidate residual"):
+        solve_equation(_fresh(eq), backend="aberth")
+    with pytest.raises(NonConvergence, match="left its bunch"):
+        count_cross_check(eq)
+
+
+def _bits(*zs):
+    return tuple(z.hex() for c in zs for z in (c.real, c.imag))
+
+
+def test_critical_spaces_are_computed_once_per_value(monkeypatch):
+    # the backends polish most roots to the same double; each distinct
+    # value gets one critical space, shared by both
+    eq = _fresh(construct(5, 45).equation)
+    values = []
+    real = solver.rank_and_nullspace
+
+    def spy(a, scale):
+        values.append(a)
+        return real(a, scale)
+
+    monkeypatch.setattr(solver, "rank_and_nullspace", spy)
+    cross = count_cross_check(eq)
+    data = cross.set_a.critical_data + cross.set_b.critical_data
+    distinct = {_bits(d.value) for d in data}
+    assert len(values) == len(distinct) < len(data)
+
+
+@pytest.mark.parametrize("source", [
+    lambda: construct(6, 4).equation,
+    lambda: prescribed_equation("jordan_invertible", 3, 0)[0],
+    lambda: prescribed_equation("jordan_rank_one", 4, 0)[0]],
+    ids=["cell_6_4", "jordan_invertible", "jordan_rank_one"])
+def test_offsets_are_computed_once_per_value_and_vector(monkeypatch, source):
+    # an offset is built by one outer product; on these equations the two
+    # backends give their offset's value and vector as the same doubles,
+    # so both sets' rows share one
+    eq = _fresh(source())
+    calls = []
+    real = solver.outer
+
+    def spy(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(solver, "outer", spy)
+    cross = count_cross_check(eq)
+    rows = [_bits(lam, k.x, k.y)
+            for ss in (cross.set_a, cross.set_b)
+            for ed in ss.batch.eigen_data if len(ed) == 1
+            for lam, k in ed]
+    assert len(calls) == len(set(rows)) < len(rows)

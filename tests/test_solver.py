@@ -393,14 +393,17 @@ class TestSolveEquation:
     def test_duplicate_candidate_reaches_the_set(self, monkeypatch,
                                                  eq_four_solutions):
         # a pair assembled twice must reach the set, where verify's
-        # duplicate check fails it, not be merged where nothing reports it
-        real = solver.enumerate_diagonalizable
+        # duplicate check fails it, not be merged where nothing reports it;
+        # the batch of every set's candidates is where pairs are assembled
+        real = solver.finite_candidates
 
-        def twice(eq, data):
-            found = real(eq, data)
-            return found + found.take([0])
+        def twice(eq, sets):
+            found, owner = real(eq, sets)
+            rows = [*range(len(found)),
+                    found.kinds.index("diagonalizable_distinct")]
+            return found.take(rows), owner[rows]
 
-        monkeypatch.setattr(solver, "enumerate_diagonalizable", twice)
+        monkeypatch.setattr(solver, "finite_candidates", twice)
         ss = solve_equation(eq_four_solutions)
         assert ss.count == 5
         report = verify_solution_set(eq_four_solutions, ss)
@@ -482,11 +485,12 @@ def _solver_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(rows=_solver_rows())
 def test_output_order_matches_the_sort_key(rows):
-    # the one lexsort against a stable sort on the per-solution key
+    # the one lexsort against a stable sort on the per-solution key, for
+    # the rows as one set
     mats, kinds, eigen = zip(*rows) if rows else ((), (), ())
     batch = Candidates(pack(mats), np.zeros(len(rows)), kinds, eigen)
     sols = SolutionSet(batch, None, ()).solutions
-    assert output_order(batch).tolist() == sorted(
+    assert output_order(batch, np.zeros(len(rows), int)).tolist() == sorted(
         range(len(sols)), key=lambda r: ref_sort_key(sols[r]))
 
 
