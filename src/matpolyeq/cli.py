@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import documents
-from .construct import DomainError, ValidationFailure, construct
+from .construct import DomainError, ValidationFailure, check, construct
 from .mat2 import MAX_DEGREE
 from .poly import NonConvergence
 from .solver import (InternalInconsistency, critical_data, solution_bound,
@@ -183,14 +183,13 @@ def cmd_sweep(args) -> int:
         raise DomainError("--jobs must be >= 1")
     cells = [(n, m) for n in range(1, args.n_max + 1)
              for m in range(1, solution_bound(n) + 1)]
-    # the pool forks all its workers at the first submit
+    # the pool forks all its workers at the first submit; map keeps order
     workers = min(args.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
-    rows.sort(key=lambda r: (r["n"], r["m"]))
 
     lines = [f"{'n':>3} {'m':>4} {'p':>3} {'pbar':>4} {'count':>6} "
              f"{'max_residual':>13} {'ms':>7} {'status':>7} error"]
@@ -229,19 +228,8 @@ def _sweep_cell(cell) -> dict:
         for stage in ("aberth", "companion"):
             critical_data(result.equation, stage)
         stage = "verify"
-        cross = count_cross_check(result.equation)
-        report = verify_solution_set(result.equation, cross.set_a,
-                                     backend_agreement=cross.agree)
-        row["count"] = cross.count_a if cross.count_a is not None else "inf"
-        row["max_residual"] = report.max_residual
-        failed = [f"count:{row['count']}!={m}"] if row["count"] != m else []
-        if not cross.agree:
-            failed.append("backends")
-        checks = [k[:-3] for k, v in vars(report).items()
-                  if k.endswith("_ok") and v is False]
-        if checks:
-            failed.append("verify:" + "+".join(checks))
-        row["error"] = ",".join(failed) or None
+        row["count"], row["max_residual"], row["error"], _ = \
+            check(result.equation, m)
     except Exception as exc:  # a failing cell must not kill the sweep
         row["error"] = f"{stage}:{type(exc).__name__}"
     row["ms"] = (time.perf_counter() - start) * 1e3

@@ -25,7 +25,8 @@ from typing import Sequence
 
 from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
-from .solver import SolutionSet, solution_bound, solve_equation
+from .solver import solution_bound
+from .verify import count_cross_check, verify_solution_set
 
 
 class DomainError(ValueError):
@@ -33,7 +34,7 @@ class DomainError(ValueError):
 
 
 class ValidationFailure(RuntimeError):
-    """The built equation did not round-trip to exactly m solutions."""
+    """The built equation failed ``check``, or its partition its count."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def solve_coefficients(plan: ConstructionPlan) -> MatrixEquation:
 def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     """An n-th degree equation with exactly m solutions, plus its witness.
 
-    Self-validates by solving the built equation; a mismatch raises
+    Validates the built equation by ``check``: a failed condition raises
     ValidationFailure rather than returning silently.
     """
     if n < 1:
@@ -184,15 +185,33 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     result = ConstructionResult(solve_coefficients(plan), plan)
 
     if validate:
-        solved = solve_equation(result.equation)
-        _validate_count(solved, m)
+        _, _, error, cert = check(result.equation, m)
+        if error:
+            raise ValidationFailure(
+                f"construction failed its check: {error}"
+                + (f" (infinite: {cert.reason})" if cert else ""))
     return result
 
 
-def _validate_count(solved: SolutionSet, m: int) -> None:
-    if not solved.is_finite:
-        raise ValidationFailure(
-            f"construction came out infinite ({solved.certificate.reason})")
-    if solved.count != m:
-        raise ValidationFailure(
-            f"construction yielded {solved.count} solutions, wanted {m}")
+# verify's checks, in the order a failure names them (field <name>_ok)
+_REPORT_CHECKS = ("residuals", "duplicates", "bound", "eigenvalues",
+                  "char_divisor", "certificate")
+
+
+def check(eq: MatrixEquation, m: int):
+    """The sweep's verdict on an equation built with m solutions, from one
+    solve per root backend: the aberth set's count ("inf" if infinite), its
+    largest residual, the failed conditions (None, or comma-joined
+    ``count:<count>!=<m>``, ``backends`` and ``verify:`` with the failed
+    checks of ``verify_solution_set`` joined by ``+``) and its certificate."""
+    cross = count_cross_check(eq)
+    report = verify_solution_set(eq, cross.set_a)
+    count = "inf" if cross.count_a is None else cross.count_a
+    failed = [f"count:{count}!={m}"] if count != m else []
+    if not cross.agree:
+        failed.append("backends")
+    checks = [c for c in _REPORT_CHECKS if getattr(report, f"{c}_ok") is False]
+    if checks:
+        failed.append("verify:" + "+".join(checks))
+    return (count, report.max_residual, ",".join(failed) or None,
+            cross.set_a.certificate)

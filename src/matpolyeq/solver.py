@@ -288,14 +288,6 @@ def _of_kind(eq, data, kind) -> Candidates:
     return found.take([r for r, k in enumerate(found.kinds) if k == kind])
 
 
-def scalar_solutions(eq: MatrixEquation,
-                     data: Sequence[CriticalDatum]) -> Candidates:
-    """lam * I for every critical value whose critical space is the whole
-    plane (rank M(lam) = 0), with their residuals: the scalar rows of
-    ``finite_candidates`` for one set."""
-    return _of_kind(eq, data, SCALAR)
-
-
 def enumerate_diagonalizable(eq: MatrixEquation,
                              data: Sequence[CriticalDatum]) -> Candidates:
     """One candidate per pair of distinct critical values with linearly

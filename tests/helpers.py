@@ -2,7 +2,8 @@
 need, the per-solution sort key and document writer that the packed
 solution batch replaced, the per-pair candidate scan that the batched one
 replaced, the rank-pattern and diagonal equations shared by the solver
-and scan tests, and the rescaled equation of X = 2^j Y."""
+and scan tests, the rescaled equation of X = 2^j Y, and the rounded
+unitary similarity Y = Q X Q^H."""
 
 import cmath
 import math
@@ -284,3 +285,23 @@ def rescaled(eq: MatrixEquation, j: int) -> MatrixEquation:
     doubles, whose solutions are 2^-j times those of eq."""
     return MatrixEquation(tuple(a.scale(2.0 ** (-j * (eq.n - k)))
                                 for k, a in enumerate(eq.coeffs)))
+
+
+def seeded_unitary(seed: int) -> np.ndarray:
+    """A random 2x2 unitary: the Q of the QR factorization of a seeded
+    complex normal matrix, its columns rephased by diag(R) / |diag(R)| so
+    that Q is unique."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def similar(eq: MatrixEquation, q: np.ndarray) -> MatrixEquation:
+    """The equation of Y = Q X Q^H for a unitary Q: B_k = Q A_k Q^H,
+    rounded to doubles, so its solutions are those of eq only up to
+    rounding."""
+    return MatrixEquation(tuple(
+        Mat2(*(q @ np.array([[a.m11, a.m12], [a.m21, a.m22]])
+               @ q.conj().T).ravel().tolist())
+        for a in eq.coeffs))

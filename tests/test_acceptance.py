@@ -233,8 +233,11 @@ def test_criterion_10_construction_beyond_the_sweep():
         cells += [(n, m) for m in sorted({4, 16, top, top - 1,
                                           *range(1, top + 1, 25)})]
     start = time.perf_counter()
+    # construct raises ValidationFailure unless construct.check passes:
+    # the aberth set counts m, the companion set agrees with it, and
+    # verify_solution_set passes it
     for n, m in cells:
-        assert construct(n, m).plan.m == m   # raises on a miscount
+        assert construct(n, m).plan.m == m
     # m = 4 and 16 at every n, on both backends: C(p, 2) diagonalizable
     # solutions and one non-diagonalizable at the doubled value
     special = [(n, 4) for n in range(2, 17)] + [(n, 16) for n in range(4, 17)]
@@ -246,6 +249,7 @@ def test_criterion_10_construction_beyond_the_sweep():
         for sset in (cross.set_a, cross.set_b):
             assert collections.Counter(s.kind for s in sset.solutions) \
                 == want, (n, m)
-    _ok(10, f"{len(cells)} cells with 6 <= n <= 16 self-validated and "
-            f"{len(special)} cells with m = 4, 16 checked on both backends "
+    _ok(10, f"{len(cells)} cells with 6 <= n <= 16 self-validated (count "
+            f"m, backends agree, verify passes) and {len(special)} cells "
+            f"with m = 4, 16 checked on both backends "
             f"in {time.perf_counter() - start:.1f}s")

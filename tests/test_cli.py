@@ -553,7 +553,11 @@ class TestSweepCommand:
 
     def test_failed_cell_names_backends_and_checks(self, tmp_path,
                                                    monkeypatch):
-        real_cross, real_verify = cli.count_cross_check, cli.verify_solution_set
+        # the sweep's verdict is construct.check, which looks both up in
+        # the construct module (matpolyeq.construct is the function)
+        module = sys.modules["matpolyeq.construct"]
+        real_cross, real_verify = \
+            module.count_cross_check, module.verify_solution_set
 
         # at n = 1 the backends disagree and two report checks fail
         def count_cross_check(eq):
@@ -565,8 +569,8 @@ class TestSweepCommand:
             return report if eq.n != 1 else replace(
                 report, eigenvalues_ok=False, char_divisor_ok=False)
 
-        monkeypatch.setattr(cli, "count_cross_check", count_cross_check)
-        monkeypatch.setattr(cli, "verify_solution_set", verify_solution_set)
+        monkeypatch.setattr(module, "count_cross_check", count_cross_check)
+        monkeypatch.setattr(module, "verify_solution_set", verify_solution_set)
         report = tmp_path / "table.txt"
         assert run("sweep", "--n-max", 2, "--report", report) == 5
         lines = report.read_text().splitlines()

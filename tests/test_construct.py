@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from matpolyeq.construct import (DomainError, ValidationFailure,
                                  build_partition, choose_p, choose_values,
                                  construct, solve_coefficients)
-from matpolyeq.cli import main
+from matpolyeq.cli import _sweep_cell, main
 from matpolyeq.documents import equation_to_doc, plan_to_doc
-from matpolyeq.mat2 import Mat2, MatrixEquation, Vec2
+from matpolyeq.mat2 import Mat2, Vec2
 from matpolyeq.poly import Poly
 from matpolyeq.solver import (SECOND_VALUE_FAMILY, InfiniteCertificate,
                               SolutionSet, solution_bound, solve_equation)
@@ -303,13 +304,21 @@ def test_construction_matches_the_recorded_digest():
 
 
 class TestValidation:
-    """construct's own check of the solve of what it built; the solve is
-    patched in the construct module (matpolyeq.construct is the function)."""
+    """construct's own check of what it built, ``construct.check``, shared
+    with the sweep; its inputs are patched in the construct module
+    (matpolyeq.construct is the function)."""
 
     @staticmethod
-    def _solved_as(monkeypatch, sset):
-        monkeypatch.setattr(sys.modules["matpolyeq.construct"],
-                            "solve_equation", lambda eq: sset)
+    def _patch(monkeypatch, name, wrap):
+        module = sys.modules["matpolyeq.construct"]
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda eq, *args: wrap(real(eq, *args)))
+
+    @staticmethod
+    def _both(sset):
+        return lambda cross: replace(cross, set_a=sset, set_b=sset,
+                                     count_a=sset.count, count_b=sset.count)
 
     @staticmethod
     def _infinite():
@@ -319,24 +328,48 @@ class TestValidation:
         return SolutionSet.of((), cert, ())
 
     def test_infinite_solve_fails(self, monkeypatch):
-        self._solved_as(monkeypatch, self._infinite())
+        self._patch(monkeypatch, "count_cross_check",
+                    self._both(self._infinite()))
         with pytest.raises(ValidationFailure) as raised:
             construct(2, 5)
-        assert str(raised.value) == ("construction came out infinite "
-                                     "(two_dim_space_with_second_value)")
+        assert str(raised.value) == (
+            "construction failed its check: count:inf!=5,verify:certificate"
+            " (infinite: two_dim_space_with_second_value)")
 
     def test_wrong_count_fails(self, monkeypatch):
-        # X^2 = diag(1, 4): 4 solutions where 5 were built
-        self._solved_as(monkeypatch, solve_equation(
-            MatrixEquation((Mat2.diag(-1, -4), Mat2.zero()))))
+        # both backends lose the last of the 5 solutions; verify passes
+        # the truncated set, so the count alone fails
+        sset = solve_equation(construct(2, 5, validate=False).equation)
+        self._patch(monkeypatch, "count_cross_check", self._both(
+            SolutionSet(sset.batch.take(range(4)), None, sset.critical_data)))
         with pytest.raises(ValidationFailure) as raised:
             construct(2, 5)
         assert str(raised.value) == \
-            "construction yielded 4 solutions, wanted 5"
+            "construction failed its check: count:4!=5"
+
+    # a disagreement of the backends on one cell, failed report checks on
+    # another: construct names exactly what the sweep's row names
+    @pytest.mark.parametrize("cell, name, wrap, error", [
+        ((2, 5), "count_cross_check",
+         lambda cross: replace(cross, agree=False), "backends"),
+        ((3, 7), "verify_solution_set",
+         lambda report: replace(report, eigenvalues_ok=False,
+                                char_divisor_ok=False),
+         "verify:eigenvalues+char_divisor"),
+    ])
+    def test_construct_fails_as_the_sweep_does(self, monkeypatch, cell, name,
+                                               wrap, error):
+        self._patch(monkeypatch, name, wrap)
+        row = _sweep_cell(cell)
+        assert (row["count"], row["error"]) == (cell[1], error)
+        with pytest.raises(ValidationFailure) as raised:
+            construct(*cell)
+        assert str(raised.value) == f"construction failed its check: {error}"
 
     def test_cli_exits_3_and_writes_nothing(self, tmp_path, capsys,
                                             monkeypatch):
-        self._solved_as(monkeypatch, self._infinite())
+        self._patch(monkeypatch, "count_cross_check",
+                    self._both(self._infinite()))
         out = tmp_path / "eq.json"
         capsys.readouterr()
         assert main(["construct", "--n", "2", "--m", "5",
@@ -344,6 +377,7 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "validation failure (ValidationFailure): construction came out"
-            " infinite (two_dim_space_with_second_value)\n")
+            "validation failure (ValidationFailure): construction failed its"
+            " check: count:inf!=5,verify:certificate (infinite:"
+            " two_dim_space_with_second_value)\n")
         assert not out.exists()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from matpolyeq.construct import DomainError
-from matpolyeq.mat2 import Mat2
+from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.poly import Poly
 
-from helpers import diagonal_equation, inverse, poly_divmod
+from helpers import (diagonal_equation, inverse, poly_divmod,
+                     seeded_unitary, similar)
 
 
 def test_divmod():
@@ -60,3 +61,15 @@ def test_diagonal_degree_floors():
         diagonal_equation(16, 3)
     with pytest.raises(DomainError):
         diagonal_equation(5, 3)
+
+
+def test_seeded_unitary_and_similar():
+    q = seeded_unitary(1)
+    assert np.abs(q @ q.conj().T - np.eye(2)).max() <= 1e-15
+    assert (seeded_unitary(1) == q).all() and (seeded_unitary(2) != q).any()
+    # Q X Q^H keeps every eigenvalue: X^2 = diag(1, 4) keeps its 4 roots
+    eq = similar(MatrixEquation((Mat2.diag(-1, -4), Mat2.zero())), q)
+    assert eq.coeffs[1] == Mat2.zero()
+    lams = np.linalg.eigvals(np.array([[eq.coeffs[0].m11, eq.coeffs[0].m12],
+                                       [eq.coeffs[0].m21, eq.coeffs[0].m22]]))
+    assert np.allclose(np.sort(lams.real), [-4, -1], atol=1e-14)

@@ -17,8 +17,8 @@ from matpolyeq.solver import (KINDS, Candidates, CriticalDatum,
                               InternalInconsistency, SolutionSet, accepted,
                               critical_data, detect_infinite,
                               enumerate_diagonalizable,
-                              find_nondiagonalizable, output_order,
-                              residual_tols, residuals, scalar_solutions,
+                              find_nondiagonalizable, finite_candidates,
+                              output_order, residual_tols, residuals,
                               solution_bound, solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
@@ -26,7 +26,7 @@ from matpolyeq.verify import (brute_force_scan, count_cross_check,
 from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
                      RANK_PATTERNS, diagonal_equation, max_abs_coeff,
                      poly_divmod, prescribed_equation, ref_sort_key,
-                     rescaled)
+                     rescaled, seeded_unitary, similar)
 
 BACKENDS = ("aberth", "companion")
 
@@ -93,19 +93,25 @@ class TestEnumerateDiagonalizable:
 
 
 class TestScalarSolutions:
+    """The scalar rows of ``finite_candidates`` for one set: lam * I for
+    every critical value whose critical space is the whole plane."""
+
+    @staticmethod
+    def _scalars(eq):
+        found, _ = finite_candidates(eq, (critical_data(eq),))
+        return found.take([r for r, kind in enumerate(found.kinds)
+                           if kind == "scalar"])
+
     def test_nilpotent_square_includes_zero(self, eq_x_squared_zero):
-        data = critical_data(eq_x_squared_zero)
-        found = scalar_solutions(eq_x_squared_zero, data)
+        found = self._scalars(eq_x_squared_zero)
         assert found.kinds == ("scalar",)
         assert unpack(found.matrices)[0].dist(Mat2.zero()) == 0
 
     def test_four_solution_fixture_empty(self, eq_four_solutions):
-        data = critical_data(eq_four_solutions)
-        assert len(scalar_solutions(eq_four_solutions, data)) == 0
+        assert len(self._scalars(eq_four_solutions)) == 0
 
     def test_shifted_square_includes_identity(self, eq_shifted_square):
-        data = critical_data(eq_shifted_square)
-        mats = unpack(scalar_solutions(eq_shifted_square, data).matrices)
+        mats = unpack(self._scalars(eq_shifted_square).matrices)
         assert len(mats) == 1
         assert mats[0].dist(Mat2.identity()) == 0
 
@@ -761,3 +767,73 @@ class TestScaleCovariance:
         except NonConvergence:
             return
         assert ss.count == 16
+
+
+def _diagonally_similar(eq, s):
+    # similarity by D = diag(1, 2^s): D A D^-1, exact in doubles
+    return MatrixEquation(tuple(
+        Mat2(a.m11, a.m12 * 2.0 ** -s, a.m21 * 2.0 ** s, a.m22)
+        for a in eq.coeffs))
+
+
+def _rotated(a):
+    # Q A Q^T for Q the rotation by 0.3
+    q = Mat2(math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3))
+    return q @ a @ Mat2(q.m11, q.m21, q.m12, q.m22)
+
+
+def _zero_solutions(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason="0 solutions, verify passing: " + reason)
+
+
+_CONSTRUCTED_LINEAR = construct(1, 1, validate=False).equation
+
+
+class TestLinearEquation:
+    """X + A_0 = 0 has exactly one solution, -A_0, for every A_0: a
+    property that needs no contract on what a count means.  The expected
+    failures are silent wrong answers."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("a0", [
+        pytest.param(Mat2.identity().scale(2 - 1j), id="scalar"),
+        pytest.param(Mat2.diag(1, -3j), id="diagonal"),
+        pytest.param(Mat2(2, 1, 0, 2), id="jordan"),
+        pytest.param(Mat2.zero(), id="zero"),
+        pytest.param(Mat2(0, 1, 0, 0), id="nilpotent"),
+        *(pytest.param(_diagonally_similar(_CONSTRUCTED_LINEAR, s).coeffs[0],
+                       id=f"construct-s={s}") for s in (-18, -10, 10, 20)),
+        pytest.param(Mat2(0, -1e6, 0, -1), id="angle-1e-6",
+                     marks=_zero_solutions("eigenvectors 1e-6 apart")),
+        pytest.param(Mat2(0, -1e3, 0, -1e-3), id="angle-1e-6-scaled",
+                     marks=_zero_solutions("eigenvectors 1e-6 apart")),
+        pytest.param(_rotated(Mat2(0, -1e8, 0, -1)), id="rotated-angle-1e-8",
+                     marks=_zero_solutions("eigenvectors 1e-8 apart, no "
+                                           "diagonal scaling helps")),
+        pytest.param(Mat2(0, -1, 0, -1e-7), id="eigenvalues-1e-7-apart",
+                     marks=_zero_solutions("0 and 1e-7 cluster into one "
+                                           "root")),
+        pytest.param(_diagonally_similar(_CONSTRUCTED_LINEAR, -20).coeffs[0],
+                     id="construct-s=-20",
+                     marks=_zero_solutions("critical vectors [1, 2^-20] "
+                                           "read as parallel")),
+    ])
+    def test_one_solution(self, a0, backend):
+        ss = solve_equation(MatrixEquation((a0,)), backend=backend)
+        assert ss.count == 1
+        assert ss.solutions[0].matrix.dist(a0.scale(-1)) \
+            <= 1e-9 * max(1.0, a0.max_norm())
+
+
+def test_rounded_unitary_similarity_silent_answers_do_not_grow(small_cells):
+    # Y = Q X Q^H with Q from seed 1, rounded to doubles, moves each
+    # constructed multiple root of det M(t) off its exact zero tail; at
+    # (5, 1) the 9-fold zero root scatters into 9 simple roots, each
+    # paired with the value 1.  13 of the 161 cells with n <= 6 came back
+    # with a wrong count nothing flags when this ratchet was set; the
+    # bound may only go down.
+    q = seeded_unitary(1)
+    silent = [cell for cell, eq, count in small_cells
+              if cell[0] <= 6 and _silent_change(similar(eq, q), count)]
+    assert len(silent) <= 13, silent
