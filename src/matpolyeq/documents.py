@@ -5,25 +5,33 @@ shortest representation that round-trips IEEE-754, so documents are
 byte-stable across runs.  A solution set's matrices are written straight
 from its packed batch (``SolutionSet.batch``) and read back into one,
 checked per array; no Mat2 or Solution object is built on either way.
+Every number a document holds is checked by one function, ``_floats``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .construct import ConstructionResult
-from .mat2 import Mat2, MatrixEquation
+from .mat2 import Mat2, MatrixEquation, unpack
 from .solver import (KINDS, REASONS, Candidates, CriticalDatum,
                      InfiniteCertificate, SolutionSet)
 from .verify import VerificationReport
 
 FORMAT_VERSION = "1"
-_KIND_SET = frozenset(KINDS)
+# the rules of a matrix, one per level of lists of two (matrix, row,
+# [re, im] pair), then one for its parts and one for their finiteness
+_MATRIX_RULES = ("must be a 2x2 array", "must be a 2x2 array",
+                 "must be a [re, im] number pair",
+                 "must be a [re, im] number pair", "must be finite")
+_PAIR_RULES = _MATRIX_RULES[2:]
+_RESIDUAL_RULE = "needs a finite, non-negative residual"
 
 
 class DocumentError(ValueError):
@@ -34,37 +42,52 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _is_number(v) -> bool:
-    """A JSON number that a double holds: no bool, no integer beyond the
-    double range."""
-    if isinstance(v, float):
-        return True
-    if isinstance(v, bool) or not isinstance(v, int):
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_residual(v) -> bool:
-    """A finite, non-negative JSON number: the parser also reads NaN and
-    Infinity, which JSON does not have."""
-    return _is_number(v) and math.isfinite(v) and v >= 0
+def _floats(values: list, rules: tuple):
+    """The values, nested in lists of two one level per rule but the last
+    two, as one flat float array; or the first rule they break, checked a
+    level at a time: lists of two, then numbers a double holds (no bool, no
+    integer beyond the double range), then finite numbers (the parser also
+    reads NaN and Infinity, which JSON does not have)."""
+    *levels, number, finite = rules
+    for rule in levels:
+        if not (_all_subclass(values, list) and set(map(len, values)) <= {2}):
+            return rule
+        values = list(chain.from_iterable(values))
+    if not all(issubclass(t, (float, int)) and t is not bool
+               for t in set(map(type, values))):
+        return number
+    try:
+        parts = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return number
+    return parts if np.isfinite(parts).all() else finite
+
+
+def _all_subclass(values: list, cls) -> bool:
+    return all(issubclass(t, cls) for t in set(map(type, values)))
+
+
+def _residuals(values: list):
+    """The values as a float array, or None unless each is a finite,
+    non-negative number."""
+    residuals = _floats(values, (_RESIDUAL_RULE, _RESIDUAL_RULE))
+    return None if isinstance(residuals, str) or (residuals < 0).any() \
+        else residuals
+
+
+def _complexes(values: list, rules: tuple, what: str) -> list[complex]:
+    parts = _floats(values, rules)
+    if isinstance(parts, str):
+        raise DocumentError(f"{what} {parts}")
+    return parts.view(complex).tolist()
 
 
 def _unpair(v, what: str) -> complex:
-    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
-        raise DocumentError(f"{what} must be a [re, im] number pair")
-    z = complex(v[0], v[1])
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DocumentError(f"{what} must be finite")
-    return z
+    return _complexes([v], _PAIR_RULES, what)[0]
 
 
 def _mat(m: Mat2) -> list:
@@ -72,11 +95,7 @@ def _mat(m: Mat2) -> list:
 
 
 def _unmat(v, what: str) -> Mat2:
-    if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in v)):
-        raise DocumentError(f"{what} must be a 2x2 array")
-    return Mat2(_unpair(v[0][0], what), _unpair(v[0][1], what),
-                _unpair(v[1][0], what), _unpair(v[1][1], what))
+    return Mat2(*_complexes([v], _MATRIX_RULES, what))
 
 
 def _expect_version(doc) -> None:
@@ -103,9 +122,9 @@ def equation_from_doc(doc) -> MatrixEquation:
     coeffs = doc.get("coefficients")
     if not isinstance(coeffs, list) or len(coeffs) != n:
         raise DocumentError("coefficients must list exactly n matrices, A0 first")
+    parts = _each(partial(_floats, rules=_MATRIX_RULES), coeffs, "coefficient")
     try:
-        return MatrixEquation(tuple(_unmat(c, f"coefficient {i}")
-                                    for i, c in enumerate(coeffs)))
+        return MatrixEquation(tuple(unpack(parts.view(complex).reshape(-1, 4))))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -151,7 +170,8 @@ def solution_set_from_doc(doc) -> SolutionSet:
     raw_solutions = doc.get("solutions")
     if not isinstance(raw_solutions, list):
         raise DocumentError("solutions must be a list")
-    batch = _solutions(raw_solutions)
+    kinds, matrices, residuals = _each(_solution_arrays, raw_solutions,
+                                       "solution")
 
     certificate = None
     if classification == "infinite":
@@ -164,11 +184,12 @@ def solution_set_from_doc(doc) -> SolutionSet:
         if raw.get("reason") not in REASONS:
             raise DocumentError(f"unknown certificate reason {raw.get('reason')!r}")
         samples = raw.get("samples")
-        residuals = raw.get("sample_residuals")
+        sample_residuals = raw.get("sample_residuals")
+        if isinstance(sample_residuals, list):
+            sample_residuals = _residuals(sample_residuals)
         if not (isinstance(samples, list) and len(samples) >= 3
-                and isinstance(residuals, list)
-                and len(residuals) == len(samples)
-                and all(map(_is_residual, residuals))):
+                and isinstance(sample_residuals, np.ndarray)
+                and len(sample_residuals) == len(samples)):
             raise DocumentError("certificate needs >= 3 samples with finite, "
                                 "non-negative residuals")
         certificate = InfiniteCertificate(
@@ -176,7 +197,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
             _unmat(raw.get("base"), "certificate base"),
             _unmat(raw.get("direction"), "certificate direction"),
             tuple(_unpair(s, "certificate sample") for s in samples),
-            tuple(float(r) for r in residuals),
+            tuple(sample_residuals.tolist()),
         )
     elif "certificate" in doc:
         raise DocumentError("finite classification cannot carry a certificate")
@@ -185,95 +206,63 @@ def solution_set_from_doc(doc) -> SolutionSet:
     if not isinstance(metadata, dict) or \
             not isinstance(metadata.get("critical_values"), list):
         raise DocumentError("metadata.critical_values must be a list")
-    data = []
-    for i, entry in enumerate(metadata["critical_values"]):
-        if not isinstance(entry, dict):
-            raise DocumentError(f"critical value {i} must be an object")
-        mult = entry.get("multiplicity")
-        dim = entry.get("space_dim")
-        if not _is_int(mult) or mult < 1 or not _is_int(dim) \
-                or dim not in (1, 2):
-            raise DocumentError(f"critical value {i} has bad multiplicity/dim")
-        data.append(CriticalDatum(_unpair(entry.get("value"),
-                                          f"critical value {i}"),
-                                  mult, dim, ()))
-    return SolutionSet(batch, certificate, tuple(data))
+    values, mults, dims = _each(_critical_arrays, metadata["critical_values"],
+                                "critical value")
+    return SolutionSet(
+        Candidates(matrices, residuals, tuple(kinds), (None,) * len(kinds)),
+        certificate, tuple(map(CriticalDatum, values, mults, dims, repeat(()))))
 
 
-def _solutions(entries: list) -> Candidates:
-    """The solution entries as one batch without eigen data, checked per
-    array; a failing check raises the message of the first bad entry."""
-    checked = _solution_arrays(entries)
-    if checked is None:
+def _each(check, entries: list, what: str):
+    """check(entries), whose rules hold entry by entry; when they fail, the
+    DocumentError of the first entry that check refuses alone."""
+    checked = check(entries)
+    if isinstance(checked, str):
         for i, entry in enumerate(entries):
-            _check_solution(i, entry)
-        raise AssertionError("the array check refused valid solutions")
-    kinds, matrices, residuals = checked
-    return Candidates(matrices, residuals, tuple(kinds),
-                      (None,) * len(kinds))
-
-
-def _check_solution(i: int, entry) -> None:
-    """Raise the DocumentError of solution entry i, if it has one."""
-    if not isinstance(entry, dict):
-        raise DocumentError(f"solution {i} must be an object")
-    kind = entry.get("kind")
-    # KINDS and REASONS are tuples: an unhashable value fails the test
-    if kind not in KINDS:
-        raise DocumentError(f"solution {i} has unknown kind {kind!r}")
-    if not _is_residual(entry.get("residual")):
-        raise DocumentError(
-            f"solution {i} needs a finite, non-negative residual")
-    _unmat(entry.get("matrix"), f"solution {i}")
+            rule = check([entry])
+            if isinstance(rule, str):
+                raise DocumentError(f"{what} {i} {rule}")
+    return checked
 
 
 def _solution_arrays(entries: list):
-    """The kinds, the matrices packed (k, 4) and the residuals of all
-    solution entries, or None when some entry fails ``_check_solution``.
-
-    The checks are those of ``_check_solution``, made once per array
-    instead of once per entry: the set of types at each level of nesting,
-    the lengths, and the finiteness and sign of one float array.
-    """
+    """The kinds, the matrices packed (k, 4) and the residuals of the
+    solution entries, or the first rule they break: objects, known kinds,
+    residuals, matrices."""
     if not _all_subclass(entries, dict):
-        return None
+        return "must be an object"
     kinds = list(map(dict.get, entries, repeat("kind")))
-    try:
-        if not set(kinds) <= _KIND_SET:
-            return None
-    except TypeError:  # an unhashable kind
-        return None
-    residuals = _doubles(list(map(dict.get, entries, repeat("residual"))))
-    if residuals is None or not (np.isfinite(residuals).all()
-                                 and (residuals >= 0).all()):
-        return None
-    # matrix, row, [re, im] pair: lists of two at each level
-    parts = list(map(dict.get, entries, repeat("matrix")))
-    for _ in range(3):
-        if not (_all_subclass(parts, list) and set(map(len, parts)) <= {2}):
-            return None
-        parts = list(chain.from_iterable(parts))
-    parts = _doubles(parts)
-    if parts is None or not np.isfinite(parts).all():
-        return None
+    # KINDS is a tuple: an unhashable kind fails the test
+    unknown = [kind for kind in kinds if kind not in KINDS]
+    if unknown:
+        return f"has unknown kind {unknown[0]!r}"
+    residuals = _residuals(list(map(dict.get, entries, repeat("residual"))))
+    if residuals is None:
+        return _RESIDUAL_RULE
+    parts = _floats(list(map(dict.get, entries, repeat("matrix"))),
+                    _MATRIX_RULES)
+    if isinstance(parts, str):
+        return parts
     # the (re, im) doubles of m11, m12, m21, m22 are pack's layout
     return kinds, parts.view(complex).reshape(-1, 4), residuals
 
 
-def _all_subclass(values: list, cls) -> bool:
-    return all(issubclass(t, cls) for t in set(map(type, values)))
-
-
-def _doubles(values: list):
-    """The values as one float array, or None unless each is a number
-    that ``_is_number`` takes."""
-    if not all(issubclass(t, (float, int)) and t is not bool
-               for t in set(map(type, values))):
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an int beyond the double range
-        return None
+def _critical_arrays(entries: list):
+    """The values, multiplicities and space dimensions of the critical
+    value entries, or the first rule they break: objects, multiplicities
+    and dimensions, values."""
+    if not _all_subclass(entries, dict):
+        return "must be an object"
+    mults = list(map(dict.get, entries, repeat("multiplicity")))
+    dims = list(map(dict.get, entries, repeat("space_dim")))
+    if not all(_is_int(mult) and mult >= 1 and _is_int(dim) and dim in (1, 2)
+               for mult, dim in zip(mults, dims)):
+        return "has bad multiplicity/dim"
+    values = _floats(list(map(dict.get, entries, repeat("value"))),
+                     _PAIR_RULES)
+    if isinstance(values, str):
+        return values
+    return values.view(complex).tolist(), mults, dims
 
 
 def plan_to_doc(result: ConstructionResult) -> dict:

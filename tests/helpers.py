@@ -2,8 +2,8 @@
 need, the per-solution sort key and document writer that the packed
 solution batch replaced, the per-pair candidate scan that the batched one
 replaced, the rank-pattern and diagonal equations shared by the solver
-and scan tests, the rescaled equation of X = 2^j Y, and the rounded
-unitary similarity Y = Q X Q^H."""
+and scan tests, the rescaled equation of X = 2^j Y, the similarity by
+diag(1, d), and the rounded unitary similarity Y = Q X Q^H."""
 
 import cmath
 import math
@@ -285,6 +285,14 @@ def rescaled(eq: MatrixEquation, j: int) -> MatrixEquation:
     doubles, whose solutions are 2^-j times those of eq."""
     return MatrixEquation(tuple(a.scale(2.0 ** (-j * (eq.n - k)))
                                 for k, a in enumerate(eq.coeffs)))
+
+
+def diagonally_similar(eq: MatrixEquation, d: complex) -> MatrixEquation:
+    """The equation of Y = D X D^-1 for D = diag(1, d): B_k = D A_k D^-1
+    divides a12 by d and multiplies a21 by d, exact in doubles for d a
+    power of two or i, so its solutions map one to one onto those of eq."""
+    return MatrixEquation(tuple(Mat2(a.m11, a.m12 / d, a.m21 * d, a.m22)
+                                for a in eq.coeffs))
 
 
 def seeded_unitary(seed: int) -> np.ndarray:

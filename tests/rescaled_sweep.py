@@ -1,12 +1,15 @@
-"""The sweep of every (n, m) cell at X = 2^j Y: each constructed equation
-is replaced by its rescaled one (``helpers.rescaled``), whose solutions
-are 2^-j times the original's, so its table must match the j = 0 ledger.
+"""The sweep of every (n, m) cell with each constructed equation replaced by
+an exact transform of it whose solutions map one to one onto the
+original's, so its table must match the j = 0 ledger where it does not fail:
 
-    python tests/rescaled_sweep.py J --n-max 16 --jobs 2 --report table.txt
+    j=J  the rescaled equation of X = 2^j Y (``helpers.rescaled``)
+    s=S  the similarity by diag(1, 2^S) (``helpers.diagonally_similar``)
 
-The arguments after J are those of ``matpolyeq sweep``; the exit code is
-the sweep's.  The sweep's workers are forked, so they inherit the patched
-``construct``.
+    python tests/rescaled_sweep.py j=J --n-max 16 --jobs 2 --report table.txt
+
+The arguments after the transform are those of ``matpolyeq sweep``; the
+exit code is the sweep's.  The sweep's workers are forked, so they inherit
+the patched ``construct``.
 """
 
 import multiprocessing
@@ -15,18 +18,25 @@ from dataclasses import replace
 
 from matpolyeq import cli
 
-from helpers import rescaled
+from helpers import diagonally_similar, rescaled
+
+TRANSFORMS = {"j": rescaled,
+              "s": lambda eq, s: diagonally_similar(eq, 2.0 ** s)}
 
 
 def main(argv) -> int:
-    j, sweep_args = int(argv[0]), argv[1:]
+    name, _, k = argv[0].partition("=")
+    if name not in TRANSFORMS:
+        sys.exit(f"usage: rescaled_sweep.py j=J|s=S [sweep options], "
+                 f"not {argv[0]!r}")
+    transform, k, sweep_args = TRANSFORMS[name], int(k), argv[1:]
     construct = cli.construct
 
-    def construct_rescaled(n, m, **kwargs):
+    def construct_transformed(n, m, **kwargs):
         result = construct(n, m, **kwargs)
-        return replace(result, equation=rescaled(result.equation, j))
+        return replace(result, equation=transform(result.equation, k))
 
-    cli.construct = construct_rescaled
+    cli.construct = construct_transformed
     multiprocessing.set_start_method("fork")
     return cli.main(["sweep", *sweep_args])
 

@@ -19,11 +19,28 @@ from matpolyeq.mat2 import MAX_DEGREE
 from matpolyeq.poly import NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
-from helpers import diagonal_equation, rescaled
+from helpers import diagonal_equation, diagonally_similar, rescaled
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def ledger_rows(name):
+    """The n, m, count and error columns of a committed sweep ledger."""
+    text = Path(__file__).with_name(name).read_text()
+    return [line.split() for line in text.splitlines()]
+
+
+def transformed_construct(monkeypatch, transform):
+    """Make the sweep solve transform(eq) for each constructed eq."""
+    real = cli.construct
+
+    def construct_transformed(n, m, **kwargs):
+        result = real(n, m, **kwargs)
+        return replace(result, equation=transform(result.equation))
+
+    monkeypatch.setattr(cli, "construct", construct_transformed)
 
 
 def strict_json(path):
@@ -470,33 +487,45 @@ class TestSweepCommand:
     def test_rescaled_ledger_keeps_the_cells_it_does_not_fail(
             self, monkeypatch):
         # sweep_ledger_j4.txt holds the same columns of the sweep at
-        # X = 16 Y (tests/rescaled_sweep.py 4): every cell keeps its j = 0
+        # X = 16 Y (tests/rescaled_sweep.py j=4): every cell keeps its j = 0
         # row but 304 loud ones at n = 13..16, where the companion polish
         # leaves its bunch (294) or both backends fail and aberth raises
         # first (10); CI compares the full sweep with it, and this the
         # first failing cell of each kind
-        def rows(name):
-            text = Path(__file__).with_name(name).read_text()
-            return [line.split() for line in text.splitlines()]
-
-        plain, rescaled_rows = rows("sweep_ledger.txt"), \
-            rows("sweep_ledger_j4.txt")
+        plain, rescaled_rows = ledger_rows("sweep_ledger.txt"), \
+            ledger_rows("sweep_ledger_j4.txt")
         assert [r[:2] for r in rescaled_rows] == [r[:2] for r in plain]
         loud = [r for r, want in zip(rescaled_rows, plain) if r != want]
         assert {(r[2], r[3]) for r in loud} == {
             ("-", "aberth:NonConvergence"), ("-", "companion:NonConvergence")}
         assert len(loud) == 304
         assert min(int(r[0]) for r in loud) == 13
-        real = cli.construct
-
-        def construct_rescaled(n, m, **kwargs):
-            result = real(n, m, **kwargs)
-            return replace(result, equation=rescaled(result.equation, 4))
-
-        monkeypatch.setattr(cli, "construct", construct_rescaled)
+        transformed_construct(monkeypatch, lambda eq: rescaled(eq, 4))
         first_aberth = next(r for r in loud if r[3].startswith("aberth"))
         for n, m, _, error in (loud[0], first_aberth):
             assert cli._sweep_cell((int(n), int(m)))["error"] == error
+
+    @pytest.mark.parametrize("s", [18, -18])
+    def test_similar_ledger_keeps_the_cells_it_does_not_fail(
+            self, monkeypatch, s):
+        # sweep_ledger_s18.txt holds the same columns of the sweep under
+        # the similarity by diag(1, 2^s) (tests/rescaled_sweep.py s=18 and
+        # s=-18 write the same table): every cell keeps its j = 0 row but
+        # 90 at n = 13..16 whose count is wrong, with both backends agreeing
+        # and verify passing; CI compares both full sweeps with it, and
+        # this the first and the last of them
+        plain, similar_rows = ledger_rows("sweep_ledger.txt"), \
+            ledger_rows("sweep_ledger_s18.txt")
+        assert [r[:2] for r in similar_rows] == [r[:2] for r in plain]
+        wrong = [r for r, want in zip(similar_rows, plain) if r != want]
+        assert all(r[3] == f"count:{r[2]}!={r[1]}" for r in wrong)
+        assert len(wrong) == 90
+        assert min(int(r[0]) for r in wrong) == 13
+        transformed_construct(monkeypatch,
+                              lambda eq: diagonally_similar(eq, 2.0 ** s))
+        for n, m, count, error in (wrong[0], wrong[-1]):
+            row = cli._sweep_cell((int(n), int(m)))
+            assert (str(row["count"]), row["error"]) == (count, error)
 
     def test_sixteen_at_degree_nine_fails_on_the_companion_polish(
             self, monkeypatch):

@@ -103,6 +103,10 @@ class TestSolutionDocuments:
         assert not back.is_finite
         assert back.certificate.reason == ss.certificate.reason
         assert back.certificate.base == ss.certificate.base
+        assert back.certificate.sample_residuals == \
+            ss.certificate.sample_residuals
+        assert back.batch.matrices.shape == (0, 4)
+        assert back.batch.residuals.shape == (0,)
 
     def test_classification_consistency_enforced(self, eq_four_solutions,
                                                  eq_x_squared_identity):
@@ -192,10 +196,57 @@ class TestSolutionDocuments:
         assert report.verdict == "pass"
 
 
-def _set_part(value):
-    def mutate(entry):
-        entry["matrix"][1][0][1] = value
-    return mutate
+PAIR = "must be a [re, im] number pair"
+FINITE = "must be finite"
+MATRIX = "must be a 2x2 array"
+
+# a malformed [re, im] pair and the error text it must raise wherever a
+# document holds one
+MALFORMED_PAIRS = [
+    ("bool part", lambda p: [p[0], True], PAIR),
+    ("huge int part", lambda p: [p[0], 10 ** 400], PAIR),
+    ("nan part", lambda p: [p[0], math.nan], FINITE),
+    ("infinite part", lambda p: [-math.inf, p[1]], FINITE),
+    ("string part", lambda p: [p[0], "1.0"], PAIR),
+    ("short pair", lambda p: p[:1], PAIR),
+    ("long pair", lambda p: [*p, 0.0], PAIR),
+    ("tuple pair", tuple, PAIR),
+    ("no pair", lambda p: None, PAIR),
+]
+
+
+def _at_m21(mutate):
+    def mutate_matrix(m):
+        return [m[0], [mutate(m[1][0]), m[1][1]]]
+    return mutate_matrix
+
+
+# a malformed matrix and the error text it must raise wherever a document
+# holds one: each pair defect at m21, then the defects of its shape
+MALFORMED_MATRICES = [(case, _at_m21(mutate), message)
+                      for case, mutate, message in MALFORMED_PAIRS] + [
+    ("one row", lambda m: m[:1], MATRIX),
+    ("three columns", lambda m: [m[0], [*m[1], [0.0, 0.0]]], MATRIX),
+    ("tuple row", lambda m: [tuple(m[0]), m[1]], MATRIX),
+    ("object matrix", lambda m: {"rows": m}, MATRIX),
+    ("no matrix", lambda m: None, MATRIX),
+]
+
+# a malformed residual: no finite, non-negative number a double holds
+MALFORMED_RESIDUALS = [
+    ("negative residual", -1e-300),
+    ("nan residual", math.nan),
+    ("infinite residual", math.inf),
+    ("bool residual", False),
+    ("huge int residual", 10 ** 400),
+    ("string residual", "0.0"),
+]
+
+
+def _set_matrix(mutate):
+    def mutate_entry(entry):
+        entry["matrix"] = mutate(entry["matrix"])
+    return mutate_entry
 
 
 def _set(key, value):
@@ -204,34 +255,92 @@ def _set(key, value):
     return mutate
 
 
+def _without_matrix(entry):
+    entry.pop("matrix")
+
+
 # a malformed solution entry and the error text it must raise
 MALFORMED_SOLUTIONS = [
-    ("bool part", _set_part(True), "must be a [re, im] number pair"),
-    ("huge int part", _set_part(10 ** 400), "must be a [re, im] number pair"),
-    ("nan part", _set_part(math.nan), "must be finite"),
-    ("infinite part", _set_part(-math.inf), "must be finite"),
-    ("string part", _set_part("1.0"), "must be a [re, im] number pair"),
-    ("short pair", lambda e: e["matrix"][0][1].pop(),
-     "must be a [re, im] number pair"),
-    ("long pair", lambda e: e["matrix"][1][1].append(0.0),
-     "must be a [re, im] number pair"),
-    ("tuple pair", lambda e: e["matrix"][0].__setitem__(0, (1.0, 0.0)),
-     "must be a [re, im] number pair"),
-    ("one row", lambda e: e["matrix"].pop(), "must be a 2x2 array"),
-    ("three columns", lambda e: e["matrix"][1].append([0.0, 0.0]),
-     "must be a 2x2 array"),
-    ("no matrix", lambda e: e.pop("matrix"), "must be a 2x2 array"),
+    *((case, _set_matrix(mutate), message)
+      for case, mutate, message in MALFORMED_MATRICES),
+    ("missing matrix", _without_matrix, MATRIX),
     ("unknown kind", _set("kind", "mystery"), "has unknown kind 'mystery'"),
     ("list kind", _set("kind", ["scalar"]), "has unknown kind ['scalar']"),
-    ("negative residual", _set("residual", -1e-300),
-     "needs a finite, non-negative residual"),
-    ("nan residual", _set("residual", math.nan),
-     "needs a finite, non-negative residual"),
-    ("infinite residual", _set("residual", math.inf),
-     "needs a finite, non-negative residual"),
-    ("bool residual", _set("residual", False),
-     "needs a finite, non-negative residual"),
+    *((case, _set("residual", value),
+       "needs a finite, non-negative residual")
+      for case, value in MALFORMED_RESIDUALS),
 ]
+
+
+def _ids(table):
+    return [row[0] for row in table]
+
+
+def _refusal(read, doc) -> str:
+    with pytest.raises(DocumentError) as raised:
+        read(doc)
+    return str(raised.value)
+
+
+class TestNumberMessages:
+    """The matrices and [re, im] pairs outside the solution entries refuse
+    each defect with the message a solution entry's matrix gives."""
+
+    @pytest.mark.parametrize("case, mutate, message", MALFORMED_MATRICES,
+                             ids=_ids(MALFORMED_MATRICES))
+    def test_coefficient(self, eq_four_solutions, case, mutate, message):
+        doc = equation_to_doc(eq_four_solutions)
+        doc["coefficients"][1] = mutate(doc["coefficients"][1])
+        assert _refusal(equation_from_doc, doc) == f"coefficient 1 {message}"
+
+    @pytest.mark.parametrize("case, mutate, message", MALFORMED_PAIRS,
+                             ids=_ids(MALFORMED_PAIRS))
+    def test_critical_value(self, eq_four_solutions, case, mutate, message):
+        doc = solution_set_to_doc(solve_equation(eq_four_solutions))
+        entry = doc["metadata"]["critical_values"][1]
+        entry["value"] = mutate(entry["value"])
+        assert _refusal(solution_set_from_doc, doc) == \
+            f"critical value 1 {message}"
+
+    @pytest.mark.parametrize("field", ["base", "direction"])
+    @pytest.mark.parametrize("case, mutate, message", MALFORMED_MATRICES,
+                             ids=_ids(MALFORMED_MATRICES))
+    def test_certificate_matrix(self, eq_x_squared_identity, case, mutate,
+                                message, field):
+        doc = solution_set_to_doc(solve_equation(eq_x_squared_identity))
+        doc["certificate"][field] = mutate(doc["certificate"][field])
+        assert _refusal(solution_set_from_doc, doc) == \
+            f"certificate {field} {message}"
+
+    @pytest.mark.parametrize("case, mutate, message", MALFORMED_PAIRS,
+                             ids=_ids(MALFORMED_PAIRS))
+    def test_certificate_sample(self, eq_x_squared_identity, case, mutate,
+                                message):
+        doc = solution_set_to_doc(solve_equation(eq_x_squared_identity))
+        samples = doc["certificate"]["samples"]
+        samples[1] = mutate(samples[1])
+        assert _refusal(solution_set_from_doc, doc) == \
+            f"certificate sample {message}"
+
+    @pytest.mark.parametrize("mutate", [
+        *(lambda c, v=value: c["sample_residuals"].__setitem__(1, v)
+          for _, value in MALFORMED_RESIDUALS),
+        lambda c: c["sample_residuals"].pop(),
+        lambda c: c["sample_residuals"].append(0.0),
+        lambda c: c.update(sample_residuals={}),
+        lambda c: c.pop("sample_residuals"),
+        lambda c: c.update(samples=c["samples"][:2],
+                           sample_residuals=c["sample_residuals"][:2]),
+        lambda c: c.update(samples={}),
+    ], ids=[*_ids(MALFORMED_RESIDUALS), "short residuals", "long residuals",
+            "object residuals", "no residuals", "two samples",
+            "object samples"])
+    def test_certificate_residuals(self, eq_x_squared_identity, mutate):
+        doc = solution_set_to_doc(solve_equation(eq_x_squared_identity))
+        mutate(doc["certificate"])
+        assert _refusal(solution_set_from_doc, doc) == (
+            "certificate needs >= 3 samples with finite, non-negative "
+            "residuals")
 
 
 class TestSolutionReader:
@@ -264,7 +373,7 @@ class TestSolutionReader:
 
     @pytest.mark.parametrize("index", [0, 300])
     @pytest.mark.parametrize("case, mutate, message", MALFORMED_SOLUTIONS,
-                             ids=[c[0] for c in MALFORMED_SOLUTIONS])
+                             ids=_ids(MALFORMED_SOLUTIONS))
     def test_malformed_entry_message(self, solved, index, case, mutate,
                                      message):
         doc = json.loads(solved[1])
@@ -284,10 +393,23 @@ class TestSolutionReader:
     def test_first_bad_entry_is_reported(self, solved):
         doc = json.loads(solved[1])
         _set("residual", -1.0)(doc["solutions"][300])
-        _set_part(math.inf)(doc["solutions"][7])
+        doc["solutions"][7]["matrix"][1][0][1] = math.inf
         with pytest.raises(DocumentError,
                            match=r"^solution 7 must be finite$"):
             solution_set_from_doc(doc)
+
+    def test_matrix_rules_hold_a_level_at_a_time(self, solved,
+                                                 eq_four_solutions):
+        # a NaN part at m11 and a one-number pair at m22: every pair is
+        # checked for its shape and numbers before any part for finiteness
+        def mutate(m):
+            return [[[math.nan, 0.0], m[0][1]], [m[1][0], m[1][1][:1]]]
+        doc = json.loads(solved[1])
+        _set_matrix(mutate)(doc["solutions"][300])
+        assert _refusal(solution_set_from_doc, doc) == f"solution 300 {PAIR}"
+        doc = equation_to_doc(eq_four_solutions)
+        doc["coefficients"][0] = mutate(doc["coefficients"][0])
+        assert _refusal(equation_from_doc, doc) == f"coefficient 0 {PAIR}"
 
     def test_integer_numbers_read_as_doubles(self, solved):
         doc = json.loads(solved[1])

@@ -5,8 +5,8 @@ from matpolyeq.construct import DomainError
 from matpolyeq.mat2 import Mat2, MatrixEquation
 from matpolyeq.poly import Poly
 
-from helpers import (diagonal_equation, inverse, poly_divmod,
-                     seeded_unitary, similar)
+from helpers import (diagonal_equation, diagonally_similar, inverse,
+                     poly_divmod, seeded_unitary, similar)
 
 
 def test_divmod():
@@ -73,3 +73,12 @@ def test_seeded_unitary_and_similar():
     lams = np.linalg.eigvals(np.array([[eq.coeffs[0].m11, eq.coeffs[0].m12],
                                        [eq.coeffs[0].m21, eq.coeffs[0].m22]]))
     assert np.allclose(np.sort(lams.real), [-4, -1], atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [2.0 ** 18, 2.0 ** -20, 1j])
+def test_diagonally_similar_is_exact(d):
+    a = Mat2(1 - 2j, 0.1 + 0.3j, -0.7 + 5e-300j, 3)
+    b = diagonally_similar(MatrixEquation((a, a.scale(2))), d)
+    assert b.coeffs[0] == Mat2.diag(1, d) @ a @ Mat2.diag(1, 1 / d)
+    assert b.coeffs[1] == b.coeffs[0].scale(2)
+    assert diagonally_similar(b, 1 / d).coeffs == (a, a.scale(2))
