@@ -26,7 +26,7 @@ from typing import Sequence
 from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
 from .solver import solution_bound
-from .verify import count_cross_check, verify_solution_set
+from .verify import CHECKS, count_cross_check, verify_solution_set
 
 
 class DomainError(ValueError):
@@ -193,24 +193,20 @@ def construct(n: int, m: int, validate: bool = True) -> ConstructionResult:
     return result
 
 
-# verify's checks, in the order a failure names them (field <name>_ok)
-_REPORT_CHECKS = ("residuals", "duplicates", "bound", "eigenvalues",
-                  "char_divisor", "certificate")
-
-
 def check(eq: MatrixEquation, m: int):
     """The sweep's verdict on an equation built with m solutions, from one
     solve per root backend: the aberth set's count ("inf" if infinite), its
     largest residual, the failed conditions (None, or comma-joined
-    ``count:<count>!=<m>``, ``backends`` and ``verify:`` with the failed
-    checks of ``verify_solution_set`` joined by ``+``) and its certificate."""
+    ``count:<count>!=<m>``, ``backends`` and ``verify:`` joining the failed
+    fields of ``verify.CHECKS`` less ``_ok``, by ``+``) and its certificate."""
     cross = count_cross_check(eq)
     report = verify_solution_set(eq, cross.set_a)
     count = "inf" if cross.count_a is None else cross.count_a
     failed = [f"count:{count}!={m}"] if count != m else []
     if not cross.agree:
         failed.append("backends")
-    checks = [c for c in _REPORT_CHECKS if getattr(report, f"{c}_ok") is False]
+    checks = [field.removesuffix("_ok") for field, _ in CHECKS
+              if getattr(report, field) is False]
     if checks:
         failed.append("verify:" + "+".join(checks))
     return (count, report.max_residual, ",".join(failed) or None,

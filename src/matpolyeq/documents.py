@@ -22,7 +22,7 @@ from .construct import ConstructionResult
 from .mat2 import Mat2, MatrixEquation, unpack
 from .solver import (KINDS, REASONS, Candidates, CriticalDatum,
                      InfiniteCertificate, SolutionSet)
-from .verify import VerificationReport
+from .verify import CHECKS, VerificationReport
 
 FORMAT_VERSION = "1"
 # the rules of a matrix, one per level of lists of two (matrix, row,
@@ -291,15 +291,7 @@ def report_to_doc(report: VerificationReport) -> dict:
         "max_residual": _finite_or_null(report.max_residual),
         "residuals": [_finite_or_null(r) for r in report.residuals],
         "min_pair_distance": _finite_or_null(report.min_pair_distance),
-        "checks": {
-            "residuals": report.residuals_ok,
-            "duplicates": report.duplicates_ok,
-            "bound": report.bound_ok,
-            "eigenvalue_containment": report.eigenvalues_ok,
-            "characteristic_divisor": report.char_divisor_ok,
-            "certificate": report.certificate_ok,
-            "backend_agreement": report.backend_agreement,
-        },
+        "checks": {key: getattr(report, field) for field, key in CHECKS},
         "verdict": report.verdict,
         "reasons": list(report.reasons),
     }

@@ -280,8 +280,8 @@ def least_distance(x: np.ndarray) -> Optional[float]:
         nb = np.argsort(cols, axis=1)
         a, b = nb[:, :-1].ravel(), nb[:, 1:].ravel()
         # by take, for the reason given in _near_pairs
-        k = np.argsort(np.abs(cols.take(a, axis=1) - cols.take(b, axis=1))
-                       .max(axis=0))[:1]
+        k = np.abs(cols.take(a, axis=1) - cols.take(b, axis=1)).max(
+            axis=0).argmin(keepdims=True)
         cut = max_norms(y[a[k]] - y[b[k]]).min(initial=math.inf)
     return float(_near_pairs(x, cut)[2].min(initial=math.inf))
 

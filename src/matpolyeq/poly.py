@@ -61,14 +61,17 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots) -> "Poly":
-        """Monic polynomial with the given (value, multiplicity) roots."""
-        out = cls((1,))
+        """Monic polynomial with the given (value, multiplicity) roots, one
+        synthetic pass per factor t - value in the order of ``__mul__``."""
+        out = [1 + 0j]
         for value, mult in roots:
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
+            low, one = cls((-value, 1)).coeffs
             for _ in range(mult):
-                out = out * cls((-value, 1))
-        return out
+                mid = [0j + a * one + b * low for a, b in zip(out, out[1:])]
+                out = [0j + out[0] * low, *mid, 0j + out[-1] * one]
+        return cls(out)
 
     @property
     def degree(self) -> int:

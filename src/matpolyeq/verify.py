@@ -78,6 +78,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# the verifier's checks in report order: (report field, document key)
+CHECKS = (("residuals_ok", "residuals"), ("duplicates_ok", "duplicates"),
+          ("bound_ok", "bound"), ("eigenvalues_ok", "eigenvalue_containment"),
+          ("char_divisor_ok", "characteristic_divisor"),
+          ("certificate_ok", "certificate"),
+          ("backend_agreement", "backend_agreement"))
+
+
 def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
                         backend_agreement: Optional[bool] = None
                         ) -> VerificationReport:

@@ -550,6 +550,15 @@ class TestPlanAndReportDocuments:
         assert doc["checks"]["backend_agreement"] is True
         assert doc["claimed_count"] == 4
 
+    def test_report_document_check_keys(self, eq_four_solutions):
+        # the rows of verify.CHECKS in order, the order of the sweep's
+        # verify: token too
+        report = verify_solution_set(eq_four_solutions,
+                                     solve_equation(eq_four_solutions))
+        assert list(report_to_doc(report)["checks"]) == [
+            "residuals", "duplicates", "bound", "eigenvalue_containment",
+            "characteristic_divisor", "certificate", "backend_agreement"]
+
     def test_non_finite_report_numbers_are_null(self, tmp_path,
                                                 eq_four_solutions):
         report = verify_solution_set(eq_four_solutions,

@@ -78,6 +78,28 @@ class TestFromRoots:
         p = Poly.from_roots([(3, 1), (-3, 1), (1, 1), (-1, 1)])
         assert p.coeffs == (9, 0, -10, 0, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(roots=st.lists(st.tuples(
+        st.complex_numbers(max_magnitude=10, allow_subnormal=False)
+        | st.sampled_from([0, -0.0, complex(-0.0, -0.0), 1, -2.5]),
+        st.integers(1, 4)), min_size=1, max_size=5))
+    def test_bits_of_the_product_of_linear_factors(self, roots):
+        # the synthetic pass keeps Poly.__mul__'s products and sums, in its
+        # order, signed zeros included
+        product = Poly((1,))
+        for value, mult in roots:
+            for _ in range(mult):
+                product = product * Poly((-value, 1))
+        assert [(c.real.hex(), c.imag.hex()) for c in Poly.from_roots(
+            roots).coeffs] == [(c.real.hex(), c.imag.hex())
+                               for c in product.coeffs]
+
+    @pytest.mark.parametrize("roots", [[(1, 0)], [(math.inf, 1)],
+                                       [(1, 1), (1e300, 2)]])
+    def test_refused(self, roots):
+        with pytest.raises(ValueError):
+            Poly.from_roots(roots)
+
 
 class TestFindRoots:
     @pytest.mark.parametrize("backend", BACKENDS)

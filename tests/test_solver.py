@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import solver
@@ -823,6 +823,27 @@ class TestLinearEquation:
         assert ss.count == 1
         assert ss.solutions[0].matrix.dist(a0.scale(-1)) \
             <= 1e-9 * max(1.0, a0.max_norm())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(a=st.complex_numbers(max_magnitude=4),
+           b=st.complex_numbers(max_magnitude=4),
+           p=st.complex_numbers(max_magnitude=0.5),
+           q=st.complex_numbers(max_magnitude=0.5))
+    def test_one_solution_of_a_well_conditioned_a0(self, a, b, p, q,
+                                                    backend):
+        # A_0 = -P diag(a, b) P^-1, P = [[1, p], [q, 1]]: eigenvalues at
+        # least 0.1 apart, eigenvectors far from parallel (|pq| <= 1/4)
+        assume(abs(a - b) >= 0.1)
+        d = 1 - p * q
+        a0 = Mat2(-(a - p * b * q) / d, -(p * b - a * p) / d,
+                  -(q * a - b * q) / d, -(b - q * a * p) / d)
+        eq = MatrixEquation((a0,))
+        ss = solve_equation(eq, backend=backend)
+        assert ss.count == 1
+        assert ss.solutions[0].matrix.dist(a0.scale(-1)) \
+            <= 1e-9 * (1.0 + a0.max_norm())
+        assert verify_solution_set(eq, ss).verdict == "pass"
 
 
 def test_rounded_unitary_similarity_silent_answers_do_not_grow(small_cells):

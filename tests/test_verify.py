@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -17,8 +18,8 @@ from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
                               InfiniteCertificate, Solution, SolutionSet,
                               accepted, residuals, solution_bound,
                               solve_equation)
-from matpolyeq.verify import (_fit_eigenpairs, brute_force_scan,
-                              count_cross_check, minimize,
+from matpolyeq.verify import (CHECKS, VerificationReport, _fit_eigenpairs,
+                              brute_force_scan, count_cross_check, minimize,
                               verify_solution_set)
 
 from helpers import prescribed_equation
@@ -312,6 +313,16 @@ class TestCharacteristicDivisor:
         assert not report.char_divisor_ok
         assert report.verdict == "fail"
         assert calls == [[[1, 1]], [1]]
+
+
+def test_checks_table_has_one_row_per_check():
+    # each *_ok field of the report and backend_agreement is one row, each
+    # with its own document key: a new check reaches the report document
+    # and the sweep's verify: token by one row
+    fields = [f.name for f in dataclasses.fields(VerificationReport)
+              if f.name.endswith("_ok") or f.name == "backend_agreement"]
+    assert sorted(field for field, _ in CHECKS) == sorted(fields)
+    assert len({key for _, key in CHECKS}) == len(CHECKS)
 
 
 class TestCountCrossCheck:
