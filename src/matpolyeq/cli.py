@@ -22,13 +22,13 @@ from pathlib import Path
 from . import documents
 from .construct import DomainError, ValidationFailure, check, construct
 from .mat2 import MAX_DEGREE
-from .poly import NonConvergence
+from .poly import BACKENDS, NonConvergence
 from .solver import (InternalInconsistency, critical_data, solution_bound,
                      solve_equation)
 from .verify import count_cross_check, sets_agree, verify_solution_set
 
-_BACKENDS = {"a": "aberth", "b": "companion",
-             "aberth": "aberth", "companion": "companion"}
+# --backend takes a table name or its alias: a for the first, b the second
+_BACKENDS = {**dict(zip("ab", BACKENDS)), **{name: name for name in BACKENDS}}
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -223,9 +223,9 @@ def _sweep_cell(cell) -> dict:
     try:
         result = construct(n, m, validate=False)
         row["p"], row["pbar"] = result.plan.p, result.plan.pbar
-        # each backend's roots under its own stage; both are cached on the
+        # each backend's roots under its own stage; all are cached on the
         # equation, so the cross-check finds no root twice
-        for stage in ("aberth", "companion"):
+        for stage in BACKENDS:
             critical_data(result.equation, stage)
         stage = "verify"
         row["count"], row["max_residual"], row["error"], _ = \

@@ -1,9 +1,9 @@
 """Dense univariate polynomials over the complex numbers.
 
 Coefficients are stored ascending, so ``coeffs[k]`` multiplies ``t**k``.
-Root finding offers two backends (a simultaneous-correction iteration on the
-full polynomial, and eigenvalues of the companion matrix); both feed a shared
-deflation / clustering / polishing stage that assigns multiplicities.
+Root finding offers the backends of ``BACKENDS`` (simultaneous correction
+on the full polynomial, eigenvalues of the companion matrix); both feed a
+shared deflation / clustering / polishing stage that assigns multiplicities.
 """
 
 from __future__ import annotations
@@ -163,24 +163,24 @@ def dense_solve(a, b) -> list[complex]:
 def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     """All complex roots of ``p`` with multiplicities.
 
-    Zero roots carried by exactly-vanishing low-order coefficients are
-    deflated first.  The remaining roots come from the chosen backend
-    (``_aberth_roots``, which evaluates p, p' and the rounding bound of p
-    each sweep, on Python scalars up to degree ``_SCALAR_MAX`` and from
-    one matrix of powers above it, or ``_companion_roots``), are
-    clustered at ``CLUSTER_TOL`` relative to the root scale, ``max(1,
-    max|raw|)`` computed once here, and the clusters' raw centroids are
-    bunched at ``_MERGE_RADIUS`` on the same scale.  A
-    bunch fuses into one start of the total multiplicity when it looks like
-    one multiple root that scattered: some centroid fails the derivative
-    test (``relative_value``) for its claimed multiplicity.  Every start of
-    multiplicity k is Newton-polished once, on the (k-1)-th derivative,
-    with compensated Horner values (Graillat, Langlois and Louvet 2009),
-    operation for operation as numpy's complex128 scalars compute them, one
-    kernel call per class of starts of one k (``_polish_groups``).  So the
-    multiplicities are decided once, by the bunching; the polish only
-    sharpens the values, and a polish that moves a start more than the
-    bunch radius raises NonConvergence.
+    A backend name not in ``BACKENDS`` is refused before any work.  Zero
+    roots carried by exactly-vanishing low-order coefficients are deflated
+    first.  The rest come from the backend's kernel (``_aberth_roots``, which
+    evaluates p, p' and the rounding bound of p each sweep, on Python
+    scalars up to degree ``_SCALAR_MAX`` and from one matrix of powers above
+    it, or ``_companion_roots``), are clustered at ``CLUSTER_TOL`` relative
+    to the root scale, ``max(1, max|raw|)`` computed once here, and the
+    clusters' raw centroids are bunched at ``_MERGE_RADIUS`` on the same
+    scale.  A bunch fuses into one start of the total multiplicity when it
+    looks like one multiple root that scattered: some centroid fails the
+    derivative test (``relative_value``) for its claimed multiplicity.  Every
+    start of multiplicity k is Newton-polished once, on the (k-1)-th
+    derivative, with compensated Horner values (Graillat, Langlois and
+    Louvet 2009), operation for operation as numpy's complex128 scalars
+    compute them, one kernel call per class of starts of one k
+    (``_polish_groups``).  So the multiplicities are decided once, by the
+    bunching; the polish only sharpens the values, and a polish that moves a
+    start more than the bunch radius raises NonConvergence.
 
     The roots come back in (real, imag) order, which the critical data
     keep.  Overflow is detected here instead of warned about: iterates or
@@ -188,6 +188,9 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
+    kernel = BACKENDS.get(backend)
+    if kernel is None:
+        raise ValueError(f"unknown backend {backend!r}")
     coeffs = np.array(p.coeffs, dtype=complex)
     coeffs /= coeffs[-1]
 
@@ -198,12 +201,7 @@ def find_roots(p: Poly, backend: str = "aberth") -> list[Root]:
     if len(q) == 1:
         return [Root(0j, zero_mult)]
 
-    if backend == "aberth":
-        raw = _aberth_roots(q)
-    elif backend == "companion":
-        raw = _companion_roots(q)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    raw = kernel(q)
     overflow = f"{backend} roots overflow at degree {len(q) - 1}"
     if not np.all(np.isfinite(raw)):
         raise NonConvergence(overflow)
@@ -360,6 +358,10 @@ def _companion_roots(c: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalue iteration failed: {exc}") from exc
+
+
+# The root backends by name, in cross-check order.
+BACKENDS = {"aberth": _aberth_roots, "companion": _companion_roots}
 
 
 # --- clustering -------------------------------------------------------------

@@ -10,7 +10,8 @@ import numpy as np
 
 from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
                    least_distance, match_in_order, pack, unpack)
-from .poly import CLUSTER_TOL, VANISH_TOL, NonConvergence, relative_value
+from .poly import (BACKENDS, CLUSTER_TOL, VANISH_TOL, NonConvergence,
+                   relative_value)
 from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet, accepted,
                      critical_data, family_samples, rejection_reason,
                      residuals, solution_bound, solve_sets)
@@ -206,20 +207,17 @@ class CrossCheck:
 
 
 def count_cross_check(eq: MatrixEquation) -> CrossCheck:
-    """Solve with both root backends in one pass (``solver.solve_sets``)
-    and compare the outcomes with ``sets_agree``.
+    """Solve with each root backend of ``poly.BACKENDS``, in its order, in
+    one pass (``solver.solve_sets``); compare the sets with ``sets_agree``.
 
-    Both backends' critical data come first, aberth's then the companion
-    backend's, and share each critical space whose value the two roots
-    agree on to the bit.  The finite candidates of both sets are then one
-    array batch: one pairing pass, one assembly, one residual and one
-    acceptance call, one sort.  Each set is still checked on its own and
-    is bit for bit what ``solve_equation`` returns on its backend.  The
-    first failure raises, in this order: aberth's critical data, the
-    companion backend's, each set's family check, then each set's
-    candidate and bound checks, aberth's first.
+    The backends share each critical space whose value their roots agree
+    on to the bit, and the finite candidates of both sets are one array
+    batch; each set is still checked on its own and is bit for bit what
+    ``solve_equation`` returns on its backend.  The first failure raises,
+    in table order within each step: the critical data, then each set's
+    family check, then each set's candidate and bound checks.
     """
-    set_a, set_b = solve_sets(eq, ("aberth", "companion"))
+    set_a, set_b = solve_sets(eq, tuple(BACKENDS))
     return CrossCheck(set_a, set_b, set_a.count, set_b.count,
                       sets_agree(set_a, set_b))
 

@@ -16,7 +16,7 @@ from matpolyeq.construct import ValidationFailure, construct
 from matpolyeq.documents import (equation_from_doc, equation_to_doc,
                                  load_doc, save_doc, solution_set_from_doc)
 from matpolyeq.mat2 import MAX_DEGREE
-from matpolyeq.poly import NonConvergence, SingularSystem
+from matpolyeq.poly import BACKENDS, NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
 from helpers import diagonal_equation, diagonally_similar, rescaled
@@ -162,6 +162,14 @@ class TestSolveCommand:
                    "--backend", backend) == 4
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_backend_choices_follow_the_table(self):
+        # --backend takes the table's names, and a and b for its first and
+        # second entries
+        assert sorted(set(cli._BACKENDS.values())) == sorted(BACKENDS)
+        assert [cli._BACKENDS[alias] for alias in "ab"] == list(BACKENDS)
+        assert all(cli._BACKENDS[name] == name for name in BACKENDS)
+        assert sorted(cli._BACKENDS) == sorted(["a", "b", *BACKENDS])
 
     def test_backend_selection(self, tmp_path, eq_four_solutions):
         eq_path = tmp_path / "eq.json"
@@ -560,6 +568,22 @@ class TestSweepCommand:
         assert rows[("2", "6")][4] == "6"
         assert rows[("2", "6")][7:] == ["pass", "-"]
         assert "failing cells: (2, 5)" in lines[-1]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_crashed_backend_is_named_by_the_table(self, tmp_path,
+                                                   monkeypatch, backend):
+        # a cell whose backend kernel raises is labelled by that backend's
+        # table name; every det M(t) at n <= 2 has a nonzero root, so every
+        # cell runs each kernel
+        def spent(c):
+            raise NonConvergence(f"no convergence at degree {len(c) - 1}")
+
+        monkeypatch.setitem(BACKENDS, backend, spent)
+        report = tmp_path / "table.txt"
+        assert run("sweep", "--n-max", 2, "--report", report) == 5
+        rows = [line.split() for line in report.read_text().splitlines()[1:8]]
+        assert [row[7:] for row in rows] == \
+            [["FAIL", f"{backend}:NonConvergence"]] * 7
 
     def test_failed_cell_names_its_cause(self, tmp_path, monkeypatch):
         real_construct = cli.construct

@@ -12,7 +12,7 @@ from matpolyeq.construct import construct
 from matpolyeq.documents import solution_set_from_doc, solution_set_to_doc
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
                             eval_equation, pack, poly_matrix, unpack)
-from matpolyeq.poly import CLUSTER_TOL, NonConvergence, Poly
+from matpolyeq.poly import BACKENDS, CLUSTER_TOL, NonConvergence, Poly
 from matpolyeq.solver import (KINDS, Candidates, CriticalDatum,
                               InternalInconsistency, SolutionSet, accepted,
                               critical_data, detect_infinite,
@@ -27,8 +27,6 @@ from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
                      RANK_PATTERNS, diagonal_equation, diagonally_similar,
                      max_abs_coeff, poly_divmod, prescribed_equation,
                      ref_sort_key, rescaled, seeded_unitary, similar)
-
-BACKENDS = ("aberth", "companion")
 
 
 def _by_value(data, value, tol=1e-8):
@@ -352,6 +350,15 @@ class TestSolveEquation:
         ss = solve_equation(eq_x_squared_identity)
         assert not ss.is_finite
         assert ss.count is None
+
+    def test_unknown_backend_is_refused_before_any_work(self,
+                                                        eq_x_squared_zero):
+        # every root of det M(t) = t^4 is an exact zero, so no backend
+        # kernel would run; the name is refused all the same, and neither
+        # critical data nor a critical space is stored on the equation
+        with pytest.raises(ValueError, match="^unknown backend 'secant'$"):
+            solve_equation(eq_x_squared_zero, backend="secant")
+        assert eq_x_squared_zero._derived == {}
 
     # Known defect: the fusion rule of find_roots merges the double roots
     # +-sqrt(c) of det M(t) = (t^2 - c)^2 into one 4-fold root at 0, where

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import matpolyeq
-from matpolyeq import poly, verify
+from matpolyeq import verify
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
-from matpolyeq.poly import NonConvergence, relative_value
+from matpolyeq.poly import BACKENDS, NonConvergence, relative_value
 from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
                               InfiniteCertificate, Solution, SolutionSet,
                               accepted, residuals, solution_bound,
@@ -145,7 +145,7 @@ class TestVerifySolutionSet:
     # (X - sI)^2 = 0: M'(s) = 0, so s I + mu k k_perp^T solves it for every
     # mu.  A direction of norm 1 is below the floor RANK_TOL * s from
     # s = 1e8 on, so the family's direction must grow with s
-    @pytest.mark.parametrize("backend", ["aberth", "companion"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("s", [1e8, 1e9])
     def test_large_nilpotent_family_passes(self, s, backend):
         eq = MatrixEquation((Mat2.identity().scale(s * s),
@@ -165,7 +165,7 @@ class TestVerifySolutionSet:
             raise NonConvergence(
                 f"no convergence in 200 sweeps at degree {len(c) - 1}")
 
-        monkeypatch.setattr(poly, "_aberth_roots", spent)
+        monkeypatch.setitem(BACKENDS, "aberth", spent)
         eq = prescribed_equation("jordan_invertible", 4, 28)[0]
         eq = MatrixEquation(tuple(a.scale(2.0 ** (8 * (eq.n - k)))
                                   for k, a in enumerate(eq.coeffs)))
