@@ -205,7 +205,7 @@ def check(eq: MatrixEquation, m: int):
     failed = [f"count:{count}!={m}"] if count != m else []
     if not cross.agree:
         failed.append("backends")
-    checks = [field.removesuffix("_ok") for field, _ in CHECKS
+    checks = [field.removesuffix("_ok") for field, _, _ in CHECKS
               if getattr(report, field) is False]
     if checks:
         failed.append("verify:" + "+".join(checks))

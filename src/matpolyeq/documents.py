@@ -291,7 +291,7 @@ def report_to_doc(report: VerificationReport) -> dict:
         "max_residual": _finite_or_null(report.max_residual),
         "residuals": [_finite_or_null(r) for r in report.residuals],
         "min_pair_distance": _finite_or_null(report.min_pair_distance),
-        "checks": {key: getattr(report, field) for field, key in CHECKS},
+        "checks": {key: getattr(report, field) for field, key, _ in CHECKS},
         "verdict": report.verdict,
         "reasons": list(report.reasons),
     }

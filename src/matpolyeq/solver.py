@@ -210,13 +210,23 @@ def _critical_space(eq, lam) -> tuple[int, tuple[Vec2, ...]]:
         if not _finite(evaluated):
             raise NonConvergence(
                 f"M(t) overflows at critical value {lam:.6g}")
-        rank, basis = rank_and_nullspace(evaluated,
-                                         eq.norm_poly(abs(lam)).real)
+        rank, basis = _rank_and_kernel(evaluated,
+                                       eq.norm_poly(abs(lam)).real, lam)
         if rank == 2:  # the backend returned a value that is no root
             raise NonConvergence(
                 f"no critical space at critical value {lam:.6g}")
         return 2 - rank, tuple(basis)
     return eq.derived(("critical_space", _bits(lam)), compute)
+
+
+def _rank_and_kernel(m: Mat2, scale: float, lam: complex):
+    """``rank_and_nullspace`` of M(lam) or M'(lam); NonConvergence where the
+    kernel vector underflows (its row's squared moduli round to 0)."""
+    try:
+        return rank_and_nullspace(m, scale)
+    except ValueError:
+        raise NonConvergence(f"the kernel vector underflows at critical "
+                             f"value {lam:.6g}") from None
 
 
 def _finite(m: Mat2) -> bool:
@@ -398,9 +408,9 @@ def detect_infinite(eq: MatrixEquation,
         return None
     if len(data) == 1:
         lam = d.value
-        rank, kernel = rank_and_nullspace(
+        rank, kernel = _rank_and_kernel(
             eq.matrix_derivative.eval(lam),
-            eq.norm_poly.derivative()(abs(lam)).real)
+            eq.norm_poly.derivative()(abs(lam)).real, lam)
         if rank == 2:
             return None
         k = kernel[0]

@@ -26,15 +26,13 @@ def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of every check on one (equation, solution set) pair."""
+    """Outcome of every check on one (equation, solution set) pair; the
+    checks are the rows of ``CHECKS``."""
 
     n: int
     coeff_scale: float
-    classification: str
     claimed_count: Optional[int]
-    bound: int
     residuals: tuple[float, ...]
-    max_residual: float
     min_pair_distance: Optional[float]
     residuals_ok: bool
     duplicates_ok: bool
@@ -46,74 +44,71 @@ class VerificationReport:
     reasons: tuple[str, ...]
 
     @property
+    def classification(self) -> str:
+        return "infinite" if self.claimed_count is None else "finite"
+
+    @property
+    def bound(self) -> int:
+        return solution_bound(self.n)
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals, default=0.0)
+
+    @property
     def verdict(self) -> str:
         return "fail" if self.reasons else "pass"
 
     def to_text(self) -> str:
-        lines = [
+        checks = ((text, getattr(self, field)) for field, _, text in CHECKS)
+        return "\n".join([
             f"equation: degree {self.n}, coefficient scale {self.coeff_scale:.6g}",
             f"classification: {self.classification}"
             + (f" ({self.claimed_count} solutions)"
                if self.claimed_count is not None else ""),
-            f"bound: {self.claimed_count if self.claimed_count is not None else 0}"
-            f" <= C(2n,2) = {self.bound}: {'ok' if self.bound_ok else 'FAIL'}",
-            f"max residual: {self.max_residual:.3e}:"
-            f" {'ok' if self.residuals_ok else 'FAIL'}",
-            f"pairwise distinct: {'ok' if self.duplicates_ok else 'FAIL'}"
-            + (f" (min distance {self.min_pair_distance:.3e})"
-               if self.min_pair_distance is not None else ""),
-            f"eigenvalues among critical values:"
-            f" {'ok' if self.eigenvalues_ok else 'FAIL'}",
-            f"characteristic divides det M(t):"
-            f" {'ok' if self.char_divisor_ok else 'FAIL'}",
-        ]
-        if self.certificate_ok is not None:
-            lines.append(f"certificate samples: "
-                         f"{'ok' if self.certificate_ok else 'FAIL'}")
-        if self.backend_agreement is not None:
-            lines.append(f"backend agreement: "
-                         f"{'ok' if self.backend_agreement else 'FAIL'}")
-        lines.append(f"verdict: {self.verdict}")
-        for reason in self.reasons:
-            lines.append(f"  - {reason}")
-        return "\n".join(lines)
+            *(f"{text(self)}: {'ok' if ok else 'FAIL'}"
+              for text, ok in checks if ok is not None),
+            f"verdict: {self.verdict}",
+            *(f"  - {reason}" for reason in self.reasons)])
 
 
-# the verifier's checks in report order: (report field, document key)
-CHECKS = (("residuals_ok", "residuals"), ("duplicates_ok", "duplicates"),
-          ("bound_ok", "bound"), ("eigenvalues_ok", "eigenvalue_containment"),
-          ("char_divisor_ok", "characteristic_divisor"),
-          ("certificate_ok", "certificate"),
-          ("backend_agreement", "backend_agreement"))
+# the verifier's checks in report order: (report field, document key, its
+# line's text in ``to_text``); a check whose field is None did not apply
+CHECKS = (
+    ("residuals_ok", "residuals",
+     lambda r: f"max residual: {r.max_residual:.3e}"),
+    ("duplicates_ok", "duplicates", lambda r: "pairwise distinct" + (
+        "" if r.min_pair_distance is None
+        else f" (min distance {r.min_pair_distance:.3e})")),
+    ("bound_ok", "bound",
+     lambda r: f"bound: {r.claimed_count or 0} <= C(2n,2) = {r.bound}"),
+    ("eigenvalues_ok", "eigenvalue_containment",
+     lambda r: "eigenvalues among critical values"),
+    ("char_divisor_ok", "characteristic_divisor",
+     lambda r: "characteristic divides det M(t)"),
+    ("certificate_ok", "certificate", lambda r: "certificate samples"),
+    ("backend_agreement", "backend_agreement", lambda r: "backend agreement"))
 
 
 def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
                         backend_agreement: Optional[bool] = None
                         ) -> VerificationReport:
-    """Re-check a claimed solution set against the equation itself.
+    """Re-check a claimed solution set against the equation itself, one
+    report field per row of ``CHECKS``; failures are reported, not raised.
 
-    Residuals, pairwise distinctness, the C(2n,2) bound, eigenvalue
-    containment in the critical values, and divisibility of det M(t) by each
-    solution's characteristic polynomial (det M(t) vanishing at its
-    eigenvalues, relative to the term bound) are all recomputed here;
-    nothing is taken from the input set but the matrices, read from the
-    set's packed batch without building Solution objects, and a family's
-    base and direction (the critical values are the equation's own, shared
-    with an earlier solve: the aberth backend's, or the companion backend's
-    where aberth raises NonConvergence, so only a failure of both raises).
-    The solutions' residuals come from one call of the batch kernel
-    ``mat2.eval_batch``.  A family gets the solver's own
-    check, ``solver.family_samples``, at parameters it chooses (k / count
-    for k = 1..count, count = max(3, n + 1)), not at the claim's samples:
-    it fails where a member fails its residual or where its direction's
-    largest entry is at most RANK_TOL * max(1, |base|).  The exact
-    ``min_pair_distance`` comes from the pair kernel
-    (``mat2.least_distance``, which leaves out matrices with non-finite
-    entries), and the set is pairwise distinct when it exceeds the dedupe
-    tolerance.  The eigenvalues of all the finite matrices come from one
-    call of ``mat2.eigenvalues``, and the divisor test from one call of
-    ``poly.relative_value``, and one more on the derivative of det M(t)
-    where an eigenvalue repeats.  Failures are reported, not raised.
+    Nothing is taken from the set but its packed matrices and a family's
+    base and direction.  The critical values are the equation's own,
+    shared with an earlier solve: the aberth backend's, or the companion
+    backend's where aberth raises NonConvergence, so only a failure of
+    both raises.  A solution's characteristic polynomial divides det M(t)
+    when det M(t) vanishes at its eigenvalues, relative to the term bound,
+    and its derivative too at a repeated one.  The set is pairwise
+    distinct when its least pair distance (``mat2.least_distance``, over
+    the finite matrices) exceeds the dedupe tolerance.  A family gets the
+    solver's own check, ``solver.family_samples``, at parameters it
+    chooses (k / count for k = 1..count, count = max(3, n + 1)), not at
+    the claim's samples: it fails where a member fails its residual or
+    where its direction's largest entry is at most RANK_TOL * max(1, |base|).
     """
     reasons = []
     try:
@@ -178,23 +173,12 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         reasons.append("backends disagree")
 
     return VerificationReport(
-        n=eq.n,
-        coeff_scale=eq.coeff_scale(),
-        classification="finite" if sset.is_finite else "infinite",
-        claimed_count=sset.count,
-        bound=bound,
-        residuals=tuple(res.tolist()),
-        max_residual=max(res.tolist(), default=0.0),
-        min_pair_distance=min_dist,
-        residuals_ok=residuals_ok,
-        duplicates_ok=duplicates_ok,
-        bound_ok=bound_ok,
-        eigenvalues_ok=eigenvalues_ok,
-        char_divisor_ok=char_divisor_ok,
-        certificate_ok=certificate_ok,
-        backend_agreement=backend_agreement,
-        reasons=tuple(reasons),
-    )
+        n=eq.n, coeff_scale=eq.coeff_scale(), claimed_count=sset.count,
+        residuals=tuple(res.tolist()), min_pair_distance=min_dist,
+        residuals_ok=residuals_ok, duplicates_ok=duplicates_ok,
+        bound_ok=bound_ok, eigenvalues_ok=eigenvalues_ok,
+        char_divisor_ok=char_divisor_ok, certificate_ok=certificate_ok,
+        backend_agreement=backend_agreement, reasons=tuple(reasons))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from matpolyeq.cli import main
 from matpolyeq.construct import ValidationFailure, construct
 from matpolyeq.documents import (equation_from_doc, equation_to_doc,
                                  load_doc, save_doc, solution_set_from_doc)
-from matpolyeq.mat2 import MAX_DEGREE
+from matpolyeq.mat2 import MAX_DEGREE, Mat2, MatrixEquation
 from matpolyeq.poly import BACKENDS, NonConvergence, SingularSystem
 from matpolyeq.solver import InternalInconsistency
 
@@ -238,6 +238,24 @@ class TestSolveCommand:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(err)
+        assert not out.exists()
+
+
+    def test_tiny_coefficients_exit_4_with_one_line(self, tmp_path):
+        # X + 1e-200 I = 0: the kernel vector of M(t) underflows, a typed
+        # non-convergence, not a traceback; a fresh interpreter, so a
+        # traceback or a numpy warning would reach stderr
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(equation_to_doc(MatrixEquation(
+            (Mat2.diag(1e-200, 1e-200),))), eq_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matpolyeq", "solve",
+             "--in", str(eq_path), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "non-convergence: the kernel vector underflows at critical "
+            "value -2e-200+0j"]
         assert not out.exists()
 
 

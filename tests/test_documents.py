@@ -563,8 +563,8 @@ class TestPlanAndReportDocuments:
                                                 eq_four_solutions):
         report = verify_solution_set(eq_four_solutions,
                                      solve_equation(eq_four_solutions))
-        report = replace(report, max_residual=math.inf,
-                         residuals=(0.5, math.nan, -math.inf),
+        # the largest residual, max_residual, is inf
+        report = replace(report, residuals=(0.5, math.inf, math.nan),
                          min_pair_distance=math.inf)
         path = tmp_path / "report.json"
         save_doc(report_to_doc(report), path)

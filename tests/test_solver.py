@@ -372,6 +372,39 @@ class TestSolveEquation:
         ss = solve_equation(eq, backend=backend)
         assert not ss.is_finite
 
+    # At tiny coefficient scales the kernel vector of M(lam) or M'(lam)
+    # underflows: the squared moduli of its row round to 0.  A solve there
+    # either returns a set that verifies at the generic count C(2n, 2) or
+    # fails with a typed error; solving these equations is the work of the
+    # exact scale normalization.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("k", [0, 100, 200, 300, 320])
+    def test_tiny_scales_solve_or_fail_typed(self, scaled_random_equation,
+                                             k, n, backend):
+        eq = scaled_random_equation(0, n, 10.0 ** -k)
+        try:
+            ss = solve_equation(eq, backend=backend)
+        except (NonConvergence, InternalInconsistency):
+            return
+        assert ss.count == solution_bound(n)
+        assert verify_solution_set(eq, ss).verdict == "pass"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("eq, value", [
+        # the critical space of M(0) = -1e-200 I
+        (MatrixEquation((Mat2.diag(-1e-200, -1e-200), Mat2.zero())), "0"),
+        # the nilpotent offset at the lone critical value 0: M'(0) = A_1
+        (MatrixEquation((Mat2.zero(), Mat2(0, 1e-200, 0, 0))), "0"),
+        (MatrixEquation((Mat2.diag(1e-300, 1e-300),)), "-2e-300"),
+    ], ids=["critical space", "nilpotent offset", "degree one"])
+    def test_underflowing_kernel_vector_names_its_value(self, eq, value,
+                                                        backend):
+        with pytest.raises(NonConvergence, match=(
+                f"^the kernel vector underflows at critical value "
+                f"{value}\\+0j$")):
+            solve_equation(eq, backend=backend)
+
     # On these diagonal equations the polish of a simple root leaves its
     # bunch.  Keeping the start gives a wrong finite count (49 at (7, 4))
     # that verify passes on its own with aberth, so the solve must raise.

@@ -315,14 +315,88 @@ class TestCharacteristicDivisor:
         assert calls == [[[1, 1]], [1]]
 
 
-def test_checks_table_has_one_row_per_check():
+def test_checks_table_has_one_row_per_check(eq_four_solutions):
     # each *_ok field of the report and backend_agreement is one row, each
-    # with its own document key: a new check reaches the report document
-    # and the sweep's verify: token by one row
+    # with its own document key and text: a new check reaches the report
+    # document, the sweep's verify: token and the text report by one row
     fields = [f.name for f in dataclasses.fields(VerificationReport)
               if f.name.endswith("_ok") or f.name == "backend_agreement"]
-    assert sorted(field for field, _ in CHECKS) == sorted(fields)
-    assert len({key for _, key in CHECKS}) == len(CHECKS)
+    assert sorted(field for field, _, _ in CHECKS) == sorted(fields)
+    assert len({key for _, key, _ in CHECKS}) == len(CHECKS)
+    report = verify_solution_set(eq_four_solutions,
+                                 solve_equation(eq_four_solutions))
+    assert len({text(report) for _, _, text in CHECKS}) == len(CHECKS)
+
+
+def _all_checks_apply(eq):
+    """A passing report of eq's solve with every row of CHECKS set."""
+    report = verify_solution_set(eq, solve_equation(eq),
+                                 backend_agreement=True)
+    return dataclasses.replace(report, certificate_ok=True)
+
+
+class TestTextReport:
+    def test_known_text(self, eq_four_solutions):
+        # the header, the rows in table order, the verdict; the numbers are
+        # the max residual, the count against C(2n,2) and the least distance
+        report = verify_solution_set(eq_four_solutions,
+                                     solve_equation(eq_four_solutions))
+        assert report.to_text().splitlines() == [
+            "equation: degree 2, coefficient scale 4",
+            "classification: finite (4 solutions)",
+            "max residual: 0.000e+00: ok",
+            "pairwise distinct (min distance 2.000e+00): ok",
+            "bound: 4 <= C(2n,2) = 6: ok",
+            "eigenvalues among critical values: ok",
+            "characteristic divides det M(t): ok",
+            "verdict: pass"]
+
+    def test_one_line_per_row_in_table_order(self, eq_four_solutions):
+        report = _all_checks_apply(eq_four_solutions)
+        lines = report.to_text().splitlines()
+        assert lines[2:-1] == [f"{text(report)}: ok"
+                               for _, _, text in CHECKS]
+        assert lines[-1] == "verdict: pass"
+
+    @pytest.mark.parametrize("row", CHECKS, ids=[f for f, _, _ in CHECKS])
+    def test_a_false_field_fails_its_line(self, eq_four_solutions, row):
+        field, _, text = row
+        report = _all_checks_apply(eq_four_solutions)
+        failed = dataclasses.replace(report, **{field: False})
+        before = report.to_text().splitlines()
+        after = failed.to_text().splitlines()
+        i = before.index(f"{text(report)}: ok")
+        assert after[i] == f"{text(failed)}: FAIL"
+        assert after[:i] + after[i + 1:] == before[:i] + before[i + 1:]
+
+    @pytest.mark.parametrize("row", CHECKS, ids=[f for f, _, _ in CHECKS])
+    def test_a_none_field_has_no_line(self, eq_four_solutions, row):
+        field, _, text = row
+        report = _all_checks_apply(eq_four_solutions)
+        skipped = dataclasses.replace(report, **{field: None})
+        before = report.to_text().splitlines()
+        before.remove(f"{text(report)}: ok")
+        assert skipped.to_text().splitlines() == before
+
+    def test_reasons_follow_the_verdict(self, eq_four_solutions):
+        ss = solve_equation(eq_four_solutions)
+        report = verify_solution_set(eq_four_solutions, ss,
+                                     backend_agreement=False)
+        assert report.to_text().splitlines()[-2:] == [
+            "verdict: fail", "  - backends disagree"]
+
+    def test_derived_numbers(self, eq_x_squared_identity):
+        # the classification, the bound and the max residual follow from
+        # what the verifier measured
+        report = verify_solution_set(eq_x_squared_identity,
+                                     solve_equation(eq_x_squared_identity))
+        assert (report.claimed_count, report.classification) == (
+            None, "infinite")
+        assert (report.bound, report.max_residual) == (6, 0.0)
+        report = dataclasses.replace(report, claimed_count=2,
+                                     residuals=(0.5, math.inf, math.nan))
+        assert (report.classification, report.max_residual) == (
+            "finite", math.inf)
 
 
 class TestCountCrossCheck:
