@@ -181,6 +181,11 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"--n-max is capped at {MAX_DEGREE}")
     if args.jobs < 1:
         raise DomainError("--jobs must be >= 1")
+    # refuse an unwritable report before any cell, leaving the path as it was
+    existed = os.path.lexists(args.report)
+    open(args.report, "a", encoding="utf-8").close()
+    if not existed:
+        os.unlink(args.report)
     cells = [(n, m) for n in range(1, args.n_max + 1)
              for m in range(1, solution_bound(n) + 1)]
     # the pool forks all its workers at the first submit; map keeps order
@@ -202,8 +207,7 @@ def cmd_sweep(args) -> int:
     lines.append(f"cells: {len(rows)}, failures: {len(failures)}")
     if failures:
         lines.append("failing cells: " + ", ".join(map(str, failures)))
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(args.report)
     if failures:
         print(f"{len(failures)} failing cells", file=sys.stderr)

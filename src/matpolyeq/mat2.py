@@ -369,10 +369,6 @@ class MatrixEquation:
         return poly_matrix(self)
 
     @cached_property
-    def matrix_derivative(self) -> "PolyMat2":
-        return self.matrix.derivative()
-
-    @cached_property
     def det_poly(self) -> Poly:
         return self.matrix.det()
 

@@ -206,17 +206,29 @@ def _critical_space(eq, lam) -> tuple[int, tuple[Vec2, ...]]:
     """Dimension and basis of the nullspace of M(lam), once per equation and
     value; NonConvergence where M(lam) overflows or has full rank."""
     def compute():
-        evaluated = eq.matrix.eval(lam)
-        if not _finite(evaluated):
+        m, scale = _matrix_at(eq, 0, lam)
+        if not all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22))):
             raise NonConvergence(
                 f"M(t) overflows at critical value {lam:.6g}")
-        rank, basis = _rank_and_kernel(evaluated,
-                                       eq.norm_poly(abs(lam)).real, lam)
+        rank, basis = _rank_and_kernel(m, scale, lam)
         if rank == 2:  # the backend returned a value that is no root
             raise NonConvergence(
                 f"no critical space at critical value {lam:.6g}")
         return 2 - rank, tuple(basis)
     return eq.derived(("critical_space", _bits(lam)), compute)
+
+
+def _matrix_at(eq, order: int, lam: complex) -> tuple[Mat2, float]:
+    """M(lam) (order 0) or M'(lam) (order 1) and the Horner-term scale of
+    its entries, ``norm_poly`` or its derivative at |lam|, once per equation,
+    order and value: the critical space, the offset, rule (b) and the scan
+    all read it."""
+    def compute():
+        matrix, norms = (eq.matrix, eq.norm_poly) if order == 0 else \
+            eq.derived("derivatives", lambda: (eq.matrix.derivative(),
+                                               eq.norm_poly.derivative()))
+        return matrix.eval(lam), norms(abs(lam)).real
+    return eq.derived(("matrix_at", order, _bits(lam)), compute)
 
 
 def _rank_and_kernel(m: Mat2, scale: float, lam: complex):
@@ -227,10 +239,6 @@ def _rank_and_kernel(m: Mat2, scale: float, lam: complex):
     except ValueError:
         raise NonConvergence(f"the kernel vector underflows at critical "
                              f"value {lam:.6g}") from None
-
-
-def _finite(m: Mat2) -> bool:
-    return all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22)))
 
 
 def finite_candidates(eq: MatrixEquation,
@@ -347,12 +355,13 @@ def _offset(eq, lam, k) -> Optional[Mat2]:
     """The offset lam*I + N at the critical vector k of lam, or None, once
     per equation, value and vector (see ``find_nondiagonalizable``)."""
     def compute():
-        mval = eq.matrix.eval(lam)
-        w = eq.matrix_derivative.eval(lam).apply(k)
+        mval, _ = _matrix_at(eq, 0, lam)
+        mder, scale = _matrix_at(eq, 1, lam)
+        w = mder.apply(k)
         col = max(Vec2(mval.m11, mval.m21), Vec2(mval.m12, mval.m22),
                   key=Vec2.norm)
         wnorm = w.norm()
-        if (wnorm <= RANK_TOL * eq.norm_poly.derivative()(abs(lam)).real
+        if (wnorm <= RANK_TOL * scale
                 or abs(det2(w, col)) > _NILPOTENT_TOL * wnorm * col.norm()):
             return None
         # M(lam) = -w v^T, so v^T = -w^H M(lam) / |w|^2
@@ -408,9 +417,7 @@ def detect_infinite(eq: MatrixEquation,
         return None
     if len(data) == 1:
         lam = d.value
-        rank, kernel = _rank_and_kernel(
-            eq.matrix_derivative.eval(lam),
-            eq.norm_poly.derivative()(abs(lam)).real, lam)
+        rank, kernel = _rank_and_kernel(*_matrix_at(eq, 1, lam), lam)
         if rank == 2:
             return None
         k = kernel[0]

@@ -12,9 +12,9 @@ from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
                    least_distance, match_in_order, pack, unpack)
 from .poly import (BACKENDS, CLUSTER_TOL, VANISH_TOL, NonConvergence,
                    relative_value)
-from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet, accepted,
-                     critical_data, family_samples, rejection_reason,
-                     residuals, solution_bound, solve_sets)
+from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet,
+                     _matrix_at, accepted, critical_data, family_samples,
+                     rejection_reason, residuals, solution_bound, solve_sets)
 
 DEDUPE_TOL = 1e-6
 
@@ -230,11 +230,9 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     directions (0, 1) and (1, t), t = 0..C(2n,2): at most one of them is
     parallel to any partner vector, so even a single partner gives a plane
     C(2n,2) + 1 fits, as a family line gives C(2n,2) + 1 members.
-    The offset directions never use the solver's rank rule: where lam I
-    fails the residual test, k is the least right singular vector of
-    M(lam), and where it passes, the least right singular vector of M'(lam)
-    spans a line lam I + s K(k) of solutions if M'(lam) K(k) vanishes (to
-    1e-12 of max(1, |M'(lam)|)); see ``_scalar_candidates``.
+    The offset directions are singular vectors, never the solver's rank
+    rule (see ``_scalar_candidates``); only M(lam) and M'(lam) are the
+    solver's, one evaluation per value (``solver._matrix_at``).
     Candidate order is irrelevant: the survivors are sorted by their
     entries' parts before the greedy dedupe at the solver's tolerance.
     Every actual solution arises from critical pairs, scalar matrices, or
@@ -379,10 +377,9 @@ def _scalar_candidates(eq: MatrixEquation, lams: np.ndarray) -> np.ndarray:
     base = lams[:, None, None] * np.eye(2)
     scalars = base.reshape(-1, 4)
     scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
-    mval = pack([eq.matrix.eval(lam)
-                 for lam in lams.tolist()]).reshape(-1, 2, 2)
-    mder = pack([eq.matrix_derivative.eval(lam)
-                 for lam in lams.tolist()]).reshape(-1, 2, 2)
+    mval, mder = (pack([_matrix_at(eq, order, lam)[0]
+                        for lam in lams.tolist()]).reshape(-1, 2, 2)
+                  for order in (0, 1))
     tiny = 1e-24 * np.maximum(1.0, np.abs(mder).max(axis=(1, 2))) ** 2
     # a larger offset cannot be residual-verified
     cap = 1e4 * (1.0 + np.abs(lams))

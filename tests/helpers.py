@@ -159,7 +159,7 @@ def _ref_scalar_candidates(eq: MatrixEquation, lams) -> np.ndarray:
     scalars = pack([Mat2.identity().scale(lam) for lam in lams])
     scalar_ok = accepted(eq, scalars, residuals(eq, scalars))
     mval = pack([eq.matrix.eval(lam) for lam in lams]).reshape(-1, 2, 2)
-    mder = pack([eq.matrix_derivative.eval(lam)
+    mder = pack([eq.matrix.derivative().eval(lam)
                  for lam in lams]).reshape(-1, 2, 2)
     tiny = np.array([1e-24 * max(1.0, np.abs(d).max()) ** 2 for d in mder])
     cap = np.array([1e4 * (1.0 + abs(lam)) for lam in lams])

@@ -488,6 +488,40 @@ class TestSweepCommand:
             f"domain error: --n-max is capped at {MAX_DEGREE}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_report_is_refused_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, where):
+        def no_cell(cell):
+            raise AssertionError(f"cell {cell} ran")
+
+        monkeypatch.setattr(cli, "_sweep_cell", no_cell)
+        report = {"missing_directory": tmp_path / "missing" / "t.txt",
+                  "a_directory": tmp_path}[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert run("sweep", "--n-max", 2, "--report", report) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("i/o error: ") and str(report) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("old", [None, "an older table\n"])
+    def test_report_is_written_when_the_sweep_ends(self, tmp_path,
+                                                   monkeypatch, old):
+        # the probe of the path leaves a new report absent and an old one
+        # as it was until every cell has run
+        report = tmp_path / "table.txt"
+        if old is not None:
+            report.write_text(old)
+        real = cli._sweep_cell
+
+        def cell(c):
+            assert (report.read_text() if report.exists() else None) == old
+            return real(c)
+
+        monkeypatch.setattr(cli, "_sweep_cell", cell)
+        assert run("sweep", "--n-max", 2, "--report", report) == 0
+        assert "cells: 7, failures: 0" in report.read_text()
+
     def test_full_sweep_to_degree_five(self, tmp_path):
         report = tmp_path / "table.txt"
         assert run("sweep", "--n-max", 5, "--report", report) == 0

@@ -1,21 +1,23 @@
 """What an equation derives from its coefficients alone (M(t), det M(t),
-the coefficient scale, the critical data per backend and the critical
-space per value) is computed once per equation object and shared by solve,
-cross-check and verify."""
+the coefficient scale, the critical data per backend, the critical space
+per value, and M and M' at each critical value) is computed once per
+equation object and shared by solve, cross-check, verify and the scan."""
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from matpolyeq import solver
 from matpolyeq.construct import construct
-from matpolyeq.mat2 import Mat2, MatrixEquation
+from matpolyeq.mat2 import Mat2, MatrixEquation, PolyMat2
 from matpolyeq.poly import BACKENDS, NonConvergence
 from matpolyeq.solver import (InternalInconsistency, critical_data,
                               solution_bound, solve_equation)
-from matpolyeq.verify import count_cross_check, verify_solution_set
+from matpolyeq.verify import (brute_force_scan, count_cross_check,
+                              verify_solution_set)
 
 from helpers import (NEAR_FAMILY, NILPOTENT_FAMILY, RANK_PATTERNS,
                      diagonal_equation, prescribed_equation)
@@ -104,8 +106,9 @@ def test_equation_identity_is_its_coefficients(eq_four_solutions):
 def test_derived_polynomials(eq_four_solutions):
     eq = eq_four_solutions
     assert eq.det_poly.coeffs == (4, 0, -5, 0, 1)
-    assert eq.matrix_derivative.e22.coeffs == (0, 2)
     assert eq.norm_poly.coeffs == (4, 0, 1)
+    # M'(t) = 2t I and the norm polynomial's derivative 2t, at t = 3
+    assert solver._matrix_at(eq, 1, 3 + 0j) == (Mat2.diag(6, 6), 6.0)
     assert eq.coeff_scale() == 4.0
 
 
@@ -245,3 +248,37 @@ def test_offsets_are_computed_once_per_value_and_vector(monkeypatch, source):
             for ed in ss.batch.eigen_data if len(ed) == 1
             for lam, k in ed]
     assert len(calls) == len(set(rows)) < len(rows)
+
+
+def test_m_and_its_derivative_are_evaluated_once_per_value(request,
+                                                           monkeypatch):
+    # the benchmark's scan_n3 equations: the constructed cells with n <= 3
+    # (the doubled (2, 4) and (3, 4) reach the offset rule) and the scan
+    # fixtures (x^2 = 0 reaches the nilpotent family rule); solve,
+    # cross-check, verify and scan each read M(lam) and M'(lam) from one
+    # evaluation per equation, order and value
+    equations = [construct(n, m, validate=False).equation
+                 for n in range(1, 4) for m in range(1, solution_bound(n) + 1)]
+    equations += [request.getfixturevalue(name) for name in FIXTURES
+                  if name != "eq_nilpotent_family"]
+    calls = []
+    real = PolyMat2.eval
+
+    def spy(self, t):
+        calls.append((self, struct.pack("2d", t.real, t.imag)))
+        return real(self, t)
+
+    monkeypatch.setattr(PolyMat2, "eval", spy)
+    evaluations = repeats = 0
+    for eq in map(_fresh, equations):
+        calls.clear()
+        verify_solution_set(eq, solve_equation(eq))
+        count_cross_check(eq)
+        brute_force_scan(eq)
+        # M(t) and M'(t), each built once
+        assert len({id(m) for m, _ in calls}) <= 2
+        keys = [(id(m), t) for m, t in calls]
+        evaluations += len(keys)
+        repeats += len(keys) - len(set(keys))
+    assert len(equations) == 29
+    assert evaluations > 0 and repeats == 0
