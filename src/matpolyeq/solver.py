@@ -274,14 +274,9 @@ def finite_candidates(eq: MatrixEquation,
                  complex).reshape(-1, 3)
     r = np.arange(len(lines))
     i, j = ((r[:, None] < r) & (owner[:, None] == owner)).nonzero()
-    # det2(va, vb) = va.x vb.y - va.y vb.x, on the parts of every line's
-    # vector, taken once
-    vx, vy = _parts(z[:, 1:].T).swapaxes(0, 1)
-    pr, pi = mul_parts(vx[:, i], vy[:, j]) - mul_parts(vy[:, i], vx[:, j])
-    keep = np.hypot(pr, pi) > INDEPENDENCE_TOL
+    det, keep = pairing(z[i, 1:], z[j, 1:])
     i, j = i[keep], j[keep]
-    inv = [1.0 / complex(re, im)
-           for re, im in zip(pr[keep].tolist(), pi[keep].tolist())]
+    inv = [1.0 / complex(*p) for p in zip(*det[:, keep].tolist())]
     pairs = [(lam, k) for _, lam, k in lines]
 
     x = np.concatenate((
@@ -312,6 +307,15 @@ def enumerate_diagonalizable(eq: MatrixEquation,
     independent critical vectors, in (i, j) order, with their residuals:
     the pair rows of ``finite_candidates`` for one set."""
     return _of_kind(eq, data, DIAGONALIZABLE)
+
+
+def pairing(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det2(va, vb) for each row of the (k, 2) complex vectors, as its (2, k)
+    parts by CPython's products, and whether the pair is independent by the
+    one rule for unit critical vectors: |det| > INDEPENDENCE_TOL."""
+    (ax, ay), (bx, by) = (_parts(v.T).swapaxes(0, 1) for v in (va, vb))
+    det = mul_parts(ax, by) - mul_parts(ay, bx)
+    return det, np.hypot(*det) > INDEPENDENCE_TOL
 
 
 def _parts(z: np.ndarray) -> np.ndarray:

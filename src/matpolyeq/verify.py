@@ -12,9 +12,9 @@ from .mat2 import (Mat2, MatrixEquation, eigenvalues, greedy_unique,
                    least_distance, match_in_order, pack, unpack)
 from .poly import (BACKENDS, CLUSTER_TOL, VANISH_TOL, NonConvergence,
                    relative_value)
-from .solver import (INDEPENDENCE_TOL, CriticalDatum, SolutionSet,
-                     _matrix_at, accepted, critical_data, family_samples,
-                     rejection_reason, residuals, solution_bound, solve_sets)
+from .solver import (CriticalDatum, SolutionSet, _matrix_at, accepted,
+                     critical_data, family_samples, pairing, rejection_reason,
+                     residuals, solution_bound, solve_sets)
 
 DEDUPE_TOL = 1e-6
 
@@ -41,6 +41,7 @@ class VerificationReport:
     char_divisor_ok: bool
     certificate_ok: Optional[bool]
     backend_agreement: Optional[bool]
+    solve_agreement: Optional[bool]
     reasons: tuple[str, ...]
 
     @property
@@ -87,11 +88,13 @@ CHECKS = (
     ("char_divisor_ok", "characteristic_divisor",
      lambda r: "characteristic divides det M(t)"),
     ("certificate_ok", "certificate", lambda r: "certificate samples"),
-    ("backend_agreement", "backend_agreement", lambda r: "backend agreement"))
+    ("backend_agreement", "backend_agreement", lambda r: "backend agreement"),
+    ("solve_agreement", "solve_agreement", lambda r: "solve agreement"))
 
 
 def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
-                        backend_agreement: Optional[bool] = None
+                        backend_agreement: Optional[bool] = None,
+                        solved: Optional[SolutionSet] = None
                         ) -> VerificationReport:
     """Re-check a claimed solution set against the equation itself, one
     report field per row of ``CHECKS``; failures are reported, not raised.
@@ -109,6 +112,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
     chooses (k / count for k = 1..count, count = max(3, n + 1)), not at
     the claim's samples: it fails where a member fails its residual or
     where its direction's largest entry is at most RANK_TOL * max(1, |base|).
+    Given ``solved``, a fresh solve, the claim must match it by
+    ``sets_agree``: backends that agree say nothing of the claim.
     """
     reasons = []
     try:
@@ -171,6 +176,12 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
 
     if backend_agreement is False:
         reasons.append("backends disagree")
+    solve_agreement = None if solved is None else sets_agree(solved, sset)
+    if solve_agreement is False:
+        claimed, found = ["infinite" if s.count is None else s.count
+                          for s in (sset, solved)]
+        reasons.append(f"the claimed set does not match the solve "
+                       f"({claimed} claimed, {found} solved)")
 
     return VerificationReport(
         n=eq.n, coeff_scale=eq.coeff_scale(), claimed_count=sset.count,
@@ -178,7 +189,8 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         residuals_ok=residuals_ok, duplicates_ok=duplicates_ok,
         bound_ok=bound_ok, eigenvalues_ok=eigenvalues_ok,
         char_divisor_ok=char_divisor_ok, certificate_ok=certificate_ok,
-        backend_agreement=backend_agreement, reasons=tuple(reasons))
+        backend_agreement=backend_agreement, solve_agreement=solve_agreement,
+        reasons=tuple(reasons))
 
 
 @dataclass(frozen=True)
@@ -231,8 +243,8 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     parallel to any partner vector, so even a single partner gives a plane
     C(2n,2) + 1 fits, as a family line gives C(2n,2) + 1 members.
     The offset directions are singular vectors, never the solver's rank
-    rule (see ``_scalar_candidates``); only M(lam) and M'(lam) are the
-    solver's, one evaluation per value (``solver._matrix_at``).
+    rule (see ``_scalar_candidates``); only M(lam), M'(lam) (one evaluation
+    per value, ``solver._matrix_at``) and the parallel rule are the solver's.
     Candidate order is irrelevant: the survivors are sorted by their
     entries' parts before the greedy dedupe at the solver's tolerance.
     Every actual solution arises from critical pairs, scalar matrices, or
@@ -263,15 +275,12 @@ def _fit_eigenpairs(la: np.ndarray, va: np.ndarray, lb: np.ndarray,
                     vb: np.ndarray) -> np.ndarray:
     """The packed X with X va = la va and X vb = lb vb for each row of the
     eigenvalues ``la``, ``lb`` and the (k, 2) vectors ``va``, ``vb``, from
-    one LU solve of [va vb]^T X^T = [la va, lb vb]^T.  Rows whose unit
-    vectors have |det| <= INDEPENDENCE_TOL, the solver's parallelism rule,
-    count as one direction and are dropped; |det| does not depend on the
-    vectors' phases."""
+    one LU solve of [va vb]^T X^T = [la va, lb vb]^T.  A row whose unit
+    vectors ``solver.pairing`` calls parallel is one direction: dropped."""
     # rows [va, vb] of unit vectors
     u = np.array((va, vb))
     u = (u / np.linalg.norm(u, axis=2)[:, :, None]).transpose(1, 0, 2)
-    keep = np.abs(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]) \
-        > INDEPENDENCE_TOL
+    _, keep = pairing(u[:, 0], u[:, 1])
     rows = u[keep]
     rhs = rows * np.array((la, lb)).T[keep, :, None]
     return np.linalg.solve(rows, rhs).transpose(0, 2, 1).reshape(-1, 4)

@@ -353,16 +353,18 @@ class TestVerifyCommand:
 
     def _claim_fails(self, capsys, eq_path, sol, reason):
         """verify exits 5 on the claimed set with one reason, the claim's
-        own, although the backends agree with each other."""
+        own, on its own row: the backends agree with each other."""
         report = sol.parent / "report.json"
         capsys.readouterr()
         assert run("verify", "--equation", eq_path, "--solutions", sol,
                    "--report", report) == 5
-        err = capsys.readouterr().err
-        assert "backend agreement: FAIL" in err
-        assert err.endswith(f"verdict: fail\n  - {reason}\n")
+        err = capsys.readouterr().err.splitlines()
+        assert "backend agreement: ok" in err
+        assert err[-3:] == ["solve agreement: FAIL", "verdict: fail",
+                            f"  - {reason}"]
         doc = load_doc(report)
-        assert doc["checks"]["backend_agreement"] is False
+        assert doc["checks"]["backend_agreement"] is True
+        assert doc["checks"]["solve_agreement"] is False
         assert doc["reasons"] == [reason]
 
     def test_finite_claim_of_an_infinite_set_exits_5(
@@ -397,7 +399,8 @@ class TestVerifyCommand:
         report = tmp_path / "report.json"
         assert run("verify", "--equation", eq_path, "--solutions", sol,
                    "--report", report) == 0
-        assert load_doc(report)["checks"]["backend_agreement"] is True
+        checks = load_doc(report)["checks"]
+        assert checks["backend_agreement"] is checks["solve_agreement"] is True
 
     def test_internal_inconsistency_exits_6(self, tmp_path, capsys,
                                             monkeypatch, eq_four_solutions):
@@ -723,7 +726,9 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # the sweep imports the pool only where it runs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         report = tmp_path / "table.txt"
         assert run("sweep", "--n-max", 2, "--report", report,
@@ -846,6 +851,19 @@ def test_malformed_document_exits_1_without_traceback(tmp_path, capsys,
     assert err.startswith("bad input: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_import_leaves_the_pool_out():
+    # only sweep --jobs > 1 runs a pool; every other command starts
+    # without concurrent.futures and multiprocessing
+    src = str(Path(matpolyeq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, matpolyeq.cli; "
+         "assert 'concurrent.futures' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path):

@@ -557,7 +557,8 @@ class TestPlanAndReportDocuments:
                                      solve_equation(eq_four_solutions))
         assert list(report_to_doc(report)["checks"]) == [
             "residuals", "duplicates", "bound", "eigenvalue_containment",
-            "characteristic_divisor", "certificate", "backend_agreement"]
+            "characteristic_divisor", "certificate", "backend_agreement",
+            "solve_agreement"]
 
     def test_non_finite_report_numbers_are_null(self, tmp_path,
                                                 eq_four_solutions):

@@ -850,8 +850,10 @@ class TestLinearEquation:
                      marks=_zero_solutions("eigenvectors 1e-8 apart, no "
                                            "diagonal scaling helps")),
         pytest.param(Mat2(0, -1, 0, -1e-7), id="eigenvalues-1e-7-apart",
-                     marks=_zero_solutions("0 and 1e-7 cluster into one "
-                                           "root")),
+                     marks=_zero_solutions("roots 0 and 1e-7 are simple, "
+                                           "but their vectors [1, 0] and "
+                                           "[1, 1e-7] have |det2| 1e-7, "
+                                           "below INDEPENDENCE_TOL")),
         pytest.param(diagonally_similar(_CONSTRUCTED_LINEAR,
                                          2.0 ** -20).coeffs[0],
                      id="construct-s=-20",

@@ -57,6 +57,41 @@ class TestVerifySolutionSet:
         truncated = _with_solutions(ss, ss.solutions[:-1])
         assert verify_solution_set(eq, truncated).verdict == "fail"
 
+    def test_truncated_claim_fails_the_solve_row(self):
+        # the claim against a fresh solve: only its own row fails, and the
+        # backends, not asked, have no row
+        eq = construct(3, 11).equation
+        ss = solve_equation(eq)
+        report = verify_solution_set(
+            eq, _with_solutions(ss, ss.solutions[:-3]), solved=ss)
+        assert (report.solve_agreement, report.backend_agreement) == (
+            False, None)
+        assert report.reasons == ("the claimed set does not match the "
+                                  "solve (8 claimed, 11 solved)",)
+        assert "solve agreement: FAIL" in report.to_text().splitlines()
+        report = verify_solution_set(eq, ss, solved=ss)
+        assert report.solve_agreement is True
+        assert report.verdict == "pass"
+
+    def test_finite_claim_of_an_infinite_set_fails_the_solve_row(
+            self, eq_x_squared_identity):
+        # X^2 = I is infinite; I and -I alone pass every other check
+        solved = solve_equation(eq_x_squared_identity)
+        claim = SolutionSet.of(
+            [Solution(Mat2.identity().scale(s), "scalar", None, 0.0)
+             for s in (1, -1)], None, solved.critical_data)
+        report = verify_solution_set(eq_x_squared_identity, claim,
+                                     solved=solved)
+        assert report.solve_agreement is False
+        assert report.reasons == ("the claimed set does not match the "
+                                  "solve (2 claimed, infinite solved)",)
+
+    def test_no_solve_no_row(self, eq_four_solutions):
+        report = verify_solution_set(eq_four_solutions,
+                                     solve_equation(eq_four_solutions))
+        assert report.solve_agreement is None
+        assert "solve agreement" not in report.to_text()
+
     # A ratchet on silent wrong answers: the matrix with eigenpairs
     # (la, va) and (lb, vc), where vc is the critical vector of a third
     # value c, is no solution, yet in place of a true one it can pass
@@ -316,11 +351,11 @@ class TestCharacteristicDivisor:
 
 
 def test_checks_table_has_one_row_per_check(eq_four_solutions):
-    # each *_ok field of the report and backend_agreement is one row, each
-    # with its own document key and text: a new check reaches the report
+    # each *_ok and *_agreement field of the report is one row, each with
+    # its own document key and text: a new check reaches the report
     # document, the sweep's verify: token and the text report by one row
     fields = [f.name for f in dataclasses.fields(VerificationReport)
-              if f.name.endswith("_ok") or f.name == "backend_agreement"]
+              if f.name.endswith(("_ok", "_agreement"))]
     assert sorted(field for field, _, _ in CHECKS) == sorted(fields)
     assert len({key for _, key, _ in CHECKS}) == len(CHECKS)
     report = verify_solution_set(eq_four_solutions,
@@ -330,8 +365,8 @@ def test_checks_table_has_one_row_per_check(eq_four_solutions):
 
 def _all_checks_apply(eq):
     """A passing report of eq's solve with every row of CHECKS set."""
-    report = verify_solution_set(eq, solve_equation(eq),
-                                 backend_agreement=True)
+    ss = solve_equation(eq)
+    report = verify_solution_set(eq, ss, backend_agreement=True, solved=ss)
     return dataclasses.replace(report, certificate_ok=True)
 
 
