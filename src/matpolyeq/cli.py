@@ -211,9 +211,8 @@ def cmd_sweep(args) -> int:
 def _sweep_cell(cell) -> dict:
     n, m = cell
     start = time.perf_counter()
-    # "-" where a cell has no value; a failed cell names every failed
-    # condition, or its crash and the stage that raised it, in one
-    # whitespace-free error token
+    # "-" where a cell has no value; one whitespace-free error token names
+    # a crash after the stage that raised it, else every failed condition
     row = {"n": n, "m": m, "p": "-", "pbar": "-", "count": "-",
            "max_residual": 0.0, "ms": 0.0, "error": None}
     stage = "construct"
@@ -224,7 +223,7 @@ def _sweep_cell(cell) -> dict:
         # equation, so the cross-check finds no root twice
         for stage in BACKENDS:
             critical_data(result.equation, stage)
-        stage = "verify"
+        stage = "check"
         row["count"], row["max_residual"], row["error"], _ = \
             check(result.equation, m)
     except Exception as exc:  # a failing cell must not kill the sweep

@@ -26,7 +26,7 @@ from typing import Sequence
 from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
 from .solver import solution_bound
-from .verify import CHECKS, count_cross_check, verify_solution_set
+from .verify import count_cross_check, verify_solution_set
 
 
 class DomainError(ValueError):
@@ -197,17 +197,14 @@ def check(eq: MatrixEquation, m: int):
     """The sweep's verdict on an equation built with m solutions, from one
     solve per root backend: the aberth set's count ("inf" if infinite), its
     largest residual, the failed conditions (None, or comma-joined
-    ``count:<count>!=<m>``, ``backends`` and ``verify:`` joining the failed
-    fields of ``verify.CHECKS`` less ``_ok``, by ``+``) and its certificate."""
+    ``count:<count>!=<m>`` and ``verify:`` joining the report's failed rows
+    of ``verify.CHECKS`` less ``_ok``, by ``+``) and its certificate."""
     cross = count_cross_check(eq)
-    report = verify_solution_set(eq, cross.set_a)
+    report = verify_solution_set(eq, cross.set_a,
+                                 backend_agreement=cross.agree)
     count = "inf" if cross.count_a is None else cross.count_a
+    rows = "+".join(field.removesuffix("_ok") for field in report.failed)
     failed = [f"count:{count}!={m}"] if count != m else []
-    if not cross.agree:
-        failed.append("backends")
-    checks = [field.removesuffix("_ok") for field, _, _ in CHECKS
-              if getattr(report, field) is False]
-    if checks:
-        failed.append("verify:" + "+".join(checks))
+    failed += [f"verify:{rows}"] if rows else []
     return (count, report.max_residual, ",".join(failed) or None,
             cross.set_a.certificate)

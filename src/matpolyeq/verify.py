@@ -57,8 +57,12 @@ class VerificationReport:
         return max(self.residuals, default=0.0)
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        return tuple(f for f, _, _ in CHECKS if getattr(self, f) is False)
+
+    @property
     def verdict(self) -> str:
-        return "fail" if self.reasons else "pass"
+        return "fail" if self.failed else "pass"
 
     def to_text(self) -> str:
         checks = ((text, getattr(self, field)) for field, _, text in CHECKS)
@@ -74,7 +78,7 @@ class VerificationReport:
 
 
 # the verifier's checks in report order: (report field, document key, its
-# line's text in ``to_text``); a check whose field is None did not apply
+# line's text); a field that is None did not apply, one that is False failed
 CHECKS = (
     ("residuals_ok", "residuals",
      lambda r: f"max residual: {r.max_residual:.3e}"),

@@ -240,6 +240,23 @@ class TestSolveCommand:
         assert proc.stderr.startswith(err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, entry, err", [
+        (17, 0.0, "bad input: degree must be in 1..16"),
+        (2, 1e160, "bad input: coefficient scale 1e+160 overflows det M(t)"),
+    ])
+    def test_equation_refused_by_its_type_exits_1(self, tmp_path, capsys, n,
+                                                  entry, err):
+        # a well-formed document that MatrixEquation refuses
+        doc = {"format_version": "1", "n": n, "coefficients": [
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+            for _ in range(n)]}
+        doc["coefficients"][0][0][0][0] = entry
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(doc, eq_path)
+        capsys.readouterr()
+        assert run("solve", "--in", eq_path, "--out", out) == 1
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
 
     def test_tiny_coefficients_exit_4_with_one_line(self, tmp_path):
         # X + 1e-200 I = 0: the kernel vector of M(t) underflows, a typed
@@ -624,6 +641,18 @@ class TestSweepCommand:
         assert rows[("2", "6")][7:] == ["pass", "-"]
         assert "failing cells: (2, 5)" in lines[-1]
 
+    def test_crashed_check_is_named_check(self, monkeypatch):
+        # a crash after both backends' roots is the check's; verify: only
+        # ever lists failed rows
+        def count_cross_check(eq):
+            raise InternalInconsistency("candidate residual exceeds its bound")
+
+        monkeypatch.setattr(sys.modules["matpolyeq.construct"],
+                            "count_cross_check", count_cross_check)
+        row = cli._sweep_cell((2, 5))
+        assert (row["count"], row["error"]) == \
+            ("-", "check:InternalInconsistency")
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_crashed_backend_is_named_by_the_table(self, tmp_path,
                                                    monkeypatch, backend):
@@ -667,7 +696,8 @@ class TestSweepCommand:
         real_cross, real_verify = \
             module.count_cross_check, module.verify_solution_set
 
-        # at n = 1 the backends disagree and two report checks fail
+        # at n = 1 the backends disagree and two report checks fail: three
+        # failed rows of one report, in table order
         def count_cross_check(eq):
             cross = real_cross(eq)
             return replace(cross, agree=cross.agree and eq.n != 1)
@@ -685,7 +715,7 @@ class TestSweepCommand:
         rows = {tuple(line.split()[:2]): line.split() for line in lines[1:8]}
         assert rows[("1", "1")][4] == "1"
         assert rows[("1", "1")][7:] == \
-            ["FAIL", "backends,verify:eigenvalues+char_divisor"]
+            ["FAIL", "verify:eigenvalues+char_divisor+backend_agreement"]
         assert all(row[7:] == ["pass", "-"] for key, row in rows.items()
                    if key != ("1", "1"))
 

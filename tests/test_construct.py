@@ -312,8 +312,8 @@ class TestValidation:
     def _patch(monkeypatch, name, wrap):
         module = sys.modules["matpolyeq.construct"]
         real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda eq, *args: wrap(real(eq, *args)))
+        monkeypatch.setattr(module, name, lambda eq, *args, **kwargs:
+                            wrap(real(eq, *args, **kwargs)))
 
     @staticmethod
     def _both(sset):
@@ -348,10 +348,12 @@ class TestValidation:
             "construction failed its check: count:4!=5"
 
     # a disagreement of the backends on one cell, failed report checks on
-    # another: construct names exactly what the sweep's row names
+    # another: both are rows of the report, and construct names exactly
+    # what the sweep's row names
     @pytest.mark.parametrize("cell, name, wrap, error", [
         ((2, 5), "count_cross_check",
-         lambda cross: replace(cross, agree=False), "backends"),
+         lambda cross: replace(cross, agree=False),
+         "verify:backend_agreement"),
         ((3, 7), "verify_solution_set",
          lambda report: replace(report, eigenvalues_ok=False,
                                 char_divisor_ok=False),

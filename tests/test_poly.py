@@ -166,6 +166,25 @@ class TestFindRoots:
                            match=f"{backend} roots overflow at degree 1"):
             find_roots(Poly([-root, 1]), backend=backend)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_infinite_raw_root_raises(self, backend, monkeypatch):
+        # a kernel's non-finite root is refused before the clustering
+        monkeypatch.setitem(BACKENDS, backend,
+                            lambda c: np.array([complex(math.inf, 0)]))
+        with pytest.raises(NonConvergence,
+                           match=f"^{backend} roots overflow at degree 1$"):
+            find_roots(Poly([-1, 1]), backend=backend)
+
+    def test_companion_eigenvalue_failure_raises(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NonConvergence, match=(
+                "^companion eigenvalue iteration failed: "
+                "Eigenvalues did not converge$")):
+            find_roots(Poly([2, -3, 1]), backend="companion")
+
     def test_iteration_budget_exhaustion(self, monkeypatch):
         coeffs = np.array(Poly.from_roots([(1, 1), (2, 1), (3, 1)]).coeffs)
         monkeypatch.setattr(poly, "_ABERTH_SWEEPS", 1)

@@ -697,6 +697,16 @@ class TestOverflow:
         with pytest.raises(NonConvergence):
             solve_equation(eq, backend=backend)
 
+    def test_overflowing_critical_matrix_raises(self, eq_four_solutions,
+                                                monkeypatch):
+        # an M(lambda) that stops being finite is refused before its rank
+        inf = Mat2(math.inf, 0, 0, 0)
+        monkeypatch.setattr(solver, "_matrix_at",
+                            lambda eq, order, lam: (inf, math.inf))
+        with pytest.raises(NonConvergence,
+                           match=r"^M\(t\) overflows at critical value "):
+            critical_data(eq_four_solutions)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degree_16_overflow_is_typed(self, scaled_random_equation,
                                          backend):

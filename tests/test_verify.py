@@ -12,6 +12,7 @@ import pytest
 import matpolyeq
 from matpolyeq import verify
 from matpolyeq.construct import construct
+from matpolyeq.documents import report_to_doc
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import BACKENDS, NonConvergence, relative_value
 from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
@@ -402,7 +403,36 @@ class TestTextReport:
         after = failed.to_text().splitlines()
         i = before.index(f"{text(report)}: ok")
         assert after[i] == f"{text(failed)}: FAIL"
-        assert after[:i] + after[i + 1:] == before[:i] + before[i + 1:]
+        assert (before[-1], after[-1]) == ("verdict: pass", "verdict: fail")
+        assert after[:i] + after[i + 1:-1] == before[:i] + before[i + 1:-1]
+
+    @pytest.mark.parametrize("row", CHECKS, ids=[f for f, _, _ in CHECKS])
+    def test_a_false_row_fails_the_verdict(self, eq_four_solutions, row):
+        # the rows decide the verdict, with no reason given; the reasons
+        # only explain them
+        field, key, _ = row
+        failed = dataclasses.replace(_all_checks_apply(eq_four_solutions),
+                                     **{field: False})
+        assert (failed.failed, failed.reasons) == ((field,), ())
+        assert failed.verdict == "fail"
+        doc = report_to_doc(failed)
+        assert (doc["checks"][key], doc["verdict"]) == (False, "fail")
+
+    def test_each_failed_row_has_its_reason(self, eq_four_solutions):
+        # a report the verifier returns gives a reason for each failed row
+        # and none where every row passes
+        ss = solve_equation(eq_four_solutions)
+        three = SolutionSet(ss.batch.take(range(3)), None, ss.critical_data)
+        twice = SolutionSet(ss.batch.take([0, 0, 1, 2]), None,
+                            ss.critical_data)
+        for sset, kwargs, failed in [
+                (ss, {"backend_agreement": True, "solved": ss}, ()),
+                (ss, {"backend_agreement": False}, ("backend_agreement",)),
+                (three, {"solved": ss}, ("solve_agreement",)),
+                (twice, {}, ("duplicates_ok",))]:
+            report = verify_solution_set(eq_four_solutions, sset, **kwargs)
+            assert report.failed == failed
+            assert len(report.reasons) == len(failed)
 
     @pytest.mark.parametrize("row", CHECKS, ids=[f for f, _, _ in CHECKS])
     def test_a_none_field_has_no_line(self, eq_four_solutions, row):
