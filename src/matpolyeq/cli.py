@@ -2,10 +2,10 @@
 
 Exit codes are the only success/failure channel:
   0 success, 1 unreadable, unwritable or malformed document (or an output
-  path that names an input or the other output), 2 domain error,
-  3 construction validation failure, 4 root finding non-convergence,
-  5 verification failure, 6 internal inconsistency (a solver self-check
-  failed on this input).
+  path that names an input or the other output), 2 domain error or usage
+  error (a missing or malformed argument), 3 construction validation
+  failure, 4 root finding non-convergence, 5 verification failure,
+  6 internal inconsistency (a solver self-check failed on this input).
 Each failure prints one line to stderr, never a traceback.
 """
 
@@ -47,8 +47,15 @@ _FAILURES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_DOMAIN, f"usage error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matpolyeq",
         description="Solve and construct polynomial equations over 2x2 "
                     "complex matrices.")

@@ -458,16 +458,6 @@ def rank_and_nullspace(a: Mat2, scale: float) -> tuple[int, list[Vec2]]:
     return 2, []
 
 
-@dataclass(frozen=True)
-class Eigen2:
-    """Eigenvalues of a 2x2 matrix; ``vectors`` holds one vector when the
-    matrix is defective, otherwise two."""
-
-    values: tuple[complex, complex]
-    vectors: tuple[Vec2, ...]
-    defective: bool
-
-
 def eigenvalues(x: np.ndarray) -> np.ndarray:
     """Eigenvalues of each row of a packed (k, 4) array by the quadratic
     formula, as (k, 2) pairs ordered by (real, imag).  A pair whose gap is
@@ -490,21 +480,7 @@ def eigenvalues(x: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigen2(a: Mat2) -> Eigen2:
-    """Eigen-decomposition on top of a one-row call of ``eigenvalues``;
-    classifies defective matrices by eigenvalue gap and kernel dimension."""
-    values = tuple(eigenvalues(pack([a]))[0].tolist())
-    scale = max(1.0, a.max_norm())
-    if values[0] != values[1]:
-        vecs = []
-        for lam in values:
-            shifted = a - Mat2.identity().scale(lam)
-            rank, basis = rank_and_nullspace(shifted, scale)
-            vecs.append(basis[0] if basis else E1)
-        return Eigen2(values, tuple(vecs), False)
-    lam = values[0]
-    shifted = a - Mat2.identity().scale(lam)
-    if shifted.max_norm() <= RANK_TOL * scale:
-        return Eigen2(values, (E1, E2), False)
-    rank, basis = rank_and_nullspace(shifted, scale)
-    return Eigen2(values, (basis[0] if basis else E1,), True)
+def eigen2(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("mat2.eigen2")

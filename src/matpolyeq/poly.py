@@ -41,10 +41,6 @@ class NonConvergence(RuntimeError):
     scaled coefficients."""
 
 
-class SingularSystem(RuntimeError):
-    """A pivot collapsed during elimination."""
-
-
 class Poly:
     """Immutable dense polynomial with complex coefficients."""
 
@@ -130,33 +126,10 @@ class Root:
     multiplicity: int
 
 
-def dense_solve(a, b) -> list[complex]:
-    """Solve the square complex system a x = b by row-pivoted elimination.
-
-    Raises SingularSystem when a pivot falls below 1e-12 times the
-    magnitude of the largest input entry.
-    """
-    m = np.array(a, dtype=complex)
-    rhs = np.array(b, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or rhs.shape != (m.shape[0],):
-        raise ValueError("need a square matrix and a matching vector")
-    n = m.shape[0]
-    tol = 1e-12 * max(1.0, float(np.abs(m).max()))
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) <= tol:
-            raise SingularSystem(f"pivot {abs(m[piv, col]):.3e} in column {col}")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        for row in range(col + 1, n):
-            f = m[row, col] / m[col, col]
-            m[row, col:] -= f * m[col, col:]
-            rhs[row] -= f * rhs[col]
-    x = np.zeros(n, dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - m[row, row + 1:] @ x[row + 1:]) / m[row, row]
-    return list(x)
+def dense_solve(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("poly.dense_solve")
 
 
 @np.errstate(over="ignore", invalid="ignore")

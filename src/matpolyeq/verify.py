@@ -246,9 +246,12 @@ def brute_force_scan(eq: MatrixEquation) -> list[Mat2]:
     directions (0, 1) and (1, t), t = 0..C(2n,2): at most one of them is
     parallel to any partner vector, so even a single partner gives a plane
     C(2n,2) + 1 fits, as a family line gives C(2n,2) + 1 members.
-    The offset directions are singular vectors, never the solver's rank
-    rule (see ``_scalar_candidates``); only M(lam), M'(lam) (one evaluation
-    per value, ``solver._matrix_at``) and the parallel rule are the solver's.
+    The offset directions are singular vectors (see ``_scalar_candidates``).
+    From the solver come ``critical_data(eq, "companion")``, whose line
+    vectors and plane-or-line choice its rank rule decides
+    (``rank_and_nullspace`` in ``solver._critical_space``), M(lam) and
+    M'(lam) once per value (``solver._matrix_at``), the parallel rule
+    (``solver.pairing``) and the residual test (``solver.accepted``).
     Candidate order is irrelevant: the survivors are sorted by their
     entries' parts before the greedy dedupe at the solver's tolerance.
     Every actual solution arises from critical pairs, scalar matrices, or
@@ -290,59 +293,10 @@ def _fit_eigenpairs(la: np.ndarray, va: np.ndarray, lb: np.ndarray,
     return np.linalg.solve(rows, rhs).transpose(0, 2, 1).reshape(-1, 4)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of ``minimize``: the refined points, one row per start, and
-    the number of points evaluated."""
-
-    x: np.ndarray
-    nfev: int
-
-
-# the compass moves: +-1 along each coordinate
-_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-# every start's first step
-_FIRST_STEP = 0.1
-# a start stops once its step is below this
-_STEP_TOL = 1e-13
-# a safeguard only: each iteration halves a step or strictly lowers a cost
-_MAX_ITER = 2000
-
-
-def minimize(cost, x0: np.ndarray) -> SearchResult:
-    """Compass search from every row of ``x0`` at once.
-
-    ``cost(points, starts)`` maps an (m, 2) array of points to their m
-    costs, where ``starts[i]`` is the row of ``x0`` that point i belongs
-    to, so one call can search several cost functions side by side.  Each
-    iteration evaluates the four neighbours x +- h e_i of every unfinished
-    start; a start moves to its best neighbour when that lowers its cost,
-    and halves its step h otherwise.  Steps start at 0.1 and the search
-    ends when every one is below 1e-13 (Kolda, Lewis and Torczon,
-    "Optimization by direct search", SIAM Review 2003).  Ties go to the
-    first neighbour in +x1, -x1, +x2, -x2 order, so the search is
-    deterministic, and each start follows the path it would follow alone.
-    """
-    x = np.array(x0, dtype=float)
-    # a copy: x is updated in place, and a cost may keep its argument
-    fx = cost(x.copy(), np.arange(len(x)))
-    h = np.full(len(x), _FIRST_STEP)
-    nfev = len(x)
-    for _ in range(_MAX_ITER):
-        live = np.flatnonzero(h >= _STEP_TOL)
-        if live.size == 0:
-            break
-        trial = x[live, None, :] + h[live, None, None] * _MOVES
-        ft = cost(trial.reshape(-1, 2),
-                  np.repeat(live, len(_MOVES))).reshape(live.size, -1)
-        nfev += ft.size
-        best = ft.argmin(axis=1)
-        fbest = ft[np.arange(live.size), best]
-        moved = fbest < fx[live]
-        x[live[moved]] = trial[moved, best[moved]]
-        fx[live[moved]] = fbest[moved]
-        h[live[~moved]] *= 0.5
-    return SearchResult(x, nfev)
+def minimize(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("verify.minimize")
 
 
 def _offsets(mval: np.ndarray, mder: np.ndarray, tiny: np.ndarray,

@@ -16,7 +16,7 @@ from matpolyeq.construct import ValidationFailure, construct
 from matpolyeq.documents import (equation_from_doc, equation_to_doc,
                                  load_doc, save_doc, solution_set_from_doc)
 from matpolyeq.mat2 import MAX_DEGREE, Mat2, MatrixEquation
-from matpolyeq.poly import BACKENDS, NonConvergence, SingularSystem
+from matpolyeq.poly import BACKENDS, NonConvergence
 from matpolyeq.solver import InternalInconsistency
 
 from helpers import diagonal_equation, diagonally_similar, rescaled
@@ -73,6 +73,17 @@ class TestConstructCommand:
         assert run("construct", "--n", 2, "--m", 7,
                    "--out", tmp_path / "x.json") == 2
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("args", [("--n", 2), ("--n", "x", "--m", 2)])
+    def test_usage_error_exits_2_with_one_line(self, tmp_path, capsys, args):
+        # a missing --m, a non-integer --n: one line, not argparse's usage
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_:
+            run("construct", *args, "--out", out)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: "), err
+        assert not out.exists()
 
     def test_plan_written(self, tmp_path):
         out, plan = tmp_path / "eq.json", tmp_path / "plan.json"
@@ -622,9 +633,12 @@ class TestSweepCommand:
     def test_crashed_cell_shows_error_type(self, tmp_path, monkeypatch):
         real_construct = cli.construct
 
+        class Collapse(RuntimeError):
+            pass
+
         def construct(n, m, **kwargs):
             if (n, m) == (2, 5):
-                raise SingularSystem("pivot 1e-15 in column 3")
+                raise Collapse("pivot 1e-15 in column 3")
             return real_construct(n, m, **kwargs)
 
         monkeypatch.setattr(cli, "construct", construct)
@@ -636,7 +650,7 @@ class TestSweepCommand:
         # n, m, p, pbar, count, max_residual, ms, status, error
         crashed = rows[("2", "5")]
         assert crashed[4] == "-"
-        assert crashed[7:] == ["FAIL", "construct:SingularSystem"]
+        assert crashed[7:] == ["FAIL", "construct:Collapse"]
         assert rows[("2", "6")][4] == "6"
         assert rows[("2", "6")][7:] == ["pass", "-"]
         assert "failing cells: (2, 5)" in lines[-1]

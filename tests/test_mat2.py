@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
+from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2,
                             eval_equation, outer, poly_matrix,
                             rank_and_nullspace)
 
@@ -134,29 +134,14 @@ class TestEvalEquation:
 
 
 class TestMat2Utils:
-    def test_eigen_diagonal(self):
-        eig = eigen2(Mat2.diag(1, 2))
-        assert eig.values == (1, 2)
-        assert not eig.defective
-        assert eig.vectors == (E1, E2)
-
-    def test_eigen_defective(self):
-        eig = eigen2(Mat2(1, 1, 0, 1))
-        assert eig.defective
-        assert eig.values == (1, 1)
-        assert len(eig.vectors) == 1
-        assert eig.vectors[0] == E1
-
-    def test_eigen_scalar(self):
-        eig = eigen2(Mat2.diag(3, 3))
-        assert not eig.defective
-        assert eig.values == (3, 3)
-        assert len(eig.vectors) == 2
-
     def test_nilpotency_probes(self):
         n = Mat2(0, 1, 0, 0)
         assert n.det() == 0
         assert n.trace() == 0
+
+    def test_negation(self):
+        m = -Mat2(1, -2j, 3, 0)
+        assert (m.m11, m.m12, m.m21, m.m22) == (-1, 2j, -3, 0)
 
     def test_outer_and_det2(self):
         u, v = Vec2(1, 2), Vec2(3, 4)

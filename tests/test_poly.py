@@ -11,11 +11,10 @@ from matpolyeq import poly
 from matpolyeq.construct import construct
 from matpolyeq.mat2 import Mat2, MatrixEquation, pack
 from matpolyeq.poly import (BACKENDS, CLUSTER_TOL, NonConvergence, Poly,
-                            SingularSystem, _aberth_powers, _aberth_roots,
-                            _aberth_scalars, _batch_values, _comp_step,
-                            _comp_values, _companion_roots, _newton,
-                            _newton_batch, _split, dense_solve, find_roots,
-                            relative_value)
+                            _aberth_powers, _aberth_roots, _aberth_scalars,
+                            _batch_values, _comp_step, _comp_values,
+                            _companion_roots, _newton, _newton_batch, _split,
+                            find_roots, relative_value)
 from matpolyeq.solver import critical_data, solution_bound
 from matpolyeq.verify import brute_force_scan, dedupe_tol
 
@@ -44,6 +43,17 @@ class TestPolyArithmetic:
         q = Poly([0, 0, 1]) + Poly([0, 0, -1])
         assert q.is_zero
         assert q.coeffs == (0j,)
+
+    def test_add_shorter_operand_first(self):
+        assert (Poly([1]) + Poly([0, 1])).coeffs == (1, 1)
+        assert (Poly([0, 1]) + Poly([1])).coeffs == (1, 1)
+
+    def test_equality_hash_and_repr(self):
+        # trailing zeros are trimmed, so both spellings are one polynomial
+        p, q = Poly([1, 2j, 0]), Poly([1, 2j])
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != Poly([1, 2]) and p != (1, 2j)
+        assert repr(p) == "Poly([(1+0j), 2j])"
 
     def test_mul_matches_numpy_convolution(self):
         rng = np.random.default_rng(7)
@@ -1038,40 +1048,3 @@ class TestAberthKernel:
                 gaps = np.abs(got[:, None] - want).min(axis=1)
                 assert (gaps <= CLUSTER_TOL * scale).all(), (seed, n)
 
-
-class TestDenseSolve:
-    def test_identity(self):
-        assert dense_solve([[1, 0], [0, 1]], [5, 7]) == [5, 7]
-
-    def test_one_by_one(self):
-        # first-row system of the degree-1, single-solution construction
-        (x,) = dense_solve([[1]], [-1])
-        assert x == -1
-
-    def test_vandermonde_interpolation(self):
-        nodes = [1, 2, 3]
-        rows = [[n ** k for k in range(3)] for n in nodes]
-        rhs = [n ** 3 for n in nodes]
-        x = dense_solve(rows, rhs)
-        assert np.allclose(x, [6, -11, 6])
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularSystem):
-            dense_solve([[1, 1], [1, 1]], [1, 2])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dense_solve([[1, 0]], [1])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 9))
-    def test_residual_property(self, seed, size):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        if np.linalg.cond(a) > 1e6:
-            return
-        b = rng.normal(size=size) + 1j * rng.normal(size=size)
-        x = np.array(dense_solve(a, b))
-        res = np.abs(a @ x - b).max()
-        norm = np.abs(a).max() * max(np.abs(x).max(), 1e-30)
-        assert res <= 1e-10 * norm

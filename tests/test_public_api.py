@@ -71,9 +71,8 @@ def test_readme_entry_points_are_exported():
 
 # kept only because the benchmark tracer binds them by module and name: no
 # other module of the package may reach them
-TRACER_ONLY = {"dense_solve": "poly", "SingularSystem": "poly",
-               "minimize": "verify", "SearchResult": "verify",
-               "eval_equation": "mat2", "eigen2": "mat2", "Eigen2": "mat2"}
+TRACER_ONLY = {"dense_solve": "poly", "minimize": "verify",
+               "eval_equation": "mat2", "eigen2": "mat2"}
 
 
 def _identifiers(tree):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from matpolyeq import solver
 from matpolyeq.construct import construct
 from matpolyeq.documents import solution_set_from_doc, solution_set_to_doc
-from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, eigen2,
-                            eval_equation, pack, poly_matrix, unpack)
+from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2,
+                            eigenvalues, eval_equation, pack, poly_matrix,
+                            unpack)
 from matpolyeq.poly import BACKENDS, CLUSTER_TOL, NonConvergence, Poly
 from matpolyeq.solver import (KINDS, Candidates, CriticalDatum,
                               InternalInconsistency, SolutionSet, accepted,
@@ -597,7 +598,7 @@ class TestSolutionInvariants:
             values = [d.value for d in ss.critical_data]
             scale = max(1.0, max(abs(v) for v in values))
             for s in ss.solutions:
-                for lam in eigen2(s.matrix).values:
+                for lam in eigenvalues(pack([s.matrix]))[0]:
                     assert min(abs(lam - v) for v in values) <= \
                         CLUSTER_TOL * scale
 
@@ -618,7 +619,7 @@ class TestSolutionInvariants:
                  for d in ss.critical_data}
         for s in ss.solutions:
             if s.kind == "non_diagonalizable":
-                lam = eigen2(s.matrix).values[0]
+                lam = eigenvalues(pack([s.matrix]))[0, 0]
                 assert mults[round(lam.real, 6)] >= 2
 
     def test_certificate_samples_verify(self, eq_x_squared_identity,

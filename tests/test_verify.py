@@ -20,7 +20,7 @@ from matpolyeq.solver import (SECOND_VALUE_FAMILY, Candidates,
                               accepted, residuals, solution_bound,
                               solve_equation)
 from matpolyeq.verify import (CHECKS, VerificationReport, _fit_eigenpairs,
-                              brute_force_scan, count_cross_check, minimize,
+                              brute_force_scan, count_cross_check,
                               verify_solution_set)
 
 from helpers import prescribed_equation
@@ -581,93 +581,3 @@ class TestBruteForceScan:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
 
-
-def _valley(x, starts, centre=(0.3, -1.2)):
-    """A rotated quadratic, condition number 10, least at ``centre``; the
-    start of each point is ignored."""
-    u = (x[:, 0] - centre[0]) + (x[:, 1] - centre[1])
-    v = (x[:, 0] - centre[0]) - (x[:, 1] - centre[1])
-    return 10 * u ** 2 + v ** 2
-
-
-class TestMinimize:
-    STARTS = np.array([(0.0, 0.0), (1.0, -2.0), (0.5, 0.5)])
-
-    def test_converges_from_every_start(self):
-        res = minimize(_valley, self.STARTS)
-        assert res.x.shape == self.STARTS.shape
-        np.testing.assert_allclose(res.x, [(0.3, -1.2)] * 3, rtol=0,
-                                   atol=1e-11)
-
-    def test_counts_evaluated_points(self):
-        seen = []
-
-        def cost(x, starts):
-            seen.append(len(x))
-            return _valley(x, starts)
-
-        res = minimize(cost, self.STARTS)
-        assert isinstance(res.nfev, int)
-        assert res.nfev == sum(seen)
-
-    def test_stops_below_step_tolerance(self):
-        # at the minimum no move helps: the step halves from 0.1 until it
-        # is below 1e-13, 40 times, with four neighbours each time
-        res = minimize(_valley, np.array([(0.3, -1.2)]))
-        assert res.nfev == 1 + 4 * 40
-        assert res.x.tolist() == [[0.3, -1.2]]
-
-    def test_bit_identical_reruns(self):
-        starts = self.STARTS.copy()
-        a = minimize(_valley, starts)
-        b = minimize(_valley, starts)
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.nfev == b.nfev
-        assert np.array_equal(starts, self.STARTS)  # x0 is not modified
-
-    def test_batched_starts_match_separate_runs(self):
-        # a different valley per start: the batch must follow each start's
-        # own path, evaluate each point against its own start's cost, and
-        # count the points of all the separate runs.  The first start sits
-        # at its minimum and finishes first, so the later ones are named
-        # by their rows of x0, not by their places among unfinished starts.
-        centres = np.array([(0.0, 0.0), (-0.7, 0.05), (2.0, 1.0)])
-        alone = []
-        for x0, centre in zip(self.STARTS, centres):
-            points = []
-
-            def cost(x, starts, centre=centre):
-                points.append(x.copy())
-                return _valley(x, starts, centre)
-
-            res = minimize(cost, x0[None])
-            alone.append((res, np.concatenate(points)))
-
-        seen = [[] for _ in self.STARTS]
-
-        def cost(x, starts):
-            for i, point in zip(starts.tolist(), x):
-                seen[i].append(point.copy())
-            u = x - centres[starts]
-            return 10 * (u[:, 0] + u[:, 1]) ** 2 + (u[:, 0] - u[:, 1]) ** 2
-
-        res = minimize(cost, self.STARTS)
-        assert res.x.tobytes() == np.concatenate(
-            [r.x for r, _ in alone]).tobytes()
-        assert res.nfev == sum(r.nfev for r, _ in alone)
-        assert [r.nfev for r, _ in alone] == [1 + 4 * 40, 313, 241]
-        for (_, points), mine in zip(alone, seen):
-            assert np.array(mine).tobytes() == points.tobytes()
-
-    def test_cost_keeps_the_start_points(self):
-        # the search updates its points in place; what the cost was given
-        # must not change under it
-        kept = []
-
-        def cost(x, starts):
-            kept.append(x)
-            return _valley(x, starts)
-
-        res = minimize(cost, self.STARTS)
-        assert kept[0].tolist() == self.STARTS.tolist()
-        assert not np.array_equal(res.x, self.STARTS)
