@@ -413,10 +413,10 @@ def poly_matrix(eq: MatrixEquation) -> PolyMat2:
     return PolyMat2(*(Poly(e) for e in entries))
 
 
-def eval_equation(eq: MatrixEquation, x: Mat2) -> Mat2:
-    """Residual X^n + A_{n-1} X^{n-1} + ... + A_0 at X: one row of
-    ``eval_batch``."""
-    return unpack(eval_batch(eq, pack([x])))[0]
+def eval_equation(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("mat2.eval_equation")
 
 
 def eval_batch(eq: MatrixEquation, x: np.ndarray) -> np.ndarray:

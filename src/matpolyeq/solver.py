@@ -91,9 +91,6 @@ class InfiniteCertificate:
     samples: tuple[complex, ...]
     sample_residuals: tuple[float, ...]
 
-    def member(self, mu: complex) -> Mat2:
-        return self.base + self.direction.scale(mu)
-
 
 @dataclass(frozen=True, eq=False)
 class SolutionSet:
@@ -250,8 +247,8 @@ def finite_candidates(eq: MatrixEquation,
     The rows are the scalar matrices lam*I of every two-dimensional critical
     space, then one row per pair of distinct critical values of one set
     with linearly independent critical vectors, in (i, j) order, then the
-    nilpotent offsets (see ``find_nondiagonalizable``); each group holds
-    its rows set by set, each set's in data order.  All pairs come from one
+    nilpotent offsets (see ``_offset``); each group holds its rows set by
+    set, each set's in data order.  All pairs come from one
     pairing-determinant pass and one ``_assemble``, and all residuals from
     one ``residuals`` call: every step acts row by row, so a set's rows are
     bit for bit those of a batch of its own.
@@ -296,17 +293,10 @@ def finite_candidates(eq: MatrixEquation,
         np.array([s for s, _, _, _ in offsets], int)))
 
 
-def _of_kind(eq, data, kind) -> Candidates:
-    found, _ = finite_candidates(eq, (data,))
-    return found.take([r for r, k in enumerate(found.kinds) if k == kind])
-
-
-def enumerate_diagonalizable(eq: MatrixEquation,
-                             data: Sequence[CriticalDatum]) -> Candidates:
-    """One candidate per pair of distinct critical values with linearly
-    independent critical vectors, in (i, j) order, with their residuals:
-    the pair rows of ``finite_candidates`` for one set."""
-    return _of_kind(eq, data, DIAGONALIZABLE)
+def enumerate_diagonalizable(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("solver.enumerate_diagonalizable")
 
 
 def pairing(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +329,15 @@ def _assemble(a: np.ndarray, b: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return join(mul_parts(_parts(inv), x))
 
 
-def find_nondiagonalizable(eq: MatrixEquation,
-                           data: Sequence[CriticalDatum]) -> Candidates:
-    """lam*I + N with N nonzero nilpotent at each repeated critical value lam
-    with a one-dimensional critical space, in data order, with their
-    residuals: the offset rows of ``finite_candidates`` for one set.
+def find_nondiagonalizable(*args, **kwargs):
+    """Placeholder: only the benchmark tracer binds this name.  ROADMAP
+    item 5 deletes it together with that binding."""
+    raise NotImplementedError("solver.find_nondiagonalizable")
+
+
+def _offset(eq, lam, k) -> Optional[Mat2]:
+    """The offset lam*I + N (N nonzero nilpotent) at the critical vector k
+    of lam, or None, once per equation, value and vector.
 
     For nilpotent N, X^k = lam^k I + k lam^(k-1) N collapses the residual
     to M(lam) + M'(lam) N, and a nonzero nilpotent is N = k v^T with
@@ -352,12 +346,6 @@ def find_nondiagonalizable(eq: MatrixEquation,
     and only when M'(lam) k is parallel to a.  Two-dimensional spaces are
     ``detect_infinite``'s.
     """
-    return _of_kind(eq, data, NON_DIAGONALIZABLE)
-
-
-def _offset(eq, lam, k) -> Optional[Mat2]:
-    """The offset lam*I + N at the critical vector k of lam, or None, once
-    per equation, value and vector (see ``find_nondiagonalizable``)."""
     def compute():
         mval, _ = _matrix_at(eq, 0, lam)
         mder, scale = _matrix_at(eq, 1, lam)

@@ -1,5 +1,5 @@
-"""Independent checks on solution sets: residuals, bounds, cross-backend
-agreement, and a candidate-space scan for small degrees."""
+"""Checks on a claimed solution set (the rows of ``CHECKS``) and a scan of
+candidates for n <= 3; the scan and several rows take solver decisions."""
 
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Test-only routines: exact-arithmetic references the package does not
-need, the per-solution sort key and document writer that the packed
-solution batch replaced, the per-pair candidate scan that the batched one
-replaced, the rank-pattern and diagonal equations shared by the solver
-and scan tests, the rescaled equation of X = 2^j Y, the similarity by
-diag(1, d), and the rounded unitary similarity Y = Q X Q^H."""
+need, a one-row view of the batch residual kernel and a one-kind view of
+the finite candidates, the per-solution sort key and document writer that
+the packed solution batch replaced, the per-pair candidate scan that the
+batched one replaced, the rank-pattern and diagonal equations shared by
+the solver and scan tests, the rescaled equation of X = 2^j Y, the
+similarity by diag(1, d), and the rounded unitary similarity Y = Q X Q^H."""
 
 import cmath
 import math
@@ -12,12 +13,12 @@ import numpy as np
 
 from matpolyeq.construct import DomainError
 from matpolyeq.documents import FORMAT_VERSION
-from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, greedy_unique,
-                            outer, pack, unpack)
+from matpolyeq.mat2 import (Mat2, MatrixEquation, Vec2, det2, eval_batch,
+                            greedy_unique, outer, pack, unpack)
 from matpolyeq.poly import Poly
-from matpolyeq.solver import (INDEPENDENCE_TOL, RESIDUAL_COEF, Solution,
-                              SolutionSet, accepted, critical_data,
-                              residuals, solution_bound)
+from matpolyeq.solver import (INDEPENDENCE_TOL, RESIDUAL_COEF, Candidates,
+                              Solution, SolutionSet, accepted, critical_data,
+                              finite_candidates, residuals, solution_bound)
 from matpolyeq.verify import _least_right_singular, _offsets
 
 
@@ -49,6 +50,19 @@ def ref_residual_tol(eq: MatrixEquation, x: Mat2) -> float:
         return RESIDUAL_COEF * (1.0 + eq.coeff_scale()) * (1.0 + norm) ** eq.n
     except OverflowError:
         return math.inf
+
+
+def eval_one(eq: MatrixEquation, x: Mat2) -> Mat2:
+    """f(X) = X^n + A_{n-1} X^{n-1} + ... + A_0 at one matrix: one row of
+    ``mat2.eval_batch``."""
+    return unpack(eval_batch(eq, pack([x])))[0]
+
+
+def rows_of_kind(eq: MatrixEquation, data, kind: str) -> Candidates:
+    """The rows of ``solver.finite_candidates`` for the one critical-data
+    set ``data`` whose kind is ``kind``, in batch order."""
+    found, _ = finite_candidates(eq, (data,))
+    return found.take([r for r, k in enumerate(found.kinds) if k == kind])
 
 
 def ref_sort_key(sol: Solution):

@@ -3,10 +3,9 @@ batched eigenvalue checks against the scalar code they replaced.
 
 The references below are written with the Mat2 operators, as the solver,
 the verifier and the scan computed f(X) and X = P diag(la, lb) adj(P) /
-pairing one candidate at a time; ``eval_equation`` itself now runs on the
-kernel, so it cannot serve as the reference.  Values must agree bit for bit,
-signed zeros included (compared through their uint64 views); NaN payloads
-and signs are not compared, since a NaN entry makes the residual inf either
+pairing one candidate at a time.  Values must agree bit for bit, signed
+zeros included (compared through their uint64 views); NaN payloads and
+signs are not compared, since a NaN entry makes the residual inf either
 way.  The eigenvalue checks have their own references, further down.
 """
 
@@ -23,16 +22,15 @@ from hypothesis import strategies as st
 
 from matpolyeq import mat2, poly, solver, verify
 from matpolyeq.mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
-                            eigenvalues, eval_batch, eval_equation, pack,
-                            unpack)
+                            eigenvalues, eval_batch, pack, unpack)
 from matpolyeq.poly import CLUSTER_TOL
-from matpolyeq.solver import (INDEPENDENCE_TOL, CriticalDatum, Solution,
-                              SolutionSet, critical_data,
-                              enumerate_diagonalizable, residual_tols,
-                              residuals, solve_equation)
+from matpolyeq.solver import (DIAGONALIZABLE, INDEPENDENCE_TOL,
+                              CriticalDatum, Solution, SolutionSet,
+                              critical_data, residual_tols, residuals,
+                              solve_equation)
 from matpolyeq.verify import verify_solution_set
 
-from helpers import ref_residual_tol
+from helpers import ref_residual_tol, rows_of_kind
 
 
 def ref_eval(eq, x):
@@ -130,8 +128,7 @@ def test_one_row_calls(coeffs, x):
     for row in [x] + _MODERATE:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, res = eval_equation(eq, row), residuals(eq, pack([row]))[0]
-        assert bits(pack([got])) == bits(pack([ref_eval(eq, row)]))
+            res = residuals(eq, pack([row]))[0]
         assert res == ref_residual(eq, row)
 
 
@@ -185,7 +182,7 @@ def test_batched_assembly_matches_scalar(data):
                                           vj, pairing), (i, j)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = enumerate_diagonalizable(eq, data)
+        got = rows_of_kind(eq, data, DIAGONALIZABLE)
     assert bits(got.matrices) == bits(pack([x for x, _ in want]))
     assert got.residuals.tolist() == [ref_residual(eq, x) for x, _ in want]
     assert list(got.eigen_data) == [
@@ -200,7 +197,7 @@ def test_assembly_on_random_degree_16_data():
         Mat2(*(complex(a, b) for a, b in rng.uniform(-1, 1, (4, 2))))
         for _ in range(16)))
     data = critical_data(eq)
-    got = enumerate_diagonalizable(eq, data)
+    got = rows_of_kind(eq, data, DIAGONALIZABLE)
     want = [ref_assemble(di.value, di.basis[0], dj.value, dj.basis[0],
                          det2(di.basis[0], dj.basis[0]))
             for i, di in enumerate(data) for dj in data[i + 1:]]
@@ -346,8 +343,7 @@ _SMALL_BATCH_KERNELS = [
     mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.least_distance,
     mat2.greedy_unique, mat2.match_in_order, mat2.eigenvalues,
     solver._parts, solver._assemble, solver.finite_candidates,
-    solver.solve_sets, solver.enumerate_diagonalizable,
-    solver.find_nondiagonalizable, solver.output_order,
+    solver.solve_sets, solver.output_order,
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
     verify._scalar_candidates,
     poly._aberth_roots, poly._aberth_powers, poly.relative_value,

@@ -77,7 +77,9 @@ def test_install_wraps_and_restore_undoes():
 
 # kept only because the tracer binds them; ROADMAP item 5 deletes them
 PLACEHOLDERS = (("poly", "dense_solve"), ("verify", "minimize"),
-                ("mat2", "eigen2"))
+                ("mat2", "eigen2"), ("mat2", "eval_equation"),
+                ("solver", "enumerate_diagonalizable"),
+                ("solver", "find_nondiagonalizable"))
 
 
 @pytest.mark.parametrize("module,name", PLACEHOLDERS)

@@ -342,6 +342,19 @@ class TestVerifyCommand:
         assert isinstance(doc["min_pair_distance"], float)
         assert doc["checks"]["residuals"] is False
 
+    def test_infinite_document_passes(self, tmp_path,
+                                      eq_x_squared_identity):
+        # X^2 = I is infinite; its untouched document verifies, the
+        # certificate and the claim against a fresh solve both passing
+        eq_path, sol = self._pipeline(tmp_path, eq_x_squared_identity)
+        report = tmp_path / "report.json"
+        assert run("verify", "--equation", eq_path, "--solutions", sol,
+                   "--report", report) == 0
+        doc = load_doc(report)
+        assert doc["verdict"] == "pass"
+        assert doc["checks"]["certificate"] is True
+        assert doc["checks"]["solve_agreement"] is True
+
     def test_infinite_set_with_a_solution_exits_1(self, tmp_path, capsys,
                                                    eq_x_squared_identity):
         # X^2 = I is infinite; one appended row must not pass as a count

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2,
-                            eval_equation, outer, poly_matrix,
-                            rank_and_nullspace)
+from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2, outer,
+                            poly_matrix, rank_and_nullspace)
+
+from helpers import eval_one
 
 N1_FIXTURE = MatrixEquation((Mat2(0, -1, 0, -1),))
 FOUR_FIXTURE = MatrixEquation((Mat2.diag(-1, -4), Mat2.zero()))
@@ -115,22 +116,24 @@ class TestRankAndNullspace:
 
 
 class TestEvalEquation:
+    """f(X) by the batch kernel, one row at a time."""
+
     def test_degree_one_solution(self):
-        assert eval_equation(N1_FIXTURE, Mat2(0, 1, 0, 1)).max_norm() == 0
+        assert eval_one(N1_FIXTURE, Mat2(0, 1, 0, 1)).max_norm() == 0
 
     def test_nilpotent_squares_to_zero(self):
         eq = MatrixEquation((Mat2.zero(), Mat2.zero()))
-        assert eval_equation(eq, Mat2(0, 3.7, 0, 0)).max_norm() == 0
+        assert eval_one(eq, Mat2(0, 3.7, 0, 0)).max_norm() == 0
 
     def test_diagonal_solution(self):
-        assert eval_equation(FOUR_FIXTURE, Mat2.diag(1, 2)).max_norm() == 0
+        assert eval_one(FOUR_FIXTURE, Mat2.diag(1, 2)).max_norm() == 0
 
     def test_left_horner_association(self):
         # coefficients multiply from the left: f(X) = X^2 + A1 X + A0
         a1 = Mat2(0, 1, 0, 0)
         x = Mat2(0, 0, 1, 0)
         eq = MatrixEquation((Mat2.zero(), a1))
-        assert _close(eval_equation(eq, x), x @ x + a1 @ x)
+        assert _close(eval_one(eq, x), x @ x + a1 @ x)
 
 
 class TestMat2Utils:

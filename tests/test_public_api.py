@@ -72,7 +72,9 @@ def test_readme_entry_points_are_exported():
 # kept only because the benchmark tracer binds them by module and name: no
 # other module of the package may reach them
 TRACER_ONLY = {"dense_solve": "poly", "minimize": "verify",
-               "eval_equation": "mat2", "eigen2": "mat2"}
+               "eval_equation": "mat2", "eigen2": "mat2",
+               "enumerate_diagonalizable": "solver",
+               "find_nondiagonalizable": "solver"}
 
 
 def _identifiers(tree):

@@ -9,25 +9,25 @@ from hypothesis import strategies as st
 
 from matpolyeq import solver
 from matpolyeq.construct import construct
-from matpolyeq.documents import solution_set_from_doc, solution_set_to_doc
+from matpolyeq.documents import (report_to_doc, save_doc,
+                                 solution_set_from_doc, solution_set_to_doc)
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2,
-                            eigenvalues, eval_equation, pack, poly_matrix,
-                            unpack)
+                            eigenvalues, pack, poly_matrix, unpack)
 from matpolyeq.poly import BACKENDS, CLUSTER_TOL, NonConvergence, Poly
-from matpolyeq.solver import (KINDS, Candidates, CriticalDatum,
+from matpolyeq.solver import (DIAGONALIZABLE, KINDS, NON_DIAGONALIZABLE,
+                              SCALAR, Candidates, CriticalDatum,
                               InternalInconsistency, SolutionSet, accepted,
-                              critical_data, detect_infinite,
-                              enumerate_diagonalizable,
-                              find_nondiagonalizable, finite_candidates,
-                              output_order, residual_tols, residuals,
-                              solution_bound, solve_equation)
+                              critical_data, detect_infinite, output_order,
+                              residual_tols, residuals, solution_bound,
+                              solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
                               verify_solution_set)
 
 from helpers import (JORDAN_PATTERNS, NEAR_FAMILY, NILPOTENT_FAMILY,
                      RANK_PATTERNS, diagonal_equation, diagonally_similar,
-                     max_abs_coeff, poly_divmod, prescribed_equation,
-                     ref_sort_key, rescaled, seeded_unitary, similar)
+                     eval_one, max_abs_coeff, poly_divmod,
+                     prescribed_equation, ref_sort_key, rescaled,
+                     rows_of_kind, seeded_unitary, similar)
 
 
 def _by_value(data, value, tol=1e-8):
@@ -67,9 +67,13 @@ class TestCriticalData:
 
 
 class TestEnumerateDiagonalizable:
+    """The pair rows of ``finite_candidates`` for one set: one per pair of
+    distinct critical values with linearly independent critical vectors,
+    in (i, j) order, with their residuals."""
+
     def test_four_diagonal_solutions(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        found = enumerate_diagonalizable(eq_four_solutions, data)
+        found = rows_of_kind(eq_four_solutions, data, DIAGONALIZABLE)
         mats = unpack(found.matrices)
         got = sorted((round(m.m11.real), round(m.m22.real)) for m in mats)
         assert got == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
@@ -82,11 +86,13 @@ class TestEnumerateDiagonalizable:
             CriticalDatum(1 + 0j, 1, 1, (E1,)),
             CriticalDatum(-1 + 0j, 1, 1, (E1,)),
         ]
-        assert len(enumerate_diagonalizable(eq_four_solutions, data)) == 0
+        assert len(rows_of_kind(eq_four_solutions, data,
+                                DIAGONALIZABLE)) == 0
 
     def test_degree_one_assembly(self, eq_degree_one):
         data = critical_data(eq_degree_one)
-        mats = unpack(enumerate_diagonalizable(eq_degree_one, data).matrices)
+        mats = unpack(rows_of_kind(eq_degree_one, data,
+                                   DIAGONALIZABLE).matrices)
         assert len(mats) == 1
         assert mats[0].dist(Mat2(0, 1, 0, 1)) < 1e-10
 
@@ -97,9 +103,7 @@ class TestScalarSolutions:
 
     @staticmethod
     def _scalars(eq):
-        found, _ = finite_candidates(eq, (critical_data(eq),))
-        return found.take([r for r, kind in enumerate(found.kinds)
-                           if kind == "scalar"])
+        return rows_of_kind(eq, critical_data(eq), SCALAR)
 
     def test_nilpotent_square_includes_zero(self, eq_x_squared_zero):
         found = self._scalars(eq_x_squared_zero)
@@ -116,12 +120,16 @@ class TestScalarSolutions:
 
 
 class TestFindNondiagonalizable:
+    """The offset rows of ``finite_candidates`` for one set: lam*I + N with
+    N nonzero nilpotent at each repeated critical value lam with a
+    one-dimensional critical space, in data order, with their residuals."""
+
     def test_jordan_square_roots(self, eq_x_squared_jordan):
         # X^2 = [[1, 1], [0, 1]]: one offset at each of -1 and +1, packed
         # and residual-checked together, in the order of the data
         data = critical_data(eq_x_squared_jordan)
         assert [d.value for d in data] == [-1, 1]
-        found = find_nondiagonalizable(eq_x_squared_jordan, data)
+        found = rows_of_kind(eq_x_squared_jordan, data, NON_DIAGONALIZABLE)
         assert found.kinds == ("non_diagonalizable",) * 2
         assert list(found.eigen_data) == [((d.value, d.basis[0]),)
                                           for d in data]
@@ -134,15 +142,18 @@ class TestFindNondiagonalizable:
     def test_plane_left_to_detect_infinite(self, eq_x_squared_zero):
         # M(0) = 0: the family is detect_infinite's, no offset comes back
         data = critical_data(eq_x_squared_zero)
-        assert len(find_nondiagonalizable(eq_x_squared_zero, data)) == 0
+        assert len(rows_of_kind(eq_x_squared_zero, data,
+                                NON_DIAGONALIZABLE)) == 0
 
     def test_unsolvable_nilpotent_target(self, eq_x_squared_nilpotent):
         data = critical_data(eq_x_squared_nilpotent)
-        assert len(find_nondiagonalizable(eq_x_squared_nilpotent, data)) == 0
+        assert len(rows_of_kind(eq_x_squared_nilpotent, data,
+                                NON_DIAGONALIZABLE)) == 0
 
     def test_simple_roots_skipped(self, eq_four_solutions):
         data = critical_data(eq_four_solutions)
-        assert len(find_nondiagonalizable(eq_four_solutions, data)) == 0
+        assert len(rows_of_kind(eq_four_solutions, data,
+                                NON_DIAGONALIZABLE)) == 0
 
     def test_failing_offset_raises(self, monkeypatch, eq_x_squared_jordan):
         # both offsets of X^2 = [[1, 1], [0, 1]] made to fail their
@@ -160,7 +171,7 @@ class TestFindNondiagonalizable:
         # no offset to check: the empty batch still has a packed (0, 4)
         # complex array and (0,) float residuals, as a batch of rows has
         eq = request.getfixturevalue(fixture)
-        found = find_nondiagonalizable(eq, critical_data(eq))
+        found = rows_of_kind(eq, critical_data(eq), NON_DIAGONALIZABLE)
         assert (found.matrices.dtype, found.matrices.shape) == \
             (np.complex128, (0, 4))
         assert (found.residuals.dtype, found.residuals.shape) == \
@@ -181,7 +192,7 @@ class TestRankPatterns:
             for ss in (cross.set_a, cross.set_b):
                 data = ss.critical_data
                 datum = min(data, key=lambda d: abs(d.value - lam))
-                found = find_nondiagonalizable(eq, (datum,))
+                found = rows_of_kind(eq, (datum,), NON_DIAGONALIZABLE)
                 if pattern.startswith("zero"):
                     # lam I solves it, and a second value, or alone a
                     # singular M'(lam), spreads that into a family
@@ -326,7 +337,8 @@ class TestDetectInfinite:
         ss = solve_equation(eq)
         cert = ss.certificate
         assert cert.samples == (0.2, 0.4, 0.6, 0.8, 1.0)
-        _assert_accepted(eq, [cert.member(mu) for mu in cert.samples],
+        _assert_accepted(eq, [cert.base + cert.direction.scale(mu)
+                              for mu in cert.samples],
                          cert.sample_residuals)
         back = solution_set_from_doc(
             json.loads(json.dumps(solution_set_to_doc(ss)))).certificate
@@ -560,12 +572,17 @@ def _hex_parts(m):
             for part in (z.real, z.imag)]
 
 
-def test_solve_bits_match_the_recorded_digest(request):
+def _pinned_equations(request):
     equations = [request.getfixturevalue(name) for name in _FIXTURES]
     equations += [prescribed_equation(pattern, n, seed)[0]
                   for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY,
                                                   NEAR_FAMILY)
                   for n in (2, 3, 4) for seed in range(10)]
+    return equations
+
+
+def test_solve_bits_match_the_recorded_digest(request):
+    equations = _pinned_equations(request)
     digest = hashlib.sha256()
     for eq in equations:
         for backend in BACKENDS:
@@ -580,6 +597,32 @@ def test_solve_bits_match_the_recorded_digest(request):
             digest.update(repr(out).encode())
     assert len(equations) == 308
     assert digest.hexdigest() == SOLVE_BITS_SHA256
+
+
+# sha256 of the text, as save_doc writes it, of the solution document of
+# each solve above and of the verify command's report on it (both
+# backends' agreement and the claim against the default backend's solve),
+# solution document then report, equation by equation and backend by
+# backend.  These are the certificates, samples, non-diagonalizable rows
+# and empty sets that the random n = 16 document digests do not reach; a
+# change to the document writer or its fields moves this pin.
+DOCUMENT_TEXT_SHA256 = \
+    "339a57c20ee9c6a6d677f6c0f78e1ecb12eec49ef2eb22eb860f76092765688b"
+
+
+def test_document_text_matches_the_recorded_digest(request, tmp_path):
+    path = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    for eq in _pinned_equations(request):
+        cross = count_cross_check(eq)
+        for backend in BACKENDS:
+            ss = solve_equation(eq, backend=backend)
+            report = verify_solution_set(eq, ss, backend_agreement=cross.agree,
+                                         solved=cross.set_a)
+            for doc in (solution_set_to_doc(ss), report_to_doc(report)):
+                save_doc(doc, path)
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == DOCUMENT_TEXT_SHA256
 
 
 class TestSolutionInvariants:
@@ -628,7 +671,8 @@ class TestSolutionInvariants:
             cert = solve_equation(eq).certificate
             assert len(cert.samples) == 3
             assert len(set(cert.samples)) == 3
-            _assert_accepted(eq, [cert.member(mu) for mu in cert.samples],
+            _assert_accepted(eq, [cert.base + cert.direction.scale(mu)
+                                  for mu in cert.samples],
                              cert.sample_residuals)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -668,7 +712,7 @@ class TestResidual:
     def test_nan_past_the_first_entry_is_infinite(self, eq_degree_one):
         x = Mat2(0, 1, 0, math.nan)
         # max() keeps its first candidate against a NaN, so max_norm is 0
-        assert eval_equation(eq_degree_one, x).max_norm() == 0
+        assert eval_one(eq_degree_one, x).max_norm() == 0
         res, _, ok = _batch_of_one(eq_degree_one, x)
         assert res == math.inf
         assert not ok
