@@ -209,7 +209,7 @@ def solution_set_from_doc(doc) -> SolutionSet:
     values, mults, dims = _each(_critical_arrays, metadata["critical_values"],
                                 "critical value")
     return SolutionSet(
-        Candidates(matrices, residuals, tuple(kinds), (None,) * len(kinds)),
+        Candidates(matrices, residuals, tuple(kinds)),
         certificate, tuple(map(CriticalDatum, values, mults, dims, repeat(()))))
 
 

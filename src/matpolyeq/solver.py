@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mat2 import (E1, E2, RANK_TOL, Mat2, MatrixEquation, Vec2, det2,
-                   eval_batch, join, matmul_parts, max_norms, mul_parts,
-                   outer, pack, rank_and_nullspace, split, unpack)
+from .mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2, eval_batch,
+                   join, matmul_parts, max_norms, mul_parts, outer, pack,
+                   rank_and_nullspace, split, unpack)
 from .poly import NonConvergence, find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -64,13 +64,15 @@ class Solution:
 @dataclass(frozen=True, eq=False)
 class Candidates:
     """Candidate solutions held as arrays: the matrices packed (k, 4) as
-    ``mat2.pack`` lays them out and their residuals, with a kind and eigen
-    data per row (None for a row read from a document)."""
+    ``mat2.pack`` lays them out and their residuals, with a kind per row
+    and ``pairs``, the (k, 2) indices into the set's critical data of each
+    row's two eigenvalues (one index twice for a scalar or offset row; None
+    for a batch read from a document or packed by ``SolutionSet.of``)."""
 
     matrices: np.ndarray
     residuals: np.ndarray
     kinds: tuple[str, ...]
-    eigen_data: tuple
+    pairs: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -78,7 +80,7 @@ class Candidates:
     def take(self, rows: Sequence[int]) -> "Candidates":
         return Candidates(self.matrices[rows], self.residuals[rows],
                           tuple(self.kinds[r] for r in rows),
-                          tuple(self.eigen_data[r] for r in rows))
+                          None if self.pairs is None else self.pairs[rows])
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class InfiniteCertificate:
 class SolutionSet:
     """A classified solution set.  ``batch`` holds the finite solutions in
     output order as one array batch (empty for an infinite set); the
-    Solution objects are built from it, bit for bit, on first access to
-    ``solutions`` only."""
+    Solution objects, with the eigen data that ``pairs`` names, are built
+    from it, bit for bit, on first access to ``solutions`` only."""
 
     batch: Candidates
     certificate: Optional[InfiniteCertificate]
@@ -111,14 +113,16 @@ class SolutionSet:
         return cls(Candidates(pack([s.matrix for s in solutions]),
                               np.array([s.residual for s in solutions],
                                        float),
-                              tuple(s.kind for s in solutions),
-                              tuple(s.eigen_data for s in solutions)),
+                              tuple(s.kind for s in solutions)),
                    certificate, tuple(critical_data))
 
     @cached_property
     def solutions(self) -> tuple[Solution, ...]:
-        b = self.batch
-        return tuple(map(Solution, unpack(b.matrices), b.kinds, b.eigen_data,
+        b, data = self.batch, self.critical_data
+        eigen = (None,) * len(b) if b.pairs is None else (
+            tuple((data[a].value, v) for a in dict.fromkeys(pair)
+                  for v in data[a].basis) for pair in b.pairs.tolist())
+        return tuple(map(Solution, unpack(b.matrices), b.kinds, eigen,
                          b.residuals.tolist()))
 
     @property
@@ -255,42 +259,40 @@ def finite_candidates(eq: MatrixEquation,
     """
     planes, lines, offsets = [], [], []
     for s, data in enumerate(sets):
-        for d in data:
+        for a, d in enumerate(data):
             lam = d.value
             if d.space_dim == 2:
-                planes.append((s, lam))
+                planes.append(((s, a, a), Mat2.identity().scale(lam)))
             elif d.space_dim == 1:
                 k = d.basis[0]
-                lines.append((s, lam, k))
+                lines.append((s, a, lam, k))
                 if d.multiplicity >= 2 and \
                         (offset := _offset(eq, lam, k)) is not None:
-                    offsets.append((s, lam, k, offset))
+                    offsets.append(((s, a, a), offset))
 
-    owner = np.array([s for s, _, _ in lines], int)
-    z = np.array([(lam, k.x, k.y) for _, lam, k in lines],
+    owner, index = np.array([(s, a) for s, a, _, _ in lines],
+                            int).reshape(-1, 2).T
+    z = np.array([(lam, k.x, k.y) for _, _, lam, k in lines],
                  complex).reshape(-1, 3)
     r = np.arange(len(lines))
     i, j = ((r[:, None] < r) & (owner[:, None] == owner)).nonzero()
     det, keep = pairing(z[i, 1:], z[j, 1:])
     i, j = i[keep], j[keep]
     inv = [1.0 / complex(*p) for p in zip(*det[:, keep].tolist())]
-    pairs = [(lam, k) for _, lam, k in lines]
 
     x = np.concatenate((
-        pack([Mat2.identity().scale(lam) for _, lam in planes]),
+        pack([m for _, m in planes]),
         _assemble(z[i], z[j], np.array(inv, complex)),
-        pack([offset for _, _, _, offset in offsets])))
+        pack([m for _, m in offsets])))
+    rows = np.concatenate((
+        np.array([row for row, _ in planes], int).reshape(-1, 3),
+        np.array((owner[i], index[i], index[j])).T,
+        np.array([row for row, _ in offsets], int).reshape(-1, 3)))
     found = Candidates(
         x, residuals(eq, x),
         (SCALAR,) * len(planes) + (DIAGONALIZABLE,) * len(i)
-        + (NON_DIAGONALIZABLE,) * len(offsets),
-        tuple(((lam, E1), (lam, E2)) for _, lam in planes)
-        + tuple(zip([pairs[p] for p in i.tolist()],
-                    [pairs[q] for q in j.tolist()]))
-        + tuple(((lam, k),) for _, lam, k, _ in offsets))
-    return found, np.concatenate((
-        np.array([s for s, _ in planes], int), owner[i],
-        np.array([s for s, _, _, _ in offsets], int)))
+        + (NON_DIAGONALIZABLE,) * len(offsets), rows[:, 1:])
+    return found, rows[:, 0]
 
 
 def enumerate_diagonalizable(*args, **kwargs):
@@ -483,13 +485,11 @@ def solve_sets(eq: MatrixEquation,
 
 def output_order(rows: Candidates, owner: np.ndarray) -> np.ndarray:
     """The stable order of the rows by their key: the index of the row's
-    set (``owner``), then the two eigenvalues of the eigen data (a
-    non-diagonalizable row's one eigenvalue twice), ordered by (real, imag)
-    as numpy sorts complex numbers, then the matrix entries, each as its
-    (real, imag) parts, in one ``np.lexsort``.  So each set's rows come out
+    set (``owner``), then its ``pairs``, the smaller index first, then the
+    matrix entries, each as its (real, imag) parts, in one ``np.lexsort``.
+    Critical values come in (real, imag) order (``find_roots``), so the
+    indices order rows as their eigenvalues do; each set's rows come out
     together, in the order they have alone."""
-    lams = np.sort(np.array([(ed[0][0], ed[-1][0]) for ed in rows.eigen_data],
-                            complex).reshape(-1, 2))
-    key = np.concatenate((owner[:, None], lams.view(float),
+    key = np.concatenate((owner[:, None], np.sort(rows.pairs),
                           rows.matrices.view(float)), axis=1)
     return np.lexsort(key.T[::-1])

@@ -3,8 +3,9 @@ need, a one-row view of the batch residual kernel and a one-kind view of
 the finite candidates, the per-solution sort key and document writer that
 the packed solution batch replaced, the per-pair candidate scan that the
 batched one replaced, the rank-pattern and diagonal equations shared by
-the solver and scan tests, the rescaled equation of X = 2^j Y, the
-similarity by diag(1, d), and the rounded unitary similarity Y = Q X Q^H."""
+the solver and scan tests, the seeded Gaussian-integer equations of the
+integer ledger, the rescaled equation of X = 2^j Y, the similarity by
+diag(1, d), and the rounded unitary similarity Y = Q X Q^H."""
 
 import cmath
 import math
@@ -292,6 +293,30 @@ def diagonal_equation(m: int, n: int) -> MatrixEquation:
         raise DomainError(f"no diagonal equation for m = {m}")
     coeffs = tuple(Mat2.diag(top.coeffs[i], bottom.coeffs[i]) for i in range(n))
     return MatrixEquation(coeffs)
+
+
+# the part sets of the integer ledger's equations, by their ledger names,
+# and its equations per degree, half of them for each part set
+INTEGER_PARTS = {"pm1": (-1, 0, 1), "01": (0, 1)}
+INTEGER_LEDGER_SIZES = {1: 40, 2: 200, 3: 60}
+
+
+def integer_ledger_rows() -> list[tuple[str, int, int]]:
+    """(parts, n, seed) of each equation of tests/integer_ledger.txt, in
+    ledger order: for each part set and degree, seeds from 0 up."""
+    return [(parts, n, seed) for parts in INTEGER_PARTS
+            for n, size in INTEGER_LEDGER_SIZES.items()
+            for seed in range(size // 2)]
+
+
+def integer_equation(parts: str, n: int, seed: int) -> MatrixEquation:
+    """The seeded degree-n equation whose coefficient entries have real and
+    imaginary parts drawn from INTEGER_PARTS[parts]: Gaussian integers, so
+    exact in doubles, and its exact solution count is the right answer."""
+    rng = np.random.default_rng([n, seed])
+    draws = rng.choice(INTEGER_PARTS[parts], (n, 4, 2)).tolist()
+    return MatrixEquation(tuple(Mat2(*(complex(a, b) for a, b in entries))
+                                for entries in draws))
 
 
 def rescaled(eq: MatrixEquation, j: int) -> MatrixEquation:

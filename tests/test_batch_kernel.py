@@ -185,9 +185,7 @@ def test_batched_assembly_matches_scalar(data):
         got = rows_of_kind(eq, data, DIAGONALIZABLE)
     assert bits(got.matrices) == bits(pack([x for x, _ in want]))
     assert got.residuals.tolist() == [ref_residual(eq, x) for x, _ in want]
-    assert list(got.eigen_data) == [
-        ((data[i].value, data[i].basis[0]), (data[j].value, data[j].basis[0]))
-        for _, (i, j) in want]
+    assert got.pairs.tolist() == [[i, j] for _, (i, j) in want]
 
 
 def test_assembly_on_random_degree_16_data():

@@ -120,16 +120,16 @@ FIXTURES = ("eq_four_solutions", "eq_x_squared_zero", "eq_x_squared_identity",
 def _outcome(solve):
     """What a solve gives, exactly: per set the matrices and residuals as
     uint64 bits, and the reprs (exact for doubles and signed zeros) of the
-    kinds, eigen data, certificate and critical data; or the raised type
-    and message."""
+    kinds, the solutions' eigen data, the certificate and the critical
+    data; or the raised type and message."""
     try:
         sets = solve()
     except (NonConvergence, InternalInconsistency) as exc:
         return type(exc), str(exc)
     return [(ss.batch.matrices.view(np.uint64).tolist(),
              ss.batch.residuals.view(np.uint64).tolist(),
-             repr((ss.batch.kinds, ss.batch.eigen_data, ss.certificate,
-                   ss.critical_data)))
+             repr((ss.batch.kinds, [s.eigen_data for s in ss.solutions],
+                   ss.certificate, ss.critical_data)))
             for ss in sets]
 
 
@@ -245,8 +245,8 @@ def test_offsets_are_computed_once_per_value_and_vector(monkeypatch, source):
     cross = count_cross_check(eq)
     rows = [_bits(lam, k.x, k.y)
             for ss in (cross.set_a, cross.set_b)
-            for ed in ss.batch.eigen_data if len(ed) == 1
-            for lam, k in ed]
+            for s in ss.solutions if len(s.eigen_data) == 1
+            for lam, k in s.eigen_data]
     assert len(calls) == len(set(rows)) < len(rows)
 
 

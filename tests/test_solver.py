@@ -131,8 +131,10 @@ class TestFindNondiagonalizable:
         assert [d.value for d in data] == [-1, 1]
         found = rows_of_kind(eq_x_squared_jordan, data, NON_DIAGONALIZABLE)
         assert found.kinds == ("non_diagonalizable",) * 2
-        assert list(found.eigen_data) == [((d.value, d.basis[0]),)
-                                          for d in data]
+        assert found.pairs.tolist() == [[0, 0], [1, 1]]
+        sols = SolutionSet(found, None, data).solutions
+        assert [s.eigen_data for s in sols] == [((d.value, d.basis[0]),)
+                                                for d in data]
         minus, plus = unpack(found.matrices)
         assert minus.dist(Mat2(-1, -0.5, 0, -1)) < 1e-10
         assert plus.dist(Mat2(1, 0.5, 0, 1)) < 1e-10
@@ -169,14 +171,17 @@ class TestFindNondiagonalizable:
                                          "eq_x_squared_nilpotent"])
     def test_empty_batch_has_the_packed_layout(self, request, fixture):
         # no offset to check: the empty batch still has a packed (0, 4)
-        # complex array and (0,) float residuals, as a batch of rows has
+        # complex array, (0,) float residuals and (0, 2) int pairs, as a
+        # batch of rows has
         eq = request.getfixturevalue(fixture)
         found = rows_of_kind(eq, critical_data(eq), NON_DIAGONALIZABLE)
         assert (found.matrices.dtype, found.matrices.shape) == \
             (np.complex128, (0, 4))
         assert (found.residuals.dtype, found.residuals.shape) == \
             (np.float64, (0,))
-        assert (found.kinds, found.eigen_data) == ((), ())
+        assert (found.pairs.dtype, found.pairs.shape) == \
+            (np.dtype(int), (0, 2))
+        assert found.kinds == ()
 
 
 class TestRankPatterns:
@@ -432,22 +437,24 @@ class TestSolveEquation:
         with pytest.raises(NonConvergence, match="left its bunch"):
             solve_equation(eq, backend=backend)
 
-    # The aberth backend alone on all 28 explicit diagonal equations, the
-    # yardstick for roots of high multiplicity; this table shows any
-    # change to the root stage.
-    def test_aberth_outcomes_on_the_explicit_diagonal_cells(self):
-        cells = [(n, 4) for n in range(2, 17)] + \
-            [(n, 16) for n in range(4, 17)]
-        want = {(n, m): m if n <= (6 if m == 4 else 9) else "NonConvergence"
-                for n, m in cells}
-        got = {}
-        for n, m in cells:
-            try:
-                got[n, m] = solve_equation(diagonal_equation(m, n),
-                                           backend="aberth").count
-            except NonConvergence:
-                got[n, m] = "NonConvergence"
-        assert got == want
+    # All 28 explicit diagonal equations on both backends, the yardstick
+    # for roots of high multiplicity: every cell must count m and verify,
+    # and the strict markers show any change to the root stage.
+    @pytest.mark.parametrize("m, n, backend", [
+        pytest.param(m, n, backend, marks=() if n <= (6 if m == 4 else 8)
+                     or (m, n, backend) == (16, 9, "aberth") else
+                     pytest.mark.xfail(strict=True, raises=NonConvergence,
+                                       reason="ROADMAP item 1: roots of "
+                                              "multiplicity n - 1 (n - 3 "
+                                              "for m = 16) fail the "
+                                              "floating-point clustering"))
+        for m, n_min in ((4, 2), (16, 4)) for n in range(n_min, 17)
+        for backend in BACKENDS])
+    def test_explicit_diagonal_cells_count_m(self, m, n, backend):
+        eq = diagonal_equation(m, n)
+        ss = solve_equation(eq, backend=backend)
+        assert ss.count == m
+        assert verify_solution_set(eq, ss).verdict == "pass"
 
     def test_duplicate_candidate_reaches_the_set(self, monkeypatch,
                                                  eq_four_solutions):
@@ -518,39 +525,60 @@ _VALUES = st.builds(complex, _PARTS, _PARTS)
 
 @st.composite
 def _solver_rows(draw):
-    """(matrix, kind, eigen data) rows with one eigenvalue (non-
-    diagonalizable), one repeated (scalar) or two (diagonalizable), some of
-    them drawn twice, in any order."""
+    """Critical data with distinct values in (real, imag) order, as
+    ``find_roots`` gives them, and (matrix, kind, index pair) rows naming
+    it: one index twice (non-diagonalizable or scalar) or two, in either
+    order (diagonalizable), some rows drawn twice, in any order."""
+    values = {(z.real, z.imag): z
+              for z in draw(st.lists(_VALUES, min_size=1, max_size=8))}
+    data = tuple(CriticalDatum(values[key], 1, 1, (E1,))
+                 for key in sorted(values))
+    index = st.integers(0, len(data) - 1)
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(KINDS))
-        la = draw(_VALUES)
-        lb = la if kind == "scalar" else draw(_VALUES)
-        m = Mat2(*(draw(_VALUES) for _ in range(4)))
-        if kind == "non_diagonalizable":
-            rows.append((m, kind, ((la, E1),)))
-            if draw(st.booleans()):
-                # a pair row that shares the lone eigenvalue
-                rows.append((Mat2(*(draw(_VALUES) for _ in range(4))),
-                             "diagonalizable_distinct",
-                             ((la, E1), (draw(_VALUES), E2))))
-        else:
-            rows.append((m, kind, ((la, E1), (lb, E2))))
+        a = draw(index)
+        b = draw(index) if kind == "diagonalizable_distinct" else a
+        rows.append((Mat2(*(draw(_VALUES) for _ in range(4))), kind, (a, b)))
+        if kind == "non_diagonalizable" and draw(st.booleans()):
+            # a pair row that shares the lone eigenvalue
+            rows.append((Mat2(*(draw(_VALUES) for _ in range(4))),
+                         "diagonalizable_distinct", (a, draw(index))))
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))
-    return draw(st.permutations(rows))
+    return data, draw(st.permutations(rows))
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_solver_rows())
-def test_output_order_matches_the_sort_key(rows):
-    # the one lexsort against a stable sort on the per-solution key, for
-    # the rows as one set
-    mats, kinds, eigen = zip(*rows) if rows else ((), (), ())
-    batch = Candidates(pack(mats), np.zeros(len(rows)), kinds, eigen)
-    sols = SolutionSet(batch, None, ()).solutions
+@given(drawn=_solver_rows())
+def test_output_order_matches_the_sort_key(drawn):
+    # the one lexsort on the index pairs against a stable sort on the
+    # per-solution key of eigenvalues, for the rows as one set
+    data, rows = drawn
+    mats, kinds, pairs = zip(*rows) if rows else ((), (), ())
+    batch = Candidates(pack(mats), np.zeros(len(rows)), kinds,
+                       np.array(pairs, int).reshape(-1, 2))
+    sols = SolutionSet(batch, None, data).solutions
     assert output_order(batch, np.zeros(len(rows), int)).tolist() == sorted(
         range(len(sols)), key=lambda r: ref_sort_key(sols[r]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_critical_values_increase_in_real_then_imag(request, backend,
+                                                    scaled_random_equation):
+    # output_order sorts rows on their critical-data indices, which orders
+    # them as their eigenvalues only while each set's values increase
+    equations = _pinned_equations(request)
+    equations += [construct(n, m, validate=False).equation
+                  for n in range(1, 6)
+                  for m in range(1, solution_bound(n) + 1)]
+    equations += [scaled_random_equation(seed, n, 1.0)
+                  for n in range(1, 17) for seed in range(3)]
+    assert len(equations) == 308 + 95 + 48
+    for eq in equations:
+        keys = [(d.value.real, d.value.imag)
+                for d in critical_data(eq, backend=backend)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), keys
 
 
 # sha256 of solve_equation's output with both backends on the conftest

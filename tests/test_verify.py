@@ -128,8 +128,7 @@ class TestVerifySolutionSet:
             x = batch.matrices.copy()
             x[0] = pack([wrong])[0]
             claimed = SolutionSet(
-                Candidates(x, batch.residuals, batch.kinds,
-                           batch.eigen_data),
+                Candidates(x, batch.residuals, batch.kinds, batch.pairs),
                 ss.certificate, ss.critical_data)
             if verify_solution_set(eq, claimed).verdict == "pass":
                 silent.append((a.value, b.value, c.value))
