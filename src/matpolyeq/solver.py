@@ -234,11 +234,15 @@ def _matrix_at(eq, order: int, lam: complex) -> tuple[Mat2, float]:
 
 def _rank_and_kernel(m: Mat2, scale: float, lam: complex):
     """``rank_and_nullspace`` of M(lam) or M'(lam); NonConvergence where the
-    kernel vector underflows (its row's squared moduli round to 0)."""
+    kernel vector underflows (its row's squared moduli round to 0) or
+    overflows (they, or their sum, exceed the largest double)."""
     try:
         return rank_and_nullspace(m, scale)
     except ValueError:
         raise NonConvergence(f"the kernel vector underflows at critical "
+                             f"value {lam:.6g}") from None
+    except ArithmeticError:
+        raise NonConvergence(f"the kernel vector overflows at critical "
                              f"value {lam:.6g}") from None
 
 
@@ -246,16 +250,18 @@ def finite_candidates(eq: MatrixEquation,
                       sets: Sequence[Sequence[CriticalDatum]]
                       ) -> tuple[Candidates, np.ndarray]:
     """The finite candidates of every critical-data set in ``sets`` as one
-    batch, with the index of each row's set.
+    batch in output order, with the index of each row's set.
 
     The rows are the scalar matrices lam*I of every two-dimensional critical
-    space, then one row per pair of distinct critical values of one set
-    with linearly independent critical vectors, in (i, j) order, then the
-    nilpotent offsets (see ``_offset``); each group holds its rows set by
-    set, each set's in data order.  All pairs come from one
-    pairing-determinant pass and one ``_assemble``, and all residuals from
-    one ``residuals`` call: every step acts row by row, so a set's rows are
-    bit for bit those of a batch of its own.
+    space, one row per pair of distinct critical values of one set with
+    linearly independent critical vectors, and the nilpotent offsets (see
+    ``_offset``).  Their ``pairs`` are (a, a) for a scalar or offset at
+    datum a and (i, j), i < j, for a pair, so one ``np.lexsort`` on the
+    distinct (set, a, b) gives the output order, which is the eigenvalues'
+    order since ``find_roots`` returns the values in (real, imag) order.
+    All pairs come from one pairing-determinant pass and one ``_assemble``,
+    and all residuals from one ``residuals`` call: every step acts row by
+    row, so a set's rows are bit for bit those of a batch of its own.
     """
     planes, lines, offsets = [], [], []
     for s, data in enumerate(sets):
@@ -288,10 +294,12 @@ def finite_candidates(eq: MatrixEquation,
         np.array([row for row, _ in planes], int).reshape(-1, 3),
         np.array((owner[i], index[i], index[j])).T,
         np.array([row for row, _ in offsets], int).reshape(-1, 3)))
-    found = Candidates(
-        x, residuals(eq, x),
-        (SCALAR,) * len(planes) + (DIAGONALIZABLE,) * len(i)
-        + (NON_DIAGONALIZABLE,) * len(offsets), rows[:, 1:])
+    kinds = ((SCALAR,) * len(planes) + (DIAGONALIZABLE,) * len(i)
+             + (NON_DIAGONALIZABLE,) * len(offsets))
+    order = np.lexsort(rows.T[::-1])
+    x, rows = x[order], rows[order]
+    found = Candidates(x, residuals(eq, x),
+                       tuple(kinds[r] for r in order.tolist()), rows[:, 1:])
     return found, rows[:, 0]
 
 
@@ -449,14 +457,13 @@ def solve_sets(eq: MatrixEquation,
     backend that fails to root the equation raises before any later work.
     Infinite detection then runs set by set, before finite enumeration, so
     two-dimensional critical spaces never reach the pair assembly.  The
-    finite candidates of all the finite sets are one array batch
-    (``finite_candidates``): one residual call, one ``accepted`` call and
-    one ``np.lexsort`` (``output_order``, with the set index as the leading
-    key).  Each set is then judged alone, in backend order: every one of
-    its candidates must be accepted and their count stay within the
-    C(2n, 2) bound, or the solve raises InternalInconsistency naming the
-    set's first refused row in scalar, pair, offset order; nothing is
-    dropped or merged.  A set holds its rows as one batch in output order,
+    finite candidates of all the finite sets are one array batch in output
+    order (``finite_candidates``), with one residual call and one
+    ``accepted`` call.  Each set is then judged alone, in backend order:
+    every one of its candidates must be accepted and their count stay
+    within the C(2n, 2) bound, or the solve raises InternalInconsistency
+    naming the set's first refused row in output order; nothing is
+    dropped or merged.  A set holds its rows as one batch in that order,
     bit for bit the batch a solve on that backend alone gives; Solution
     objects are built only if ``SolutionSet.solutions`` is read.
     """
@@ -469,7 +476,6 @@ def solve_sets(eq: MatrixEquation,
         return tuple(out)
     found, owner = finite_candidates(eq, [sets[s] for s in finite])
     ok = accepted(eq, found.matrices, found.residuals)
-    order = output_order(found, owner)
     for k, s in enumerate(finite):
         rows = (owner == k).nonzero()[0]
         if not ok[rows].all():
@@ -478,18 +484,6 @@ def solve_sets(eq: MatrixEquation,
         if len(rows) > solution_bound(eq.n):
             raise InternalInconsistency(
                 f"{len(rows)} solutions exceed the C(2n,2) bound")
-        out[s] = SolutionSet(found.take(order[owner[order] == k].tolist()),
-                             None, sets[s])
+        out[s] = SolutionSet(found.take(rows.tolist()), None, sets[s])
     return tuple(out)
 
-
-def output_order(rows: Candidates, owner: np.ndarray) -> np.ndarray:
-    """The stable order of the rows by their key: the index of the row's
-    set (``owner``), then its ``pairs``, the smaller index first, then the
-    matrix entries, each as its (real, imag) parts, in one ``np.lexsort``.
-    Critical values come in (real, imag) order (``find_roots``), so the
-    indices order rows as their eigenvalues do; each set's rows come out
-    together, in the order they have alone."""
-    key = np.concatenate((owner[:, None], np.sort(rows.pairs),
-                          rows.matrices.view(float)), axis=1)
-    return np.lexsort(key.T[::-1])

@@ -341,7 +341,7 @@ _SMALL_BATCH_KERNELS = [
     mat2.split, mat2.mul_parts, mat2._near_pairs, mat2.least_distance,
     mat2.greedy_unique, mat2.match_in_order, mat2.eigenvalues,
     solver._parts, solver._assemble, solver.finite_candidates,
-    solver.solve_sets, solver.output_order,
+    solver.solve_sets,
     verify._offsets, verify.brute_force_scan, verify._fit_eigenpairs,
     verify._scalar_candidates,
     poly._aberth_roots, poly._aberth_powers, poly.relative_value,

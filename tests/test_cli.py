@@ -286,6 +286,25 @@ class TestSolveCommand:
             "value -2e-200+0j"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("a1", [
+        Mat2.diag(1e77, 2e77), Mat2.diag(1e100, 2e100),
+        Mat2.diag(1e150, 2e150), Mat2(-2e76, -1.2e77, 0, 1e77)],
+        ids=["1e77", "1e100", "1e150", "triangular"])
+    def test_large_coefficients_exit_4_with_one_line(self, tmp_path, a1):
+        # X^2 + A X = 0, far inside the coefficient cap: the kernel vector
+        # of M(t) overflows, a typed non-convergence, not a traceback
+        eq_path, out = tmp_path / "eq.json", tmp_path / "sol.json"
+        save_doc(equation_to_doc(MatrixEquation((Mat2.zero(), a1))), eq_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matpolyeq", "solve",
+             "--in", str(eq_path), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 4
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("non-convergence: the kernel vector "
+                               "overflows at critical value ")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def _pipeline(self, tmp_path, eq):

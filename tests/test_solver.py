@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from matpolyeq.documents import (report_to_doc, save_doc,
 from matpolyeq.mat2 import (E1, E2, Mat2, MatrixEquation, Vec2, det2,
                             eigenvalues, pack, poly_matrix, unpack)
 from matpolyeq.poly import BACKENDS, CLUSTER_TOL, NonConvergence, Poly
-from matpolyeq.solver import (DIAGONALIZABLE, KINDS, NON_DIAGONALIZABLE,
-                              SCALAR, Candidates, CriticalDatum,
-                              InternalInconsistency, SolutionSet, accepted,
-                              critical_data, detect_infinite, output_order,
+from matpolyeq.solver import (DIAGONALIZABLE, NON_DIAGONALIZABLE, SCALAR,
+                              CriticalDatum, InternalInconsistency,
+                              SolutionSet, accepted, critical_data,
+                              detect_infinite, finite_candidates,
                               residual_tols, residuals, solution_bound,
                               solve_equation)
 from matpolyeq.verify import (brute_force_scan, count_cross_check,
@@ -352,6 +353,17 @@ class TestDetectInfinite:
             [r.hex() for r in cert.sample_residuals]
 
 
+# X^2 + A X = 0 with A far inside MatrixEquation's cap, and the leading
+# part of the critical value each names first
+OVERFLOWING_KERNELS = [
+    (MatrixEquation((Mat2.zero(), Mat2.diag(1e77, 2e77))), "-2e+77+0j"),
+    (MatrixEquation((Mat2.zero(), Mat2.diag(1e100, 2e100))), "-2e+100+"),
+    (MatrixEquation((Mat2.zero(), Mat2.diag(1e150, 2e150))), "-2e+150+"),
+    (MatrixEquation((Mat2.zero(), Mat2(-2e76, -1.2e77, 0, 1e77))),
+     "-1e+77+0j"),
+]
+
+
 class TestSolveEquation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_four_solutions(self, eq_four_solutions, backend):
@@ -422,6 +434,33 @@ class TestSolveEquation:
                 f"^the kernel vector underflows at critical value "
                 f"{value}\\+0j$")):
             solve_equation(eq, backend=backend)
+
+    # Far inside MatrixEquation's cap, the kernel vector of M(lam) overflows:
+    # its row's squared moduli, or their sum, exceed the largest double.
+    # Each solve path raises NonConvergence naming the value, on aberth's
+    # roots (-2e+100 carries an imaginary part there) or the companion's.
+    @pytest.mark.parametrize("eq, value", OVERFLOWING_KERNELS,
+                             ids=["1e77", "1e100", "1e150", "triangular"])
+    @pytest.mark.parametrize("path", [
+        solve_equation, lambda eq: solve_equation(eq, "companion"),
+        count_cross_check, brute_force_scan],
+        ids=["aberth", "companion", "cross check", "scan"])
+    def test_overflowing_kernel_vector_names_its_value(self, eq, value,
+                                                       path):
+        with pytest.raises(NonConvergence, match=(
+                f"^the kernel vector overflows at critical value "
+                f"{re.escape(value)}")):
+            path(eq)
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergence,
+                       reason="ROADMAP item 12, step 3: the exact "
+                              "normalization brings these coefficients to "
+                              "order 1")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_large_diagonal_square_infinite(self, backend):
+        # infinite at 1e76 already: M(0) = 0 next to a second value
+        ss = solve_equation(OVERFLOWING_KERNELS[0][0], backend=backend)
+        assert not ss.is_finite
 
     # On these diagonal equations the polish of a simple root leaves its
     # bunch.  Keeping the start gives a wrong finite count (49 at (7, 4))
@@ -501,73 +540,22 @@ class TestSolveEquation:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_output_in_sort_key_order(self, request, backend):
-        equations = [request.getfixturevalue(name) for name in _FIXTURES]
+        # finite_candidates sorts on critical-data indices, which orders the
+        # rows as their eigenvalues while each set's values increase; the
+        # patterns' non-diagonalizable rows share an eigenvalue with pair rows
+        equations = _pinned_equations(request)
         equations += [construct(n, m, validate=False).equation
                       for n in (1, 2, 3)
                       for m in range(1, solution_bound(n) + 1)]
-        # the patterns' non-diagonalizable rows share an eigenvalue with
-        # pair rows
-        equations += [prescribed_equation(pattern, n, seed)[0]
-                      for pattern in RANK_PATTERNS + (NILPOTENT_FAMILY,
-                                                      NEAR_FAMILY)
-                      for n in (2, 3) for seed in range(10)]
         for eq in equations:
             keys = [ref_sort_key(s)
                     for s in solve_equation(eq, backend=backend).solutions]
             assert keys == sorted(keys)
 
 
-# few distinct parts, so that repeated eigenvalues, exact ties between
-# keys and +-0.0 entries are common
-_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324])
-_VALUES = st.builds(complex, _PARTS, _PARTS)
-
-
-@st.composite
-def _solver_rows(draw):
-    """Critical data with distinct values in (real, imag) order, as
-    ``find_roots`` gives them, and (matrix, kind, index pair) rows naming
-    it: one index twice (non-diagonalizable or scalar) or two, in either
-    order (diagonalizable), some rows drawn twice, in any order."""
-    values = {(z.real, z.imag): z
-              for z in draw(st.lists(_VALUES, min_size=1, max_size=8))}
-    data = tuple(CriticalDatum(values[key], 1, 1, (E1,))
-                 for key in sorted(values))
-    index = st.integers(0, len(data) - 1)
-    rows = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(KINDS))
-        a = draw(index)
-        b = draw(index) if kind == "diagonalizable_distinct" else a
-        rows.append((Mat2(*(draw(_VALUES) for _ in range(4))), kind, (a, b)))
-        if kind == "non_diagonalizable" and draw(st.booleans()):
-            # a pair row that shares the lone eigenvalue
-            rows.append((Mat2(*(draw(_VALUES) for _ in range(4))),
-                         "diagonalizable_distinct", (a, draw(index))))
-    if rows:
-        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
-    return data, draw(st.permutations(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(drawn=_solver_rows())
-def test_output_order_matches_the_sort_key(drawn):
-    # the one lexsort on the index pairs against a stable sort on the
-    # per-solution key of eigenvalues, for the rows as one set
-    data, rows = drawn
-    mats, kinds, pairs = zip(*rows) if rows else ((), (), ())
-    batch = Candidates(pack(mats), np.zeros(len(rows)), kinds,
-                       np.array(pairs, int).reshape(-1, 2))
-    sols = SolutionSet(batch, None, data).solutions
-    assert output_order(batch, np.zeros(len(rows), int)).tolist() == sorted(
-        range(len(sols)), key=lambda r: ref_sort_key(sols[r]))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_critical_values_increase_in_real_then_imag(request, backend,
-                                                    scaled_random_equation):
-    # output_order sorts rows on their critical-data indices, which orders
-    # them as their eigenvalues only while each set's values increase
+def _ordered_equations(request, scaled_random_equation):
+    """The 308 pinned equations, the 95 sweep cells with n <= 5 and random
+    equations with n = 1..16, seeds 0-2."""
     equations = _pinned_equations(request)
     equations += [construct(n, m, validate=False).equation
                   for n in range(1, 6)
@@ -575,10 +563,32 @@ def test_critical_values_increase_in_real_then_imag(request, backend,
     equations += [scaled_random_equation(seed, n, 1.0)
                   for n in range(1, 17) for seed in range(3)]
     assert len(equations) == 308 + 95 + 48
-    for eq in equations:
+    return equations
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_critical_values_increase_in_real_then_imag(request, backend,
+                                                    scaled_random_equation):
+    # finite_candidates sorts rows on their critical-data indices, which
+    # orders them as their eigenvalues only while each set's values increase
+    for eq in _ordered_equations(request, scaled_random_equation):
         keys = [(d.value.real, d.value.imag)
                 for d in critical_data(eq, backend=backend)]
         assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
+def test_candidate_rows_name_each_set_and_pair_once(request,
+                                                    scaled_random_equation):
+    # one sort on (set, a, b) alone is the output order only while no two
+    # rows share that key; both backends' sets in one batch, as
+    # count_cross_check builds it
+    for eq in _ordered_equations(request, scaled_random_equation):
+        sets = [critical_data(eq, backend=backend) for backend in BACKENDS]
+        found, owner = finite_candidates(
+            eq, [data for data in sets if detect_infinite(eq, data) is None])
+        keys = list(zip(owner.tolist(), *found.pairs.T.tolist()))
+        assert all(a <= b for _, a, b in keys)
+        assert all(p < q for p, q in zip(keys, keys[1:])), keys
 
 
 # sha256 of solve_equation's output with both backends on the conftest
