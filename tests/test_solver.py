@@ -591,6 +591,36 @@ def test_candidate_rows_name_each_set_and_pair_once(request,
         assert all(p < q for p, q in zip(keys, keys[1:])), keys
 
 
+def test_output_order_matches_the_sort_key():
+    # finite_candidates' one lexsort on (set, a, b) against the per-solution
+    # key of eigenvalues, then entries, for each set of a two-backend batch;
+    # the patterns' non-diagonalizable rows share an eigenvalue with pair
+    # rows, and seeds 10-29 lie outside the pinned ones; the near-nilpotent
+    # family stays at n <= 3, as its n = 4 root of multiplicity 4 can find
+    # no critical space (seed 12)
+    equations = [prescribed_equation(pattern, n, seed)[0]
+                 for pattern in RANK_PATTERNS
+                 for n in (2, 3, 4) for seed in range(10, 30)]
+    equations += [prescribed_equation(NEAR_FAMILY, n, seed)[0]
+                  for n in (2, 3) for seed in range(10, 30)]
+    equations += [construct(n, m, validate=False).equation
+                  for n in (2, 3) for m in range(1, solution_bound(n) + 1)]
+    compared = 0
+    for eq in equations:
+        sets = [data for data in (critical_data(eq, backend=backend)
+                                  for backend in BACKENDS)
+                if detect_infinite(eq, data) is None]
+        found, owner = finite_candidates(eq, sets)
+        assert all(p <= q for p, q in zip(owner, owner[1:]))
+        for k, data in enumerate(sets):
+            rows = (owner == k).nonzero()[0].tolist()
+            keys = [ref_sort_key(s) for s in
+                    SolutionSet(found.take(rows), None, data).solutions]
+            assert keys == sorted(keys)
+            compared += len(keys) > 1
+    assert compared > len(equations)
+
+
 # sha256 of solve_equation's output with both backends on the conftest
 # equations and on every prescribed pattern at n = 2, 3, 4 with seeds 0-9:
 # float.hex of each solution's entry parts and residual, with its kind, and
