@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .mat2 import MAX_DEGREE, Mat2, MatrixEquation, Vec2
 from .poly import Poly
@@ -37,8 +36,7 @@ class ValidationFailure(RuntimeError):
     """The built equation failed ``check``, or its partition its count."""
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(NamedTuple):
     """Full witness of the choices behind a constructed equation."""
 
     n: int
@@ -52,8 +50,9 @@ class ConstructionPlan:
     vectors: tuple[Vec2, ...]
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
+    """A constructed equation with the plan that built it."""
+
     equation: MatrixEquation
     plan: ConstructionPlan
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,14 +25,40 @@ _DET_FLOOR = 4e-13
 MAX_DEGREE = 16
 
 
-@dataclass(frozen=True)
-class Vec2:
-    x: complex
-    y: complex
+class Frozen:
+    """Base of the immutable classes that are no NamedTuple: ``__init__``
+    sets the attributes through ``object.__setattr__``, assigning or
+    deleting one raises AttributeError, and the repr shows ``_fields``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "y", complex(self.y))
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Vec2(Frozen):
+    """A vector of C^2, its entries coerced to complex."""
+
+    _fields = ("x", "y")
+
+    def __init__(self, x: complex, y: complex):
+        object.__setattr__(self, "x", complex(x))
+        object.__setattr__(self, "y", complex(y))
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (o.x, o.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def norm(self) -> float:
         return (abs(self.x) ** 2 + abs(self.y) ** 2) ** 0.5
@@ -53,12 +78,20 @@ def det2(u: Vec2, v: Vec2) -> complex:
     return u.x * v.y - u.y * v.x
 
 
-@dataclass(frozen=True)
-class Mat2:
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
+class Mat2(Frozen):
+    """A 2x2 complex matrix, entries m11, m12 (first row), m21, m22."""
+
+    _fields = ("m11", "m12", "m21", "m22")
+
+    def __init__(self, m11: complex, m12: complex, m21: complex,
+                 m22: complex):
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
+        # looked up on the class, where perfbench's tracer wraps it to count
+        # allocations
+        self.__post_init__()
 
     def __post_init__(self):
         # finiteness is checked by MatrixEquation and solver.residuals;
@@ -66,8 +99,17 @@ class Mat2:
         # (int, float, bool, numpy scalars) need converting
         if not (type(self.m11) is type(self.m12) is type(self.m21)
                 is type(self.m22) is complex):
-            for name in ("m11", "m12", "m21", "m22"):
+            for name in self._fields:
                 object.__setattr__(self, name, complex(getattr(self, name)))
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.m11, self.m12, self.m21, self.m22)
+                == (o.m11, o.m12, o.m21, o.m22))
+
+    def __hash__(self) -> int:
+        return hash((self.m11, self.m12, self.m21, self.m22))
 
     @staticmethod
     def zero() -> "Mat2":
@@ -317,8 +359,7 @@ def greedy_unique(x: np.ndarray, tol: float) -> list[int]:
     return [r for r in range(len(x)) if r not in dropped]
 
 
-@dataclass(frozen=True)
-class MatrixEquation:
+class MatrixEquation(Frozen):
     """Monic equation X^n + A_{n-1} X^{n-1} + ... + A_1 X + A_0 = 0.
 
     ``coeffs`` lists A_0 first; the leading identity coefficient is implicit.
@@ -326,9 +367,10 @@ class MatrixEquation:
     shared; it is no field, so ==, hash and repr see the coefficients only.
     """
 
-    coeffs: tuple[Mat2, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[Mat2, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
         if not 1 <= len(self.coeffs) <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
         if not all(cmath.isfinite(z) for a in self.coeffs
@@ -348,6 +390,14 @@ class MatrixEquation:
         # make up the entries of M(lam), and its derivative those of M'(lam)
         object.__setattr__(self, "norm_poly", Poly(norms + (1.0,)))
         object.__setattr__(self, "_derived", {})
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def n(self) -> int:
@@ -379,8 +429,9 @@ class MatrixEquation:
         return self._derived[key]
 
 
-@dataclass(frozen=True)
-class PolyMat2:
+class PolyMat2(NamedTuple):
+    """A 2x2 matrix of polynomials, entries e11, e12, e21, e22."""
+
     e11: Poly
     e12: Poly
     e21: Poly

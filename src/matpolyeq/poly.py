@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +118,7 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root with its multiplicity."""
 
     value: complex

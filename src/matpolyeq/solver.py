@@ -16,15 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .mat2 import (RANK_TOL, Mat2, MatrixEquation, Vec2, det2, eval_batch,
-                   join, matmul_parts, max_norms, mul_parts, outer, pack,
-                   rank_and_nullspace, split, unpack)
+from .mat2 import (RANK_TOL, Frozen, Mat2, MatrixEquation, Vec2, det2,
+                   eval_batch, join, matmul_parts, max_norms, mul_parts,
+                   outer, pack, rank_and_nullspace, split, unpack)
 from .poly import NonConvergence, find_roots
 
 RESIDUAL_COEF = 1e-7
@@ -43,8 +42,7 @@ class InternalInconsistency(RuntimeError):
     residual check; tolerances are misconfigured for this input."""
 
 
-@dataclass(frozen=True)
-class CriticalDatum:
+class CriticalDatum(NamedTuple):
     """One critical value with its multiplicity and critical-space basis."""
 
     value: complex
@@ -53,26 +51,30 @@ class CriticalDatum:
     basis: tuple[Vec2, ...]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
+    """One finite solution: its matrix, kind, eigenpairs and residual."""
+
     matrix: Mat2
     kind: str  # one of KINDS
     eigen_data: Optional[tuple[tuple[complex, Vec2], ...]]
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class Candidates:
+class Candidates(Frozen):
     """Candidate solutions held as arrays: the matrices packed (k, 4) as
     ``mat2.pack`` lays them out and their residuals, with a kind per row
     and ``pairs``, the (k, 2) indices into the set's critical data of each
     row's two eigenvalues (one index twice for a scalar or offset row; None
     for a batch read from a document or packed by ``SolutionSet.of``)."""
 
-    matrices: np.ndarray
-    residuals: np.ndarray
-    kinds: tuple[str, ...]
-    pairs: Optional[np.ndarray] = None
+    _fields = ("matrices", "residuals", "kinds", "pairs")
+
+    def __init__(self, matrices: np.ndarray, residuals: np.ndarray,
+                 kinds: tuple[str, ...], pairs: Optional[np.ndarray] = None):
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -83,8 +85,7 @@ class Candidates:
                           None if self.pairs is None else self.pairs[rows])
 
 
-@dataclass(frozen=True)
-class InfiniteCertificate:
+class InfiniteCertificate(NamedTuple):
     """A verified one-parameter family X(mu) = base + mu * direction."""
 
     reason: str
@@ -94,16 +95,20 @@ class InfiniteCertificate:
     sample_residuals: tuple[float, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionSet:
+class SolutionSet(Frozen):
     """A classified solution set.  ``batch`` holds the finite solutions in
     output order as one array batch (empty for an infinite set); the
     Solution objects, with the eigen data that ``pairs`` names, are built
     from it, bit for bit, on first access to ``solutions`` only."""
 
-    batch: Candidates
-    certificate: Optional[InfiniteCertificate]
-    critical_data: tuple[CriticalDatum, ...]
+    _fields = ("batch", "certificate", "critical_data")
+
+    def __init__(self, batch: Candidates,
+                 certificate: Optional[InfiniteCertificate],
+                 critical_data: tuple[CriticalDatum, ...]):
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "critical_data", critical_data)
 
     @classmethod
     def of(cls, solutions: Sequence[Solution],

@@ -3,8 +3,7 @@ candidates for n <= 3; the scan and several rows take solver decisions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +23,7 @@ def dedupe_tol(data: Sequence[CriticalDatum]) -> float:
     return DEDUPE_TOL * (1.0 + max((abs(d.value) for d in data), default=0.0))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of every check on one (equation, solution set) pair; the
     checks are the rows of ``CHECKS``."""
 
@@ -197,8 +195,10 @@ def verify_solution_set(eq: MatrixEquation, sset: SolutionSet,
         reasons=tuple(reasons))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(NamedTuple):
+    """Both backends' solution sets of one equation, their counts and
+    whether the sets agree."""
+
     set_a: SolutionSet
     set_b: SolutionSet
     count_a: Optional[int]

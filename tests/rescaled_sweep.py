@@ -18,7 +18,6 @@ the patched ``construct``.
 
 import multiprocessing
 import sys
-from dataclasses import replace
 
 from matpolyeq import cli
 
@@ -39,7 +38,7 @@ def main(argv) -> int:
 
     def construct_transformed(n, m, **kwargs):
         result = construct(n, m, **kwargs)
-        return replace(result, equation=transform(result.equation, k))
+        return result._replace(equation=transform(result.equation, k))
 
     cli.construct = construct_transformed
     multiprocessing.set_start_method("fork")

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 from pathlib import Path
 
@@ -38,7 +37,7 @@ def transformed_construct(monkeypatch, transform):
 
     def construct_transformed(n, m, **kwargs):
         result = real(n, m, **kwargs)
-        return replace(result, equation=transform(result.equation))
+        return result._replace(equation=transform(result.equation))
 
     monkeypatch.setattr(cli, "construct", construct_transformed)
 
@@ -657,8 +656,8 @@ class TestSweepCommand:
         # root leaves its bunch, and the error names the stage
         assert cli._sweep_cell((9, 16))["error"] is None
         real = cli.construct
-        monkeypatch.setattr(cli, "construct", lambda n, m, **kwargs: replace(
-            real(n, m, **kwargs), equation=diagonal_equation(m, n)))
+        monkeypatch.setattr(cli, "construct", lambda n, m, **kwargs:
+            real(n, m, **kwargs)._replace(equation=diagonal_equation(m, n)))
         assert cli._sweep_cell((9, 16))["error"] == \
             "companion:NonConvergence"
 
@@ -746,12 +745,12 @@ class TestSweepCommand:
         # failed rows of one report, in table order
         def count_cross_check(eq):
             cross = real_cross(eq)
-            return replace(cross, agree=cross.agree and eq.n != 1)
+            return cross._replace(agree=cross.agree and eq.n != 1)
 
         def verify_solution_set(eq, sset, backend_agreement=None):
             report = real_verify(eq, sset, backend_agreement=backend_agreement)
-            return report if eq.n != 1 else replace(
-                report, eigenvalues_ok=False, char_divisor_ok=False)
+            return report if eq.n != 1 else report._replace(
+                eigenvalues_ok=False, char_divisor_ok=False)
 
         monkeypatch.setattr(module, "count_cross_check", count_cross_check)
         monkeypatch.setattr(module, "verify_solution_set", verify_solution_set)

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -317,8 +316,9 @@ class TestValidation:
 
     @staticmethod
     def _both(sset):
-        return lambda cross: replace(cross, set_a=sset, set_b=sset,
-                                     count_a=sset.count, count_b=sset.count)
+        return lambda cross: cross._replace(set_a=sset, set_b=sset,
+                                             count_a=sset.count,
+                                             count_b=sset.count)
 
     @staticmethod
     def _infinite():
@@ -352,11 +352,11 @@ class TestValidation:
     # what the sweep's row names
     @pytest.mark.parametrize("cell, name, wrap, error", [
         ((2, 5), "count_cross_check",
-         lambda cross: replace(cross, agree=False),
+         lambda cross: cross._replace(agree=False),
          "verify:backend_agreement"),
         ((3, 7), "verify_solution_set",
-         lambda report: replace(report, eigenvalues_ok=False,
-                                char_divisor_ok=False),
+         lambda report: report._replace(eigenvalues_ok=False,
+                                       char_divisor_ok=False),
          "verify:eigenvalues+char_divisor"),
     ])
     def test_construct_fails_as_the_sweep_does(self, monkeypatch, cell, name,

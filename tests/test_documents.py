@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -565,8 +564,8 @@ class TestPlanAndReportDocuments:
         report = verify_solution_set(eq_four_solutions,
                                      solve_equation(eq_four_solutions))
         # the largest residual, max_residual, is inf
-        report = replace(report, residuals=(0.5, math.inf, math.nan),
-                         min_pair_distance=math.inf)
+        report = report._replace(residuals=(0.5, math.inf, math.nan),
+                                 min_pair_distance=math.inf)
         path = tmp_path / "report.json"
         save_doc(report_to_doc(report), path)
         doc = json.loads(path.read_text())

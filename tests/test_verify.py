@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -385,8 +384,8 @@ def test_checks_table_has_one_row_per_check(eq_four_solutions):
     # each *_ok and *_agreement field of the report is one row, each with
     # its own document key and text: a new check reaches the report
     # document, the sweep's verify: token and the text report by one row
-    fields = [f.name for f in dataclasses.fields(VerificationReport)
-              if f.name.endswith(("_ok", "_agreement"))]
+    fields = [f for f in VerificationReport._fields
+              if f.endswith(("_ok", "_agreement"))]
     assert sorted(field for field, _, _ in CHECKS) == sorted(fields)
     assert len({key for _, key, _ in CHECKS}) == len(CHECKS)
     report = verify_solution_set(eq_four_solutions,
@@ -398,7 +397,7 @@ def _all_checks_apply(eq):
     """A passing report of eq's solve with every row of CHECKS set."""
     ss = solve_equation(eq)
     report = verify_solution_set(eq, ss, backend_agreement=True, solved=ss)
-    return dataclasses.replace(report, certificate_ok=True)
+    return report._replace(certificate_ok=True)
 
 
 class TestTextReport:
@@ -428,7 +427,7 @@ class TestTextReport:
     def test_a_false_field_fails_its_line(self, eq_four_solutions, row):
         field, _, text = row
         report = _all_checks_apply(eq_four_solutions)
-        failed = dataclasses.replace(report, **{field: False})
+        failed = report._replace(**{field: False})
         before = report.to_text().splitlines()
         after = failed.to_text().splitlines()
         i = before.index(f"{text(report)}: ok")
@@ -441,8 +440,8 @@ class TestTextReport:
         # the rows decide the verdict, with no reason given; the reasons
         # only explain them
         field, key, _ = row
-        failed = dataclasses.replace(_all_checks_apply(eq_four_solutions),
-                                     **{field: False})
+        failed = _all_checks_apply(eq_four_solutions)._replace(
+            **{field: False})
         assert (failed.failed, failed.reasons) == ((field,), ())
         assert failed.verdict == "fail"
         doc = report_to_doc(failed)
@@ -468,7 +467,7 @@ class TestTextReport:
     def test_a_none_field_has_no_line(self, eq_four_solutions, row):
         field, _, text = row
         report = _all_checks_apply(eq_four_solutions)
-        skipped = dataclasses.replace(report, **{field: None})
+        skipped = report._replace(**{field: None})
         before = report.to_text().splitlines()
         before.remove(f"{text(report)}: ok")
         assert skipped.to_text().splitlines() == before
@@ -488,8 +487,8 @@ class TestTextReport:
         assert (report.claimed_count, report.classification) == (
             None, "infinite")
         assert (report.bound, report.max_residual) == (6, 0.0)
-        report = dataclasses.replace(report, claimed_count=2,
-                                     residuals=(0.5, math.inf, math.nan))
+        report = report._replace(claimed_count=2,
+                                 residuals=(0.5, math.inf, math.nan))
         assert (report.classification, report.max_residual) == (
             "finite", math.inf)
 
